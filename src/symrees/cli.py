@@ -16,7 +16,7 @@ human-readable text or as machine-readable JSON with a stable field order
 inputs and seed.
 
 Exit codes: 0 success, 1 failed mathematical verdict in acceptance mode,
-2 input error, 3 resource limit exceeded.
+2 input error, 3 resource limit exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from __future__ import annotations
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
 import click
 
 from .blowup import (
+    CertificateError,
     aluffi_dimension,
     aluffi_presentation,
     analytic_spread,
@@ -54,7 +56,7 @@ from .ideal_ops import (
     quotient,
     saturate,
 )
-from .fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, family_by_name, pair_by_name
+from .fixtures import CURVES, FAMILIES, PAIR_FIXTURES, pair_by_name
 from .rings import Ideal, ParseError, RingContext, RingError, parse_ring_header, poly_str
 from .syzygy import PolyMatrix, entry_ideal, hessian, jacobian, minors, syzygies
 
@@ -206,9 +208,13 @@ def _wrap_errors(fn):
         except WorkLimitExceeded as exc:
             click.echo(f"resource limit: {exc}", err=True)
             sys.exit(3)
-        except (ParseError, RingError, OSError, KeyError, ValueError) as exc:
+        except (ParseError, RingError, CertificateError, OSError) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(2)
+        except Exception:
+            # a bug, not a verdict or bad input: report it with its traceback
+            click.echo(f"internal error:\n{traceback.format_exc()}", err=True)
+            sys.exit(4)
     return inner
 
 
@@ -661,7 +667,10 @@ def family_member_cmd(ctx, file, alpha):
     if not job.family:
         raise RingError("family member needs a `family:` payload")
     F = job.ring.parse(job.family)
-    values = [Fraction(a) for a in alpha.split(",")] if alpha else []
+    try:
+        values = [Fraction(a) for a in alpha.split(",")] if alpha else []
+    except (ValueError, ZeroDivisionError):
+        raise RingError(f"--alpha needs comma-separated rationals, got {alpha!r}") from None
     t0 = time.time()
     member = evaluate_member(F, values)
     cert = member.certificate
@@ -762,7 +771,7 @@ def _run_fixture(slug: str, seed: int, bound: int) -> dict:
                 "all_pieces_zero": report.all_zero,
                 "nonzero_degrees": [p.degree for p in report.pieces if p.nonzero],
                 "passed": passed}
-    raise KeyError(f"unknown fixture {slug!r}")
+    raise RingError(f"unknown fixture {slug!r}")
 
 
 @main.command("accept")

@@ -1,12 +1,36 @@
 """Buchberger engine: reduced Groebner bases, normal forms, membership.
 
-The hot path works on integer-primitive polynomials (dict monomial -> int,
-content 1) with fraction-free reduction: to cancel a term we cross-multiply by
-leading coefficients instead of dividing, tracking the accumulated multiplier,
-and convert back to exact rational results at the end.  Pair handling follows
-the classic GROEBNERNEWS2 layout with the Gebauer-Moeller criteria and the
-normal (minimal lcm) selection strategy, with deterministic tie-breaks so a
-basis is reproducible and unique for (ideal, order).
+Packed monomials.  Inside the engine a monomial is one Python int
+(Bachmann-Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998; Monagan-Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  For an order with
+rows r_1..r_k (non-negative integer linear forms, see MonomialOrder.rows) on a
+ring of arity n, the fields of x^e from the most significant down are
+
+    r_1.e, ..., r_k.e  (the order word)  |  e_n, ..., e_1  (the exponent word)
+
+each FIELD_BITS wide, with the top bit of every field a guard bit that stays
+clear.  Then a product is `a + b`, the order is `a < b` (the order word is
+injective, so it alone decides), `a | b` is `not ((b - a) & guard)`, and
+lcm exponents are a field-wise max by the guard-bit trick (`_fmax`).  The
+public API keeps exponent tuples; monomials are packed on the way in and
+unpacked by bit extraction on the way out.
+
+Exponent bound: every field must stay below 2**(FIELD_BITS - 1) = 32768, that
+is each exponent and each row value (the total degree under grevlex, the
+weighted degree under wgrevlex, the degree in each group under block orders).
+Inputs are checked when packed and every product the engine forms is checked
+against the guard bits; a field that reaches its guard bit raises RingError,
+so an overflow is never silent.
+
+Coefficients.  The hot path works on integer-primitive polynomials (dict
+packed monomial -> int, content 1) with fraction-free reduction: to cancel a
+term we cross-multiply by leading coefficients instead of dividing, tracking
+the accumulated multiplier, and convert back to exact rational results at the
+end.  Pair handling follows the classic GROEBNERNEWS2 layout with the
+Gebauer-Moeller criteria and the normal (minimal lcm) selection strategy,
+with deterministic tie-breaks so a basis is reproducible and unique for
+(ideal, order).
 
 Optionally every basis element tracks its representation in terms of the input
 generators; this feeds containment certificates and syzygy extraction.
@@ -14,14 +38,20 @@ generators; this feeds containment certificates and syzygy extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .rings import GREVLEX, Ideal, Monom, MonomialOrder, Polynomial, RingContext, RingError
+from .rings import GREVLEX, Ideal, MonomialOrder, Polynomial, RingContext, RingError
 
 DEFAULT_WORK_LIMIT = 10 ** 6
+
+FIELD_BITS = 16
+FIELD_MAX = (1 << (FIELD_BITS - 1)) - 1   # largest value a packed field may hold
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def set_default_work_limit(limit: int | None):
@@ -34,33 +64,70 @@ class WorkLimitExceeded(RuntimeError):
     """The configured work budget ran out before the computation finished."""
 
 
-class _KeyCache(dict):
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, m):
-        v = self.f(m)
-        self[m] = v
-        return v
+def _overflow() -> RingError:
+    return RingError(f"monomial exceeds the engine's exponent bound: an exponent or"
+                     f" an order row value (such as the total degree) is above"
+                     f" {FIELD_MAX}")
 
 
-def _mono_lcm(a: Monom, b: Monom) -> Monom:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+class _Layout:
+    """How the monomials of one (order, arity) pack into ints."""
+
+    __slots__ = ("rows", "shifts", "var", "guard", "emask", "eguard", "cmax")
+
+    def __init__(self, order: MonomialOrder, arity: int):
+        rows = order.rows(arity)
+        nrows = len(rows)
+        self.rows = rows
+        self.shifts = tuple(FIELD_BITS * i for i in range(arity))
+        base = FIELD_BITS * arity
+        # var[i] is x_i packed: its exponent field plus its column of the rows
+        self.var = tuple(
+            (1 << self.shifts[i])
+            + sum(row[i] << (base + FIELD_BITS * (nrows - 1 - r))
+                  for r, row in enumerate(rows))
+            for i in range(arity))
+        self.guard = sum(1 << (FIELD_BITS * k + FIELD_BITS - 1)
+                         for k in range(arity + nrows))
+        self.emask = (1 << base) - 1
+        self.eguard = self.guard & self.emask
+        self.cmax = max((c for row in rows for c in row), default=1)
+
+    def pack(self, m) -> int:
+        # total degree * largest row entry bounds every field; past that,
+        # check each field exactly before packing
+        if sum(m) * self.cmax > FIELD_MAX and (
+                max(m) > FIELD_MAX
+                or any(sum(map(mul, row, m)) > FIELD_MAX for row in self.rows)):
+            raise _overflow()
+        return sum(map(mul, m, self.var))
+
+    def pack_exponents(self, e: int) -> int:
+        """The full packed monomial for an exponent word."""
+        return sum(((e >> s) & _FIELD_MASK) * x for s, x in zip(self.shifts, self.var))
+
+    def unpack(self, w: int) -> tuple:
+        return tuple((w >> s) & _FIELD_MASK for s in self.shifts)
 
 
-def _mono_mul(a: Monom, b: Monom) -> Monom:
-    return tuple(x + y for x, y in zip(a, b))
+@lru_cache(maxsize=64)
+def _layout(order: MonomialOrder, arity: int) -> _Layout:
+    return _Layout(order, arity)
 
 
-def _divides(a: Monom, b: Monom) -> bool:
-    """a | b componentwise."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def _fmax(a: int, b: int, guard: int) -> int:
+    """Field-wise max of two packed words whose guard bits are clear."""
+    s = ((a | guard) - b) & guard          # guard bit set where a's field >= b's
+    s -= s >> (FIELD_BITS - 1)             # ... widened to that field's value bits
+    return (a & s) | (b & ~s)
+
+
+def _top(words, guard: int) -> int:
+    """Field-wise max over packed words: bounds every product with them."""
+    t = 0
+    for w in words:
+        t = _fmax(t, w, guard)
+    return t
 
 
 def _content(values) -> int:
@@ -78,22 +145,24 @@ def _dict_scale(d: dict, c: int):
             d[k] *= c
 
 
-def _to_int_poly(p: Polynomial) -> tuple:
-    """(int dict, scale) with p == scale * dict and dict content-1."""
+def _to_engine(lay: _Layout, p: Polynomial) -> tuple:
+    """(packed int dict, scale) with p == scale * dict and dict content-1."""
     if p.is_zero:
         return {}, Fraction(1)
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = {m: int(c * den) for m, c in p.terms.items()}
+    pack = lay.pack
+    ints = {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     g = _content(ints.values())
     if g > 1:
         ints = {m: v // g for m, v in ints.items()}
     return ints, Fraction(g, den)
 
 
-def _from_int_poly(ring: RingContext, d: dict, scale: Fraction) -> Polynomial:
-    return Polynomial(ring, {m: scale * v for m, v in d.items() if v})
+def _from_engine(ring: RingContext, lay: _Layout, items, scale: Fraction) -> Polynomial:
+    unpack = lay.unpack
+    return Polynomial(ring, {unpack(m): scale * v for m, v in items if v})
 
 
 class _Budget:
@@ -109,19 +178,28 @@ class _Budget:
 
 
 class _Rec:
-    """Engine record: integer-primitive polynomial plus optional tracking."""
+    """Engine record: integer-primitive polynomial plus optional tracking.
 
-    __slots__ = ("terms", "lm", "lc", "tail", "rep")
+    The leading term is kept apart from the tail; `top` is the field-wise max
+    of all terms, so a product x^q * self passes the exponent bound exactly
+    when q + top does.
+    """
 
-    def __init__(self, terms: dict, key, rep=None):
-        self.terms = terms
-        self.lm = max(terms, key=key)
-        self.lc = terms[self.lm]
-        self.tail = [(m, c) for m, c in terms.items() if m != self.lm]
+    __slots__ = ("lm", "lc", "tail", "top", "rep")
+
+    def __init__(self, terms: dict, guard: int, rep=None):
+        lm = max(terms)
+        self.lm = lm
+        self.lc = terms[lm]
+        self.tail = [(m, c) for m, c in terms.items() if m != lm]
+        self.top = _top(terms, guard)
         self.rep = rep
 
+    def items(self) -> list:
+        return [(self.lm, self.lc)] + self.tail
+
     def frozen(self):
-        return frozenset(self.terms.items())
+        return self.lm, self.lc, frozenset(self.tail)
 
 
 def _scale_rep(rep, c):
@@ -130,51 +208,54 @@ def _scale_rep(rep, c):
             _dict_scale(d, c)
 
 
-def _axpy(dst: dict, c: int, q: Monom, src) -> None:
+def _axpy(dst: dict, c: int, q: int, src) -> None:
     """dst += c * x^q * src   (src: iterable of (monom, coeff))."""
+    get = dst.get
     for m, v in src:
-        mm = _mono_mul(q, m)
-        s = dst.get(mm, 0) + c * v
+        mm = q + m
+        s = get(mm, 0) + c * v
         if s:
             dst[mm] = s
         else:
             del dst[mm]
 
 
-def _rep_axpy(rep, c, q, src_rep):
+def _rep_axpy(rep, c, q, src_rep, guard):
     if rep is None or src_rep is None:
         return
     for j, d in src_rep.items():
+        if (q + _top(d, guard)) & guard:
+            raise _overflow()
         tgt = rep.setdefault(j, {})
         _axpy(tgt, c, q, d.items())
         if not tgt:
             del rep[j]
 
 
-def _reduce_full(terms: dict, reducers: Sequence[_Rec], key, budget,
+def _reduce_full(terms: dict, reducers: Sequence[_Rec], guard: int, budget,
                  rep=None, quotients=None) -> tuple:
     """Full normal form; returns (remainder, multiplier).
 
     Fraction-free: on exit  multiplier * input == remainder
                             + sum(quotients[i] * reducers[i])
     with the representation payload scaled consistently when tracking.
+    The first reducer whose leading monomial divides the current term acts.
     """
     p = dict(terms)
     r: dict = {}
     mult = 1
+    lms = [g.lm for g in reducers]
     while p:
-        m = max(p, key=key)
+        m = max(p)
         c = p.pop(m)
-        hit = None
-        for idx, g in enumerate(reducers):
-            if _divides(g.lm, m):
-                hit = (idx, g)
+        for idx, lm in enumerate(lms):
+            if not ((m - lm) & guard):
                 break
-        if hit is None:
+        else:
             r[m] = c
             continue
         budget.spend()
-        idx, g = hit
+        g = reducers[idx]
         d = gcd(c, g.lc)
         cr = c // d
         lcr = g.lc // d
@@ -188,9 +269,11 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], key, budget,
                 for qd in quotients.values():
                     _dict_scale(qd, lcr)
             mult *= lcr
-        q = tuple(a - b for a, b in zip(m, g.lm))
+        q = m - lm
+        if (q + g.top) & guard:
+            raise _overflow()
         _axpy(p, -cr, q, g.tail)
-        _rep_axpy(rep, -cr, q, g.rep)
+        _rep_axpy(rep, -cr, q, g.rep, guard)
         if quotients is not None:
             qd = quotients.setdefault(idx, {})
             s = qd.get(q, 0) + cr
@@ -201,25 +284,27 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], key, budget,
     return r, mult
 
 
-def _spoly(gi: _Rec, gj: _Rec, key, track: bool):
-    lcm = _mono_lcm(gi.lm, gj.lm)
-    qi = tuple(a - b for a, b in zip(lcm, gi.lm))
-    qj = tuple(a - b for a, b in zip(lcm, gj.lm))
+def _spoly(gi: _Rec, gj: _Rec, lcm: int, guard: int, track: bool):
+    """S-polynomial of two records; their leading terms cancel at lcm."""
+    qi = lcm - gi.lm
+    qj = lcm - gj.lm
+    if (qi + gi.top) & guard or (qj + gj.top) & guard:
+        raise _overflow()
     d = gcd(gi.lc, gj.lc)
     ci = gj.lc // d
     cj = gi.lc // d
     out: dict = {}
-    _axpy(out, ci, qi, gi.terms.items())
-    _axpy(out, -cj, qj, gj.terms.items())
+    _axpy(out, ci, qi, gi.tail)
+    _axpy(out, -cj, qj, gj.tail)
     rep = None
     if track:
         rep = {}
-        _rep_axpy(rep, ci, qi, gi.rep)
-        _rep_axpy(rep, -cj, qj, gj.rep)
+        _rep_axpy(rep, ci, qi, gi.rep, guard)
+        _rep_axpy(rep, -cj, qj, gj.rep, guard)
     return out, rep
 
 
-def _strip(terms: dict, rep, key):
+def _strip(terms: dict, rep):
     """Content-1, positive leading coefficient; rep stripped jointly."""
     if not terms:
         return terms, rep
@@ -228,7 +313,7 @@ def _strip(terms: dict, rep, key):
         for d in rep.values():
             vals.extend(d.values())
     g = _content(vals)
-    if terms[max(terms, key=key)] < 0:
+    if terms[max(terms)] < 0:
         g = -g
     if g != 1:
         for m in list(terms):
@@ -242,12 +327,18 @@ def _strip(terms: dict, rep, key):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, descending by leading monomial."""
+    """Reduced Groebner basis: monic elements, descending by leading monomial.
+
+    `_records` holds the engine's packed form of the elements; a basis built
+    by the engine carries the records of its run, and any other basis builds
+    them on first use.
+    """
 
     ring: RingContext
     order: MonomialOrder
     elements: tuple
     reduced: bool = True
+    _records: tuple | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -262,18 +353,27 @@ class GroebnerBasis:
     def leading_monomials(self) -> list:
         return [g.leading(self.order)[0] for g in self.elements]
 
+    def _engine_records(self, lay: _Layout) -> tuple:
+        recs = self._records
+        if recs is None:
+            recs = tuple(_Rec(_to_engine(lay, g)[0], lay.guard) for g in self.elements)
+            # an equivalent value replaces a missing one, as for Ideal caches
+            object.__setattr__(self, "_records", recs)
+        return recs
+
 
 def _run_buchberger(gens, ring, order, work_limit, track):
-    key = _KeyCache(order.key_func(ring.arity)).__getitem__
+    lay = _layout(order, ring.arity)
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
     budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
 
     seeds = []
     scales = []
     for j, g in enumerate(gens):
-        ints, scale = _to_int_poly(g)
+        ints, scale = _to_engine(lay, g)
         scales.append(scale)
         if ints:
-            rep = {j: {(0,) * ring.arity: 1}} if track else None
+            rep = {j: {0: 1}} if track else None
             seeds.append((ints, rep))
 
     if not seeds:
@@ -286,101 +386,99 @@ def _run_buchberger(gens, ring, order, work_limit, track):
         nxt = []
         changed = False
         for terms, rep in work:
-            r, _ = _reduce_full(terms, recs, key, budget,
+            r, _ = _reduce_full(terms, recs, guard, budget,
                                 rep=rep if track else None)
             if r != terms:
                 changed = True
             if r:
-                r, rep = _strip(r, rep, key)
-                recs.append(_Rec(r, key, rep))
+                r, rep = _strip(r, rep)
+                recs.append(_Rec(r, guard, rep))
                 nxt.append((r, rep))
         work = nxt
         if not changed:
             break
 
-    f = [_Rec(t, key, rep) for t, rep in work]
+    f = recs
+    ex = [rec.lm & emask for rec in f]          # exponent words of the lms
     index_of = {rec.frozen(): i for i, rec in enumerate(f)}
 
     def normal(h_terms, h_rep, J):
         reducers = [f[j] for j in J]
-        r, _ = _reduce_full(h_terms, reducers, key, budget, rep=h_rep)
+        r, _ = _reduce_full(h_terms, reducers, guard, budget, rep=h_rep)
         if not r:
             return None
-        r, h_rep = _strip(r, h_rep, key)
-        rec = _Rec(r, key, h_rep)
+        r, h_rep = _strip(r, h_rep)
+        rec = _Rec(r, guard, h_rep)
         fz = rec.frozen()
         if fz not in index_of:
             index_of[fz] = len(f)
             f.append(rec)
+            ex.append(rec.lm & emask)
         return index_of[fz]
 
     def update(G, B, ih):
-        # Gebauer-Moeller pair filtering
-        mh = f[ih].lm
+        # Gebauer-Moeller pair filtering on exponent words; a pair is kept
+        # as (lcm, i, j) with its packed lcm computed once
+        mh = ex[ih]
+        lcm_h = {ig: _fmax(mh, ex[ig], eguard) for ig in G}
         C = set(G)
-        D = set()
+        D = []
         while C:
             ig = C.pop()
-            mg = f[ig].lm
-            lcm_hg = _mono_lcm(mh, mg)
-
-            def lcm_divides(ip):
-                return _divides(_mono_lcm(mh, f[ip].lm), lcm_hg)
-
-            if _mono_mul(mh, mg) == lcm_hg or (
-                    not any(lcm_divides(ipx) for ipx in C)
-                    and not any(lcm_divides(pr[1]) for pr in D)):
-                D.add((ih, ig))
-        E = set()
-        while D:
-            ih0, ig = D.pop()
-            if _mono_mul(mh, f[ig].lm) != _mono_lcm(mh, f[ig].lm):
-                E.add((ih0, ig))
+            lcm_hg = lcm_h[ig]
+            if mh + ex[ig] == lcm_hg or (
+                    not any(not ((lcm_hg - lcm_h[ip]) & eguard) for ip in C)
+                    and not any(not ((lcm_hg - lcm_h[ip]) & eguard) for ip in D)):
+                D.append(ig)
         B_new = set()
-        while B:
-            ig1, ig2 = B.pop()
-            lcm12 = _mono_lcm(f[ig1].lm, f[ig2].lm)
-            if (not _divides(mh, lcm12)
-                    or _mono_lcm(f[ig1].lm, mh) == lcm12
-                    or _mono_lcm(f[ig2].lm, mh) == lcm12):
-                B_new.add((ig1, ig2))
-        B_new |= E
-        G_new = {ig for ig in G if not _divides(mh, f[ig].lm)}
+        for pair in B:
+            lcm12 = pair[0] & emask
+            if ((lcm12 - mh) & eguard
+                    or _fmax(ex[pair[1]], mh, eguard) == lcm12
+                    or _fmax(ex[pair[2]], mh, eguard) == lcm12):
+                B_new.add(pair)
+        for ig in D:
+            if mh + ex[ig] != lcm_h[ig]:
+                lcm = lay.pack_exponents(lcm_h[ig])
+                if lcm & guard:
+                    raise _overflow()
+                B_new.add((lcm, ih, ig))
+        G_new = {ig for ig in G if (ex[ig] - mh) & eguard}
         G_new.add(ih)
         return G_new, B_new
 
     G: set = set()
     CP: set = set()
-    for i in sorted(range(len(f)), key=lambda i: key(f[i].lm)):
+    for i in sorted(range(len(f)), key=lambda i: f[i].lm):
         G, CP = update(G, CP, i)
 
     while CP:
         budget.spend()
-        ig1, ig2 = min(CP, key=lambda pr: (key(_mono_lcm(f[pr[0]].lm, f[pr[1]].lm)),
-                                           pr[0], pr[1]))
-        CP.remove((ig1, ig2))
-        s_terms, s_rep = _spoly(f[ig1], f[ig2], key, track)
+        pair = min(CP)
+        CP.remove(pair)
+        lcm, ig1, ig2 = pair
+        s_terms, s_rep = _spoly(f[ig1], f[ig2], lcm, guard, track)
         if not s_terms:
             continue
-        J = sorted(G, key=lambda j: key(f[j].lm))
+        J = sorted(G, key=lambda j: f[j].lm)
         iht = normal(s_terms, s_rep, J)
         if iht is not None:
             G, CP = update(G, CP, iht)
 
     # minimalize leading terms, then tail-reduce for the reduced basis
-    order_G = sorted(G, key=lambda j: key(f[j].lm))
+    order_G = sorted(G, key=lambda j: f[j].lm)
     minimal = []
     for ig in order_G:
-        if not any(_divides(f[jg].lm, f[ig].lm) for jg in minimal):
+        if all((ex[ig] - ex[jg]) & eguard for jg in minimal):
             minimal.append(ig)
     final = []
     for ig in minimal:
         others = [f[jg] for jg in minimal if jg != ig]
         rep = {j: dict(d) for j, d in f[ig].rep.items()} if track else None
-        r, _ = _reduce_full(f[ig].terms, others, key, budget, rep=rep)
-        r, rep = _strip(r, rep, key)
-        final.append(_Rec(r, key, rep))
-    final.sort(key=lambda rec: key(rec.lm), reverse=True)
+        r, _ = _reduce_full(dict(f[ig].items()), others, guard, budget, rep=rep)
+        r, rep = _strip(r, rep)
+        final.append(_Rec(r, guard, rep))
+    final.sort(key=lambda rec: rec.lm, reverse=True)
     return final, scales
 
 
@@ -390,8 +488,10 @@ def buchberger(source, order: MonomialOrder | None = None, *,
     gens, ring = _as_gens(source)
     order = order or ring.order
     final, _ = _run_buchberger(gens, ring, order, work_limit, track=False)
-    elems = tuple(_from_int_poly(ring, rec.terms, Fraction(1, rec.lc)) for rec in final)
-    return GroebnerBasis(ring, order, elems)
+    lay = _layout(order, ring.arity)
+    elems = tuple(_from_engine(ring, lay, rec.items(), Fraction(1, rec.lc))
+                  for rec in final)
+    return GroebnerBasis(ring, order, elems, _records=tuple(final))
 
 
 def buchberger_tracked(source, order: MonomialOrder | None = None, *,
@@ -400,17 +500,20 @@ def buchberger_tracked(source, order: MonomialOrder | None = None, *,
     gens, ring = _as_gens(source)
     order = order or ring.order
     final, scales = _run_buchberger(gens, ring, order, work_limit, track=True)
+    lay = _layout(order, ring.arity)
     elems = []
     A = []
     for rec in final:
         lc = Fraction(rec.lc)
-        elems.append(_from_int_poly(ring, rec.terms, 1 / lc))
+        elems.append(_from_engine(ring, lay, rec.items(), 1 / lc))
         row = []
         for j in range(len(gens)):
             d = rec.rep.get(j, {}) if rec.rep else {}
-            row.append(_from_int_poly(ring, d, scales[j] / lc) if d else ring.zero)
+            row.append(_from_engine(ring, lay, d.items(), scales[j] / lc)
+                       if d else ring.zero)
         A.append(row)
-    return GroebnerBasis(ring, order, tuple(elems)), A
+        rec.rep = None
+    return GroebnerBasis(ring, order, tuple(elems), _records=tuple(final)), A
 
 
 def _as_gens(source):
@@ -440,12 +543,11 @@ def normal_form(p: Polynomial, G: GroebnerBasis, *,
         raise RingError("ring mismatch")
     if p.is_zero or not G.elements:
         return p
-    key = _KeyCache(G.order.key_func(G.ring.arity)).__getitem__
+    lay = _layout(G.order, G.ring.arity)
     budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
-    ints, scale = _to_int_poly(p)
-    recs = [_Rec(_to_int_poly(g)[0], key) for g in G.elements]
-    r, mult = _reduce_full(ints, recs, key, budget)
-    return _from_int_poly(G.ring, r, scale / mult)
+    ints, scale = _to_engine(lay, p)
+    r, mult = _reduce_full(ints, G._engine_records(lay), lay.guard, budget)
+    return _from_engine(G.ring, lay, r.items(), scale / mult)
 
 
 def division(p: Polynomial, G: GroebnerBasis, *,
@@ -455,23 +557,22 @@ def division(p: Polynomial, G: GroebnerBasis, *,
         raise RingError("ring mismatch")
     if p.is_zero or not G.elements:
         return p, [G.ring.zero] * len(G.elements)
-    key = _KeyCache(G.order.key_func(G.ring.arity)).__getitem__
+    lay = _layout(G.order, G.ring.arity)
     budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
-    ints, scale = _to_int_poly(p)
-    int_recs = []
-    rec_scales = []
-    for g in G.elements:
-        d, s = _to_int_poly(g)
-        int_recs.append(_Rec(d, key))
-        rec_scales.append(s)
+    ints, scale = _to_engine(lay, p)
+    recs = G._engine_records(lay)
     quots: dict = {}
-    r, mult = _reduce_full(ints, int_recs, key, budget, quotients=quots)
-    nf = _from_int_poly(G.ring, r, scale / mult)
+    r, mult = _reduce_full(ints, recs, lay.guard, budget, quotients=quots)
+    nf = _from_engine(G.ring, lay, r.items(), scale / mult)
     out = []
-    for i in range(len(G.elements)):
-        d = quots.get(i, {})
-        out.append(_from_int_poly(G.ring, d, scale / (mult * rec_scales[i]))
-                   if d else G.ring.zero)
+    for i, (g, rec) in enumerate(zip(G.elements, recs)):
+        d = quots.get(i)
+        if d:
+            # g == g_lc / rec.lc * (rec as an integer polynomial)
+            rec_scale = g.terms[lay.unpack(rec.lm)] / rec.lc
+            out.append(_from_engine(G.ring, lay, d.items(), scale / (mult * rec_scale)))
+        else:
+            out.append(G.ring.zero)
     return nf, out
 
 
@@ -510,17 +611,14 @@ def reduce_generators(gens: Sequence[Polynomial],
         return []
     ring = gens[0].ring
     order = order or ring.order
-    key = _KeyCache(order.key_func(ring.arity)).__getitem__
+    lay = _layout(order, ring.arity)
     budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
-    ints = []
-    for g in gens:
-        d, _ = _to_int_poly(g)
-        ints.append(d)
-    ints.sort(key=lambda d: key(max(d, key=key)))
+    ints = [_to_engine(lay, g)[0] for g in gens]
+    ints.sort(key=max)
     recs: list = []
     for d in ints:
-        r, _ = _reduce_full(d, recs, key, budget)
+        r, _ = _reduce_full(d, recs, lay.guard, budget)
         if r:
-            r, _ = _strip(r, None, key)
-            recs.append(_Rec(r, key))
-    return [_from_int_poly(ring, rec.terms, Fraction(1, rec.lc)) for rec in recs]
+            r, _ = _strip(r, None)
+            recs.append(_Rec(r, lay.guard))
+    return [_from_engine(ring, lay, rec.items(), Fraction(1, rec.lc)) for rec in recs]

@@ -15,10 +15,10 @@ from typing import Sequence
 from .groebner import (
     GroebnerBasis,
     buchberger,
+    division,
     groebner,
     ideal_member,
     normal_form,
-    reduce_generators,
 )
 from .rings import GREVLEX, Ideal, MonomialOrder, Polynomial, RingContext, RingError
 
@@ -83,8 +83,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         raise RingError("division by zero polynomial")
     if f.is_zero:
         return f
-    from .groebner import division
-    gb = buchberger(Ideal(f.ring, [g]))
+    # (g.monic(),) is the reduced basis of (g), so one division decides
+    gb = GroebnerBasis(f.ring, f.ring.order, (g.monic(),))
     nf, quots = division(f, gb)
     if not nf.is_zero:
         raise RingError("not an exact division")
@@ -263,8 +263,3 @@ def minimal_homogeneous_generators(I: Ideal, block: str | None = None, *,
                 continue
         kept.append((d, g))
     return [(g, d) for d, g in kept]
-
-
-def interreduce(I: Ideal, order: MonomialOrder | None = None) -> Ideal:
-    """Cheap single-pass interreduction of the generator list."""
-    return Ideal(I.ring, reduce_generators(list(I.gens), order))

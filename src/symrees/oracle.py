@@ -159,19 +159,6 @@ def graded_piece_dimension(gens: Sequence[Polynomial], degree: int,
     return rank(rows)
 
 
-def poly_in_graded_span(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
-    """Degree-exact membership of homogeneous p in the ideal of homogeneous gens."""
-    rep = p.is_homogeneous()
-    if rep.is_zero:
-        return True
-    if not rep.homogeneous:
-        raise RingError("graded membership of a non-homogeneous polynomial")
-    d = rep.degree
-    without = graded_piece_dimension(gens, d)
-    with_p = graded_piece_dimension(list(gens) + [p], d)
-    return with_p == without
-
-
 def syzygies_up_to_degree(gens: Sequence[Polynomial], degree: int) -> list:
     """Basis of syzygy vectors (h_1..h_m), deg h_i + deg g_i <= degree.
 

@@ -44,6 +44,10 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "wgrevlex", "block"):
             raise RingError(f"unknown order kind {self.kind!r}")
+        if self.kind == "wgrevlex" and not all(
+                isinstance(w, int) and w > 0 for w in self.weights):
+            # a zero or negative weight breaks the well-order
+            raise RingError("wgrevlex weights must be positive integers")
         if self.kind == "block":
             if len(self.groups) != len(self.inners):
                 raise RingError("block order needs one inner order per group")
@@ -78,6 +82,34 @@ class MonomialOrder:
         def key(m):
             return tuple(sub(tuple(m[i] for i in grp)) for grp, sub in parts)
         return key
+
+    def rows(self, arity: int) -> tuple:
+        """The order as non-negative integer linear forms, compared left to right.
+
+        m < m' exactly when the row values of m come lexicographically before
+        those of m'.  lex: unit rows; grevlex: the prefix sums
+        e_1+..+e_n, e_1+..+e_{n-1}, .., e_1; wgrevlex: the same sums weighted;
+        block: each group's rows, concatenated in group order.
+        """
+        if self.kind == "lex":
+            return tuple(tuple(int(i == j) for j in range(arity))
+                         for i in range(arity))
+        if self.kind in ("grevlex", "wgrevlex"):
+            w = (1,) * arity if self.kind == "grevlex" else self.weights
+            if len(w) != arity:
+                raise RingError("weight vector arity mismatch")
+            return tuple(tuple(w[j] if j < k else 0 for j in range(arity))
+                         for k in range(arity, 0, -1))
+        if sorted(i for g in self.groups for i in g) != list(range(arity)):
+            raise RingError("block order does not cover the ring")
+        out = []
+        for grp, inner in zip(self.groups, self.inners):
+            for sub in inner.rows(len(grp)):
+                row = [0] * arity
+                for i, c in zip(grp, sub):
+                    row[i] = c
+                out.append(tuple(row))
+        return tuple(out)
 
     def eliminates(self, indices: Iterable[int]) -> bool:
         """True when some prefix of block groups is exactly `indices`."""

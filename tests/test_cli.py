@@ -223,3 +223,40 @@ def test_accept_filter_runs_subset():
     numbers = [c["number"] for c in payload["results"]["criteria"]]
     assert numbers == [1, 7]
     assert payload["results"]["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# exit codes (0 and 3 are covered above): 1 failed verdict, 2 input error,
+# 4 internal error
+
+
+def test_exit_code_failed_verdict(monkeypatch):
+    import symrees.cli as cli
+    monkeypatch.setattr(cli, "_run_fixture",
+                        lambda slug, seed, bound: {"fixture": slug, "passed": False})
+    res = CliRunner().invoke(main, ["fixtures", "run", "four-points"])
+    assert res.exit_code == 1
+
+
+def test_exit_code_input_error_on_unknown_fixture():
+    res = CliRunner().invoke(main, ["fixtures", "run", "no-such-fixture"])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
+def test_exit_code_input_error_on_bad_rational(tmp_path):
+    path = write(tmp_path, "fam.txt", FAMILY)
+    res = CliRunner().invoke(main, ["family", "member", path, "--alpha", "1/x"])
+    assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v"), ZeroDivisionError()])
+def test_exit_code_internal_error(tmp_path, monkeypatch, exc):
+    import symrees.cli as cli
+
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "buchberger", broken)
+    res = CliRunner().invoke(main, ["gb", write(tmp_path, "gb.txt", GB)])
+    assert res.exit_code == 4
+    assert "internal error" in res.output and type(exc).__name__ in res.output

@@ -1,0 +1,75 @@
+"""The engine against sympy's Groebner bases, on small random ideals.
+
+sympy is used here only, as an independent second route; the module is
+skipped when sympy is not installed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from symrees import GREVLEX, LEX, Ideal, Polynomial, buchberger, ideal_equal, make_ring
+from symrees.ideal_ops import eliminate_vars
+
+sympy = pytest.importorskip("sympy")
+
+R3 = make_ring(["x", "y", "z"])
+SYMS = sympy.symbols("x y z")
+
+_terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool),
+                            st.tuples(*[st.integers(0, 2)] * 3)),
+                  min_size=1, max_size=3)
+ideals = st.lists(_terms, min_size=1, max_size=3)
+
+
+def build(gens_terms) -> list:
+    gens = []
+    for terms in gens_terms:
+        p = R3.zero
+        for c, m in terms:
+            p = p + R3.monomial(m, c)
+        gens.append(p)
+    return gens
+
+
+def to_sympy(p: Polynomial):
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.Mul(*[s ** e for s, e in zip(SYMS, m)])
+               for m, c in p.terms.items())
+
+
+def from_sympy(expr) -> Polynomial:
+    poly = sympy.Poly(expr, *SYMS, domain="QQ")
+    return Polynomial(R3, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+def sympy_basis(gens, order: str) -> set:
+    gb = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order=order, domain="QQ")
+    return {from_sympy(e).monic(LEX if order == "lex" else GREVLEX) for e in gb.exprs}
+
+
+@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
+@settings(max_examples=12, deadline=None)
+@given(gens_terms=ideals)
+def test_reduced_basis_matches_sympy(order, name, gens_terms):
+    gens = build(gens_terms)
+    assume(any(gens))
+    ours = buchberger(Ideal(R3, gens), order)
+    assert len(set(ours.elements)) == len(ours.elements)
+    assert set(ours.elements) == sympy_basis(gens, name)
+
+
+@settings(max_examples=12, deadline=None)
+@given(gens_terms=ideals)
+def test_elimination_matches_sympy_lex(gens_terms):
+    gens = build(gens_terms)
+    assume(any(gens))
+    ours = eliminate_vars(Ideal(R3, gens), ["x"])
+    target = ours.ring
+    theirs = [p.transport(target) for p in sympy_basis(gens, "lex")
+              if not any(m[0] for m in p.terms)]
+    assert ideal_equal(ours, Ideal(target, theirs))

@@ -9,7 +9,10 @@ import pytest
 
 from symrees import (
     GREVLEX,
+    LEX,
+    GroebnerBasis,
     Ideal,
+    RingError,
     WorkLimitExceeded,
     buchberger,
     division,
@@ -18,7 +21,7 @@ from symrees import (
     normal_form,
     radical_member,
 )
-from symrees.groebner import buchberger_tracked, reduce_generators
+from symrees.groebner import FIELD_MAX, buchberger_tracked, reduce_generators
 from symrees.ideal_ops import ideal_power, ideal_product, intersect
 
 R3 = make_ring(["x", "y", "z"])
@@ -200,3 +203,116 @@ def test_reduce_generators_preserves_ideal():
     I2 = buchberger(Ideal(R3, small))
     assert I1.elements == I2.elements
     assert len(small) <= len(gens)
+
+
+# ---------------------------------------------------------------------------
+# work budget: one unit per reduction step and per S-pair taken up
+
+
+BUDGET_GENS = ["x^2*y - z", "x*y^2 - x", "y^3 - z^2"]
+HARD_GENS = ["x^5*y^2 - z^4", "x*y^4 - y*z^3 - x", "x^3*z - y^5 + 1"]
+
+
+@pytest.mark.parametrize("gens, order, least", [
+    (BUDGET_GENS, GREVLEX, 15),
+    (BUDGET_GENS, LEX, 21),
+    (BUDGET_GENS, R3.elim_order_vars([0]), 14),
+    (HARD_GENS, GREVLEX, 82),
+])
+def test_work_limit_is_pinned(gens, order, least):
+    I = Ideal(R3, [R3.parse(g) for g in gens])
+    buchberger(I, order, work_limit=least)
+    with pytest.raises(WorkLimitExceeded):
+        buchberger(I, order, work_limit=least - 1)
+
+
+# ---------------------------------------------------------------------------
+# exponent bound of the packed monomials
+
+
+def test_exponent_at_the_bound_packs():
+    top = R3.monomial((FIELD_MAX, 0, 0))
+    gb = buchberger(Ideal(R3, [top - Y]))
+    assert gb.elements == (top - Y,)
+    assert normal_form(top + Z, gb) == Y + Z
+
+
+def test_exponent_past_the_bound_raises():
+    with pytest.raises(RingError):
+        buchberger(Ideal(R3, [R3.monomial((FIELD_MAX + 1, 0, 0))]))
+    # each exponent fits, the total degree (first grevlex row) does not
+    with pytest.raises(RingError):
+        buchberger(Ideal(R3, [R3.monomial((FIELD_MAX, 1, 0))]))
+    # the same monomial is fine under lex, whose rows are the exponents
+    assert len(buchberger(Ideal(R3, [R3.monomial((FIELD_MAX, 1, 0))]), LEX)) == 1
+
+
+def test_pair_lcm_past_the_bound_raises():
+    gens = [R3.monomial((FIELD_MAX, 0, 0)) - Y, X * Z - 1]
+    with pytest.raises(RingError):
+        buchberger(Ideal(R3, gens))
+
+
+def test_reduction_product_past_the_bound_raises():
+    gb = buchberger(Ideal(R3, [X - Y * Y]), LEX)
+    assert normal_form(X * R3.monomial((0, FIELD_MAX - 2, 0)), gb) \
+        == R3.monomial((0, FIELD_MAX, 0))
+    with pytest.raises(RingError):
+        normal_form(X * R3.monomial((0, FIELD_MAX, 0)), gb)
+
+
+# ---------------------------------------------------------------------------
+# engine records cached on the basis
+
+
+def test_basis_without_records_divides_like_the_engine_basis():
+    gb = buchberger(Ideal(R3, [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z"),
+                               R3.parse("x*y - z^2")]))
+    bare = GroebnerBasis(gb.ring, gb.order, gb.elements)
+    assert bare == gb
+    rng = random.Random(3)
+    for _ in range(20):
+        p = random_poly(rng, R3, max_terms=5, max_exp=4)
+        assert normal_form(p, bare) == normal_form(p, gb)
+        assert division(p, bare) == division(p, gb)
+    scaled = GroebnerBasis(gb.ring, gb.order, tuple(-3 * g for g in gb.elements))
+    for _ in range(20):
+        p = random_poly(rng, R3, max_terms=5, max_exp=4)
+        nf, quots = division(p, scaled)
+        assert nf == normal_form(p, gb)
+        assert sum((q * g for q, g in zip(quots, scaled.elements)), nf) == p
+
+
+def test_threads_share_layouts_and_lazy_records():
+    import sys
+    import threading
+
+    gens = [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z"), R3.parse("x*y - z^2")]
+    gb = buchberger(Ideal(R3, gens))
+    rng = random.Random(9)
+    polys = [random_poly(rng, R3, max_terms=5, max_exp=4) for _ in range(10)]
+    orders = [GREVLEX, LEX, R3.elim_order_vars([0]), R3.elim_order_vars([2])]
+    want_nf = [normal_form(p, gb) for p in polys]
+    want_gb = [buchberger(Ideal(R3, gens), o).elements for o in orders]
+    bare = GroebnerBasis(gb.ring, gb.order, gb.elements)
+    bad = []
+
+    def work(k):
+        for _ in range(3):
+            if [normal_form(p, bare) for p in polys] != want_nf:
+                bad.append(k)
+            if buchberger(Ideal(R3, gens), orders[k % 4]).elements != want_gb[k % 4]:
+                bad.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad

@@ -17,6 +17,7 @@ from symrees import (
     ParseError,
     RingContext,
     RingError,
+    block_order,
     make_ring,
     poly_str,
 )
@@ -253,6 +254,33 @@ def test_elimination_order_structure():
     assert key((1, 0, 0, 0)) > key((0, 0, 0, 5))
     assert order.eliminates([0, 1, 2])
     assert not order.eliminates([0, 1])
+
+
+def _row_key(order, arity):
+    rows = order.rows(arity)
+    return lambda m: tuple(sum(c * e for c, e in zip(row, m)) for row in rows)
+
+
+def test_order_rows_agree_with_key():
+    ring = make_ring(["x", "y", "z"], ["u"])
+    orders = (GREVLEX, LEX, MonomialOrder("wgrevlex", weights=(1, 2, 1, 3)),
+              ring.elim_order("geom"), ring.elim_order_vars([3]),
+              block_order(((1, 3), LEX), ((0, 2), GREVLEX)))
+    rng = random.Random(11)
+    for order in orders:
+        key, rkey = order.key_func(4), _row_key(order, 4)
+        assert all(c >= 0 for row in order.rows(4) for c in row)
+        for _ in range(300):
+            a = tuple(rng.randint(0, 3) for _ in range(4))
+            b = tuple(rng.randint(0, 3) for _ in range(4))
+            assert (key(a) < key(b)) == (rkey(a) < rkey(b))
+            assert (key(a) == key(b)) == (rkey(a) == rkey(b)) == (a == b)
+
+
+@pytest.mark.parametrize("weights", [(1, 0, 1), (2, -1, 1), (1, 2.5, 1)])
+def test_wgrevlex_rejects_weights_that_are_not_positive_integers(weights):
+    with pytest.raises(RingError):
+        MonomialOrder("wgrevlex", weights=weights)
 
 
 def test_extend_and_subring():
