@@ -6,6 +6,7 @@ verdict with details; everything asserts exact equalities.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ from .fixtures import (
     four_points_pair,
     pair_by_name,
 )
-from .syzygy import apply_row, syzygies
+from .syzygy import syzygies
 
 
 @dataclass
@@ -65,14 +66,30 @@ class CriterionResult:
         return f"[{mark}] {self.number}. {self.slug} ({self.seconds:.1f}s)"
 
 
+def _criterion(number: int, slug: str, *tags: str):
+    """Declare a criterion; its number, slug and tags are set only here.
+
+    The decorated body fills in a fresh result; callers get that result.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            res = CriterionResult(number, slug, tags, True)
+            body(res, *args, **kwargs)
+            return res
+        run.number, run.slug, run.tags = number, slug, tags
+        return run
+    return wrap
+
+
 def _check(result: CriterionResult, ok: bool, what: str):
     result.details.append(("ok  " if ok else "FAIL") + " " + what)
     if not ok:
         result.passed = False
 
 
-def criterion_1_four_points() -> CriterionResult:
-    res = CriterionResult(1, "four-points-torsion", ("vv",), True)
+@_criterion(1, "four-points-torsion", "vv")
+def criterion_1_four_points(res):
     pair = four_points_pair()
     ring = pair.ring
     report = vv_pieces(pair, 2)
@@ -85,11 +102,10 @@ def criterion_1_four_points() -> CriterionResult:
     for w, label in ((w1, "x*z^2*(x-z)"), (w2, "y*z^2*(y-z)")):
         _check(res, ideal_member(w, meet), f"{label} in J cap I^2")
         _check(res, not ideal_member(w, ji), f"{label} not in J*I")
-    return res
 
 
-def criterion_2_three_node_quartic() -> CriterionResult:
-    res = CriterionResult(2, "three-node-quartic", ("curve",), True)
+@_criterion(2, "three-node-quartic", "curve")
+def criterion_2_three_node_quartic(res):
     f = curve_by_name("three-node-quartic").curve()
     gp = gradient_pair(f)
     cert = linear_type_certificate(gp)
@@ -98,11 +114,10 @@ def criterion_2_three_node_quartic() -> CriterionResult:
     _check(res, is_linear_type(gp.pair), "Rees ideal equals the symmetric ideal")
     pres = aluffi_presentation(gp.pair)
     _check(res, aluffi_dimension(pres).dim == 3, "embedded algebra has dimension 3")
-    return res
 
 
-def criterion_3_bad_quintic() -> CriterionResult:
-    res = CriterionResult(3, "bad-quintic", ("curve",), True)
+@_criterion(3, "bad-quintic", "curve")
+def criterion_3_bad_quintic(res):
     f = curve_by_name("bad-quintic").curve()
     gp = gradient_pair(f)
     cert = linear_type_certificate(gp)
@@ -120,11 +135,10 @@ def criterion_3_bad_quintic() -> CriterionResult:
                         ("embedded", pres.aluffi_ideal),
                         ("relative blowup", rel)):
         _check(res, dimension(ideal).dim == 3, f"{name} quotient has dimension 3")
-    return res
 
 
-def criterion_4_quintic_family() -> CriterionResult:
-    res = CriterionResult(4, "quintic-family", ("family",), True)
+@_criterion(4, "quintic-family", "family")
+def criterion_4_quintic_family(res):
     ring = make_ring(["x", "y", "z"], ["u"])
     F = ring.parse("y^4*z + x^5 + u*x^3*y^2")
     report = analyze_family(F, seed=4)
@@ -133,11 +147,10 @@ def criterion_4_quintic_family() -> CriterionResult:
     member0 = evaluate_member(F, [0], family_entry_ideal=report.entry_ideal)
     _check(res, member0.certificate.verdict == Verdict.LINEAR_TYPE,
            "special member at u = 0 certified linear type")
-    return res
 
 
-def criterion_5_saturation_contractions() -> CriterionResult:
-    res = CriterionResult(5, "saturation-contractions", ("family",), True)
+@_criterion(5, "saturation-contractions", "family")
+def criterion_5_saturation_contractions(res):
     for key, target in (("g", "u2^2"), ("i", "u3")):
         fam = family_by_name(key)
         report = analyze_family(fam.family(), seed=5,
@@ -145,38 +158,29 @@ def criterion_5_saturation_contractions() -> CriterionResult:
         want = report.contraction.ring.parse(target)
         _check(res, ideal_member(want, report.contraction),
                f"({key}) contraction contains {target}")
-    return res
 
 
-def criterion_6_catalog() -> CriterionResult:
-    res = CriterionResult(6, "rational-quartic-catalog", ("catalog",), True)
+@_criterion(6, "rational-quartic-catalog", "catalog")
+def criterion_6_catalog(res):
     _check(res, len(FAMILIES) == 13, "catalog has 13 families")
     for fam in FAMILIES:
-        F = fam.family()
-        for ci, col in enumerate(fam.columns):
-            if col.at is None:
-                f = F
-            else:
-                f = F.evaluate_block("param", [col.at[p] for p in fam.params])
-            parts = [f.derivative(v) for v in ["x", "y", "z"]]
-            vec = [f.ring.parse(e) for e in col.entries]
-            _check(res, apply_row(parts, vec).is_zero,
+        for ci, ok in enumerate(fam.column_checks()):
+            _check(res, ok,
                    f"({fam.key}) regression column {ci + 1} annihilates the gradient")
-        report = analyze_family(F, seed=6, avoid=fam.constraint_polys())
+        report = analyze_family(fam.family(), seed=6,
+                                avoid=fam.constraint_polys())
         _check(res, report.consistent,
                f"({fam.key}) three-way degeneration equivalence is consistent")
         _check(res, report.legs[0] and report.legs[2],
                f"({fam.key}) generic member certified linear type")
-    return res
 
 
-def criterion_7_torsion_free_monomial() -> CriterionResult:
-    res = CriterionResult(7, "torsion-free-monomial-fixtures", ("vv",), True)
+@_criterion(7, "torsion-free-monomial-fixtures", "vv")
+def criterion_7_torsion_free_monomial(res):
     for name in ("product-partials", "coordinate-points"):
         pair = pair_by_name(name)
         report = vv_pieces(pair, 4)
         _check(res, report.all_zero, f"{name}: every piece zero up to degree 4")
-    return res
 
 
 def _random_monomial_ideal(rng, arity, max_deg, max_gens):
@@ -189,8 +193,8 @@ def _random_monomial_ideal(rng, arity, max_deg, max_gens):
     return gens
 
 
-def criterion_8_property_suites(fast: bool = False) -> CriterionResult:
-    res = CriterionResult(8, "property-suites", ("property",), True)
+@_criterion(8, "property-suites", "property")
+def criterion_8_property_suites(res, fast: bool = False):
     rng = random.Random(8)
 
     # (i) regular-sequence pairs: zero torsion, Artin-Rees number 1
@@ -305,11 +309,10 @@ def criterion_8_property_suites(fast: bool = False) -> CriterionResult:
         alt = aluffi_presentation(pair2)
         ok_all = ok_all and ideal_equal(base.aluffi_ideal, alt.aluffi_ideal)
     _check(res, ok_all, "(v) embedded presentation independent of the certificate lift")
-    return res
 
 
-def criterion_9_dimension_bounds() -> CriterionResult:
-    res = CriterionResult(9, "dimension-bounds", ("dimension",), True)
+@_criterion(9, "dimension-bounds", "dimension")
+def criterion_9_dimension_bounds(res):
     members = [(c.slug, c.curve()) for c in CURVES]
     for fam in FAMILIES:
         from .curves import sample_parameters
@@ -329,7 +332,6 @@ def criterion_9_dimension_bounds() -> CriterionResult:
         if cert.verdict == Verdict.LINEAR_TYPE:
             spread = analytic_spread(gp.pair.i_ideal)
             _check(res, spread == 3, f"{slug}: analytic spread 3")
-    return res
 
 
 CRITERIA = (
@@ -345,25 +347,12 @@ CRITERIA = (
 )
 
 
-_META = {
-    1: ("four-points-torsion", ("vv",)),
-    2: ("three-node-quartic", ("curve",)),
-    3: ("bad-quintic", ("curve",)),
-    4: ("quintic-family", ("family",)),
-    5: ("saturation-contractions", ("family",)),
-    6: ("rational-quartic-catalog", ("catalog",)),
-    7: ("torsion-free-monomial-fixtures", ("vv",)),
-    8: ("property-suites", ("property",)),
-    9: ("dimension-bounds", ("dimension",)),
-}
-
-
 def run_acceptance(only: str | None = None) -> list:
     """Run the (filtered) acceptance criteria; filter matches number, slug or tag."""
     results = []
-    for i, fn in enumerate(CRITERIA, start=1):
-        slug, tags = _META[i]
-        if only and only not in tags and only != str(i) and only not in slug:
+    for fn in CRITERIA:
+        if (only and only not in fn.tags and only != str(fn.number)
+                and only not in fn.slug):
             continue
         t0 = time.time()
         res = fn()

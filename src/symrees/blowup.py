@@ -42,7 +42,7 @@ from .ideal_ops import (
     minimal_homogeneous_generators,
 )
 from .rings import Ideal, Polynomial, RingContext, RingError
-from .syzygy import PolyMatrix, syzygies
+from .syzygy import PolyMatrix, apply_row, syzygies
 
 DEFAULT_DEGREE_BOUND = 4
 
@@ -54,18 +54,13 @@ class CertificateError(ValueError):
 def solve_certificate(a: Polynomial, i_gens: Sequence[Polynomial], *,
                       work_limit: int | None = None) -> list:
     """Coefficients c with a = sum c_j * i_gens[j], via tracked division."""
-    ring = a.ring
     gb, A = buchberger_tracked(list(i_gens), work_limit=work_limit)
     nf, quots = division(a, gb, work_limit=work_limit)
     if not nf.is_zero:
         raise CertificateError(f"{a} is not in the ideal of the given generators")
-    certs = []
-    for j in range(len(i_gens)):
-        acc = ring.zero
-        for k in range(len(gb.elements)):
-            acc = acc + quots[k] * A[k][j]
-        certs.append(acc)
-    return certs
+    if not gb.elements:  # every b_j is zero, and so is a
+        return [a.ring.zero for _ in i_gens]
+    return [apply_row(quots, [row[j] for row in A]) for j in range(len(i_gens))]
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,7 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
     for a, row in zip(j_gens, certificates):
         if len(row) != len(i_gens):
             raise CertificateError("certificate arity mismatch")
-        acc = ring.zero
-        for c, b in zip(row, i_gens):
-            acc = acc + c * b
-        if acc != a:
+        if apply_row(i_gens, row) != a:
             raise CertificateError(f"certificate does not reproduce {a}")
     fiber_names = tuple(_fiber_names(ring, len(i_gens)))
     fiber_ring = ring.extend(fiber_names, "fiber")
@@ -139,18 +131,24 @@ def pair_for_ideal(I: Ideal) -> PairInput:
 # the three presentation ideals
 
 
+def _rees_kernel(pair: PairInput, cache_key: str, j_gens: Sequence[Polynomial],
+                 work_limit: int | None) -> Ideal:
+    """(j_gens, T_i - b_i*u) ∩ R[T], by eliminating u; cached under `cache_key`."""
+    if cache_key not in pair._cache:
+        ext = pair.fiber_ring
+        ext2, u = ext.with_aux("_u")
+        gens = [a.transport(ext2) for a in j_gens]
+        gens += [ext2.var(t) - b.transport(ext2) * u
+                 for t, b in zip(pair.fiber_names, pair.i_gens)]
+        elim = eliminate_vars(Ideal(ext2, gens), [ext2.names[-1]],
+                              work_limit=work_limit)
+        pair._cache[cache_key] = elim.transport(ext)
+    return pair._cache[cache_key]
+
+
 def rees_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
     """Kernel of R[T] -> R[I*u], T_i -> b_i*u, by eliminating u."""
-    if "rees" not in pair._cache:
-        ext = pair.fiber_ring
-        (uname,) = ext.fresh_names("_u", 1)
-        ext2 = ext.extend([uname], "aux")
-        u = ext2.var(uname)
-        gens = [ext2.var(t) - b.transport(ext2) * u
-                for t, b in zip(pair.fiber_names, pair.i_gens)]
-        elim = eliminate_vars(Ideal(ext2, gens), [uname], work_limit=work_limit)
-        pair._cache["rees"] = elim.transport(ext)
-    return pair._cache["rees"]
+    return _rees_kernel(pair, "rees", (), work_limit)
 
 
 def sym_forms(pair: PairInput, *, work_limit: int | None = None) -> list:
@@ -158,15 +156,10 @@ def sym_forms(pair: PairInput, *, work_limit: int | None = None) -> list:
     if "symforms" not in pair._cache:
         ext = pair.fiber_ring
         phi = syzygies(list(pair.i_gens), work_limit=work_limit)
-        forms = []
         tvars = [ext.var(t) for t in pair.fiber_names]
-        for col in phi.columns():
-            acc = ext.zero
-            for coef, tv in zip(col, tvars):
-                acc = acc + coef.transport(ext) * tv
-            if not acc.is_zero:
-                forms.append(acc)
-        pair._cache["symforms"] = forms
+        forms = [apply_row([c.transport(ext) for c in col], tvars)
+                 for col in phi.columns()]
+        pair._cache["symforms"] = [f for f in forms if not f.is_zero]
     return pair._cache["symforms"]
 
 
@@ -179,13 +172,8 @@ def tilde_gens(pair: PairInput) -> list:
     """a~ = sum_j c_j T_j for each generator a of J."""
     ext = pair.fiber_ring
     tvars = [ext.var(t) for t in pair.fiber_names]
-    out = []
-    for row in pair.certificates:
-        acc = ext.zero
-        for c, tv in zip(row, tvars):
-            acc = acc + c.transport(ext) * tv
-        out.append(acc)
-    return out
+    return [apply_row([c.transport(ext) for c in row], tvars)
+            for row in pair.certificates]
 
 
 @dataclass(frozen=True)
@@ -216,17 +204,7 @@ def aluffi_presentation(pair: PairInput, *,
 
 def relative_rees_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
     """Presentation on R[T] of the Rees algebra of (I/J) over R/J."""
-    if "relrees" not in pair._cache:
-        ext = pair.fiber_ring
-        (uname,) = ext.fresh_names("_u", 1)
-        ext2 = ext.extend([uname], "aux")
-        u = ext2.var(uname)
-        gens = [a.transport(ext2) for a in pair.j_gens]
-        gens += [ext2.var(t) - b.transport(ext2) * u
-                 for t, b in zip(pair.fiber_names, pair.i_gens)]
-        elim = eliminate_vars(Ideal(ext2, gens), [uname], work_limit=work_limit)
-        pair._cache["relrees"] = elim.transport(ext)
-    return pair._cache["relrees"]
+    return _rees_kernel(pair, "relrees", pair.j_gens, work_limit)
 
 
 def is_linear_type(pair: PairInput, *, work_limit: int | None = None) -> bool:

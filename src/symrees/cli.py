@@ -735,18 +735,11 @@ def fixtures_run_cmd(ctx, name, run_all, seed, bound):
 
 
 def _run_fixture(slug: str, seed: int, bound: int) -> dict:
-    from .syzygy import apply_row
     for fam in FAMILIES:
         if slug in (fam.slug, fam.key):
-            F = fam.family()
-            ok_cols = True
-            for col in fam.columns:
-                f = F if col.at is None else F.evaluate_block(
-                    "param", [col.at[p] for p in fam.params])
-                parts = [f.derivative(v) for v in ["x", "y", "z"]]
-                vec = [f.ring.parse(e) for e in col.entries]
-                ok_cols = ok_cols and apply_row(parts, vec).is_zero
-            report = analyze_family(F, seed=seed, avoid=fam.constraint_polys())
+            ok_cols = all(fam.column_checks())
+            report = analyze_family(fam.family(), seed=seed,
+                                    avoid=fam.constraint_polys())
             return {"fixture": fam.slug, "kind": "family", "claim": fam.claim,
                     "columns_verified": ok_cols,
                     "consistent": report.consistent,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .blowup import PairInput, make_pair
 from .rings import Ideal, Polynomial, RingContext, make_ring
-from .syzygy import jacobian, minors
+from .syzygy import apply_row, jacobian, minors
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,18 @@ class FamilyFixture:
     def constraint_polys(self) -> list:
         pr = self.param_ring()
         return [pr.parse(c) for c in self.constraints]
+
+    def column_checks(self) -> list:
+        """One bool per regression column: does it annihilate the gradient?"""
+        F = self.family()
+        out = []
+        for col in self.columns:
+            f = F if col.at is None else F.evaluate_block(
+                "param", [col.at[p] for p in self.params])
+            parts = [f.derivative(v) for v in ["x", "y", "z"]]
+            vec = [f.ring.parse(e) for e in col.entries]
+            out.append(apply_row(parts, vec).is_zero)
+        return out
 
 
 FAMILIES = (

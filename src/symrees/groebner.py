@@ -592,10 +592,7 @@ def radical_member(p: Polynomial, I: Ideal, *, work_limit: int | None = None) ->
         raise RingError("ring mismatch")
     if p.is_zero:
         return ideal_member(p, I, work_limit=work_limit)
-    ring = I.ring
-    (tname,) = ring.fresh_names("_rab", 1)
-    ext = ring.extend([tname], "aux")
-    t = ext.var(tname)
+    ext, t = I.ring.with_aux("_rab")
     gens = [g.transport(ext) for g in I.gens]
     gens.append(ext.one - t * p.transport(ext))
     gb = buchberger(Ideal(ext, gens), GREVLEX, work_limit=work_limit)

@@ -1,9 +1,14 @@
 """Ideal calculus: sum/product/power, intersection, quotient, saturation,
 elimination, equality, Krull dimension and graded minimal generators.
 
-Intersections are computed by eliminating a tag variable w from w*I + (1-w)*J;
-everything else reduces to that plus Groebner normal forms.  Dimension comes
-from maximal independent variable sets modulo the initial ideal.
+One primitive, `_eliminate`, does every elimination: a Buchberger run under
+the block order with the eliminated variables first, keeping the basis
+elements free of them.  `eliminate` and `eliminate_vars` call it directly;
+`intersect` (tag variable w in w*I + (1-w)*J) and `saturate_principal`
+(t in (I, 1 - t*g)) first add one fresh variable with `RingContext.with_aux`.
+Quotients and saturations by ideals reduce to intersections plus Groebner
+normal forms.  Dimension comes from maximal independent variable sets modulo
+the initial ideal.
 """
 
 from __future__ import annotations
@@ -55,12 +60,18 @@ def _same_ring(I: Ideal, J: Ideal):
         raise RingError("ideals live in different rings")
 
 
-def _tag_ring(ring: RingContext):
-    (w,) = ring.fresh_names("_w", 1)
-    ext = ring.extend([w], "aux")
-    widx = ext.index(w)
-    order = ext.elim_order_vars([widx])
-    return ext, ext.var(w), widx, order
+def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext,
+               work_limit: int | None) -> Ideal:
+    """I ∩ k[variables not in `gone`], returned in `target`.
+
+    The one elimination every operation here rests on: a Buchberger run under
+    the block order with `gone` first, keeping the basis elements free of it.
+    """
+    if I.is_zero:
+        return Ideal(target, [])
+    gb = buchberger(I, I.ring.elim_order_vars(gone), work_limit=work_limit)
+    return Ideal(target, [g.transport(target) for g in gb
+                          if not any(m[i] for m in g.terms for i in gone)])
 
 
 def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
@@ -68,13 +79,11 @@ def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
     _same_ring(I, J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ring, [])
-    ext, w, widx, order = _tag_ring(I.ring)
+    ext, w = I.ring.with_aux("_w")
     gens = [w * g.transport(ext) for g in I.gens]
     omw = ext.one - w
     gens += [omw * g.transport(ext) for g in J.gens]
-    gb = buchberger(Ideal(ext, gens), order, work_limit=work_limit)
-    out = [g.transport(I.ring) for g in gb if not any(m[widx] for m in g.terms)]
-    return Ideal(I.ring, out)
+    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring, work_limit)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -135,46 +144,24 @@ def saturate_principal(I: Ideal, g: Polynomial, *,
     """I : g^infinity by eliminating t from (I, 1 - t*g)."""
     if g.is_zero:
         raise RingError("saturation by zero")
-    ring = I.ring
-    (t,) = ring.fresh_names("_t", 1)
-    ext = ring.extend([t], "aux")
-    tidx = ext.index(t)
-    order = ext.elim_order_vars([tidx])
+    ext, t = I.ring.with_aux("_t")
     gens = [h.transport(ext) for h in I.gens]
-    gens.append(ext.one - ext.var(t) * g.transport(ext))
-    gb = buchberger(Ideal(ext, gens), order, work_limit=work_limit)
-    out = [h.transport(ring) for h in gb if not any(m[tidx] for m in h.terms)]
-    return Ideal(ring, out)
+    gens.append(ext.one - t * g.transport(ext))
+    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring, work_limit)
 
 
 def eliminate(I: Ideal, block: str, *, work_limit: int | None = None) -> Ideal:
     """I ∩ k[remaining variables], returned in the subring."""
-    ring = I.ring
-    gone = set(ring.block_indices(block))
-    target = ring.drop_block(block)
-    if I.is_zero:
-        return Ideal(target, [])
-    order = ring.elim_order(block)
-    gb = buchberger(I, order, work_limit=work_limit)
-    out = [g.transport(target) for g in gb
-           if not any(m[i] for m in g.terms for i in gone)]
-    return Ideal(target, out)
+    return _eliminate(I, I.ring.block_indices(block), I.ring.drop_block(block),
+                      work_limit)
 
 
 def eliminate_vars(I: Ideal, names: Sequence[str], *,
                    work_limit: int | None = None) -> Ideal:
     """Like eliminate, for an explicit variable list (possibly across blocks)."""
-    ring = I.ring
-    gone = [ring.index(n) for n in names]
-    keep = [i for i in range(ring.arity) if i not in set(gone)]
-    target = ring.subring(keep)
-    if I.is_zero:
-        return Ideal(target, [])
-    order = ring.elim_order_vars(gone)
-    gb = buchberger(I, order, work_limit=work_limit)
-    out = [g.transport(target) for g in gb
-           if not any(m[i] for m in g.terms for i in gone)]
-    return Ideal(target, out)
+    gone = [I.ring.index(n) for n in names]
+    keep = [i for i in range(I.ring.arity) if i not in gone]
+    return _eliminate(I, gone, I.ring.subring(keep), work_limit)
 
 
 def ideal_contains(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> bool:

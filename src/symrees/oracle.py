@@ -48,12 +48,6 @@ def monomial_members(gens: Sequence[Monom], arity: int, degree: int) -> set:
     return {m for m in univ if any(_mono_divides(g, m) for g in gens)}
 
 
-def monomial_intersection(A: Sequence[Monom], B: Sequence[Monom], arity: int,
-                          degree: int) -> set:
-    return (monomial_members(A, arity, degree)
-            & monomial_members(B, arity, degree))
-
-
 def monomial_quotient(A: Sequence[Monom], B: Sequence[Monom], arity: int,
                       degree: int) -> set:
     """Monomials m with m*b in (A) for every b in B, degree-bounded."""

@@ -211,9 +211,6 @@ class RingContext:
     def has_block(self, block: str) -> bool:
         return any(b == block for b, _ in self.blocks)
 
-    def block_names(self) -> tuple:
-        return tuple(b for b, _ in self.blocks)
-
     # -- element constructors -------------------------------------------------
 
     @property
@@ -296,13 +293,15 @@ class RingContext:
             k += 1
         return out
 
+    def with_aux(self, stem: str) -> tuple:
+        """(ring plus one fresh variable in the trailing "aux" block, that variable)."""
+        (name,) = self.fresh_names(stem, 1)
+        ext = self.extend([name], "aux")
+        return ext, ext.var(name)
+
     def elim_order(self, block: str) -> MonomialOrder:
         """Block order eliminating `block`: its variables strictly first."""
-        first = self.block_indices(block)
-        rest = tuple(i for i in range(self.arity) if i not in set(first))
-        if not rest:
-            return GREVLEX
-        return block_order((first, GREVLEX), (rest, GREVLEX))
+        return self.elim_order_vars(self.block_indices(block))
 
     def elim_order_vars(self, indices: Sequence[int]) -> MonomialOrder:
         first = tuple(indices)
@@ -510,18 +509,6 @@ class Polynomial:
             return self
         _, lc = self.leading(order)
         return self * (1 / lc)
-
-    def variables_used(self) -> set:
-        out = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        return out
-
-    def uses_block(self, block: str) -> bool:
-        idxs = set(self.ring.block_indices(block))
-        return any(any(m[i] for i in idxs) for m in self.terms)
 
     # -- calculus and substitution ---------------------------------------------
 

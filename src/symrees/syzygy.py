@@ -46,11 +46,6 @@ class PolyMatrix:
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "PolyMatrix":
-        ent = tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                    for j in range(self.cols))
-        return PolyMatrix(self.ring, self.cols, self.rows, ent)
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.entries)

@@ -80,6 +80,12 @@ def test_rees_ideal_koszul():
     assert ideal_equal(rees, want)
 
 
+def test_rees_ideal_is_relative_rees_with_empty_j():
+    for gens in ([XX, YY], [XX * XX, XX * YY, YY * YY]):
+        pair = pair_for_ideal(Ideal(R2, gens))
+        assert relative_rees_ideal(pair) == rees_ideal(pair)
+
+
 def test_sym_forms_subset_of_rees():
     pair = pair_for_ideal(Ideal(R2, [XX * XX, XX * YY, YY * YY]))
     rees = rees_ideal(pair)

@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symrees import GREVLEX, LEX, Ideal, Polynomial, buchberger, ideal_equal, make_ring
-from symrees.ideal_ops import eliminate_vars
+from symrees.ideal_ops import eliminate_vars, intersect, saturate_principal
 
 sympy = pytest.importorskip("sympy")
 
 R3 = make_ring(["x", "y", "z"])
 SYMS = sympy.symbols("x y z")
+TAG = sympy.Symbol("w")
 
 _terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool),
                             st.tuples(*[st.integers(0, 2)] * 3)),
@@ -73,3 +74,36 @@ def test_elimination_matches_sympy_lex(gens_terms):
     theirs = [p.transport(target) for p in sympy_basis(gens, "lex")
               if not any(m[0] for m in p.terms)]
     assert ideal_equal(ours, Ideal(target, theirs))
+
+
+# sympy's lex basis of a tag-variable ideal can take minutes on a few draws
+# from `ideals` (a random 12-example run spent 230 s on one draw; on another,
+# sympy ran past 60 s where `intersect` took 0.17 s), so the two tag-variable
+# checks below run a fixed, derandomized set of examples.
+
+
+def sympy_tag_elimination(exprs) -> Ideal:
+    """The part free of the tag w of sympy's lex basis, w first."""
+    gb = sympy.groebner(exprs, TAG, *SYMS, order="lex", domain="QQ")
+    return Ideal(R3, [from_sympy(e) for e in gb.exprs if not e.has(TAG)])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(i_terms=ideals, j_terms=ideals)
+def test_intersect_matches_sympy_tag_elimination(i_terms, j_terms):
+    I, J = build(i_terms), build(j_terms)
+    assume(any(I) and any(J))
+    exprs = ([TAG * to_sympy(f) for f in I]
+             + [(1 - TAG) * to_sympy(g) for g in J])
+    ours = intersect(Ideal(R3, I), Ideal(R3, J))
+    assert ideal_equal(ours, sympy_tag_elimination(exprs))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(i_terms=ideals, g_terms=_terms)
+def test_saturate_principal_matches_sympy_tag_elimination(i_terms, g_terms):
+    I, (g,) = build(i_terms), build([g_terms])
+    assume(not g.is_zero)
+    exprs = [to_sympy(f) for f in I] + [1 - TAG * to_sympy(g)]
+    ours = saturate_principal(Ideal(R3, I), g)
+    assert ideal_equal(ours, sympy_tag_elimination(exprs))
