@@ -151,11 +151,18 @@ def rees_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
     return _rees_kernel(pair, "rees", (), work_limit)
 
 
+def pair_syzygies(pair: PairInput, *, work_limit: int | None = None) -> PolyMatrix:
+    """The first syzygy matrix of the b_i, computed once per pair."""
+    if "syz" not in pair._cache:
+        pair._cache["syz"] = syzygies(list(pair.i_gens), work_limit=work_limit)
+    return pair._cache["syz"]
+
+
 def sym_forms(pair: PairInput, *, work_limit: int | None = None) -> list:
     """Linear fiber forms sum_i phi[i][c] * T_i from the syzygies of the b_i."""
     if "symforms" not in pair._cache:
         ext = pair.fiber_ring
-        phi = syzygies(list(pair.i_gens), work_limit=work_limit)
+        phi = pair_syzygies(pair, work_limit=work_limit)
         tvars = [ext.var(t) for t in pair.fiber_names]
         forms = [apply_row([c.transport(ext) for c in col], tvars)
                  for col in phi.columns()]

@@ -7,17 +7,24 @@ decides linear type for an isolated-singularity plane curve by the height of
 the entry ideal of the syzygy matrix; the family analyzer runs the same data
 over k[u][x,y,z], saturates the entry ideal by (x,y,z), contracts to k[u] and
 cross-checks three equivalent degeneration criteria.
+
+The saturation is the intersection of the principal saturations I : v^inf for
+v in x, y, z.  Since (A ∩ B) ∩ k[u] = (A ∩ k[u]) ∩ (B ∩ k[u]), the contraction
+is reached without it: each principal saturation is contracted to k[u] and the
+contractions are intersected there.  `FamilyReport.saturation` itself is only
+intersected, in the full ring, when it is first read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .blowup import PairInput, make_pair
+from .blowup import PairInput, make_pair, pair_syzygies
 from .groebner import groebner, ideal_member, normal_form
 from .ideal_ops import (
     DimensionReport,
@@ -25,6 +32,7 @@ from .ideal_ops import (
     eliminate,
     ideal_contains,
     intersect,
+    saturate_principal,
 )
 from .rings import Ideal, Polynomial, RingContext, RingError
 from .syzygy import PolyMatrix, entry_ideal, syzygies
@@ -103,7 +111,7 @@ def linear_type_certificate(gp: GradientPair, *,
             Verdict.INCONCLUSIVE,
             "singular locus is not a nonempty set of points",
             rep.codim, rep.dim, None, None, None)
-    phi = syzygies(list(gp.pair.i_gens), work_limit=work_limit)
+    phi = pair_syzygies(gp.pair, work_limit=work_limit)
     script = entry_ideal(phi)
     srep = dimension(script, work_limit=work_limit)
     threshold = rep.codim + 1
@@ -138,7 +146,6 @@ class FamilyReport:
     entry_ideal: Ideal
     codim_gradient: int
     codim_entry: int
-    saturation: Ideal
     contraction: Ideal
     contraction_dim: DimensionReport
     seed: int | None
@@ -147,6 +154,16 @@ class FamilyReport:
     legs: tuple                  # the three equivalent criteria, as booleans
     consistent: bool
     warnings: tuple
+    work_limit: int | None
+    _saturations: tuple = field(compare=False, repr=False)  # (I : v^inf) per v
+
+    @cached_property
+    def saturation(self) -> Ideal:
+        """The entry ideal saturated by (x, y, z); intersected on first read."""
+        sat, *rest = self._saturations
+        for satv in rest:
+            sat = intersect(sat, satv, work_limit=self.work_limit)
+        return sat
 
 
 def _content_one_certified(F: Polynomial, ring: RingContext) -> bool:
@@ -236,14 +253,15 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     script = Ideal(ring, list(dict.fromkeys(g for g in script.gens)))
     srep = dimension(script, work_limit=work_limit)
 
-    # saturation by the irrelevant ideal, one variable at a time
-    from .ideal_ops import saturate_principal
+    # saturation by the irrelevant ideal, one variable at a time; contracting
+    # commutes with intersecting, so each piece is contracted to k[u] first
     base = Ideal(ring, list(groebner(script, work_limit=work_limit).elements))
-    sat = None
-    for v in geom:
-        satv = saturate_principal(base, ring.var(v), work_limit=work_limit)
-        sat = satv if sat is None else intersect(sat, satv, work_limit=work_limit)
-    contraction = eliminate(sat, "geom", work_limit=work_limit)
+    sats = tuple(saturate_principal(base, ring.var(v), work_limit=work_limit)
+                 for v in geom)
+    contraction, *rest = [eliminate(satv, "geom", work_limit=work_limit)
+                          for satv in sats]
+    for cv in rest:
+        contraction = intersect(contraction, cv, work_limit=work_limit)
     crep = dimension(contraction, work_limit=work_limit)
 
     member = None
@@ -251,7 +269,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     if alpha is None:
         used_seed = seed
         alpha = sample_parameters(ring, avoid, seed)
-    member = evaluate_member(F, alpha, family_entry_ideal=script,
+    member = evaluate_member(F, alpha, family_entry_ideal=base,
                              work_limit=work_limit)
 
     leg_codim = srep.codim_at_least(3)
@@ -261,10 +279,11 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     return FamilyReport(
         family=F, gradient_gens=tuple(gens), syzygy_matrix=phi,
         entry_ideal=script, codim_gradient=grep.codim, codim_entry=srep.codim,
-        saturation=sat, contraction=contraction, contraction_dim=crep,
+        contraction=contraction, contraction_dim=crep,
         seed=used_seed, member=member,
         generic_linear_type=leg_codim,
-        legs=legs, consistent=len(set(legs)) == 1, warnings=tuple(warnings))
+        legs=legs, consistent=len(set(legs)) == 1, warnings=tuple(warnings),
+        work_limit=work_limit, _saturations=sats)
 
 
 def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,

@@ -14,7 +14,7 @@ the initial ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .groebner import (
@@ -42,17 +42,15 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def ideal_power(I: Ideal, t: int) -> Ideal:
     if t < 0:
         raise RingError("negative ideal power")
-    if t == 0:
-        return Ideal(I.ring, [I.ring.one])
-    # combinations_with_replacement keeps the generator count at C(n+t-1, t)
-    from itertools import combinations_with_replacement
-    gens = []
-    for combo in combinations_with_replacement(I.gens, t):
-        p = I.ring.one
-        for g in combo:
-            p = p * g
-        gens.append(p)
-    return Ideal(I.ring, gens)
+    # combinations_with_replacement keeps the generator count at C(n+t-1, t);
+    # each product is the left fold (((1*g_a)*g_b)*...), built from the one
+    # for the same combination without its last index
+    prods = {(): I.ring.one}
+    for level in range(1, t + 1):
+        prods = {combo: prods[combo[:-1]] * I.gens[combo[-1]]
+                 for combo in combinations_with_replacement(range(len(I.gens)),
+                                                            level)}
+    return Ideal(I.ring, list(prods.values()))
 
 
 def _same_ring(I: Ideal, J: Ideal):

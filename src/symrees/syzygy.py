@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .groebner import buchberger_tracked, division
@@ -162,15 +163,10 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
     raw_cols = []
 
     # rows of B*A - Id are syzygies of the generators
+    a_cols = [[A[k][j] for k in range(s)] for j in range(len(live))]
     for i in range(len(live)):
-        row = []
-        for j in range(len(live)):
-            acc = zero
-            for k in range(s):
-                acc = acc + B[i][k] * A[k][j]
-            if i == j:
-                acc = acc - ring.one
-            row.append(acc)
+        row = [apply_row(B[i], a_col) for a_col in a_cols]
+        row[i] = row[i] - ring.one
         if any(not p.is_zero for p in row):
             raw_cols.append(row)
 
@@ -194,12 +190,7 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
                 raise AssertionError("S-polynomial did not reduce to zero")
             for i in range(s):
                 svec[i] = svec[i] - quots[i]
-        col = []
-        for j in range(len(live)):
-            acc = zero
-            for i in range(s):
-                acc = acc + svec[i] * A[i][j]
-            col.append(acc)
+        col = [apply_row(svec, a_col) for a_col in a_cols]
         if any(not p.is_zero for p in col):
             raw_cols.append(col)
 
@@ -227,12 +218,27 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
 
 
 def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:
-    """sum gens[i] * col[i]; zero exactly when col is a syzygy."""
+    """sum gens[i] * col[i]; zero exactly when col is a syzygy.
+
+    The products are summed into one terms dict, and a pair with a zero
+    factor is skipped: most division quotients in `syzygies` are zero.
+    """
     ring = gens[0].ring
-    acc = ring.zero
+    out: dict = {}
     for g, c in zip(gens, col):
-        acc = acc + g * c
-    return acc
+        if g.ring != ring or c.ring != ring:
+            raise RingError("ring mismatch")
+        if not g.terms or not c.terms:
+            continue
+        for m1, c1 in g.terms.items():
+            for m2, c2 in c.terms.items():
+                m = tuple(map(add, m1, m2))
+                s = out.get(m, 0) + c1 * c2
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return Polynomial(ring, out)
 
 
 def minimalize_columns(cols: Sequence[Sequence[Polynomial]],

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from symrees import Ideal, RingError, ideal_member, make_ring
-from symrees.blowup import is_linear_type
+from symrees.blowup import aluffi_presentation, is_linear_type, pair_syzygies
 from symrees.curves import (
     Verdict,
     analyze_family,
@@ -23,7 +23,7 @@ from symrees.fixtures import (
     family_by_name,
     fixture_catalog,
 )
-from symrees.ideal_ops import ideal_equal
+from symrees.ideal_ops import eliminate, ideal_equal
 from symrees.syzygy import apply_row
 
 R3 = make_ring(["x", "y", "z"])
@@ -209,3 +209,53 @@ def test_curve_fixture_expectations_well_formed():
         f = c.curve()
         rep = f.is_homogeneous("geom")
         assert rep.homogeneous
+
+
+# ---------------------------------------------------------------------------
+# contraction route, lazy saturation, one syzygy run per pair
+
+
+@pytest.mark.parametrize("key", ["b", "f", "g", "i", "k"])
+def test_contraction_is_contracted_saturation(key):
+    # the contraction comes from the per-variable saturations, each contracted
+    # to k[u] first; it must be the reduced basis of saturation ∩ k[u]
+    fam = family_by_name(key)
+    report = analyze_family(fam.family(), seed=1, avoid=fam.constraint_polys())
+    assert report.contraction.gens == eliminate(report.saturation, "geom").gens
+
+
+def test_lazy_saturation_uses_the_report_work_limit(monkeypatch):
+    import symrees.curves as curves_mod
+    limit = 10 ** 7
+    report = analyze_family(quintic_family(), seed=2, work_limit=limit)
+    assert report.work_limit == limit
+    seen = []
+    real = curves_mod.intersect
+
+    def spy(I, J, **kwargs):
+        seen.append(kwargs)
+        return real(I, J, **kwargs)
+
+    monkeypatch.setattr(curves_mod, "intersect", spy)
+    sat = report.saturation
+    assert seen == [{"work_limit": limit}] * 2  # three saturations, two meets
+    assert report.saturation is sat             # built once
+    assert len(seen) == 2
+
+
+def test_pair_syzygies_computed_once_per_pair(monkeypatch):
+    import symrees.blowup as blowup_mod
+    calls = []
+    real = blowup_mod.syzygies
+
+    def spy(gens, **kwargs):
+        calls.append(len(gens))
+        return real(gens, **kwargs)
+
+    monkeypatch.setattr(blowup_mod, "syzygies", spy)
+    gp = gradient_pair(curve_by_name("three-node-quartic").curve())
+    cert = linear_type_certificate(gp)
+    assert cert.syzygy_matrix is not None
+    aluffi_presentation(gp.pair)
+    assert calls == [3]
+    assert cert.syzygy_matrix is pair_syzygies(gp.pair)

@@ -193,3 +193,24 @@ def test_sum_requires_same_ring():
 def test_sum_concatenates_generators():
     out = ideal_sum(Ideal(R3, [X]), Ideal(R3, [Y, Z]))
     assert out.gens == (X, Y, Z)
+
+
+def test_ideal_power_matches_naive_left_fold():
+    # products are built level by level from I^(t-1); the generator list and
+    # each product's term order must equal the from-scratch left fold
+    from itertools import combinations_with_replacement
+
+    from symrees.fixtures import PAIR_FIXTURES
+    ideals = [ctor().i_ideal for ctor, _ in PAIR_FIXTURES.values()]
+    ideals.append(Ideal(R3, [X + Y, X - Z, X + Y]))  # repeated generator
+    for I in ideals:
+        for t in range(5):
+            naive = []
+            for combo in combinations_with_replacement(I.gens, t):
+                p = I.ring.one
+                for g in combo:
+                    p = p * g
+                naive.append(p)
+            got = ideal_power(I, t).gens
+            assert list(got) == naive
+            assert [list(p.terms) for p in got] == [list(p.terms) for p in naive]

@@ -153,3 +153,12 @@ def test_syzygies_of_zero_generator():
 def test_matrix_shape_validation():
     with pytest.raises(RingError):
         PolyMatrix(R3, 2, 2, ((X,),))
+
+
+def test_apply_row_skips_zero_factors_and_checks_rings():
+    gens = [X, Y, Z]
+    assert apply_row(gens, [Y, -X, R3.zero]).is_zero
+    assert apply_row(gens, [R3.zero, Z, Y]) == 2 * Y * Z
+    other = make_ring(["x", "y", "w"])
+    with pytest.raises(RingError):
+        apply_row(gens, [R3.zero, other.zero, Y])
