@@ -12,6 +12,13 @@ form a~ = sum c_j T_j lets the three algebras live in one ring:
     sym   = (syzygy forms) + (J, J~)        -- Sym_{R/J}(I/J)
     rees  = kernel of T_i -> b_i u          -- Rees_R(I)
     aluffi = rees + (J, J~)                 -- the embedded Aluffi algebra
+
+Caching.  A PairInput keeps in `pair._cache` what its invariants share: the
+powers I^t under ("power", t), the meets J cap I^t under ("meet", t) (read by
+the torsion pieces, the Artin-Rees number and the standard-base check), the
+Rees and relative Rees ideals under "rees" and "relrees", the syzygy matrix
+under "syz" and its fiber forms under "symforms".  Each cached value is
+computed under the `work_limit` of its first caller.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .ideal_ops import (
     intersect,
     minimal_homogeneous_generators,
 )
+from .oracle import graded_piece_dimension
 from .rings import Ideal, Polynomial, RingContext, RingError
 from .syzygy import PolyMatrix, apply_row, syzygies
 
@@ -257,6 +265,19 @@ def _powers(I: Ideal, up_to: int, cache: dict) -> dict:
     return {t: cache[("power", t)] for t in range(up_to + 1)}
 
 
+def _pair_meet(pair: PairInput, t: int, *, work_limit: int | None = None) -> Ideal:
+    """J cap I^t, computed once per pair and degree under `("meet", t)`.
+
+    `vv_pieces`, `artin_rees_number` and `standard_base_check` share these
+    ideals and so their Groebner caches too.
+    """
+    if ("meet", t) not in pair._cache:
+        power = _powers(pair.i_ideal, t, pair._cache)[t]
+        pair._cache[("meet", t)] = intersect(pair.j_ideal, power,
+                                             work_limit=work_limit)
+    return pair._cache[("meet", t)]
+
+
 def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
               internal_cap: int | None = None,
               work_limit: int | None = None) -> TorsionReport:
@@ -270,7 +291,7 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
         internal_cap = 2 * max(g.degree() for g in I.gens)
     pieces = []
     for t in range(2, bound + 1):
-        meet = intersect(J, powers[t], work_limit=work_limit)
+        meet = _pair_meet(pair, t, work_limit=work_limit)
         lower = ideal_product(J, powers[t - 1])
         gb_lower = groebner(lower, work_limit=work_limit)
         witnesses = tuple(g for g in meet.gens
@@ -278,7 +299,6 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
                                              work_limit=work_limit).is_zero)
         dims = ()
         if homog and internal_cap is not None:
-            from .oracle import graded_piece_dimension
             rows = []
             for d in range(0, internal_cap + 1):
                 hi = graded_piece_dimension(list(meet.gens), d)
@@ -309,10 +329,10 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     """Least k <= bound with J cap I^t = (J cap I^k) I^(t-k) for k <= t <= bound."""
     if bound < 1:
         raise RingError("bound must be at least 1")
-    I, J = pair.i_ideal, pair.j_ideal
-    powers = _powers(I, bound, pair._cache)
-    meets = {t: intersect(J, powers[t], work_limit=work_limit)
-             for t in range(0, bound + 1)}
+    powers = _powers(pair.i_ideal, bound, pair._cache)
+    # k >= 1 and t >= k, so J cap I^0 is never read
+    meets = {t: _pair_meet(pair, t, work_limit=work_limit)
+             for t in range(1, bound + 1)}
     for k in range(1, bound + 1):
         ok = True
         for t in range(k, bound + 1):
@@ -337,8 +357,7 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     """Test J cap I^t = sum_i a_i I^(t - nu_i) with nu_i the I-order of a_i."""
     if bound < 1:
         raise RingError("bound must be at least 1")
-    I, J = pair.i_ideal, pair.j_ideal
-    powers = _powers(I, bound + 1, pair._cache)
+    powers = _powers(pair.i_ideal, bound + 1, pair._cache)
     gbs = {t: groebner(powers[t], work_limit=work_limit)
            for t in range(0, bound + 2)}
     orders = []
@@ -353,7 +372,7 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     rows = []
     passed = True
     for t in range(1, bound + 1):
-        meet = intersect(J, powers[t], work_limit=work_limit)
+        meet = _pair_meet(pair, t, work_limit=work_limit)
         gens = []
         for a, nu in zip(pair.j_gens, orders):
             power = powers[max(t - nu, 0)]

@@ -6,6 +6,11 @@ the block order with the eliminated variables first, keeping the basis
 elements free of them.  `eliminate` and `eliminate_vars` call it directly;
 `intersect` (tag variable w in w*I + (1-w)*J) and `saturate_principal`
 (t in (I, 1 - t*g)) first add one fresh variable with `RingContext.with_aux`.
+By the elimination theorem the kept elements are the reduced basis of the
+result under the block order restricted to the kept variables, so when that
+restriction is the target ring's own order (grevlex targets; not lex ones),
+the result carries that basis in its Groebner cache and `groebner` on it
+runs no Buchberger.
 Quotients and saturations by ideals reduce to intersections plus Groebner
 normal forms.  Dimension comes from maximal independent variable sets modulo
 the initial ideal.
@@ -64,12 +69,23 @@ def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext,
 
     The one elimination every operation here rests on: a Buchberger run under
     the block order with `gone` first, keeping the basis elements free of it.
+    The kept elements, still monic, reduced and descending, are the reduced
+    basis of the result under the block order restricted to the kept
+    variables; when that is `target.order`, the result's Groebner cache is
+    seeded with them.  `target` must list the kept variables in their order
+    in `I.ring`.
     """
     if I.is_zero:
         return Ideal(target, [])
-    gb = buchberger(I, I.ring.elim_order_vars(gone), work_limit=work_limit)
-    return Ideal(target, [g.transport(target) for g in gb
-                          if not any(m[i] for m in g.terms for i in gone)])
+    order = I.ring.elim_order_vars(gone)
+    gb = buchberger(I, order, work_limit=work_limit)
+    out = Ideal(target, [g.transport(target) for g in gb
+                         if not any(m[i] for m in g.terms for i in gone)])
+    keep = [i for i in range(I.ring.arity) if i not in gone]
+    if order.restrict(keep) == target.order:
+        out._gb_cache[target.order] = GroebnerBasis(target, target.order,
+                                                    out.gens)
+    return out
 
 
 def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
@@ -77,10 +93,14 @@ def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
     _same_ring(I, J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ring, [])
-    ext, w = I.ring.with_aux("_w")
-    gens = [w * g.transport(ext) for g in I.gens]
-    omw = ext.one - w
-    gens += [omw * g.transport(ext) for g in J.gens]
+    ext, _ = I.ring.with_aux("_w")
+    # w is the last variable of ext, so w*g and (1-w)*g only append its
+    # exponent: 1 for w*g; 0, and 1 with the negated coefficient, for (1-w)*g
+    gens = [Polynomial(ext, {m + (1,): c for m, c in g.terms.items()})
+            for g in I.gens]
+    gens += [Polynomial(ext, {**{m + (0,): c for m, c in g.terms.items()},
+                              **{m + (1,): -c for m, c in g.terms.items()}})
+             for g in J.gens]
     return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring, work_limit)
 
 

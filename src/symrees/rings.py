@@ -654,6 +654,8 @@ class Ideal:
         return not self.gens
 
     def transport(self, target: RingContext) -> "Ideal":
+        if target == self.ring:
+            return self  # the same ideal, Groebner cache included
         return Ideal(target, [g.transport(target) for g in self.gens])
 
     def __repr__(self):

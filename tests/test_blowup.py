@@ -329,3 +329,43 @@ def test_verify_component_list_rejects_bad_candidate():
     assert report.rows[0].contains_presentation
     assert report.rows[0].dim.dim == 2
     assert not report.rows[1].contains_presentation
+
+
+# ---------------------------------------------------------------------------
+# the meets J cap I^t, shared through the pair cache
+
+
+def test_meets_computed_once_per_pair_and_degree(monkeypatch):
+    import symrees.blowup as blowup
+    calls = []
+    real = blowup.intersect
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(blowup, "intersect", counting)
+    pair = four_points_pair()
+    vv = vv_pieces(pair, 4)
+    ar = artin_rees_number(pair, 4)
+    sb = standard_base_check(pair, 4)
+    assert len(calls) == 4          # J cap I^t for t = 1..4
+    assert vv == vv_pieces(four_points_pair(), 4)
+    assert ar == artin_rees_number(four_points_pair(), 4)
+    assert sb == standard_base_check(four_points_pair(), 4)
+
+
+def test_shared_pair_gives_serial_results_across_threads():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    fns = [vv_pieces, artin_rees_number, vv_pieces, artin_rees_number]
+    serial = [fn(four_points_pair(), 4) for fn in fns]
+    pair = four_points_pair()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # interleave the threads' cache accesses
+    try:
+        with ThreadPoolExecutor(max_workers=len(fns)) as pool:
+            futures = [pool.submit(fn, pair, 4) for fn in fns]
+            assert [f.result(timeout=60) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)

@@ -10,31 +10,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from symrees import GREVLEX, LEX, Ideal, Polynomial, buchberger, ideal_equal, make_ring
+from symrees import GREVLEX, LEX, Ideal, Polynomial, buchberger, ideal_equal
 from symrees.ideal_ops import eliminate_vars, intersect, saturate_principal
+from strategies import R3, build, ideals, terms
 
 sympy = pytest.importorskip("sympy")
 
-R3 = make_ring(["x", "y", "z"])
 SYMS = sympy.symbols("x y z")
 TAG = sympy.Symbol("w")
-
-_terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool),
-                            st.tuples(*[st.integers(0, 2)] * 3)),
-                  min_size=1, max_size=3)
-ideals = st.lists(_terms, min_size=1, max_size=3)
-
-
-def build(gens_terms) -> list:
-    gens = []
-    for terms in gens_terms:
-        p = R3.zero
-        for c, m in terms:
-            p = p + R3.monomial(m, c)
-        gens.append(p)
-    return gens
 
 
 def to_sympy(p: Polynomial):
@@ -100,7 +84,7 @@ def test_intersect_matches_sympy_tag_elimination(i_terms, j_terms):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(i_terms=ideals, g_terms=_terms)
+@given(i_terms=ideals, g_terms=terms)
 def test_saturate_principal_matches_sympy_tag_elimination(i_terms, g_terms):
     I, (g,) = build(i_terms), build([g_terms])
     assume(not g.is_zero)

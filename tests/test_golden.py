@@ -25,6 +25,10 @@ CASES = {
     "aluffi_present": ["aluffi", "present", "pair.txt"],
     "aluffi_spread": ["aluffi", "spread", "pair.txt"],
     "aluffi_verify_components": ["aluffi", "verify-components", "components.txt"],
+    "aluffi_torsion": ["aluffi", "torsion", "four_points.txt", "--bound", "3"],
+    "aluffi_ar_number": ["aluffi", "ar-number", "four_points.txt", "--bound", "3"],
+    "aluffi_standard_base": ["aluffi", "standard-base", "four_points.txt",
+                             "--bound", "3"],
     "family_analyze": ["family", "analyze", "family.txt", "--seed", "2"],
 }
 

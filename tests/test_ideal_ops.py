@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from symrees import Ideal, RingError, buchberger, ideal_member, make_ring
+from symrees import LEX, Ideal, RingError, buchberger, groebner, ideal_member, make_ring
+from symrees.blowup import rees_ideal
+from symrees.fixtures import PAIR_FIXTURES, pair_by_name
+from symrees.groebner import WorkLimitExceeded
 from symrees.ideal_ops import (
     dimension,
     eliminate,
+    eliminate_vars,
     ideal_contains,
     ideal_equal,
     ideal_power,
@@ -26,6 +32,7 @@ from symrees.oracle import (
     monomial_quotient,
     monomial_saturation,
 )
+from strategies import build, ideals
 
 R3 = make_ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -214,3 +221,78 @@ def test_ideal_power_matches_naive_left_fold():
             got = ideal_power(I, t).gens
             assert list(got) == naive
             assert [list(p.terms) for p in got] == [list(p.terms) for p in naive]
+
+
+# ---------------------------------------------------------------------------
+# the reduced basis an elimination leaves in its result's Groebner cache
+
+
+def _elimination_results(I: Ideal, J: Ideal, work_limit: int | None = None) -> list:
+    """One result of each elimination-based operation on ideals of Q[x, y, z]."""
+    RP = make_ring(["x", "y"], ["z"], order=I.ring.order)
+    IP = I.transport(RP)
+    return [intersect(I, J, work_limit=work_limit),
+            saturate_principal(I, J.gens[0], work_limit=work_limit),
+            eliminate(IP, "param", work_limit=work_limit),
+            eliminate(IP, "geom", work_limit=work_limit),
+            eliminate_vars(I, ["x"], work_limit=work_limit),
+            eliminate_vars(I, ["y", "z"], work_limit=work_limit)]
+
+
+def _assert_seeded(results, monkeypatch):
+    fresh = [buchberger(Ideal(out.ring, out.gens), out.ring.order)
+             for out in results]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("groebner ran Buchberger on a seeded result")
+
+    with monkeypatch.context() as m:
+        # the package's `groebner` function hides the module of that name
+        m.setattr(sys.modules["symrees.groebner"], "buchberger", no_run)
+        for out, gb in zip(results, fresh):
+            assert groebner(out) == gb
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
+def test_elimination_seeds_reduced_basis_on_pair_fixtures(name, monkeypatch):
+    pair = pair_by_name(name)
+    I, J = pair.i_ideal, pair.j_ideal
+    ext = pair.fiber_ring
+    rees = rees_ideal(pair)     # an eliminate_vars result, kept through transport
+    results = _elimination_results(I, J) + [
+        intersect(J, ideal_power(I, 2)),
+        rees,
+        eliminate(rees, "geom"),
+        eliminate_vars(Ideal(ext, list(rees.gens) + [ext.var(n) for n in pair.ring.names]),
+                       list(pair.ring.names)),
+    ]
+    _assert_seeded(results, monkeypatch)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(i_terms=ideals, j_terms=ideals)
+def test_elimination_seeds_reduced_basis_on_random_ideals(i_terms, j_terms,
+                                                          monkeypatch):
+    I, J = Ideal(R3, build(i_terms)), Ideal(R3, build(j_terms))
+    assume(not I.is_zero and not J.is_zero)
+    # a few draws make a tag-variable elimination run for minutes (one took
+    # past 3000 work units and 10 s); those are drawn again
+    try:
+        results = _elimination_results(I, J, work_limit=500)
+    except WorkLimitExceeded:
+        assume(False)
+    _assert_seeded(results, monkeypatch)
+
+
+def test_lex_target_is_not_seeded():
+    # the block order restricts to grevlex, not lex: nothing may be seeded,
+    # and groebner must still give the lex basis of the same ideal
+    I = Ideal(R3, [X * Y - Z * Z, X * X - Y * Z, Y ** 3 - X * Z])
+    J = Ideal(R3, [X - Y, Z * Z - X])
+    RL = make_ring(["x", "y", "z"], order="lex")
+    IL, JL = I.transport(RL), J.transport(RL)
+    for grev, lex in zip(_elimination_results(I, J), _elimination_results(IL, JL)):
+        assert lex.ring.order == LEX and not lex._gb_cache
+        same = Ideal(lex.ring, [g.transport(lex.ring) for g in grev.gens])
+        assert groebner(lex) == buchberger(same, LEX)
