@@ -358,13 +358,13 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     if bound < 1:
         raise RingError("bound must be at least 1")
     powers = _powers(pair.i_ideal, bound + 1, pair._cache)
-    gbs = {t: groebner(powers[t], work_limit=work_limit)
-           for t in range(0, bound + 2)}
     orders = []
     for a in pair.j_gens:
         nu = 0
         for t in range(1, bound + 2):
-            if normal_form(a, gbs[t], work_limit=work_limit).is_zero:
+            # the power's _gb_cache keeps each basis for the next generator
+            gb = groebner(powers[t], work_limit=work_limit)
+            if normal_form(a, gb, work_limit=work_limit).is_zero:
                 nu = t
             else:
                 break

@@ -597,25 +597,3 @@ def radical_member(p: Polynomial, I: Ideal, *, work_limit: int | None = None) ->
     gens.append(ext.one - t * p.transport(ext))
     gb = buchberger(Ideal(ext, gens), GREVLEX, work_limit=work_limit)
     return gb.is_unit_ideal
-
-
-def reduce_generators(gens: Sequence[Polynomial],
-                      order: MonomialOrder | None = None, *,
-                      work_limit: int | None = None) -> list:
-    """One interreduction pass; returns a smaller generating set of the same ideal."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return []
-    ring = gens[0].ring
-    order = order or ring.order
-    lay = _layout(order, ring.arity)
-    budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
-    ints = [_to_engine(lay, g)[0] for g in gens]
-    ints.sort(key=max)
-    recs: list = []
-    for d in ints:
-        r, _ = _reduce_full(d, recs, lay.guard, budget)
-        if r:
-            r, _ = _strip(r, None)
-            recs.append(_Rec(r, lay.guard))
-    return [_from_engine(ring, lay, rec.items(), Fraction(1, rec.lc)) for rec in recs]

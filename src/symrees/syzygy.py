@@ -2,8 +2,13 @@
 
 Syzygies of (g_1..g_m) come from a tracked Groebner run: with G = F*A and
 F = G*B (division), the kernel of F is generated by the rows of B*A - Id
-together with the pullbacks A^t * s of the S-pair syzygies s of G, one for
-every pair of basis elements.  Columns are content-normalized and deduplicated
+together with the pullbacks A^t * s of the S-pair syzygies s of G (Schreyer
+1980).  A basis pair (k, l) is skipped when some third element g_j has
+lm(g_j) | lcm(k, l) and lcm(k, j), lcm(j, l) both differ from lcm(k, l):
+then S_kl is a monomial combination of S_kj and S_jl, whose lcms strictly
+divide lcm(k, l), so by induction on the lcm the kept pairs still generate
+(Buchberger's chain criterion, Gebauer-Moller, J. Symb. Comp. 1988).  Pairs
+whose lcms tie are kept.  Columns are content-normalized and deduplicated
 but not minimalized; the entry ideal I_1 is independent of that choice.
 """
 
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, le
 from typing import Sequence
 
 from .groebner import buchberger_tracked, division
@@ -170,12 +175,19 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
         if any(not p.is_zero for p in row):
             raw_cols.append(row)
 
-    # Schreyer generators: one syzygy of G per basis pair, pulled back along A
+    # Schreyer generators: one syzygy of G per basis pair that the chain
+    # criterion keeps, pulled back along A
     leads = [g.leading(gb.order) for g in gb.elements]
+    lcms = {}
+    for k, l in combinations(range(s), 2):
+        lcms[k, l] = lcms[l, k] = tuple(map(max, leads[k][0], leads[l][0]))
     for k, l in combinations(range(s), 2):
         mk, ck = leads[k]
         ml, cl = leads[l]
-        lcm = tuple(max(a, b) for a, b in zip(mk, ml))
+        lcm = lcms[k, l]
+        if any(j != k and j != l and all(map(le, leads[j][0], lcm))
+               and lcms[k, j] != lcm and lcms[j, l] != lcm for j in range(s)):
+            continue
         qk = tuple(a - b for a, b in zip(lcm, mk))
         ql = tuple(a - b for a, b in zip(lcm, ml))
         tk = ring.monomial(qk, 1 / ck)
@@ -239,18 +251,3 @@ def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomi
                 else:
                     del out[m]
     return Polynomial(ring, out)
-
-
-def minimalize_columns(cols: Sequence[Sequence[Polynomial]],
-                       gen_degrees: Sequence[int]):
-    """Drop graded-redundant columns (standard-graded rings only).
-
-    Used for reporting a trimmed syzygy matrix; the entry ideal does not
-    depend on the choice of generating columns.
-    """
-    from .oracle import _column_degree, column_in_span
-    kept: list = []
-    for col in sorted(cols, key=lambda c: _column_degree(c, gen_degrees) or 0):
-        if not column_in_span(col, kept, gen_degrees):
-            kept.append(list(col))
-    return kept

@@ -124,6 +124,24 @@ def test_aluffi_presentation_regular_residue():
     assert aluffi_dimension(pres).dim == 2
 
 
+def test_pair_presentation_after_chain_criterion():
+    # the golden `aluffi present` pair; the sym ideal was recorded with one
+    # more generator, y^2*T1 - x^2*T3, before Schreyer pairs were pruned
+    pair = make_pair(R2, [XX * XX, XX * YY, YY * YY], [XX * XX + YY * YY])
+    pres = aluffi_presentation(pair)
+    ext = pres.ring
+    recorded = ["y*T2 - x*T3", "y*T1 - x*T2", "y^2*T1 - x^2*T3",
+                "x^2 + y^2", "T1 + T3"]
+    assert ideal_equal(pres.sym_ideal, Ideal(ext, [ext.parse(g) for g in recorded]))
+    assert [str(g) for g in pres.sym_ideal.gens] == [
+        "y*T2 - x*T3", "y*T1 - x*T2", "x^2 + y^2", "T1 + T3"]
+    assert [str(g) for g in pres.rees_ideal.gens] == [
+        "y*T1 - x*T2", "y*T2 - x*T3", "T2^2 - T1*T3"]
+    assert [str(g) for g in pres.aluffi_ideal.gens] == [
+        "y*T1 - x*T2", "y*T2 - x*T3", "T2^2 - T1*T3", "x^2 + y^2", "T1 + T3"]
+    assert [str(t) for t in pres.tilde_j] == ["T1 + T3"]
+
+
 def test_gradient_presentation_matches_euler_form():
     pair = quartic_pair()
     pres = aluffi_presentation(pair)
@@ -369,3 +387,12 @@ def test_shared_pair_gives_serial_results_across_threads():
             assert [f.result(timeout=60) for f in futures] == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_standard_base_reads_only_the_powers_it_needs():
+    pair = four_points_pair()
+    report = standard_base_check(pair, 4)
+    assert report.orders == (1, 1)
+    # the orders loop stops at I^(nu+1); the meets never need a power's basis
+    based = [t for t in range(6) if pair._cache[("power", t)]._gb_cache]
+    assert based == [1, 2]

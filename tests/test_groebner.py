@@ -21,7 +21,7 @@ from symrees import (
     normal_form,
     radical_member,
 )
-from symrees.groebner import FIELD_MAX, buchberger_tracked, reduce_generators
+from symrees.groebner import FIELD_MAX, buchberger_tracked
 from symrees.ideal_ops import ideal_power, ideal_product, intersect
 
 R3 = make_ring(["x", "y", "z"])
@@ -194,15 +194,6 @@ def test_work_limit():
             R3.parse("x^3*z - y^5 + 1")]
     with pytest.raises(WorkLimitExceeded):
         buchberger(Ideal(R3, gens), work_limit=5)
-
-
-def test_reduce_generators_preserves_ideal():
-    gens = [X * X, X * X + Y, Y]
-    small = reduce_generators(gens)
-    I1 = buchberger(Ideal(R3, gens))
-    I2 = buchberger(Ideal(R3, small))
-    assert I1.elements == I2.elements
-    assert len(small) <= len(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,16 @@ from itertools import combinations
 
 import pytest
 
-from symrees import Ideal, RingError, make_ring
+from symrees import Ideal, RingError, fixtures, make_ring
+from symrees.curves import sample_parameters
 from symrees.ideal_ops import dimension, ideal_equal
-from symrees.oracle import column_in_span, syzygies_up_to_degree
+from symrees.oracle import _column_degree, column_in_span, syzygies_up_to_degree
 from symrees.syzygy import (
     PolyMatrix,
     apply_row,
     entry_ideal,
     hessian,
     jacobian,
-    minimalize_columns,
     minors,
     syzygies,
 )
@@ -25,6 +25,25 @@ R3 = make_ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
 QUARTIC = R3.parse("x^2*y^2 + x^2*z^2 + y^2*z^2")
 PARTIALS = [QUARTIC.derivative(v).primitive() for v in ["x", "y", "z"]]
+
+
+def minimalize_columns(cols, gen_degrees):
+    """Drop graded-redundant columns (standard-graded rings only).
+
+    Used for reporting a trimmed syzygy matrix; the entry ideal does not
+    depend on the choice of generating columns.
+    """
+    kept: list = []
+    for col in sorted(cols, key=lambda c: _column_degree(c, gen_degrees) or 0):
+        if not column_in_span(col, kept, gen_degrees):
+            kept.append(list(col))
+    return kept
+
+
+def gradient(f):
+    """Content-one partials, zero ones dropped, as `analyze_family` builds them."""
+    parts = [f.derivative(v) for v in ["x", "y", "z"]]
+    return [p * (1 / p.content()) for p in parts if not p.is_zero]
 
 
 def test_koszul_column_for_two_variables():
@@ -162,3 +181,45 @@ def test_apply_row_skips_zero_factors_and_checks_rings():
     other = make_ring(["x", "y", "w"])
     with pytest.raises(RingError):
         apply_row(gens, [R3.zero, other.zero, Y])
+
+
+# ---------------------------------------------------------------------------
+# Schreyer pairs pruned by the chain criterion
+
+
+def _member(key):
+    fam = fixtures.family_by_name(key)
+    alpha = sample_parameters(fam.ring(), fam.constraint_polys(), seed=0)
+    return fam.family().evaluate_block("param", alpha)
+
+
+PRUNED_CASES = ([(c.slug, c.curve) for c in fixtures.CURVES]
+                + [(f"member-{k}", lambda k=k: _member(k)) for k in "afk"])
+
+
+@pytest.mark.parametrize("name,curve", PRUNED_CASES, ids=[n for n, _ in PRUNED_CASES])
+def test_pruned_module_is_complete_to_koszul_degree(name, curve):
+    gens = gradient(curve())
+    cols = syzygies(gens).columns()
+    for col in cols:
+        assert apply_row(gens, col).is_zero
+    degs = [g.degree() for g in gens]
+    for col in syzygies_up_to_degree(gens, 2 * max(degs)):
+        assert column_in_span(col, cols, degs)
+
+
+def test_chain_criterion_keeps_pairs_whose_lcms_tie():
+    # lcm(x^2*y, y*z^2) = lcm(x^2*z, y*z^2) = x^2*y*z^2: each of these two
+    # pairs has a chain through the third element with one strictly smaller
+    # lcm, and dropping both would lose the syzygy between x^2*z and y*z^2
+    gens = [R3.parse(g) for g in ("x^2*y", "x^2*z", "y*z^2")]
+    cols = syzygies(gens).columns()
+    for col in syzygies_up_to_degree(gens, 6):
+        assert column_in_span(col, cols, [3, 3, 3])
+
+
+@pytest.mark.parametrize("key,count", [("a", 13), ("b", 16), ("f", 19), ("k", 21)])
+def test_family_ring_column_counts(key, count):
+    # 80, 66, 90 and 91 columns with one Schreyer generator per basis pair
+    F = fixtures.family_by_name(key).family()
+    assert syzygies(gradient(F)).cols == count
