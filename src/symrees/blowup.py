@@ -16,15 +16,19 @@ form a~ = sum c_j T_j lets the three algebras live in one ring:
 Caching.  A PairInput keeps in `pair._cache` what its invariants share: the
 powers I^t under ("power", t), the meets J cap I^t under ("meet", t) (read by
 the torsion pieces, the Artin-Rees number and the standard-base check), the
-Rees and relative Rees ideals under "rees" and "relrees", the syzygy matrix
-under "syz" and its fiber forms under "symforms".  Each cached value is
-computed under the `work_limit` of its first caller.
+products J * I^(t-1) under ("lower", t) (read by the torsion pieces as the
+lower filtration ideal, by the Artin-Rees number as (J cap I) * I^(t-1) for
+k = 1, since J <= I, and by the standard-base check when every I-order is 1),
+the Rees and relative Rees ideals under "rees" and "relrees", the syzygy
+matrix under "syz" and its fiber forms under "symforms".  Since the ideals are
+shared, so are their Groebner caches: each basis is computed once per pair.
+Each cached value is computed under the `work_limit` of its first caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .groebner import (
@@ -32,7 +36,6 @@ from .groebner import (
     buchberger_tracked,
     division,
     groebner,
-    ideal_member,
     normal_form,
     radical_member,
 )
@@ -44,11 +47,9 @@ from .ideal_ops import (
     ideal_equal,
     ideal_power,
     ideal_product,
-    ideal_sum,
     intersect,
     minimal_homogeneous_generators,
 )
-from .oracle import graded_piece_dimension
 from .rings import Ideal, Polynomial, RingContext, RingError
 from .syzygy import PolyMatrix, apply_row, syzygies
 
@@ -59,16 +60,27 @@ class CertificateError(ValueError):
     """A containment certificate does not reproduce its generator."""
 
 
-def solve_certificate(a: Polynomial, i_gens: Sequence[Polynomial], *,
-                      work_limit: int | None = None) -> list:
-    """Coefficients c with a = sum c_j * i_gens[j], via tracked division."""
+def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial], *,
+                       work_limit: int | None = None) -> list:
+    """For each a in `js`, coefficients c with a = sum c_j * i_gens[j].
+
+    One tracked basis of `i_gens` serves every element: each is divided by it
+    and its quotients are pulled back along the basis's representation.
+    """
+    if not js:
+        return []
     gb, A = buchberger_tracked(list(i_gens), work_limit=work_limit)
-    nf, quots = division(a, gb, work_limit=work_limit)
-    if not nf.is_zero:
-        raise CertificateError(f"{a} is not in the ideal of the given generators")
-    if not gb.elements:  # every b_j is zero, and so is a
-        return [a.ring.zero for _ in i_gens]
-    return [apply_row(quots, [row[j] for row in A]) for j in range(len(i_gens))]
+    rows = []
+    for a in js:
+        nf, quots = division(a, gb, work_limit=work_limit)
+        if not nf.is_zero:
+            raise CertificateError(f"{a} is not in the ideal of the given generators")
+        if not gb.elements:  # every b_j is zero, and so is a
+            rows.append([a.ring.zero for _ in i_gens])
+        else:
+            rows.append([apply_row(quots, [row[j] for row in A])
+                         for j in range(len(i_gens))])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -102,9 +114,8 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
     if not i_gens or all(g.is_zero for g in i_gens):
         raise RingError("I must be nonzero")
     if certificates is None:
-        certificates = tuple(
-            tuple(solve_certificate(a, i_gens, work_limit=work_limit))
-            for a in j_gens)
+        certificates = tuple(tuple(row) for row in solve_certificates(
+            j_gens, i_gens, work_limit=work_limit))
     else:
         certificates = tuple(tuple(row) for row in certificates)
     if len(certificates) != len(j_gens):
@@ -278,10 +289,44 @@ def _pair_meet(pair: PairInput, t: int, *, work_limit: int | None = None) -> Ide
     return pair._cache[("meet", t)]
 
 
+def _pair_lower(pair: PairInput, t: int) -> Ideal:
+    """J * I^(t-1), built once per pair and degree under `("lower", t)`."""
+    if ("lower", t) not in pair._cache:
+        power = _powers(pair.i_ideal, t - 1, pair._cache)[t - 1]
+        pair._cache[("lower", t)] = ideal_product(pair.j_ideal, power)
+    return pair._cache[("lower", t)]
+
+
+def _graded_dim(gb: GroebnerBasis, d: int) -> int:
+    """dim_Q K_d for a homogeneous ideal K with reduced basis `gb`.
+
+    K and in(K) have the same Hilbert function under any monomial order
+    (Macaulay), so this counts the degree-d monomials of in(K): the union of
+    lm * (monomials of degree d - deg lm) over the leading monomials.
+    """
+    n = gb.ring.arity
+    found = set()
+    for lm in gb.leading_monomials():
+        e = d - sum(lm)
+        if e < 0:
+            continue
+        for combo in combinations_with_replacement(range(n), e):
+            m = list(lm)
+            for i in combo:
+                m[i] += 1
+            found.add(tuple(m))
+    return len(found)
+
+
 def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
               internal_cap: int | None = None,
               work_limit: int | None = None) -> TorsionReport:
-    """The pieces (J cap I^t)/(J * I^(t-1)) for 2 <= t <= bound."""
+    """The pieces (J cap I^t)/(J * I^(t-1)) for 2 <= t <= bound.
+
+    When I and J are homogeneous, `internal_dims` lists the nonzero
+    dim (J cap I^t)_d - dim (J * I^(t-1))_d for 0 <= d <= internal_cap, each
+    read off the leading monomials of the two reduced bases.
+    """
     if bound < 2:
         raise RingError("torsion bound must be at least 2")
     I, J = pair.i_ideal, pair.j_ideal
@@ -292,19 +337,19 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     pieces = []
     for t in range(2, bound + 1):
         meet = _pair_meet(pair, t, work_limit=work_limit)
-        lower = ideal_product(J, powers[t - 1])
+        lower = _pair_lower(pair, t)
         gb_lower = groebner(lower, work_limit=work_limit)
         witnesses = tuple(g for g in meet.gens
                           if not normal_form(g, gb_lower,
                                              work_limit=work_limit).is_zero)
         dims = ()
         if homog and internal_cap is not None:
+            gb_meet = groebner(meet, work_limit=work_limit)
             rows = []
             for d in range(0, internal_cap + 1):
-                hi = graded_piece_dimension(list(meet.gens), d)
-                lo = graded_piece_dimension(list(lower.gens), d)
-                if hi - lo:
-                    rows.append((d, hi - lo))
+                extra = _graded_dim(gb_meet, d) - _graded_dim(gb_lower, d)
+                if extra:
+                    rows.append((d, extra))
             dims = tuple(rows)
         annos = []
         for w in witnesses:
@@ -336,7 +381,12 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     for k in range(1, bound + 1):
         ok = True
         for t in range(k, bound + 1):
-            rhs = ideal_product(meets[k], powers[t - k])
+            if t == k:              # I^0 = (1)
+                rhs = meets[k]
+            elif k == 1:            # J <= I, so J cap I = J
+                rhs = _pair_lower(pair, t)
+            else:
+                rhs = ideal_product(meets[k], powers[t - k])
             if not ideal_equal(meets[t], rhs, work_limit=work_limit):
                 ok = False
                 break
@@ -373,11 +423,12 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     passed = True
     for t in range(1, bound + 1):
         meet = _pair_meet(pair, t, work_limit=work_limit)
-        gens = []
-        for a, nu in zip(pair.j_gens, orders):
-            power = powers[max(t - nu, 0)]
-            gens.extend(a * g for g in power.gens)
-        rhs = Ideal(pair.ring, gens)
+        if all(nu == 1 for nu in orders):
+            # the same generator list as J * I^(t-1)
+            rhs = _pair_lower(pair, t)
+        else:
+            rhs = Ideal(pair.ring, [a * g for a, nu in zip(pair.j_gens, orders)
+                                    for g in powers[max(t - nu, 0)].gens])
         eq = ideal_equal(meet, rhs, work_limit=work_limit)
         rows.append((t, eq))
         passed = passed and eq

@@ -190,9 +190,14 @@ def ideal_contains(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> bool
 
 
 def ideal_equal(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> bool:
+    """I = J, by equal reduced Groebner bases under the ring's order.
+
+    Exact: an ideal has one reduced basis per monomial order.  Both bases come
+    from (and stay in) the ideals' Groebner caches.
+    """
     _same_ring(I, J)
-    return (ideal_contains(I, J, work_limit=work_limit)
-            and ideal_contains(J, I, work_limit=work_limit))
+    return (groebner(I, work_limit=work_limit).elements
+            == groebner(J, work_limit=work_limit).elements)
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,9 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
             nf, quots = division(spair, gb, work_limit=work_limit)
             if not nf.is_zero:
                 raise AssertionError("S-polynomial did not reduce to zero")
-            for i in range(s):
-                svec[i] = svec[i] - quots[i]
+            for i, q in enumerate(quots):
+                if not q.is_zero:
+                    svec[i] = svec[i] - q
         col = [apply_row(svec, a_col) for a_col in a_cols]
         if any(not p.is_zero for p in col):
             raw_cols.append(col)

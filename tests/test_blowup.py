@@ -24,7 +24,7 @@ from symrees.blowup import (
 )
 from symrees.curves import gradient_pair
 from symrees.ideal_ops import dimension, ideal_contains, ideal_equal
-from symrees.fixtures import four_points_pair, pair_by_name
+from symrees.fixtures import PAIR_FIXTURES, four_points_pair, pair_by_name
 
 R2 = make_ring(["x", "y"])
 XX, YY = R2.gens()
@@ -396,3 +396,81 @@ def test_standard_base_reads_only_the_powers_it_needs():
     # the orders loop stops at I^(nu+1); the meets never need a power's basis
     based = [t for t in range(6) if pair._cache[("power", t)]._gb_cache]
     assert based == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# internal dimensions from lead ideals, and the shared J * I^(t-1)
+
+
+def _oracle_dims(pair, t, cap):
+    """Nonzero dim (J cap I^t)_d - dim (J * I^(t-1))_d by Fraction row reduction."""
+    from symrees.ideal_ops import ideal_power, ideal_product, intersect
+    from symrees.oracle import graded_piece_dimension
+    I, J = pair.i_ideal, pair.j_ideal
+    meet = list(intersect(J, ideal_power(I, t)).gens)
+    lower = list(ideal_product(J, ideal_power(I, t - 1)).gens)
+    rows = []
+    for d in range(cap + 1):
+        extra = graded_piece_dimension(meet, d) - graded_piece_dimension(lower, d)
+        if extra:
+            rows.append((d, extra))
+    return tuple(rows)
+
+
+def _assert_dims_match_oracle(pair, bound):
+    cap = 2 * max(g.degree() for g in pair.i_gens)
+    report = vv_pieces(pair, bound)
+    for piece in report.pieces:
+        assert piece.internal_dims == _oracle_dims(pair, piece.degree, cap)
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
+def test_internal_dims_match_oracle_on_pair_fixtures(name):
+    _assert_dims_match_oracle(pair_by_name(name), 4)
+
+
+def test_internal_dims_do_not_depend_on_the_order():
+    # under lex the meets are not seeded and the lead ideals differ from
+    # grevlex, but a homogeneous ideal's Hilbert function does not
+    pair = four_points_pair()
+    RL = make_ring(list(pair.ring.names), order="lex")
+    lex = make_pair(RL, [g.transport(RL) for g in pair.i_gens],
+                    [g.transport(RL) for g in pair.j_gens])
+    got = _assert_dims_match_oracle(lex, 4)
+    want = vv_pieces(pair, 4)
+    assert [p.internal_dims for p in got.pieces] == \
+        [p.internal_dims for p in want.pieces]
+    assert got.piece(2).internal_dims == ((4, 2),)
+
+
+def test_filtration_bases_computed_once_per_pair(monkeypatch):
+    import sys
+    from symrees import groebner
+    from symrees.ideal_ops import ideal_product
+    engine = sys.modules["symrees.groebner"]
+    real = engine.buchberger
+    runs = []
+
+    def counting(source, *args, **kwargs):
+        gb = real(source, *args, **kwargs)
+        runs.append((tuple(source.gens), gb.elements))
+        return gb
+
+    bound = 4
+    pair = four_points_pair()
+    monkeypatch.setattr(engine, "buchberger", counting)
+    vv_pieces(pair, bound)
+    artin_rees_number(pair, bound)
+    standard_base_check(pair, bound)
+    monkeypatch.undo()
+    filtration = {groebner(ideal).elements for key, ideal in pair._cache.items()
+                  if key[0] in ("meet", "lower")}
+    # the Artin-Rees test for k >= 2 builds (J cap I^k) * I^(t-k), a distinct
+    # ideal whose basis is that of J cap I^t exactly when the test passes
+    cache = pair._cache
+    checks = {tuple(ideal_product(cache[("meet", k)], cache[("power", t - k)]).gens)
+              for k in range(2, bound + 1) for t in range(k + 1, bound + 1)}
+    hits = [basis for gens, basis in runs
+            if basis in filtration and gens not in checks]
+    assert hits and len(hits) == len(set(hits))

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from symrees import LEX, Ideal, RingError, buchberger, groebner, ideal_member, make_ring
 from symrees.blowup import rees_ideal
@@ -96,6 +97,23 @@ def test_eliminate_zero_ideal():
 def test_ideal_equal_examples():
     assert ideal_equal(Ideal(R3, [X, Y]), Ideal(R3, [X + Y, X - Y]))
     assert not ideal_equal(Ideal(R3, [X * X]), Ideal(R3, [X]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(i_terms=ideals, j_terms=ideals, same=st.booleans())
+def test_ideal_equal_matches_two_way_containment(i_terms, j_terms, same):
+    I, J = Ideal(R3, build(i_terms)), Ideal(R3, build(j_terms))
+    if same:
+        # the ideal I again, from a longer generator list
+        J = Ideal(R3, list(I.gens) + [f * g for f in J.gens for g in I.gens])
+    try:
+        # fresh ideals, so that neither side reads the other's bases
+        got = ideal_equal(Ideal(R3, I.gens), Ideal(R3, J.gens), work_limit=500)
+        want = (ideal_contains(I, J, work_limit=500)
+                and ideal_contains(J, I, work_limit=500))
+    except WorkLimitExceeded:
+        assume(False)
+    assert got == want
 
 
 def test_dimension_examples():
