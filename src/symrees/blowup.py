@@ -14,15 +14,16 @@ form a~ = sum c_j T_j lets the three algebras live in one ring:
     aluffi = rees + (J, J~)                 -- the embedded Aluffi algebra
 
 Caching.  A PairInput keeps in `pair._cache` what its invariants share: the
-powers I^t under ("power", t), the meets J cap I^t under ("meet", t) (read by
-the torsion pieces, the Artin-Rees number and the standard-base check), the
-products J * I^(t-1) under ("lower", t) (read by the torsion pieces as the
-lower filtration ideal, by the Artin-Rees number as (J cap I) * I^(t-1) for
-k = 1, since J <= I, and by the standard-base check when every I-order is 1),
-the Rees and relative Rees ideals under "rees" and "relrees", the syzygy
-matrix under "syz" and its fiber forms under "symforms".  Since the ideals are
-shared, so are their Groebner caches: each basis is computed once per pair.
-Each cached value is computed under the `work_limit` of its first caller.
+powers I^t under ("power", t), each built from I^(t-1) when first read, the
+meets J cap I^t under ("meet", t) (read by the torsion pieces, the Artin-Rees
+number and the standard-base check), the products J * I^(t-1) under
+("lower", t) (read by the torsion pieces as the lower filtration ideal, by the
+Artin-Rees number as (J cap I) * I^(t-1) for k = 1, since J <= I, and by the
+standard-base check when every I-order is 1), the Rees and relative Rees
+ideals under "rees" and "relrees", the syzygy matrix under "syz" and its fiber
+forms under "symforms".  Since the ideals are shared, so are their Groebner
+caches: each basis is computed once per pair.  Each cached value is computed
+under the `work_limit` of its first caller.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .ideal_ops import (
     eliminate_vars,
     ideal_contains,
     ideal_equal,
-    ideal_power,
+    ideal_power_step,
     ideal_product,
     intersect,
     minimal_homogeneous_generators,
@@ -269,11 +270,18 @@ class TorsionReport:
         raise KeyError(t)
 
 
-def _powers(I: Ideal, up_to: int, cache: dict) -> dict:
-    for t in range(up_to + 1):
-        if ("power", t) not in cache:
-            cache[("power", t)] = ideal_power(I, t)
-    return {t: cache[("power", t)] for t in range(up_to + 1)}
+def _pair_power(pair: PairInput, t: int) -> Ideal:
+    """I^t, built once per pair and degree under `("power", t)`.
+
+    Each level is formed from the one below it by `ideal_power_step`, so the
+    generators and their term order are those of `ideal_power(I, t)`.
+    """
+    key = ("power", t)
+    if key not in pair._cache:
+        I = pair.i_ideal
+        pair._cache[key] = (Ideal(I.ring, [I.ring.one]) if t == 0 else
+                            ideal_power_step(I, _pair_power(pair, t - 1), t))
+    return pair._cache[key]
 
 
 def _pair_meet(pair: PairInput, t: int, *, work_limit: int | None = None) -> Ideal:
@@ -283,8 +291,7 @@ def _pair_meet(pair: PairInput, t: int, *, work_limit: int | None = None) -> Ide
     ideals and so their Groebner caches too.
     """
     if ("meet", t) not in pair._cache:
-        power = _powers(pair.i_ideal, t, pair._cache)[t]
-        pair._cache[("meet", t)] = intersect(pair.j_ideal, power,
+        pair._cache[("meet", t)] = intersect(pair.j_ideal, _pair_power(pair, t),
                                              work_limit=work_limit)
     return pair._cache[("meet", t)]
 
@@ -292,8 +299,8 @@ def _pair_meet(pair: PairInput, t: int, *, work_limit: int | None = None) -> Ide
 def _pair_lower(pair: PairInput, t: int) -> Ideal:
     """J * I^(t-1), built once per pair and degree under `("lower", t)`."""
     if ("lower", t) not in pair._cache:
-        power = _powers(pair.i_ideal, t - 1, pair._cache)[t - 1]
-        pair._cache[("lower", t)] = ideal_product(pair.j_ideal, power)
+        pair._cache[("lower", t)] = ideal_product(pair.j_ideal,
+                                                  _pair_power(pair, t - 1))
     return pair._cache[("lower", t)]
 
 
@@ -330,7 +337,6 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     if bound < 2:
         raise RingError("torsion bound must be at least 2")
     I, J = pair.i_ideal, pair.j_ideal
-    powers = _powers(I, bound, pair._cache)
     homog = all(g.is_homogeneous().homogeneous for g in list(I.gens) + list(J.gens))
     if internal_cap is None and homog:
         internal_cap = 2 * max(g.degree() for g in I.gens)
@@ -355,7 +361,7 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
         for w in witnesses:
             found = None
             for k in range(1, bound + 1):
-                wk = ideal_product(powers[k], Ideal(pair.ring, [w]))
+                wk = ideal_product(_pair_power(pair, k), Ideal(pair.ring, [w]))
                 if ideal_contains(lower, wk, work_limit=work_limit):
                     found = k
                     break
@@ -374,7 +380,6 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     """Least k <= bound with J cap I^t = (J cap I^k) I^(t-k) for k <= t <= bound."""
     if bound < 1:
         raise RingError("bound must be at least 1")
-    powers = _powers(pair.i_ideal, bound, pair._cache)
     # k >= 1 and t >= k, so J cap I^0 is never read
     meets = {t: _pair_meet(pair, t, work_limit=work_limit)
              for t in range(1, bound + 1)}
@@ -386,7 +391,7 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
             elif k == 1:            # J <= I, so J cap I = J
                 rhs = _pair_lower(pair, t)
             else:
-                rhs = ideal_product(meets[k], powers[t - k])
+                rhs = ideal_product(meets[k], _pair_power(pair, t - k))
             if not ideal_equal(meets[t], rhs, work_limit=work_limit):
                 ok = False
                 break
@@ -407,13 +412,12 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     """Test J cap I^t = sum_i a_i I^(t - nu_i) with nu_i the I-order of a_i."""
     if bound < 1:
         raise RingError("bound must be at least 1")
-    powers = _powers(pair.i_ideal, bound + 1, pair._cache)
     orders = []
     for a in pair.j_gens:
         nu = 0
         for t in range(1, bound + 2):
             # the power's _gb_cache keeps each basis for the next generator
-            gb = groebner(powers[t], work_limit=work_limit)
+            gb = groebner(_pair_power(pair, t), work_limit=work_limit)
             if normal_form(a, gb, work_limit=work_limit).is_zero:
                 nu = t
             else:
@@ -428,7 +432,7 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
             rhs = _pair_lower(pair, t)
         else:
             rhs = Ideal(pair.ring, [a * g for a, nu in zip(pair.j_gens, orders)
-                                    for g in powers[max(t - nu, 0)].gens])
+                                    for g in _pair_power(pair, max(t - nu, 0)).gens])
         eq = ideal_equal(meet, rhs, work_limit=work_limit)
         rows.append((t, eq))
         passed = passed and eq

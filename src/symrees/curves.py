@@ -172,7 +172,7 @@ def _content_one_certified(F: Polynomial, ring: RingContext) -> bool:
         return True
     pidx = set(ring.block_indices("param"))
     coeffs: dict = {}
-    for m, c in F.terms.items():
+    for m in F.coeffs:
         geom_part = tuple(0 if i in pidx else e for i, e in enumerate(m))
         u_part = tuple(e if i in pidx else 0 for i, e in enumerate(m))
         coeffs.setdefault(geom_part, []).append(u_part)
@@ -247,7 +247,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     phi = syzygies(gens, work_limit=work_limit)
     gidx = set(ring.block_indices("geom"))
     if any(not any(m[i] for i in gidx)
-           for col in phi.columns() for p in col for m in p.terms):
+           for col in phi.columns() for p in col for m in p.coeffs):
         warnings.append("syzygy coordinate with a geometric-degree-0 term")
     script = entry_ideal(phi)
     script = Ideal(ring, list(dict.fromkeys(g for g in script.gens)))

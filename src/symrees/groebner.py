@@ -23,14 +23,14 @@ Inputs are checked when packed and every product the engine forms is checked
 against the guard bits; a field that reaches its guard bit raises RingError,
 so an overflow is never silent.
 
-Coefficients.  The hot path works on integer-primitive polynomials (dict
-packed monomial -> int, content 1) with fraction-free reduction: to cancel a
-term we cross-multiply by leading coefficients instead of dividing, tracking
-the accumulated multiplier, and convert back to exact rational results at the
-end.  Pair handling follows the classic GROEBNERNEWS2 layout with the
-Gebauer-Moeller criteria and the normal (minimal lcm) selection strategy,
-with deterministic tie-breaks so a basis is reproducible and unique for
-(ideal, order).
+Coefficients.  A Polynomial already holds content-1 ints plus one Fraction
+scale, so entering the engine only packs exponents and leaving it unpacks them
+under one scale per polynomial.  Reduction is fraction-free: to cancel a term
+we cross-multiply by leading coefficients instead of dividing, tracking the
+accumulated multiplier, which the result's scale absorbs.  Pair handling
+follows the classic GROEBNERNEWS2 layout with the Gebauer-Moeller criteria
+and the normal (minimal lcm) selection strategy, with deterministic
+tie-breaks so a basis is reproducible and unique for (ideal, order).
 
 Optionally every basis element tracks its representation in terms of the input
 generators; this feeds containment certificates and syzygy extraction.
@@ -45,7 +45,15 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .rings import GREVLEX, Ideal, MonomialOrder, Polynomial, RingContext, RingError
+from .rings import (
+    GREVLEX,
+    Ideal,
+    MonomialOrder,
+    Polynomial,
+    RingContext,
+    RingError,
+    int_content,
+)
 
 DEFAULT_WORK_LIMIT = 10 ** 6
 
@@ -130,15 +138,6 @@ def _top(words, guard: int) -> int:
     return t
 
 
-def _content(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g or 1
-
-
 def _dict_scale(d: dict, c: int):
     if c != 1:
         for k in d:
@@ -147,22 +146,13 @@ def _dict_scale(d: dict, c: int):
 
 def _to_engine(lay: _Layout, p: Polynomial) -> tuple:
     """(packed int dict, scale) with p == scale * dict and dict content-1."""
-    if p.is_zero:
-        return {}, Fraction(1)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
     pack = lay.pack
-    ints = {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    g = _content(ints.values())
-    if g > 1:
-        ints = {m: v // g for m, v in ints.items()}
-    return ints, Fraction(g, den)
+    return {pack(m): c for m, c in p.coeffs.items()}, p.scale
 
 
 def _from_engine(ring: RingContext, lay: _Layout, items, scale: Fraction) -> Polynomial:
     unpack = lay.unpack
-    return Polynomial(ring, {unpack(m): scale * v for m, v in items if v})
+    return Polynomial.from_ints(ring, {unpack(m): v for m, v in items if v}, scale)
 
 
 class _Budget:
@@ -312,7 +302,7 @@ def _strip(terms: dict, rep):
     if rep is not None:
         for d in rep.values():
             vals.extend(d.values())
-    g = _content(vals)
+    g = int_content(vals)
     if terms[max(terms)] < 0:
         g = -g
     if g != 1:
@@ -351,7 +341,8 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0] == self.ring.one
 
     def leading_monomials(self) -> list:
-        return [g.leading(self.order)[0] for g in self.elements]
+        key = self.order.key_func(self.ring.arity)
+        return [max(g.coeffs, key=key) for g in self.elements]
 
     def _engine_records(self, lay: _Layout) -> tuple:
         recs = self._records
@@ -569,7 +560,7 @@ def division(p: Polynomial, G: GroebnerBasis, *,
         d = quots.get(i)
         if d:
             # g == g_lc / rec.lc * (rec as an integer polynomial)
-            rec_scale = g.terms[lay.unpack(rec.lm)] / rec.lc
+            rec_scale = g.scale * g.coeffs[lay.unpack(rec.lm)] / rec.lc
             out.append(_from_engine(G.ring, lay, d.items(), scale / (mult * rec_scale)))
         else:
             out.append(G.ring.zero)

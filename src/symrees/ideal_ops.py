@@ -47,15 +47,27 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def ideal_power(I: Ideal, t: int) -> Ideal:
     if t < 0:
         raise RingError("negative ideal power")
-    # combinations_with_replacement keeps the generator count at C(n+t-1, t);
-    # each product is the left fold (((1*g_a)*g_b)*...), built from the one
-    # for the same combination without its last index
-    prods = {(): I.ring.one}
+    power = Ideal(I.ring, [I.ring.one])
     for level in range(1, t + 1):
-        prods = {combo: prods[combo[:-1]] * I.gens[combo[-1]]
-                 for combo in combinations_with_replacement(range(len(I.gens)),
-                                                            level)}
-    return Ideal(I.ring, list(prods.values()))
+        power = ideal_power_step(I, power, level)
+    return power
+
+
+def ideal_power_step(I: Ideal, prev: Ideal, t: int) -> Ideal:
+    """I^t from prev = ideal_power(I, t - 1), with ideal_power's generators.
+
+    combinations_with_replacement keeps the generator count at C(n+t-1, t);
+    each product is the left fold (((1*g_a)*g_b)*...), built from the one for
+    the same combination without its last index.  Products of the nonzero
+    generators of I are nonzero, so prev's generators line up with the
+    combinations of level t - 1.
+    """
+    if t < 1:
+        raise RingError("an ideal power step needs t >= 1")
+    idx = range(len(I.gens))
+    prods = dict(zip(combinations_with_replacement(idx, t - 1), prev.gens))
+    return Ideal(I.ring, [prods[combo[:-1]] * I.gens[combo[-1]]
+                          for combo in combinations_with_replacement(idx, t)])
 
 
 def _same_ring(I: Ideal, J: Ideal):
@@ -80,7 +92,7 @@ def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext,
     order = I.ring.elim_order_vars(gone)
     gb = buchberger(I, order, work_limit=work_limit)
     out = Ideal(target, [g.transport(target) for g in gb
-                         if not any(m[i] for m in g.terms for i in gone)])
+                         if not any(m[i] for m in g.coeffs for i in gone)])
     keep = [i for i in range(I.ring.arity) if i not in gone]
     if order.restrict(keep) == target.order:
         out._gb_cache[target.order] = GroebnerBasis(target, target.order,
@@ -96,10 +108,12 @@ def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
     ext, _ = I.ring.with_aux("_w")
     # w is the last variable of ext, so w*g and (1-w)*g only append its
     # exponent: 1 for w*g; 0, and 1 with the negated coefficient, for (1-w)*g
-    gens = [Polynomial(ext, {m + (1,): c for m, c in g.terms.items()})
+    gens = [Polynomial.from_ints(ext, {m + (1,): c for m, c in g.coeffs.items()},
+                                 g.scale)
             for g in I.gens]
-    gens += [Polynomial(ext, {**{m + (0,): c for m, c in g.terms.items()},
-                              **{m + (1,): -c for m, c in g.terms.items()}})
+    gens += [Polynomial.from_ints(ext, {**{m + (0,): c for m, c in g.coeffs.items()},
+                                        **{m + (1,): -c for m, c in g.coeffs.items()}},
+                                  g.scale)
              for g in J.gens]
     return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring, work_limit)
 

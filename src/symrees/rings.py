@@ -2,16 +2,20 @@
 
 Variables live in named blocks ("geom", "param", "fiber", "aux", ...) so that
 the same machinery serves plain polynomial rings k[x,y,z], parameter rings
-k[u][x,y,z] and fiber extensions R[T1..Tn].  Monomials are exponent tuples,
-polynomials are sparse exponent->Fraction maps, and everything is immutable
-after construction.
+k[u][x,y,z] and fiber extensions R[T1..Tn].  Monomials are exponent tuples.
+A polynomial is one Fraction scale times a sparse exponent->int map of content
+1 whose coefficient at the lexicographically largest exponent is positive (the
+Buchberger engine's coefficient form, so it crosses into the engine without
+conversion), and everything is immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Monom = tuple  # exponent tuple, length == ring arity
@@ -215,20 +219,19 @@ class RingContext:
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _make(self, {}, _ONE)
 
     @property
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.arity: Fraction(1)})
+        return _make(self, {(0,) * self.arity: 1}, _ONE)
 
     def constant(self, c: Coeff) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self, {} if c == 0 else {(0,) * self.arity: c})
+        return self.monomial((0,) * self.arity, c)
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         m = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Polynomial(self, {m: Fraction(1)})
+        return _make(self, {m: 1}, _ONE)
 
     def gens(self) -> list:
         return [self.var(n) for n in self.names]
@@ -238,7 +241,7 @@ class RingContext:
         if len(m) != self.arity or any(e < 0 for e in m):
             raise RingError("bad exponent vector")
         c = Fraction(coeff)
-        return Polynomial(self, {m: c} if c else {})
+        return _make(self, {m: 1}, c) if c else self.zero
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
@@ -343,43 +346,74 @@ class HomogeneityReport:
 
 
 class Polynomial:
-    """Sparse exact polynomial; terms maps exponent tuples to nonzero Fractions."""
+    """Sparse exact polynomial over Q, stored as one scale times an integer part.
 
-    __slots__ = ("ring", "terms", "_hash")
+    `coeffs` maps exponent tuples to nonzero ints whose gcd is 1, and `scale`
+    is a nonzero Fraction, so the polynomial is  scale * sum c_m x^m.  Normal
+    form: the int at the lexicographically largest exponent tuple is positive.
+    The rule does not depend on the ring's order, so each polynomial has one
+    (coeffs, scale) and equality and hashing are structural.  The zero
+    polynomial has empty coeffs and scale 1.  By Gauss's lemma a product of
+    two such integer parts is again one, so products need no gcd pass.
 
-    def __init__(self, ring: RingContext, terms: Mapping[Monom, Fraction]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", dict(terms))
-        object.__setattr__(self, "_hash", None)
+    `Polynomial(ring, terms)` takes a monomial -> int/Fraction mapping; the
+    `terms` view maps monomials to Fraction coefficients, in the insertion
+    order of `coeffs`, and is built on first read.
+    """
+
+    __slots__ = ("ring", "coeffs", "scale", "_terms", "_hash")
+
+    def __init__(self, ring: RingContext, terms: Mapping[Monom, Coeff]):
+        den = 1
+        for c in terms.values():
+            den = lcm(den, c.denominator)
+        ints = {m: c.numerator * (den // c.denominator)
+                for m, c in terms.items() if c}
+        _init(self, ring, *_normalize(ints, Fraction(1, den)))
+
+    @classmethod
+    def from_ints(cls, ring: RingContext, ints: dict, scale: Fraction) -> "Polynomial":
+        """scale * ints, for a dict of nonzero ints that the result takes over."""
+        return _make(ring, *_normalize(ints, scale))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> Mapping[Monom, Fraction]:
+        """Read-only monomial -> Fraction view, built on first read."""
+        t = self._terms
+        if t is None:
+            s = self.scale
+            t = MappingProxyType({m: s * c for m, c in self.coeffs.items()})
+            _set_terms(self, t)
+        return t
+
     # -- basic protocol -------------------------------------------------------
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.ring.names, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.ring.names, self.scale, frozenset(self.coeffs.items())))
+            _set_hash(self, h)
         return h
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.scale == other.scale and self.coeffs == other.coeffs)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError("ring mismatch")
             return other
         if isinstance(other, (int, Fraction)):
@@ -388,52 +422,82 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over one common scale."""
+        b = other.coeffs
+        if not b:
+            return self
+        sb = other.scale if sign > 0 else -other.scale
+        a = self.coeffs
+        if not a:
+            return _make(self.ring, b, sb)
+        sa = self.scale
+        if sa == sb:
+            ka = kb = 1
+            scale = sa
+        else:
+            # scale = gcd(sa, sb) as rationals, so ka and kb are ints
+            n = gcd(sa.numerator, sb.numerator)
+            d = lcm(sa.denominator, sb.denominator)
+            ka = sa.numerator // n * (d // sa.denominator)
+            kb = sb.numerator // n * (d // sb.denominator)
+            scale = Fraction(n, d)
+        out = dict(a) if ka == 1 else {m: ka * c for m, c in a.items()}
+        get = out.get
+        for m, c in b.items():
+            s = get(m, 0) + kb * c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return _make(self.ring, *_normalize(out, scale))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        if not self.coeffs:
+            return self
+        return _make(self.ring, self.coeffs, -self.scale)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if not other or not self.coeffs:
                 return self.ring.zero
-            q = Fraction(other)
-            return Polynomial(self.ring, {m: c * q for m, c in self.terms.items()})
+            return _make(self.ring, self.coeffs, self.scale * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self.ring.zero
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
+        get = out.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                s = get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return Polynomial(self.ring, out)
+        # primitive times primitive is primitive (Gauss), and the lex-largest
+        # term of a product is the product of the lex-largest terms
+        return _make(self.ring, out, self.scale * other.scale)
 
     __rmul__ = __mul__
 
@@ -453,59 +517,54 @@ class Polynomial:
 
     def degree(self, block: str | None = None) -> int | None:
         """Total degree (in a block if given); None for the zero polynomial."""
-        if not self.terms:
+        if not self.coeffs:
             return None
         if block is None:
-            return max(sum(m) for m in self.terms)
+            return max(sum(m) for m in self.coeffs)
         idxs = self.ring.block_indices(block)
-        return max(sum(m[i] for i in idxs) for m in self.terms)
+        return max(sum(m[i] for i in idxs) for m in self.coeffs)
 
     def is_homogeneous(self, block: str | None = None) -> HomogeneityReport:
-        if not self.terms:
+        if not self.coeffs:
             return HomogeneityReport(False, None, is_zero=True)
         if block is None:
-            degs = {sum(m) for m in self.terms}
+            degs = {sum(m) for m in self.coeffs}
         else:
             idxs = self.ring.block_indices(block)
-            degs = {sum(m[i] for i in idxs) for m in self.terms}
+            degs = {sum(m[i] for i in idxs) for m in self.coeffs}
         if len(degs) == 1:
             return HomogeneityReport(True, degs.pop())
         return HomogeneityReport(False, None)
 
     def leading(self, order: MonomialOrder | None = None):
         """(monomial, coefficient) maximal for the order (default: ring order)."""
-        if not self.terms:
+        if not self.coeffs:
             raise RingError("zero polynomial has no leading term")
         key = (order or self.ring.order).key_func(self.ring.arity)
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
+        m = max(self.coeffs, key=key)
+        return m, self.scale * self.coeffs[m]
 
     def coefficient(self, m: Monom) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+        c = self.coeffs.get(tuple(m))
+        return self.scale * c if c else Fraction(0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.arity, Fraction(0))
+        return self.coefficient((0,) * self.ring.arity)
 
     def content(self) -> Fraction:
         """gcd of coefficients, signed so self/content has positive leading coeff."""
-        if not self.terms:
+        if not self.coeffs:
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        cont = Fraction(num, den)
         _, lc = self.leading()
-        return -cont if lc < 0 else cont
+        return -abs(self.scale) if lc < 0 else abs(self.scale)
 
     def primitive(self) -> "Polynomial":
-        if not self.terms:
+        if not self.coeffs:
             return self
         return self * (1 / self.content())
 
     def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
-        if not self.terms:
+        if not self.coeffs:
             return self
         _, lc = self.leading(order)
         return self * (1 / lc)
@@ -514,17 +573,9 @@ class Polynomial:
 
     def derivative(self, var: str) -> "Polynomial":
         i = self.ring.index(var)
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                m2 = m[:i] + (e - 1,) + m[i + 1:]
-                s = out.get(m2, 0) + c * e
-                if s:
-                    out[m2] = s
-                else:
-                    del out[m2]
-        return Polynomial(self.ring, out)
+        out = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+               for m, c in self.coeffs.items() if m[i]}
+        return _make(self.ring, *_normalize(out, self.scale))
 
     def evaluate_block(self, block: str, values: Sequence[Coeff]) -> "Polynomial":
         """Substitute rationals for a block's variables; lands in the subring."""
@@ -558,8 +609,9 @@ class Polynomial:
         mapping = []
         for i, n in enumerate(self.ring.names):
             mapping.append(target.names.index(n) if n in target.names else None)
+        # names are distinct, so distinct monomials keep distinct images
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.coeffs.items():
             m2 = [0] * target.arity
             for i, e in enumerate(m):
                 if not e:
@@ -569,13 +621,8 @@ class Polynomial:
                     raise RingError(
                         f"variable {self.ring.names[i]!r} has no image in target ring")
                 m2[j] = e
-            key = tuple(m2)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Polynomial(target, out)
+            out[tuple(m2)] = c
+        return _make(target, *_normalize(out, self.scale))
 
     # -- printing ---------------------------------------------------------------
 
@@ -588,6 +635,52 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{poly_str(self)}>"
+
+
+_ONE = Fraction(1)
+_new = object.__new__
+_set_ring = Polynomial.ring.__set__
+_set_coeffs = Polynomial.coeffs.__set__
+_set_scale = Polynomial.scale.__set__
+_set_terms = Polynomial._terms.__set__
+_set_hash = Polynomial._hash.__set__
+
+
+def int_content(values) -> int:
+    """gcd of the ints in `values`, 1 when there are none."""
+    g = 0
+    for v in values:
+        g = gcd(g, v)
+        if g == 1:
+            return 1
+    return g or 1
+
+
+def _normalize(ints: dict, scale: Fraction) -> tuple:
+    """(coeffs, scale) in normal form for the polynomial scale * ints."""
+    if not ints:
+        return ints, _ONE
+    g = int_content(ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+        scale = scale * g
+    return ints, scale
+
+
+def _init(p: Polynomial, ring: RingContext, coeffs: dict, scale: Fraction) -> Polynomial:
+    _set_ring(p, ring)
+    _set_coeffs(p, coeffs)
+    _set_scale(p, scale)
+    _set_terms(p, None)
+    _set_hash(p, None)
+    return p
+
+
+def _make(ring: RingContext, coeffs: dict, scale: Fraction) -> Polynomial:
+    """A Polynomial from (coeffs, scale) already in normal form."""
+    return _init(_new(Polynomial), ring, coeffs, scale)
 
 
 def poly_str(p: Polynomial) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import add, le
 from typing import Sequence
 
@@ -122,13 +123,16 @@ def entry_ideal(M: PolyMatrix) -> Ideal:
 
 
 def _normalize_column(col):
-    """Divide a column by the gcd-content of all its coefficients."""
-    from math import gcd
+    """Divide a column by the gcd-content of all its coefficients.
+
+    Each entry's integer part has content 1, so that gcd is the gcd of the
+    entries' scales.
+    """
     num, den = 0, 1
     for p in col:
-        for c in p.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
+        if p.coeffs:
+            num = gcd(num, p.scale.numerator)
+            den = lcm(den, p.scale.denominator)
     if num == 0:
         return list(col)
     cont = Fraction(num, den)
@@ -233,22 +237,31 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
 def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:
     """sum gens[i] * col[i]; zero exactly when col is a syzygy.
 
-    The products are summed into one terms dict, and a pair with a zero
-    factor is skipped: most division quotients in `syzygies` are zero.
+    The integer parts of the products are summed into one dict over the
+    common denominator of their scales, and a pair with a zero factor is
+    skipped: most division quotients in `syzygies` are zero.
     """
     ring = gens[0].ring
-    out: dict = {}
+    live = []
+    den = 1
     for g, c in zip(gens, col):
         if g.ring != ring or c.ring != ring:
             raise RingError("ring mismatch")
-        if not g.terms or not c.terms:
-            continue
-        for m1, c1 in g.terms.items():
-            for m2, c2 in c.terms.items():
+        if g.coeffs and c.coeffs:
+            scale = g.scale * c.scale
+            den = lcm(den, scale.denominator)
+            live.append((g.coeffs, c.coeffs, scale))
+    out: dict = {}
+    get = out.get
+    for a, b, scale in live:
+        k = scale.numerator * (den // scale.denominator)
+        for m1, c1 in a.items():
+            kc1 = k * c1
+            for m2, c2 in b.items():
                 m = tuple(map(add, m1, m2))
-                s = out.get(m, 0) + c1 * c2
+                s = get(m, 0) + kc1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-    return Polynomial(ring, out)
+    return Polynomial.from_ints(ring, out, Fraction(1, den))

@@ -1,6 +1,8 @@
-"""Hypothesis strategies for small random ideals in Q[x, y, z] (grevlex)."""
+"""Hypothesis strategies for small random polynomials and ideals in Q[x, y, z]."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -8,11 +10,17 @@ from symrees import make_ring
 
 R3 = make_ring(["x", "y", "z"])
 
+monomials = st.tuples(*[st.integers(0, 2)] * 3)
+
 # one polynomial: up to three terms with small coefficients and exponents
-terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool),
-                           st.tuples(*[st.integers(0, 2)] * 3)),
+terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool), monomials),
                  min_size=1, max_size=3)
 ideals = st.lists(terms, min_size=1, max_size=3)
+
+# one rational polynomial as (monomial, Fraction) pairs; repeated monomials
+# add up, and may cancel to zero
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+rational_terms = st.lists(st.tuples(monomials, rationals), max_size=4)
 
 
 def build(gens_terms) -> list:
@@ -23,3 +31,11 @@ def build(gens_terms) -> list:
             p = p + R3.monomial(m, c)
         gens.append(p)
     return gens
+
+
+def fraction_terms(pairs) -> dict:
+    """Sum (monomial, Fraction) pairs into a monomial -> nonzero Fraction dict."""
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}

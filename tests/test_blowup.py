@@ -393,9 +393,38 @@ def test_standard_base_reads_only_the_powers_it_needs():
     pair = four_points_pair()
     report = standard_base_check(pair, 4)
     assert report.orders == (1, 1)
-    # the orders loop stops at I^(nu+1); the meets never need a power's basis
-    based = [t for t in range(6) if pair._cache[("power", t)]._gb_cache]
-    assert based == [1, 2]
+    # the orders loop stops at I^(nu+1); the meets never need a power's basis,
+    # and no step reads I^(bound+1), so it is never built
+    powers = {key[1]: ideal for key, ideal in pair._cache.items()
+              if key[0] == "power"}
+    assert sorted(powers) == [0, 1, 2, 3, 4]
+    assert [t for t, power in sorted(powers.items()) if power._gb_cache] == [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
+def test_powers_built_level_by_level_once_per_pair(name, monkeypatch):
+    from symrees import blowup
+    from symrees.ideal_ops import ideal_power
+    real = blowup.ideal_power_step
+    formed = []
+
+    def counting(I, prev, t):
+        formed.append(t)
+        return real(I, prev, t)
+
+    monkeypatch.setattr(blowup, "ideal_power_step", counting)
+    pair = pair_by_name(name)
+    vv_pieces(pair, 4)
+    artin_rees_number(pair, 4)
+    standard_base_check(pair, 4)
+    # each level once, from the one below; every I-order is 1, so the orders
+    # loop stops at I^2 and nothing reads I^5
+    assert sorted(formed) == [1, 2, 3, 4]
+    for t in range(5):
+        got = pair._cache[("power", t)].gens
+        want = ideal_power(pair.i_ideal, t).gens
+        assert got == want
+        assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from symrees.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
+    "accept": ["accept"],
+    "fixtures_run_all": ["fixtures", "run", "--all"],
     "ideal_intersect": ["ideal", "intersect", "ij.txt"],
     "ideal_quotient": ["ideal", "quotient", "colon.txt"],
     "ideal_saturate": ["ideal", "saturate", "colon.txt"],
