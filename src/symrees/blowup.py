@@ -13,17 +13,22 @@ form a~ = sum c_j T_j lets the three algebras live in one ring:
     rees  = kernel of T_i -> b_i u          -- Rees_R(I)
     aluffi = rees + (J, J~)                 -- the embedded Aluffi algebra
 
-Caching.  A PairInput keeps in `pair._cache` what its invariants share: the
-powers I^t under ("power", t), each built from I^(t-1) when first read, the
-meets J cap I^t under ("meet", t) (read by the torsion pieces, the Artin-Rees
-number and the standard-base check), the products J * I^(t-1) under
-("lower", t) (read by the torsion pieces as the lower filtration ideal, by the
-Artin-Rees number as (J cap I) * I^(t-1) for k = 1, since J <= I, and by the
-standard-base check when every I-order is 1), the Rees and relative Rees
-ideals under "rees" and "relrees", the syzygy matrix under "syz" and its fiber
-forms under "symforms".  Since the ideals are shared, so are their Groebner
-caches: each basis is computed once per pair.  Each cached value is computed
-under the `work_limit` of its first caller.
+Caching.  The Rees ideal depends on I alone, so it lives on the Ideal object:
+`rees_ideal` stores it in `I._derived["rees"]`, next to I's Groebner cache,
+and every caller holding that object (the presentation, the linear-type test,
+the relation type, the analytic spread) shares one elimination.  A PairInput
+builds its `i_ideal` and `j_ideal` once, so each pair has one I object and one
+J object.  A fresh Ideal with equal generators pays for its own kernel.
+What depends on J as well stays in `pair._cache`: the powers I^t under
+("power", t), each built from I^(t-1) when first read, the meets J cap I^t
+under ("meet", t) (read by the torsion pieces, the Artin-Rees number and the
+standard-base check), the products J * I^(t-1) under ("lower", t) (read by the
+torsion pieces as the lower filtration ideal, by the Artin-Rees number as
+(J cap I) * I^(t-1) for k = 1, since J <= I, and by the standard-base check
+when every I-order is 1), the relative Rees ideal under "relrees", the syzygy
+matrix under "syz" and its fiber forms under "symforms".  Since the ideals are
+shared, so are their Groebner caches: each basis is computed once per pair.
+Each cached value is computed under the `work_limit` of its first caller.
 """
 
 from __future__ import annotations
@@ -86,7 +91,11 @@ def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial], *
 
 @dataclass(frozen=True)
 class PairInput:
-    """A pair J <= I with explicit containment certificates for J's generators."""
+    """A pair J <= I with explicit containment certificates for J's generators.
+
+    `i_ideal` and `j_ideal` are built once, with the pair, so the caches they
+    carry are shared by every invariant of the pair.
+    """
 
     ring: RingContext
     i_gens: tuple
@@ -95,14 +104,12 @@ class PairInput:
     fiber_ring: RingContext = field(compare=False)
     fiber_names: tuple = field(compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    i_ideal: Ideal = field(init=False, compare=False, repr=False)
+    j_ideal: Ideal = field(init=False, compare=False, repr=False)
 
-    @property
-    def i_ideal(self) -> Ideal:
-        return Ideal(self.ring, self.i_gens)
-
-    @property
-    def j_ideal(self) -> Ideal:
-        return Ideal(self.ring, self.j_gens)
+    def __post_init__(self):
+        object.__setattr__(self, "i_ideal", Ideal(self.ring, self.i_gens))
+        object.__setattr__(self, "j_ideal", Ideal(self.ring, self.j_gens))
 
 
 def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
@@ -114,6 +121,9 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
     j_gens = tuple(j_gens)
     if not i_gens or all(g.is_zero for g in i_gens):
         raise RingError("I must be nonzero")
+    if any(g.is_zero for g in i_gens):
+        # `i_ideal` drops zeros, and its Rees ideal must live on fiber_ring
+        raise RingError("the generators of I must be nonzero")
     if certificates is None:
         certificates = tuple(tuple(row) for row in solve_certificates(
             j_gens, i_gens, work_limit=work_limit))
@@ -126,9 +136,14 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
             raise CertificateError("certificate arity mismatch")
         if apply_row(i_gens, row) != a:
             raise CertificateError(f"certificate does not reproduce {a}")
-    fiber_names = tuple(_fiber_names(ring, len(i_gens)))
-    fiber_ring = ring.extend(fiber_names, "fiber")
+    fiber_ring, fiber_names = _fiber(ring, len(i_gens))
     return PairInput(ring, i_gens, j_gens, certificates, fiber_ring, fiber_names)
+
+
+def _fiber(ring: RingContext, n: int) -> tuple:
+    """(R[T_1..T_n], the names T_i): the fiber ring of n generators."""
+    names = tuple(_fiber_names(ring, n))
+    return ring.extend(names, "fiber"), names
 
 
 def _fiber_names(ring: RingContext, n: int) -> list:
@@ -142,33 +157,34 @@ def _fiber_names(ring: RingContext, n: int) -> list:
     return out
 
 
-def pair_for_ideal(I: Ideal) -> PairInput:
-    """Degenerate pair J = 0 <= I, for the operations that ignore J."""
-    return make_pair(I.ring, list(I.gens), [])
-
-
 # ---------------------------------------------------------------------------
 # the three presentation ideals
 
 
-def _rees_kernel(pair: PairInput, cache_key: str, j_gens: Sequence[Polynomial],
-                 work_limit: int | None) -> Ideal:
-    """(j_gens, T_i - b_i*u) ∩ R[T], by eliminating u; cached under `cache_key`."""
-    if cache_key not in pair._cache:
-        ext = pair.fiber_ring
-        ext2, u = ext.with_aux("_u")
-        gens = [a.transport(ext2) for a in j_gens]
-        gens += [ext2.var(t) - b.transport(ext2) * u
-                 for t, b in zip(pair.fiber_names, pair.i_gens)]
-        elim = eliminate_vars(Ideal(ext2, gens), [ext2.names[-1]],
-                              work_limit=work_limit)
-        pair._cache[cache_key] = elim.transport(ext)
-    return pair._cache[cache_key]
+def _rees_kernel(ring: RingContext, i_gens: Sequence[Polynomial],
+                 j_gens: Sequence[Polynomial], work_limit: int | None) -> Ideal:
+    """(j_gens, T_i - b_i*u) ∩ R[T], by eliminating u."""
+    ext, names = _fiber(ring, len(i_gens))
+    ext2, u = ext.with_aux("_u")
+    gens = [a.transport(ext2) for a in j_gens]
+    gens += [ext2.var(t) - b.transport(ext2) * u for t, b in zip(names, i_gens)]
+    elim = eliminate_vars(Ideal(ext2, gens), [ext2.names[-1]],
+                          work_limit=work_limit)
+    return elim.transport(ext)
 
 
-def rees_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
-    """Kernel of R[T] -> R[I*u], T_i -> b_i*u, by eliminating u."""
-    return _rees_kernel(pair, "rees", (), work_limit)
+def rees_ideal(source, *, work_limit: int | None = None) -> Ideal:
+    """Kernel of R[T] -> R[I*u], T_i -> b_i*u, by eliminating u.
+
+    `source` is an Ideal I or a PairInput, whose `i_ideal` is read.  The
+    kernel is computed once per Ideal object and kept in `I._derived["rees"]`.
+    """
+    I = source.i_ideal if isinstance(source, PairInput) else source
+    if I.is_zero:
+        raise RingError("I must be nonzero")
+    if "rees" not in I._derived:
+        I._derived["rees"] = _rees_kernel(I.ring, I.gens, (), work_limit)
+    return I._derived["rees"]
 
 
 def pair_syzygies(pair: PairInput, *, work_limit: int | None = None) -> PolyMatrix:
@@ -231,7 +247,10 @@ def aluffi_presentation(pair: PairInput, *,
 
 def relative_rees_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
     """Presentation on R[T] of the Rees algebra of (I/J) over R/J."""
-    return _rees_kernel(pair, "relrees", pair.j_gens, work_limit)
+    if "relrees" not in pair._cache:
+        pair._cache["relrees"] = _rees_kernel(pair.ring, pair.i_gens,
+                                              pair.j_gens, work_limit)
+    return pair._cache["relrees"]
 
 
 def is_linear_type(pair: PairInput, *, work_limit: int | None = None) -> bool:
@@ -304,25 +323,30 @@ def _pair_lower(pair: PairInput, t: int) -> Ideal:
     return pair._cache[("lower", t)]
 
 
-def _graded_dim(gb: GroebnerBasis, d: int) -> int:
-    """dim_Q K_d for a homogeneous ideal K with reduced basis `gb`.
+def _graded_dims(gb: GroebnerBasis, cap: int) -> list:
+    """[dim_Q K_d for 0 <= d <= cap] for a homogeneous ideal K with reduced basis `gb`.
 
     K and in(K) have the same Hilbert function under any monomial order
-    (Macaulay), so this counts the degree-d monomials of in(K): the union of
-    lm * (monomials of degree d - deg lm) over the leading monomials.
+    (Macaulay), so each entry counts the degree-d monomials of in(K): the
+    union of lm * (monomials of degree d - deg lm) over the leading monomials,
+    which are read once.
     """
     n = gb.ring.arity
-    found = set()
-    for lm in gb.leading_monomials():
-        e = d - sum(lm)
-        if e < 0:
-            continue
-        for combo in combinations_with_replacement(range(n), e):
-            m = list(lm)
-            for i in combo:
-                m[i] += 1
-            found.add(tuple(m))
-    return len(found)
+    lms = gb.leading_monomials()
+    dims = []
+    for d in range(cap + 1):
+        found = set()
+        for lm in lms:
+            e = d - sum(lm)
+            if e < 0:
+                continue
+            for combo in combinations_with_replacement(range(n), e):
+                m = list(lm)
+                for i in combo:
+                    m[i] += 1
+                found.add(tuple(m))
+        dims.append(len(found))
+    return dims
 
 
 def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
@@ -351,12 +375,9 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
         dims = ()
         if homog and internal_cap is not None:
             gb_meet = groebner(meet, work_limit=work_limit)
-            rows = []
-            for d in range(0, internal_cap + 1):
-                extra = _graded_dim(gb_meet, d) - _graded_dim(gb_lower, d)
-                if extra:
-                    rows.append((d, extra))
-            dims = tuple(rows)
+            dims = tuple((d, a - b) for d, (a, b) in enumerate(zip(
+                _graded_dims(gb_meet, internal_cap),
+                _graded_dims(gb_lower, internal_cap))) if a != b)
         annos = []
         for w in witnesses:
             found = None
@@ -445,9 +466,11 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
 
 def relation_type(source, bound: int = 10, *,
                   work_limit: int | None = None) -> int | None:
-    """Largest fiber degree among minimal homogeneous Rees-ideal generators."""
-    pair = source if isinstance(source, PairInput) else pair_for_ideal(source)
-    rees = rees_ideal(pair, work_limit=work_limit)
+    """Largest fiber degree among minimal homogeneous Rees-ideal generators.
+
+    `source` is an Ideal or a PairInput, read as in `rees_ideal`.
+    """
+    rees = rees_ideal(source, work_limit=work_limit)
     if rees.is_zero:
         return 0
     mingens = minimal_homogeneous_generators(rees, "fiber",
@@ -456,18 +479,34 @@ def relation_type(source, bound: int = 10, *,
     return rt if rt <= bound else None
 
 
+def special_fiber(I: Ideal, *, work_limit: int | None = None) -> Ideal:
+    """The special fiber ideal (K + (x)) ∩ k[T] of I's Rees ideal K, in k[T].
+
+    Read by substitution, with no elimination: f in (K + (x)) ∩ k[T] equals
+    f|x=0, which lies in K|x=0; and g|x=0 = g - (g - g|x=0) lies in K + (x).
+    So the ideal is K|x=0, generated by the images of K's generators with the
+    base variables set to 0.  K is the Ideal's cached `rees_ideal`.
+    """
+    rees = rees_ideal(I, work_limit=work_limit)
+    n = I.ring.arity
+    fiber = rees.ring.subring(range(n, rees.ring.arity))
+    return Ideal(fiber, [Polynomial.from_ints(
+        fiber, {m[n:]: c for m, c in g.coeffs.items() if not any(m[:n])},
+        g.scale) for g in rees.gens])
+
+
 def analytic_spread(I: Ideal, *, work_limit: int | None = None) -> int:
-    """dim of the special fiber Rees(I)/(variables)Rees(I)."""
+    """dim of the special fiber Rees(I)/(variables)Rees(I).
+
+    That ring is k[T]/F with F = (K + (x)) ∩ k[T] = K|x=0 for the Rees ideal
+    K (see `special_fiber`), so a call on an Ideal whose Rees ideal is cached
+    runs no elimination.
+    """
     for g in I.gens:
         if g.constant_term() != 0:
             raise RingError("analytic spread needs I inside the irrelevant ideal")
-    pair = pair_for_ideal(I)
-    rees = rees_ideal(pair, work_limit=work_limit)
-    base_names = list(I.ring.names)
-    ext = pair.fiber_ring
-    gens = list(rees.gens) + [ext.var(n) for n in base_names]
-    fiber = eliminate_vars(Ideal(ext, gens), base_names, work_limit=work_limit)
-    return dimension(fiber, work_limit=work_limit).dim
+    return dimension(special_fiber(I, work_limit=work_limit),
+                     work_limit=work_limit).dim
 
 
 def aluffi_dimension(pres: AluffiPresentation, *,

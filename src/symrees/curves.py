@@ -86,6 +86,8 @@ class Certificate:
     threshold: int | None
     codim_entry_ideal: int | None
     syzygy_matrix: PolyMatrix | None
+    # the entries of syzygy_matrix as an Ideal, with the basis its height used
+    entry_ideal: Ideal | None = field(default=None, compare=False, repr=False)
 
 
 def linear_type_certificate(gp: GradientPair, *,
@@ -121,7 +123,7 @@ def linear_type_certificate(gp: GradientPair, *,
         verdict, reason = Verdict.NOT_LINEAR_TYPE, "entry ideal below the critical height"
     codim_script = None if srep.empty else srep.codim
     return Certificate(verdict, reason, rep.codim, rep.dim, threshold,
-                       codim_script, phi)
+                       codim_script, phi, script)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +313,8 @@ def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,
                                    for g in family_entry_ideal.gens])
         erep = dimension(evaluated, work_limit=work_limit)
         eval_codim = None if erep.empty else erep.codim
-        if cert.syzygy_matrix is not None:
-            member_entry = entry_ideal(cert.syzygy_matrix)
+        if cert.entry_ideal is not None:
+            member_entry = cert.entry_ideal
             inside = ideal_contains(member_entry, evaluated, work_limit=work_limit)
             if not inside:
                 strict = None  # containment unexpectedly fails; surfaced via codims

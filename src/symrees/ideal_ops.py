@@ -273,17 +273,18 @@ def minimal_homogeneous_generators(I: Ideal, block: str | None = None, *,
     """Minimal homogeneous generating set as (polynomial, degree), degrees ascending.
 
     Built degree by degree: a candidate is kept iff it is not in the ideal
-    generated by everything kept so far.
+    generated by everything kept so far.  That ideal is rebuilt only when a
+    candidate is kept, so its Groebner basis serves every candidate between.
     """
     if I.is_zero:
         return []
     graded = sorted(((block_degree(g, block), g) for g in I.gens),
                     key=lambda dg: dg[0])
     kept: list = []
+    span = None              # the ideal of `kept`
     for d, g in graded:
-        if kept:
-            if ideal_member(g, Ideal(I.ring, [p for _, p in kept]),
-                            work_limit=work_limit):
-                continue
+        if span is not None and ideal_member(g, span, work_limit=work_limit):
+            continue
         kept.append((d, g))
+        span = Ideal(I.ring, [p for _, p in kept])
     return [(g, d) for d, g in kept]

@@ -713,9 +713,15 @@ def poly_str(p: Polynomial) -> str:
 
 
 class Ideal:
-    """A finite generator list in a ring context; zero generators discarded."""
+    """A finite generator list in a ring context; zero generators discarded.
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    Each object carries two caches that are filled on first use and never
+    invalidated (an Ideal is immutable): `_gb_cache` maps a monomial order to
+    the reduced Groebner basis, and `_derived` maps a name to an ideal derived
+    from this one alone, such as the Rees ideal under "rees".
+    """
+
+    __slots__ = ("ring", "gens", "_gb_cache", "_derived")
 
     def __init__(self, ring: RingContext, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if g and not g.is_zero)
@@ -725,6 +731,7 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "_gb_cache", {})
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from symrees.groebner import set_default_work_limit
@@ -7,3 +9,22 @@ from symrees.groebner import set_default_work_limit
 def _reset_work_limit():
     yield
     set_default_work_limit(None)
+
+
+@pytest.fixture
+def engine_inputs(monkeypatch):
+    """The input of every Buchberger run, as (generators, order, tracked).
+
+    Every basis the engine computes, tracked or not, goes through
+    `_run_buchberger`, so the list holds one entry per run, in call order.
+    """
+    engine = sys.modules["symrees.groebner"]
+    real = engine._run_buchberger
+    runs = []
+
+    def recording(gens, ring, order, work_limit, track):
+        runs.append((tuple(gens), order, track))
+        return real(gens, ring, order, work_limit, track)
+
+    monkeypatch.setattr(engine, "_run_buchberger", recording)
+    return runs

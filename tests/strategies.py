@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -16,6 +17,19 @@ monomials = st.tuples(*[st.integers(0, 2)] * 3)
 terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool), monomials),
                  min_size=1, max_size=3)
 ideals = st.lists(terms, min_size=1, max_size=3)
+
+
+def _form_terms(degree: int):
+    """Up to three terms of one degree, in the format of `terms`."""
+    mons = [m for m in product(range(degree + 1), repeat=3) if sum(m) == degree]
+    return st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.sampled_from(mons)),
+                    min_size=1, max_size=3)
+
+
+# homogeneous generators of degree 1 or 2, not necessarily all of one degree;
+# repeated monomials may cancel a generator to zero
+homogeneous_ideals = st.lists(st.integers(1, 2).flatmap(_form_terms),
+                              min_size=1, max_size=3)
 
 # one rational polynomial as (monomial, Fraction) pairs; repeated monomials
 # add up, and may cancel to zero

@@ -13,7 +13,6 @@ from symrees.blowup import (
     artin_rees_number,
     is_linear_type,
     make_pair,
-    pair_for_ideal,
     rees_ideal,
     relation_type,
     relative_rees_ideal,
@@ -73,7 +72,7 @@ def test_euler_certificate_for_gradient_pair():
 
 
 def test_rees_ideal_koszul():
-    pair = pair_for_ideal(Ideal(R2, [XX, YY]))
+    pair = make_pair(R2, [XX, YY], [])
     rees = rees_ideal(pair)
     ext = pair.fiber_ring
     want = Ideal(ext, [ext.parse("x*T2 - y*T1")])
@@ -82,19 +81,19 @@ def test_rees_ideal_koszul():
 
 def test_rees_ideal_is_relative_rees_with_empty_j():
     for gens in ([XX, YY], [XX * XX, XX * YY, YY * YY]):
-        pair = pair_for_ideal(Ideal(R2, gens))
+        pair = make_pair(R2, gens, [])
         assert relative_rees_ideal(pair) == rees_ideal(pair)
 
 
 def test_sym_forms_subset_of_rees():
-    pair = pair_for_ideal(Ideal(R2, [XX * XX, XX * YY, YY * YY]))
+    pair = make_pair(R2, [XX * XX, XX * YY, YY * YY], [])
     rees = rees_ideal(pair)
     for form in sym_forms(pair):
         assert ideal_member(form, rees)
 
 
 def test_sym_equals_rees_for_regular_sequence():
-    pair = pair_for_ideal(Ideal(R2, [XX, YY]))
+    pair = make_pair(R2, [XX, YY], [])
     assert ideal_equal(sym_ideal(pair), rees_ideal(pair))
     assert is_linear_type(pair)
 
@@ -230,6 +229,23 @@ def test_vv_bound_validation():
         vv_pieces(four_points_pair(), 1)
 
 
+def test_vv_reads_lead_monomials_once_per_basis(monkeypatch):
+    from symrees.groebner import GroebnerBasis
+    real = GroebnerBasis.leading_monomials
+    read = []
+
+    def counting(gb):
+        read.append(gb)
+        return real(gb)
+
+    monkeypatch.setattr(GroebnerBasis, "leading_monomials", counting)
+    report = vv_pieces(four_points_pair(), 4)
+    monkeypatch.undo()
+    # the meet's and the lower ideal's basis, once each for t = 2, 3, 4
+    assert len(read) == 2 * 3
+    assert report == vv_pieces(four_points_pair(), 4)
+
+
 # ---------------------------------------------------------------------------
 # Artin-Rees, standard bases, relation type
 
@@ -271,7 +287,7 @@ def test_relation_type_examples():
     assert relation_type(quartic_pair()) == 1
     # (x^2, xy, y^2): the Veronese relation is a minimal quadratic generator,
     # so the relation type is 2 (mu = 3 > dim forbids linear type)
-    veronese = pair_for_ideal(Ideal(R2, [XX * XX, XX * YY, YY * YY]))
+    veronese = make_pair(R2, [XX * XX, XX * YY, YY * YY], [])
     rees = rees_ideal(veronese)
     ext = veronese.fiber_ring
     q = ext.parse("T1*T3 - T2^2")

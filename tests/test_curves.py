@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from symrees import Ideal, RingError, ideal_member, make_ring
+from symrees import Ideal, RingError, groebner, ideal_member, make_ring
 from symrees.blowup import aluffi_presentation, is_linear_type, pair_syzygies
 from symrees.curves import (
     Verdict,
@@ -259,3 +259,18 @@ def test_pair_syzygies_computed_once_per_pair(monkeypatch):
     aluffi_presentation(gp.pair)
     assert calls == [3]
     assert cert.syzygy_matrix is pair_syzygies(gp.pair)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.key)
+def test_evaluate_member_repeats_no_engine_input(fam, engine_inputs):
+    # the member's entry ideal comes with its certificate, so the containment
+    # tests reuse the basis its height was read from
+    F = fam.family()
+    report = analyze_family(F, avoid=fam.constraint_polys())
+    # the family entry ideal as analyze_family passes it: its reduced basis
+    family_entry = Ideal(F.ring, groebner(report.entry_ideal).elements)
+    engine_inputs.clear()
+    member = evaluate_member(F, report.member.alpha,
+                             family_entry_ideal=family_entry)
+    assert engine_inputs and len(engine_inputs) == len(set(engine_inputs))
+    assert member == report.member

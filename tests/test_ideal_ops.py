@@ -156,8 +156,8 @@ def test_minimal_homogeneous_generators():
 
 def test_rees_of_regular_pair_has_single_linear_generator():
     ring = make_ring(["x", "y"])
-    from symrees.blowup import pair_for_ideal, rees_ideal
-    pair = pair_for_ideal(Ideal(ring, list(ring.gens())))
+    from symrees.blowup import make_pair, rees_ideal
+    pair = make_pair(ring, ring.gens(), [])
     rees = rees_ideal(pair)
     out = minimal_homogeneous_generators(rees, "fiber")
     assert len(out) == 1 and out[0][1] == 1
