@@ -9,7 +9,10 @@ examples) and cli (the command-line front end).
 
 All values are immutable after construction and safe to share across
 threads; per-object caches only ever replace missing entries with
-equivalent computed values.
+equivalent computed values.  The work budget is context-scoped: `with
+work_limit(n):` gives the engine calls in its block one shared budget of n
+units, held in a ContextVar, so concurrent threads never see each other's
+budget (a new thread starts outside every block).
 """
 
 from .rings import (
@@ -37,7 +40,7 @@ from .groebner import (
     ideal_member,
     normal_form,
     radical_member,
-    set_default_work_limit,
+    work_limit,
 )
 from .ideal_ops import (
     DimensionReport,
@@ -84,6 +87,6 @@ from .curves import (
     gradient_pair,
     linear_type_certificate,
 )
-from .fixtures import CURVES, FAMILIES, curve_by_name, family_by_name, fixture_catalog
+from .fixtures import CURVES, FAMILIES, curve_by_name, family_by_name
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,6 @@ torsion pieces as the lower filtration ideal, by the Artin-Rees number as
 when every I-order is 1), the relative Rees ideal under "relrees", the syzygy
 matrix under "syz" and its fiber forms under "symforms".  Since the ideals are
 shared, so are their Groebner caches: each basis is computed once per pair.
-Each cached value is computed under the `work_limit` of its first caller.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ class CertificateError(ValueError):
     """A containment certificate does not reproduce its generator."""
 
 
-def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial], *,
-                       work_limit: int | None = None) -> list:
+def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial]) -> list:
     """For each a in `js`, coefficients c with a = sum c_j * i_gens[j].
 
     One tracked basis of `i_gens` serves every element: each is divided by it
@@ -75,10 +73,10 @@ def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial], *
     """
     if not js:
         return []
-    gb, A = buchberger_tracked(list(i_gens), work_limit=work_limit)
+    gb, A = buchberger_tracked(list(i_gens))
     rows = []
     for a in js:
-        nf, quots = division(a, gb, work_limit=work_limit)
+        nf, quots = division(a, gb)
         if not nf.is_zero:
             raise CertificateError(f"{a} is not in the ideal of the given generators")
         if not gb.elements:  # every b_j is zero, and so is a
@@ -114,8 +112,7 @@ class PairInput:
 
 def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
               j_gens: Sequence[Polynomial],
-              certificates: Sequence[Sequence[Polynomial]] | None = None, *,
-              work_limit: int | None = None) -> PairInput:
+              certificates: Sequence[Sequence[Polynomial]] | None = None) -> PairInput:
     """Validate J <= I, solving for certificates when they are not supplied."""
     i_gens = tuple(i_gens)
     j_gens = tuple(j_gens)
@@ -125,8 +122,7 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
         # `i_ideal` drops zeros, and its Rees ideal must live on fiber_ring
         raise RingError("the generators of I must be nonzero")
     if certificates is None:
-        certificates = tuple(tuple(row) for row in solve_certificates(
-            j_gens, i_gens, work_limit=work_limit))
+        certificates = tuple(tuple(row) for row in solve_certificates(j_gens, i_gens))
     else:
         certificates = tuple(tuple(row) for row in certificates)
     if len(certificates) != len(j_gens):
@@ -162,18 +158,17 @@ def _fiber_names(ring: RingContext, n: int) -> list:
 
 
 def _rees_kernel(ring: RingContext, i_gens: Sequence[Polynomial],
-                 j_gens: Sequence[Polynomial], work_limit: int | None) -> Ideal:
+                 j_gens: Sequence[Polynomial]) -> Ideal:
     """(j_gens, T_i - b_i*u) ∩ R[T], by eliminating u."""
     ext, names = _fiber(ring, len(i_gens))
     ext2, u = ext.with_aux("_u")
     gens = [a.transport(ext2) for a in j_gens]
     gens += [ext2.var(t) - b.transport(ext2) * u for t, b in zip(names, i_gens)]
-    elim = eliminate_vars(Ideal(ext2, gens), [ext2.names[-1]],
-                          work_limit=work_limit)
+    elim = eliminate_vars(Ideal(ext2, gens), [ext2.names[-1]])
     return elim.transport(ext)
 
 
-def rees_ideal(source, *, work_limit: int | None = None) -> Ideal:
+def rees_ideal(source) -> Ideal:
     """Kernel of R[T] -> R[I*u], T_i -> b_i*u, by eliminating u.
 
     `source` is an Ideal I or a PairInput, whose `i_ideal` is read.  The
@@ -183,22 +178,22 @@ def rees_ideal(source, *, work_limit: int | None = None) -> Ideal:
     if I.is_zero:
         raise RingError("I must be nonzero")
     if "rees" not in I._derived:
-        I._derived["rees"] = _rees_kernel(I.ring, I.gens, (), work_limit)
+        I._derived["rees"] = _rees_kernel(I.ring, I.gens, ())
     return I._derived["rees"]
 
 
-def pair_syzygies(pair: PairInput, *, work_limit: int | None = None) -> PolyMatrix:
+def pair_syzygies(pair: PairInput) -> PolyMatrix:
     """The first syzygy matrix of the b_i, computed once per pair."""
     if "syz" not in pair._cache:
-        pair._cache["syz"] = syzygies(list(pair.i_gens), work_limit=work_limit)
+        pair._cache["syz"] = syzygies(list(pair.i_gens))
     return pair._cache["syz"]
 
 
-def sym_forms(pair: PairInput, *, work_limit: int | None = None) -> list:
+def sym_forms(pair: PairInput) -> list:
     """Linear fiber forms sum_i phi[i][c] * T_i from the syzygies of the b_i."""
     if "symforms" not in pair._cache:
         ext = pair.fiber_ring
-        phi = pair_syzygies(pair, work_limit=work_limit)
+        phi = pair_syzygies(pair)
         tvars = [ext.var(t) for t in pair.fiber_names]
         forms = [apply_row([c.transport(ext) for c in col], tvars)
                  for col in phi.columns()]
@@ -206,9 +201,9 @@ def sym_forms(pair: PairInput, *, work_limit: int | None = None) -> list:
     return pair._cache["symforms"]
 
 
-def sym_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
+def sym_ideal(pair: PairInput) -> Ideal:
     """Presentation of Sym_R(I) on R[T]: the degree-one part of the Rees ideal."""
-    return Ideal(pair.fiber_ring, sym_forms(pair, work_limit=work_limit))
+    return Ideal(pair.fiber_ring, sym_forms(pair))
 
 
 def tilde_gens(pair: PairInput) -> list:
@@ -232,11 +227,10 @@ class AluffiPresentation:
     tilde_j: tuple
 
 
-def aluffi_presentation(pair: PairInput, *,
-                        work_limit: int | None = None) -> AluffiPresentation:
+def aluffi_presentation(pair: PairInput) -> AluffiPresentation:
     ext = pair.fiber_ring
-    rees = rees_ideal(pair, work_limit=work_limit)
-    forms = sym_forms(pair, work_limit=work_limit)
+    rees = rees_ideal(pair)
+    forms = sym_forms(pair)
     tildes = tilde_gens(pair)
     jlift = [a.transport(ext) for a in pair.j_gens]
     sym = Ideal(ext, forms + jlift + tildes)
@@ -245,19 +239,16 @@ def aluffi_presentation(pair: PairInput, *,
                               tuple(tildes))
 
 
-def relative_rees_ideal(pair: PairInput, *, work_limit: int | None = None) -> Ideal:
+def relative_rees_ideal(pair: PairInput) -> Ideal:
     """Presentation on R[T] of the Rees algebra of (I/J) over R/J."""
     if "relrees" not in pair._cache:
-        pair._cache["relrees"] = _rees_kernel(pair.ring, pair.i_gens,
-                                              pair.j_gens, work_limit)
+        pair._cache["relrees"] = _rees_kernel(pair.ring, pair.i_gens, pair.j_gens)
     return pair._cache["relrees"]
 
 
-def is_linear_type(pair: PairInput, *, work_limit: int | None = None) -> bool:
+def is_linear_type(pair: PairInput) -> bool:
     """The syzygy forms generate the whole Rees ideal."""
-    return ideal_equal(sym_ideal(pair, work_limit=work_limit),
-                       rees_ideal(pair, work_limit=work_limit),
-                       work_limit=work_limit)
+    return ideal_equal(sym_ideal(pair), rees_ideal(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +294,14 @@ def _pair_power(pair: PairInput, t: int) -> Ideal:
     return pair._cache[key]
 
 
-def _pair_meet(pair: PairInput, t: int, *, work_limit: int | None = None) -> Ideal:
+def _pair_meet(pair: PairInput, t: int) -> Ideal:
     """J cap I^t, computed once per pair and degree under `("meet", t)`.
 
     `vv_pieces`, `artin_rees_number` and `standard_base_check` share these
     ideals and so their Groebner caches too.
     """
     if ("meet", t) not in pair._cache:
-        pair._cache[("meet", t)] = intersect(pair.j_ideal, _pair_power(pair, t),
-                                             work_limit=work_limit)
+        pair._cache[("meet", t)] = intersect(pair.j_ideal, _pair_power(pair, t))
     return pair._cache[("meet", t)]
 
 
@@ -350,8 +340,7 @@ def _graded_dims(gb: GroebnerBasis, cap: int) -> list:
 
 
 def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
-              internal_cap: int | None = None,
-              work_limit: int | None = None) -> TorsionReport:
+              internal_cap: int | None = None) -> TorsionReport:
     """The pieces (J cap I^t)/(J * I^(t-1)) for 2 <= t <= bound.
 
     When I and J are homogeneous, `internal_dims` lists the nonzero
@@ -366,15 +355,14 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
         internal_cap = 2 * max(g.degree() for g in I.gens)
     pieces = []
     for t in range(2, bound + 1):
-        meet = _pair_meet(pair, t, work_limit=work_limit)
+        meet = _pair_meet(pair, t)
         lower = _pair_lower(pair, t)
-        gb_lower = groebner(lower, work_limit=work_limit)
+        gb_lower = groebner(lower)
         witnesses = tuple(g for g in meet.gens
-                          if not normal_form(g, gb_lower,
-                                             work_limit=work_limit).is_zero)
+                          if not normal_form(g, gb_lower).is_zero)
         dims = ()
         if homog and internal_cap is not None:
-            gb_meet = groebner(meet, work_limit=work_limit)
+            gb_meet = groebner(meet)
             dims = tuple((d, a - b) for d, (a, b) in enumerate(zip(
                 _graded_dims(gb_meet, internal_cap),
                 _graded_dims(gb_lower, internal_cap))) if a != b)
@@ -383,7 +371,7 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
             found = None
             for k in range(1, bound + 1):
                 wk = ideal_product(_pair_power(pair, k), Ideal(pair.ring, [w]))
-                if ideal_contains(lower, wk, work_limit=work_limit):
+                if ideal_contains(lower, wk):
                     found = k
                     break
             annos.append(found)
@@ -396,14 +384,12 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
 # Artin-Rees number and standard bases
 
 
-def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
-                      work_limit: int | None = None) -> int | None:
+def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> int | None:
     """Least k <= bound with J cap I^t = (J cap I^k) I^(t-k) for k <= t <= bound."""
     if bound < 1:
         raise RingError("bound must be at least 1")
     # k >= 1 and t >= k, so J cap I^0 is never read
-    meets = {t: _pair_meet(pair, t, work_limit=work_limit)
-             for t in range(1, bound + 1)}
+    meets = {t: _pair_meet(pair, t) for t in range(1, bound + 1)}
     for k in range(1, bound + 1):
         ok = True
         for t in range(k, bound + 1):
@@ -413,7 +399,7 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
                 rhs = _pair_lower(pair, t)
             else:
                 rhs = ideal_product(meets[k], _pair_power(pair, t - k))
-            if not ideal_equal(meets[t], rhs, work_limit=work_limit):
+            if not ideal_equal(meets[t], rhs):
                 ok = False
                 break
         if ok:
@@ -428,8 +414,8 @@ class StandardBaseReport:
     passed: bool
 
 
-def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
-                        work_limit: int | None = None) -> StandardBaseReport:
+def standard_base_check(pair: PairInput,
+                        bound: int = DEFAULT_DEGREE_BOUND) -> StandardBaseReport:
     """Test J cap I^t = sum_i a_i I^(t - nu_i) with nu_i the I-order of a_i."""
     if bound < 1:
         raise RingError("bound must be at least 1")
@@ -438,8 +424,8 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
         nu = 0
         for t in range(1, bound + 2):
             # the power's _gb_cache keeps each basis for the next generator
-            gb = groebner(_pair_power(pair, t), work_limit=work_limit)
-            if normal_form(a, gb, work_limit=work_limit).is_zero:
+            gb = groebner(_pair_power(pair, t))
+            if normal_form(a, gb).is_zero:
                 nu = t
             else:
                 break
@@ -447,14 +433,14 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
     rows = []
     passed = True
     for t in range(1, bound + 1):
-        meet = _pair_meet(pair, t, work_limit=work_limit)
+        meet = _pair_meet(pair, t)
         if all(nu == 1 for nu in orders):
             # the same generator list as J * I^(t-1)
             rhs = _pair_lower(pair, t)
         else:
             rhs = Ideal(pair.ring, [a * g for a, nu in zip(pair.j_gens, orders)
                                     for g in _pair_power(pair, max(t - nu, 0)).gens])
-        eq = ideal_equal(meet, rhs, work_limit=work_limit)
+        eq = ideal_equal(meet, rhs)
         rows.append((t, eq))
         passed = passed and eq
     return StandardBaseReport(tuple(orders), tuple(rows), passed)
@@ -464,22 +450,20 @@ def standard_base_check(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
 # relation type, analytic spread, dimension
 
 
-def relation_type(source, bound: int = 10, *,
-                  work_limit: int | None = None) -> int | None:
+def relation_type(source, bound: int = 10) -> int | None:
     """Largest fiber degree among minimal homogeneous Rees-ideal generators.
 
     `source` is an Ideal or a PairInput, read as in `rees_ideal`.
     """
-    rees = rees_ideal(source, work_limit=work_limit)
+    rees = rees_ideal(source)
     if rees.is_zero:
         return 0
-    mingens = minimal_homogeneous_generators(rees, "fiber",
-                                             work_limit=work_limit)
+    mingens = minimal_homogeneous_generators(rees, "fiber")
     rt = max(d for _, d in mingens)
     return rt if rt <= bound else None
 
 
-def special_fiber(I: Ideal, *, work_limit: int | None = None) -> Ideal:
+def special_fiber(I: Ideal) -> Ideal:
     """The special fiber ideal (K + (x)) ∩ k[T] of I's Rees ideal K, in k[T].
 
     Read by substitution, with no elimination: f in (K + (x)) ∩ k[T] equals
@@ -487,7 +471,7 @@ def special_fiber(I: Ideal, *, work_limit: int | None = None) -> Ideal:
     So the ideal is K|x=0, generated by the images of K's generators with the
     base variables set to 0.  K is the Ideal's cached `rees_ideal`.
     """
-    rees = rees_ideal(I, work_limit=work_limit)
+    rees = rees_ideal(I)
     n = I.ring.arity
     fiber = rees.ring.subring(range(n, rees.ring.arity))
     return Ideal(fiber, [Polynomial.from_ints(
@@ -495,7 +479,7 @@ def special_fiber(I: Ideal, *, work_limit: int | None = None) -> Ideal:
         g.scale) for g in rees.gens])
 
 
-def analytic_spread(I: Ideal, *, work_limit: int | None = None) -> int:
+def analytic_spread(I: Ideal) -> int:
     """dim of the special fiber Rees(I)/(variables)Rees(I).
 
     That ring is k[T]/F with F = (K + (x)) ∩ k[T] = K|x=0 for the Rees ideal
@@ -505,13 +489,11 @@ def analytic_spread(I: Ideal, *, work_limit: int | None = None) -> int:
     for g in I.gens:
         if g.constant_term() != 0:
             raise RingError("analytic spread needs I inside the irrelevant ideal")
-    return dimension(special_fiber(I, work_limit=work_limit),
-                     work_limit=work_limit).dim
+    return dimension(special_fiber(I)).dim
 
 
-def aluffi_dimension(pres: AluffiPresentation, *,
-                     work_limit: int | None = None) -> DimensionReport:
-    return dimension(pres.aluffi_ideal, work_limit=work_limit)
+def aluffi_dimension(pres: AluffiPresentation) -> DimensionReport:
+    return dimension(pres.aluffi_ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +520,7 @@ class ComponentReport:
 
 
 def verify_component_list(pres: AluffiPresentation,
-                          candidates: Sequence[Ideal], *,
-                          work_limit: int | None = None) -> ComponentReport:
+                          candidates: Sequence[Ideal]) -> ComponentReport:
     """Containment and dimension checks for a claimed minimal-prime list.
 
     Completeness of the list is only asserted when the radical comparison of
@@ -547,15 +528,13 @@ def verify_component_list(pres: AluffiPresentation,
     """
     rows = []
     for P in candidates:
-        contains = ideal_contains(P, pres.aluffi_ideal, work_limit=work_limit)
-        rows.append(ComponentRow(P, contains, dimension(P, work_limit=work_limit)))
+        contains = ideal_contains(P, pres.aluffi_ideal)
+        rows.append(ComponentRow(P, contains, dimension(P)))
     meet = None
     for P in candidates:
-        meet = P if meet is None else intersect(meet, P, work_limit=work_limit)
+        meet = P if meet is None else intersect(meet, P)
     if meet is None:
         return ComponentReport((), False, False, False)
-    forward = all(radical_member(g, meet, work_limit=work_limit)
-                  for g in pres.aluffi_ideal.gens)
-    backward = all(radical_member(g, pres.aluffi_ideal, work_limit=work_limit)
-                   for g in meet.gens)
+    forward = all(radical_member(g, meet) for g in pres.aluffi_ideal.gens)
+    backward = all(radical_member(g, pres.aluffi_ideal) for g in meet.gens)
     return ComponentReport(tuple(rows), forward, backward, forward and backward)

@@ -43,7 +43,7 @@ from .blowup import (
     vv_pieces,
 )
 from .curves import analyze_family, evaluate_member, gradient_pair, linear_type_certificate
-from .groebner import WorkLimitExceeded, buchberger, set_default_work_limit
+from .groebner import DEFAULT_WORK_LIMIT, WorkLimitExceeded, buchberger, work_limit
 from .ideal_ops import (
     dimension,
     eliminate,
@@ -225,17 +225,17 @@ def _wrap_errors(fn):
 @click.group()
 @click.option("--format", "fmt", type=click.Choice(["human", "machine"]),
               default="human", help="report format")
-@click.option("--work-limit", type=int, default=None,
-              help="cap on reduction work before aborting")
+@click.option("--work-limit", "limit", type=click.IntRange(min=1),
+              default=DEFAULT_WORK_LIMIT, show_default=True,
+              help="cap on the command's total reduction work")
 @click.pass_context
-def main(ctx, fmt, work_limit):
+def main(ctx, fmt, limit):
     """Exact blowup-algebra calculator: Groebner bases, ideal calculus,
     symmetric/Rees/embedded-algebra presentations, torsion, linear-type
     certificates and plane-curve family analysis."""
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt
-    if work_limit is not None:
-        set_default_work_limit(work_limit)
+    ctx.with_resource(work_limit(limit))
 
 
 @main.command("gb")

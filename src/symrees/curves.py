@@ -90,8 +90,7 @@ class Certificate:
     entry_ideal: Ideal | None = field(default=None, compare=False, repr=False)
 
 
-def linear_type_certificate(gp: GradientPair, *,
-                            work_limit: int | None = None) -> Certificate:
+def linear_type_certificate(gp: GradientPair) -> Certificate:
     """Decide linear type of the gradient ideal by the entry-ideal height.
 
     With isolated singularities (dim ring/I_f = 1) the gradient ideal is an
@@ -101,7 +100,7 @@ def linear_type_certificate(gp: GradientPair, *,
     """
     ring = gp.f.ring
     n = len(ring.block_indices("geom"))
-    rep = dimension(gp.gradient_ideal, work_limit=work_limit)
+    rep = dimension(gp.gradient_ideal)
     if rep.empty:
         return Certificate(Verdict.INCONCLUSIVE, "unit gradient ideal",
                            rep.codim, rep.dim, None, None, None)
@@ -113,9 +112,9 @@ def linear_type_certificate(gp: GradientPair, *,
             Verdict.INCONCLUSIVE,
             "singular locus is not a nonempty set of points",
             rep.codim, rep.dim, None, None, None)
-    phi = pair_syzygies(gp.pair, work_limit=work_limit)
+    phi = pair_syzygies(gp.pair)
     script = entry_ideal(phi)
-    srep = dimension(script, work_limit=work_limit)
+    srep = dimension(script)
     threshold = rep.codim + 1
     if srep.codim_at_least(threshold):
         verdict, reason = Verdict.LINEAR_TYPE, "entry ideal reaches the critical height"
@@ -156,7 +155,6 @@ class FamilyReport:
     legs: tuple                  # the three equivalent criteria, as booleans
     consistent: bool
     warnings: tuple
-    work_limit: int | None
     _saturations: tuple = field(compare=False, repr=False)  # (I : v^inf) per v
 
     @cached_property
@@ -164,7 +162,7 @@ class FamilyReport:
         """The entry ideal saturated by (x, y, z); intersected on first read."""
         sat, *rest = self._saturations
         for satv in rest:
-            sat = intersect(sat, satv, work_limit=self.work_limit)
+            sat = intersect(sat, satv)
         return sat
 
 
@@ -224,8 +222,7 @@ def _eval_params(g: Polynomial, pnames, alpha) -> Fraction:
 
 def analyze_family(F: Polynomial, *, seed: int = 0,
                    alpha: Sequence[Fraction] | None = None,
-                   avoid: Sequence[Polynomial] = (),
-                   work_limit: int | None = None) -> FamilyReport:
+                   avoid: Sequence[Polynomial] = ()) -> FamilyReport:
     """Degeneration analysis of a parameterized plane-curve family."""
     ring = F.ring
     warnings = []
@@ -242,37 +239,34 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         if not p.is_zero:
             gens.append(p * (1 / p.content()))
     grad = Ideal(ring, gens)
-    grep = dimension(grad, work_limit=work_limit)
+    grep = dimension(grad)
     if grep.codim != 2:
         warnings.append(f"gradient ideal has codimension {grep.codim}, not 2")
 
-    phi = syzygies(gens, work_limit=work_limit)
+    phi = syzygies(gens)
     gidx = set(ring.block_indices("geom"))
     if any(not any(m[i] for i in gidx)
            for col in phi.columns() for p in col for m in p.coeffs):
         warnings.append("syzygy coordinate with a geometric-degree-0 term")
     script = entry_ideal(phi)
     script = Ideal(ring, list(dict.fromkeys(g for g in script.gens)))
-    srep = dimension(script, work_limit=work_limit)
+    srep = dimension(script)
 
     # saturation by the irrelevant ideal, one variable at a time; contracting
     # commutes with intersecting, so each piece is contracted to k[u] first
-    base = Ideal(ring, list(groebner(script, work_limit=work_limit).elements))
-    sats = tuple(saturate_principal(base, ring.var(v), work_limit=work_limit)
-                 for v in geom)
-    contraction, *rest = [eliminate(satv, "geom", work_limit=work_limit)
-                          for satv in sats]
+    base = Ideal(ring, list(groebner(script).elements))
+    sats = tuple(saturate_principal(base, ring.var(v)) for v in geom)
+    contraction, *rest = [eliminate(satv, "geom") for satv in sats]
     for cv in rest:
-        contraction = intersect(contraction, cv, work_limit=work_limit)
-    crep = dimension(contraction, work_limit=work_limit)
+        contraction = intersect(contraction, cv)
+    crep = dimension(contraction)
 
     member = None
     used_seed = None
     if alpha is None:
         used_seed = seed
         alpha = sample_parameters(ring, avoid, seed)
-    member = evaluate_member(F, alpha, family_entry_ideal=base,
-                             work_limit=work_limit)
+    member = evaluate_member(F, alpha, family_entry_ideal=base)
 
     leg_codim = srep.codim_at_least(3)
     leg_contraction = crep.codim_at_least(1) if not contraction.is_zero else False
@@ -285,12 +279,11 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         seed=used_seed, member=member,
         generic_linear_type=leg_codim,
         legs=legs, consistent=len(set(legs)) == 1, warnings=tuple(warnings),
-        work_limit=work_limit, _saturations=sats)
+        _saturations=sats)
 
 
 def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,
-                    family_entry_ideal: Ideal | None = None,
-                    work_limit: int | None = None) -> MemberReport:
+                    family_entry_ideal: Ideal | None = None) -> MemberReport:
     """Specialize the parameters and certify the member's gradient ideal."""
     ring = F.ring
     alpha = tuple(Fraction(a) for a in alpha)
@@ -303,7 +296,7 @@ def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,
             raise RingError("this family has no parameters")
         f = F
     gp = gradient_pair(f)
-    cert = linear_type_certificate(gp, work_limit=work_limit)
+    cert = linear_type_certificate(gp)
 
     eval_codim = None
     member_codim = cert.codim_entry_ideal
@@ -311,14 +304,13 @@ def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,
     if family_entry_ideal is not None:
         evaluated = Ideal(f.ring, [g.evaluate_block("param", alpha).transport(f.ring)
                                    for g in family_entry_ideal.gens])
-        erep = dimension(evaluated, work_limit=work_limit)
+        erep = dimension(evaluated)
         eval_codim = None if erep.empty else erep.codim
         if cert.entry_ideal is not None:
             member_entry = cert.entry_ideal
-            inside = ideal_contains(member_entry, evaluated, work_limit=work_limit)
+            inside = ideal_contains(member_entry, evaluated)
             if not inside:
                 strict = None  # containment unexpectedly fails; surfaced via codims
             else:
-                strict = not ideal_contains(evaluated, member_entry,
-                                            work_limit=work_limit)
+                strict = not ideal_contains(evaluated, member_entry)
     return MemberReport(alpha, gp, cert, eval_codim, member_codim, strict)

@@ -176,10 +176,6 @@ FAMILIES = (
 )
 
 
-def fixture_catalog() -> tuple:
-    return FAMILIES
-
-
 def family_by_name(name: str) -> FamilyFixture:
     for fam in FAMILIES:
         if name in (fam.key, fam.slug):

@@ -34,10 +34,19 @@ tie-breaks so a basis is reproducible and unique for (ideal, order).
 
 Optionally every basis element tracks its representation in terms of the input
 generators; this feeds containment certificates and syzygy extraction.
+
+Work budget.  Every reduction step and every S-pair taken spends one unit of a
+budget; WorkLimitExceeded is raised when it runs out.  `with work_limit(n):`
+opens one budget of n units shared by all engine calls in the block (the CLI
+wraps each command in one).  The budget lives in a ContextVar, so concurrent
+threads and contexts each see their own; outside any block every engine call
+gets a fresh budget of DEFAULT_WORK_LIMIT units.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -60,12 +69,6 @@ DEFAULT_WORK_LIMIT = 10 ** 6
 FIELD_BITS = 16
 FIELD_MAX = (1 << (FIELD_BITS - 1)) - 1   # largest value a packed field may hold
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-def set_default_work_limit(limit: int | None):
-    """Override the default work budget (None restores the shipped default)."""
-    global DEFAULT_WORK_LIMIT
-    DEFAULT_WORK_LIMIT = limit if limit is not None else 10 ** 6
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -165,6 +168,28 @@ class _Budget:
         self.left -= n
         if self.left < 0:
             raise WorkLimitExceeded("work limit exceeded; raise --work-limit")
+
+
+_BUDGET: ContextVar[_Budget | None] = ContextVar("symrees_budget", default=None)
+
+
+@contextmanager
+def work_limit(limit: int):
+    """Share one budget of `limit` work units among the engine calls in the block.
+
+    An inner block replaces an outer one while it lasts; a thread started
+    inside a block starts with an empty context, so outside every block.
+    """
+    token = _BUDGET.set(_Budget(limit))
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def _budget() -> _Budget:
+    budget = _BUDGET.get()
+    return _Budget(DEFAULT_WORK_LIMIT) if budget is None else budget
 
 
 class _Rec:
@@ -353,10 +378,10 @@ class GroebnerBasis:
         return recs
 
 
-def _run_buchberger(gens, ring, order, work_limit, track):
+def _run_buchberger(gens, ring, order, track):
     lay = _layout(order, ring.arity)
     guard, emask, eguard = lay.guard, lay.emask, lay.eguard
-    budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
+    budget = _budget()
 
     seeds = []
     scales = []
@@ -473,24 +498,22 @@ def _run_buchberger(gens, ring, order, work_limit, track):
     return final, scales
 
 
-def buchberger(source, order: MonomialOrder | None = None, *,
-               work_limit: int | None = None) -> GroebnerBasis:
+def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of an Ideal or a generator list."""
     gens, ring = _as_gens(source)
     order = order or ring.order
-    final, _ = _run_buchberger(gens, ring, order, work_limit, track=False)
+    final, _ = _run_buchberger(gens, ring, order, track=False)
     lay = _layout(order, ring.arity)
     elems = tuple(_from_engine(ring, lay, rec.items(), Fraction(1, rec.lc))
                   for rec in final)
     return GroebnerBasis(ring, order, elems, _records=tuple(final))
 
 
-def buchberger_tracked(source, order: MonomialOrder | None = None, *,
-                       work_limit: int | None = None):
+def buchberger_tracked(source, order: MonomialOrder | None = None):
     """(GroebnerBasis, A) with A[k][j] satisfying  basis[k] == sum_j A[k][j]*gens[j]."""
     gens, ring = _as_gens(source)
     order = order or ring.order
-    final, scales = _run_buchberger(gens, ring, order, work_limit, track=True)
+    final, scales = _run_buchberger(gens, ring, order, track=True)
     lay = _layout(order, ring.arity)
     elems = []
     A = []
@@ -516,44 +539,39 @@ def _as_gens(source):
     return gens, gens[0].ring
 
 
-def groebner(I: Ideal, order: MonomialOrder | None = None, *,
-             work_limit: int | None = None) -> GroebnerBasis:
+def groebner(I: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
     """buchberger with a per-Ideal cache keyed by the order."""
     order = order or I.ring.order
     cached = I._gb_cache.get(order)
     if cached is None:
-        cached = buchberger(I, order, work_limit=work_limit)
+        cached = buchberger(I, order)
         I._gb_cache[order] = cached
     return cached
 
 
-def normal_form(p: Polynomial, G: GroebnerBasis, *,
-                work_limit: int | None = None) -> Polynomial:
+def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of p on full division by G; linear in p, idempotent."""
     if p.ring != G.ring:
         raise RingError("ring mismatch")
     if p.is_zero or not G.elements:
         return p
     lay = _layout(G.order, G.ring.arity)
-    budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
     ints, scale = _to_engine(lay, p)
-    r, mult = _reduce_full(ints, G._engine_records(lay), lay.guard, budget)
+    r, mult = _reduce_full(ints, G._engine_records(lay), lay.guard, _budget())
     return _from_engine(G.ring, lay, r.items(), scale / mult)
 
 
-def division(p: Polynomial, G: GroebnerBasis, *,
-             work_limit: int | None = None):
+def division(p: Polynomial, G: GroebnerBasis):
     """(normal form, quotients aligned with G.elements):  p = sum q_i g_i + nf."""
     if p.ring != G.ring:
         raise RingError("ring mismatch")
     if p.is_zero or not G.elements:
         return p, [G.ring.zero] * len(G.elements)
     lay = _layout(G.order, G.ring.arity)
-    budget = _Budget(work_limit if work_limit is not None else DEFAULT_WORK_LIMIT)
     ints, scale = _to_engine(lay, p)
     recs = G._engine_records(lay)
     quots: dict = {}
-    r, mult = _reduce_full(ints, recs, lay.guard, budget, quotients=quots)
+    r, mult = _reduce_full(ints, recs, lay.guard, _budget(), quotients=quots)
     nf = _from_engine(G.ring, lay, r.items(), scale / mult)
     out = []
     for i, (g, rec) in enumerate(zip(G.elements, recs)):
@@ -567,24 +585,24 @@ def division(p: Polynomial, G: GroebnerBasis, *,
     return nf, out
 
 
-def ideal_member(p: Polynomial, source, *, work_limit: int | None = None) -> bool:
+def ideal_member(p: Polynomial, source) -> bool:
     """p in the ideal, decided by a zero normal form."""
     if isinstance(source, GroebnerBasis):
         gb = source
     else:
         gb = groebner(source if isinstance(source, Ideal)
-                      else Ideal(p.ring, list(source)), work_limit=work_limit)
-    return normal_form(p, gb, work_limit=work_limit).is_zero
+                      else Ideal(p.ring, list(source)))
+    return normal_form(p, gb).is_zero
 
 
-def radical_member(p: Polynomial, I: Ideal, *, work_limit: int | None = None) -> bool:
+def radical_member(p: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: 1 in (I, 1 - t*p) over a fresh auxiliary variable."""
     if p.ring != I.ring:
         raise RingError("ring mismatch")
     if p.is_zero:
-        return ideal_member(p, I, work_limit=work_limit)
+        return ideal_member(p, I)
     ext, t = I.ring.with_aux("_rab")
     gens = [g.transport(ext) for g in I.gens]
     gens.append(ext.one - t * p.transport(ext))
-    gb = buchberger(Ideal(ext, gens), GREVLEX, work_limit=work_limit)
+    gb = buchberger(Ideal(ext, gens), GREVLEX)
     return gb.is_unit_ideal

@@ -75,8 +75,7 @@ def _same_ring(I: Ideal, J: Ideal):
         raise RingError("ideals live in different rings")
 
 
-def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext,
-               work_limit: int | None) -> Ideal:
+def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     """I ∩ k[variables not in `gone`], returned in `target`.
 
     The one elimination every operation here rests on: a Buchberger run under
@@ -90,7 +89,7 @@ def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext,
     if I.is_zero:
         return Ideal(target, [])
     order = I.ring.elim_order_vars(gone)
-    gb = buchberger(I, order, work_limit=work_limit)
+    gb = buchberger(I, order)
     out = Ideal(target, [g.transport(target) for g in gb
                          if not any(m[i] for m in g.coeffs for i in gone)])
     keep = [i for i in range(I.ring.arity) if i not in gone]
@@ -100,7 +99,7 @@ def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext,
     return out
 
 
-def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via the tag-variable elimination  w*I + (1-w)*J."""
     _same_ring(I, J)
     if I.is_zero or J.is_zero:
@@ -115,7 +114,7 @@ def intersect(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
                                         **{m + (1,): -c for m, c in g.coeffs.items()}},
                                   g.scale)
              for g in J.gens]
-    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring, work_limit)
+    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -133,85 +132,79 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return quots[0] * (1 / g.leading()[1])
 
 
-def quotient(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> Ideal:
+def quotient(I: Ideal, J: Ideal) -> Ideal:
     """I : J, as the intersection over generators of J of (I : g)."""
     _same_ring(I, J)
     if J.is_zero:
         raise RingError("colon by the zero ideal")
     result = None
     for g in J.gens:
-        Qg = _colon_single(I, g, work_limit=work_limit)
-        result = Qg if result is None else intersect(result, Qg,
-                                                     work_limit=work_limit)
+        Qg = _colon_single(I, g)
+        result = Qg if result is None else intersect(result, Qg)
         if result.is_zero:
             break
     return result
 
 
-def _colon_single(I: Ideal, g: Polynomial, *, work_limit: int | None = None) -> Ideal:
+def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     """I : (g)  =  (I ∩ (g)) / g."""
     if I.is_zero:
         return I
-    meet = intersect(I, Ideal(I.ring, [g]), work_limit=work_limit)
+    meet = intersect(I, Ideal(I.ring, [g]))
     return Ideal(I.ring, [exact_divide(h, g) for h in meet.gens])
 
 
-def saturate(I: Ideal, J: Ideal, *, work_limit: int | None = None,
-             max_steps: int = 64):
+def saturate(I: Ideal, J: Ideal, *, max_steps: int = 64):
     """(I : J^infinity, k) with k the least exponent where the chain stops."""
     _same_ring(I, J)
     if J.is_zero:
         raise RingError("saturation by the zero ideal")
     prev = I
     for k in range(max_steps):
-        nxt = quotient(prev, J, work_limit=work_limit)
-        if ideal_equal(nxt, prev, work_limit=work_limit):
+        nxt = quotient(prev, J)
+        if ideal_equal(nxt, prev):
             return prev, k
         prev = nxt
     raise RingError("saturation did not stabilize within the step bound")
 
 
-def saturate_principal(I: Ideal, g: Polynomial, *,
-                       work_limit: int | None = None) -> Ideal:
+def saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity by eliminating t from (I, 1 - t*g)."""
     if g.is_zero:
         raise RingError("saturation by zero")
     ext, t = I.ring.with_aux("_t")
     gens = [h.transport(ext) for h in I.gens]
     gens.append(ext.one - t * g.transport(ext))
-    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring, work_limit)
+    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring)
 
 
-def eliminate(I: Ideal, block: str, *, work_limit: int | None = None) -> Ideal:
+def eliminate(I: Ideal, block: str) -> Ideal:
     """I ∩ k[remaining variables], returned in the subring."""
-    return _eliminate(I, I.ring.block_indices(block), I.ring.drop_block(block),
-                      work_limit)
+    return _eliminate(I, I.ring.block_indices(block), I.ring.drop_block(block))
 
 
-def eliminate_vars(I: Ideal, names: Sequence[str], *,
-                   work_limit: int | None = None) -> Ideal:
+def eliminate_vars(I: Ideal, names: Sequence[str]) -> Ideal:
     """Like eliminate, for an explicit variable list (possibly across blocks)."""
     gone = [I.ring.index(n) for n in names]
     keep = [i for i in range(I.ring.arity) if i not in gone]
-    return _eliminate(I, gone, I.ring.subring(keep), work_limit)
+    return _eliminate(I, gone, I.ring.subring(keep))
 
 
-def ideal_contains(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> bool:
+def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """J ⊆ I, by membership of every generator."""
     _same_ring(I, J)
-    gb = groebner(I, work_limit=work_limit)
-    return all(normal_form(g, gb, work_limit=work_limit).is_zero for g in J.gens)
+    gb = groebner(I)
+    return all(normal_form(g, gb).is_zero for g in J.gens)
 
 
-def ideal_equal(I: Ideal, J: Ideal, *, work_limit: int | None = None) -> bool:
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """I = J, by equal reduced Groebner bases under the ring's order.
 
     Exact: an ideal has one reduced basis per monomial order.  Both bases come
     from (and stay in) the ideals' Groebner caches.
     """
     _same_ring(I, J)
-    return (groebner(I, work_limit=work_limit).elements
-            == groebner(J, work_limit=work_limit).elements)
+    return groebner(I).elements == groebner(J).elements
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +224,13 @@ class DimensionReport:
         return True if self.empty else self.codim >= c
 
 
-def dimension(I: Ideal, order: MonomialOrder | None = None, *,
-              work_limit: int | None = None) -> DimensionReport:
+def dimension(I: Ideal, order: MonomialOrder | None = None) -> DimensionReport:
     """dim ring/I as the largest variable set independent modulo in(I)."""
     ring = I.ring
     n = ring.arity
     if I.is_zero:
         return DimensionReport(n, 0, tuple(ring.names))
-    gb = groebner(I, order, work_limit=work_limit)
+    gb = groebner(I, order)
     if gb.is_unit_ideal:
         return DimensionReport(-1, n + 1, (), empty=True)
     supports = []
@@ -268,8 +260,7 @@ def block_degree(p: Polynomial, block: str | None) -> int:
     return rep.degree
 
 
-def minimal_homogeneous_generators(I: Ideal, block: str | None = None, *,
-                                   work_limit: int | None = None) -> list:
+def minimal_homogeneous_generators(I: Ideal, block: str | None = None) -> list:
     """Minimal homogeneous generating set as (polynomial, degree), degrees ascending.
 
     Built degree by degree: a candidate is kept iff it is not in the ideal
@@ -283,7 +274,7 @@ def minimal_homogeneous_generators(I: Ideal, block: str | None = None, *,
     kept: list = []
     span = None              # the ideal of `kept`
     for d, g in graded:
-        if span is not None and ideal_member(g, span, work_limit=work_limit):
+        if span is not None and ideal_member(g, span):
             continue
         kept.append((d, g))
         span = Ideal(I.ring, [p for _, p in kept])

@@ -142,7 +142,7 @@ def _normalize_column(col):
     return [p * (1 / cont) for p in col]
 
 
-def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> PolyMatrix:
+def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:
     """Matrix whose columns generate the first syzygy module of `gens`."""
     gens = list(gens)
     if not gens:
@@ -158,13 +158,13 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
         return matrix_from_columns(ring, cols)
 
     live = [gens[j] for j in nonzero_idx]
-    gb, A = buchberger_tracked(live, work_limit=work_limit)
+    gb, A = buchberger_tracked(live)
     s = len(gb.elements)
 
     # F = G*B via division of each generator by the basis
     B = []
     for g in live:
-        nf, quots = division(g, gb, work_limit=work_limit)
+        nf, quots = division(g, gb)
         if not nf.is_zero:
             raise AssertionError("generator did not reduce to zero against its basis")
         B.append(quots)
@@ -201,7 +201,7 @@ def syzygies(gens: Sequence[Polynomial], *, work_limit: int | None = None) -> Po
         svec[k] = tk
         svec[l] = -tl
         if not spair.is_zero:
-            nf, quots = division(spair, gb, work_limit=work_limit)
+            nf, quots = division(spair, gb)
             if not nf.is_zero:
                 raise AssertionError("S-polynomial did not reduce to zero")
             for i, q in enumerate(quots):

@@ -2,14 +2,6 @@ import sys
 
 import pytest
 
-from symrees.groebner import set_default_work_limit
-
-
-@pytest.fixture(autouse=True)
-def _reset_work_limit():
-    yield
-    set_default_work_limit(None)
-
 
 @pytest.fixture
 def engine_inputs(monkeypatch):
@@ -22,9 +14,9 @@ def engine_inputs(monkeypatch):
     real = engine._run_buchberger
     runs = []
 
-    def recording(gens, ring, order, work_limit, track):
+    def recording(gens, ring, order, track):
         runs.append((tuple(gens), order, track))
-        return real(gens, ring, order, work_limit, track)
+        return real(gens, ring, order, track)
 
     monkeypatch.setattr(engine, "_run_buchberger", recording)
     return runs

@@ -174,6 +174,48 @@ def test_work_limit_exit_code(tmp_path):
     assert res.exit_code == 3
 
 
+# torsion at bound 3 makes 21 engine calls: the largest spends 179 work units,
+# all of them together 306
+TORSION_PAIR = """\
+ring: x,y,z
+ideal I: x^2 - x*z; y^2 - y*z; x*y - x*z - y*z + z^2
+ideal J: x^2 - x*z; y^2 - y*z
+"""
+
+
+def _torsion_exit(tmp_path, limit: int) -> int:
+    path = write(tmp_path, "pair.txt", TORSION_PAIR)
+    args = ["--work-limit", str(limit), "aluffi", "torsion", path, "--bound", "3"]
+    return CliRunner().invoke(main, args).exit_code
+
+
+def test_work_limit_caps_the_whole_command(tmp_path):
+    # every single call fits in 200 units; the command as a whole does not
+    assert _torsion_exit(tmp_path, 200) == 3
+
+
+def test_command_work_is_pinned(tmp_path):
+    assert _torsion_exit(tmp_path, 306) == 0
+    assert _torsion_exit(tmp_path, 305) == 3
+
+
+def test_work_limit_does_not_outlive_the_command(tmp_path):
+    from symrees import Ideal, buchberger, make_ring
+    path = write(tmp_path, "hard.txt",
+                 "ring: x,y,z\nideal I: x^5*y^2 - z^4; x*y^4 - y*z^3 - x; x^3*z - y^5 + 1\n")
+    assert CliRunner().invoke(main, ["--work-limit", "5", "gb", path]).exit_code == 3
+    R = make_ring(["x", "y", "z"])
+    hard = [R.parse(g) for g in ("x^5*y^2 - z^4", "x*y^4 - y*z^3 - x", "x^3*z - y^5 + 1")]
+    assert buchberger(Ideal(R, hard)).elements
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_nonpositive_work_limit_is_bad_input(tmp_path, limit):
+    path = write(tmp_path, "gb.txt", GB)
+    res = CliRunner().invoke(main, ["--work-limit", limit, "gb", path])
+    assert res.exit_code == 2
+
+
 def test_ideal_subcommands(tmp_path):
     runner = CliRunner()
     path = write(tmp_path, "ij.txt",

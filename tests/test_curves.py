@@ -21,7 +21,6 @@ from symrees.fixtures import (
     FAMILIES,
     curve_by_name,
     family_by_name,
-    fixture_catalog,
 )
 from symrees.ideal_ops import eliminate, ideal_equal
 from symrees.syzygy import apply_row
@@ -156,9 +155,8 @@ def test_sampler_deterministic():
 
 
 def test_catalog_size_and_keys():
-    cat = fixture_catalog()
-    assert len(cat) == 13
-    assert [f.key for f in cat] == list("abcdefghijklm")
+    assert len(FAMILIES) == 13
+    assert [f.key for f in FAMILIES] == list("abcdefghijklm")
 
 
 def test_parameter_free_families():
@@ -169,7 +167,7 @@ def test_parameter_free_families():
 
 
 def test_all_catalog_columns_annihilate():
-    for fam in fixture_catalog():
+    for fam in FAMILIES:
         F = fam.family()
         for col in fam.columns:
             if col.at is None:
@@ -224,22 +222,20 @@ def test_contraction_is_contracted_saturation(key):
     assert report.contraction.gens == eliminate(report.saturation, "geom").gens
 
 
-def test_lazy_saturation_uses_the_report_work_limit(monkeypatch):
+def test_lazy_saturation_is_two_meets_built_once(monkeypatch):
     import symrees.curves as curves_mod
-    limit = 10 ** 7
-    report = analyze_family(quintic_family(), seed=2, work_limit=limit)
-    assert report.work_limit == limit
+    report = analyze_family(quintic_family(), seed=2)
     seen = []
     real = curves_mod.intersect
 
-    def spy(I, J, **kwargs):
-        seen.append(kwargs)
-        return real(I, J, **kwargs)
+    def spy(I, J):
+        seen.append((I, J))
+        return real(I, J)
 
     monkeypatch.setattr(curves_mod, "intersect", spy)
     sat = report.saturation
-    assert seen == [{"work_limit": limit}] * 2  # three saturations, two meets
-    assert report.saturation is sat             # built once
+    assert len(seen) == 2                # three saturations, two meets
+    assert report.saturation is sat      # built once
     assert len(seen) == 2
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from symrees import (
     make_ring,
     normal_form,
     radical_member,
+    work_limit,
 )
 from symrees.groebner import FIELD_MAX, buchberger_tracked
 from symrees.ideal_ops import ideal_power, ideal_product, intersect
@@ -192,8 +196,8 @@ def test_elimination_property_against_membership_oracle():
 def test_work_limit():
     gens = [R3.parse("x^5*y^2 - z^4"), R3.parse("x*y^4 - y*z^3 - x"),
             R3.parse("x^3*z - y^5 + 1")]
-    with pytest.raises(WorkLimitExceeded):
-        buchberger(Ideal(R3, gens), work_limit=5)
+    with pytest.raises(WorkLimitExceeded), work_limit(5):
+        buchberger(Ideal(R3, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +216,76 @@ HARD_GENS = ["x^5*y^2 - z^4", "x*y^4 - y*z^3 - x", "x^3*z - y^5 + 1"]
 ])
 def test_work_limit_is_pinned(gens, order, least):
     I = Ideal(R3, [R3.parse(g) for g in gens])
-    buchberger(I, order, work_limit=least)
-    with pytest.raises(WorkLimitExceeded):
-        buchberger(I, order, work_limit=least - 1)
+    with work_limit(least):
+        buchberger(I, order)
+    with pytest.raises(WorkLimitExceeded), work_limit(least - 1):
+        buchberger(I, order)
+
+
+def _hard_ideal() -> Ideal:
+    return Ideal(R3, [R3.parse(g) for g in HARD_GENS])
+
+
+HARD_LEAST = 82   # the pinned grevlex budget of HARD_GENS
+
+
+def test_one_block_is_one_budget():
+    with work_limit(2 * HARD_LEAST):
+        buchberger(_hard_ideal())
+        buchberger(_hard_ideal())
+    with pytest.raises(WorkLimitExceeded), work_limit(2 * HARD_LEAST - 1):
+        buchberger(_hard_ideal())
+        buchberger(_hard_ideal())
+
+
+def test_threads_keep_their_own_budgets():
+    # both blocks stay open while both threads compute, and each budget fits
+    # exactly one run: one budget shared by the two runs would run out
+    barrier = threading.Barrier(2)
+
+    def run(_):
+        with work_limit(HARD_LEAST):
+            barrier.wait()
+            try:
+                return bool(buchberger(_hard_ideal()).elements)
+            except WorkLimitExceeded:
+                return False
+            finally:
+                barrier.wait()
+
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(run, range(2))) == [True, True]
+
+
+def test_thread_started_in_a_block_gets_no_budget_from_it():
+    with work_limit(5):
+        with ThreadPoolExecutor(1) as pool:
+            gb = pool.submit(buchberger, _hard_ideal()).result()
+        assert gb.elements
+        with pytest.raises(WorkLimitExceeded):
+            buchberger(_hard_ideal())
+
+
+def test_no_public_callable_takes_a_work_limit():
+    # the budget is context-scoped; no signature may thread it through again.
+    # `__all__` holds functions, classes (with their methods) and the layer
+    # modules (with their module-level callables)
+    import symrees
+    for name in symrees.__all__:
+        obj = getattr(symrees, name)
+        fns = [obj]
+        if inspect.isclass(obj):
+            fns += [m for n, m in inspect.getmembers(obj, callable)
+                    if not n.startswith("_")]
+        elif inspect.ismodule(obj):
+            fns = [m for n, m in vars(obj).items()
+                   if callable(m) and not n.startswith("_")]
+        for fn in fns:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            assert "work_limit" not in params, name
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import symrees
 from symrees import LEX, Ideal, RingError, buchberger, groebner, ideal_member, make_ring
 from symrees.blowup import rees_ideal
 from symrees.fixtures import PAIR_FIXTURES, pair_by_name
-from symrees.groebner import WorkLimitExceeded
+from symrees.groebner import DEFAULT_WORK_LIMIT, WorkLimitExceeded, work_limit
 from symrees.ideal_ops import (
     dimension,
     eliminate,
@@ -107,10 +108,14 @@ def test_ideal_equal_matches_two_way_containment(i_terms, j_terms, same):
         # the ideal I again, from a longer generator list
         J = Ideal(R3, list(I.gens) + [f * g for f in J.gens for g in I.gens])
     try:
-        # fresh ideals, so that neither side reads the other's bases
-        got = ideal_equal(Ideal(R3, I.gens), Ideal(R3, J.gens), work_limit=500)
-        want = (ideal_contains(I, J, work_limit=500)
-                and ideal_contains(J, I, work_limit=500))
+        # one budget per call; fresh ideals, so that neither side reads the
+        # other's bases
+        with work_limit(500):
+            got = ideal_equal(Ideal(R3, I.gens), Ideal(R3, J.gens))
+        with work_limit(500):
+            want = ideal_contains(I, J)
+        with work_limit(500):
+            want = want and ideal_contains(J, I)
     except WorkLimitExceeded:
         assume(False)
     assert got == want
@@ -245,16 +250,22 @@ def test_ideal_power_matches_naive_left_fold():
 # the reduced basis an elimination leaves in its result's Groebner cache
 
 
-def _elimination_results(I: Ideal, J: Ideal, work_limit: int | None = None) -> list:
-    """One result of each elimination-based operation on ideals of Q[x, y, z]."""
+def _elimination_results(I: Ideal, J: Ideal, work_limit: int = DEFAULT_WORK_LIMIT) -> list:
+    """One result of each elimination-based operation on ideals of Q[x, y, z].
+
+    Each operation is one Buchberger run, and each gets its own budget of
+    `work_limit` units.
+    """
     RP = make_ring(["x", "y"], ["z"], order=I.ring.order)
     IP = I.transport(RP)
-    return [intersect(I, J, work_limit=work_limit),
-            saturate_principal(I, J.gens[0], work_limit=work_limit),
-            eliminate(IP, "param", work_limit=work_limit),
-            eliminate(IP, "geom", work_limit=work_limit),
-            eliminate_vars(I, ["x"], work_limit=work_limit),
-            eliminate_vars(I, ["y", "z"], work_limit=work_limit)]
+    calls = [(intersect, I, J), (saturate_principal, I, J.gens[0]),
+             (eliminate, IP, "param"), (eliminate, IP, "geom"),
+             (eliminate_vars, I, ["x"]), (eliminate_vars, I, ["y", "z"])]
+    results = []
+    for op, *args in calls:
+        with symrees.work_limit(work_limit):
+            results.append(op(*args))
+    return results
 
 
 def _assert_seeded(results, monkeypatch):

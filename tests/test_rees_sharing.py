@@ -27,18 +27,18 @@ from symrees.blowup import (
 )
 from symrees.curves import gradient_pair, linear_type_certificate
 from symrees.fixtures import CURVES, PAIR_FIXTURES, curve_by_name
-from symrees.groebner import WorkLimitExceeded
+from symrees.groebner import WorkLimitExceeded, work_limit
 from symrees.ideal_ops import eliminate_vars, ideal_equal
 from strategies import R3, build, homogeneous_ideals
 
 
-def _fiber_by_elimination(I: Ideal, work_limit=None) -> Ideal:
+def _fiber_by_elimination(I: Ideal) -> Ideal:
     """(K + (x)) ∩ k[T] by eliminating the base variables, on a fresh Ideal."""
-    rees = rees_ideal(Ideal(I.ring, I.gens), work_limit=work_limit)
+    rees = rees_ideal(Ideal(I.ring, I.gens))
     ext = rees.ring
     base = list(I.ring.names)
     gens = list(rees.gens) + [ext.var(n) for n in base]
-    return eliminate_vars(Ideal(ext, gens), base, work_limit=work_limit)
+    return eliminate_vars(Ideal(ext, gens), base)
 
 
 def _curve_pair(slug: str):
@@ -134,9 +134,10 @@ def test_special_fiber_matches_elimination_on_random_forms(gens_terms):
     I = Ideal(R3, build(gens_terms))
     assume(not I.is_zero)
     try:
-        want = _fiber_by_elimination(I, work_limit=2000)
-        got = special_fiber(I, work_limit=2000)
-        assert ideal_equal(got, want, work_limit=2000)
+        with work_limit(2000):
+            want = _fiber_by_elimination(I)
+            got = special_fiber(I)
+            assert ideal_equal(got, want)
     except WorkLimitExceeded:
         assume(False)
     assert analytic_spread(I) == analytic_spread(Ideal(R3, I.gens))
