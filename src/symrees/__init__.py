@@ -55,6 +55,7 @@ from .ideal_ops import (
     minimal_homogeneous_generators,
     quotient,
     saturate,
+    saturate_by_variable,
     saturate_principal,
 )
 from .syzygy import PolyMatrix, entry_ideal, hessian, jacobian, minors, syzygies

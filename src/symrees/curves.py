@@ -8,11 +8,13 @@ the entry ideal of the syzygy matrix; the family analyzer runs the same data
 over k[u][x,y,z], saturates the entry ideal by (x,y,z), contracts to k[u] and
 cross-checks three equivalent degeneration criteria.
 
-The saturation is the intersection of the principal saturations I : v^inf for
-v in x, y, z.  Since (A ∩ B) ∩ k[u] = (A ∩ k[u]) ∩ (B ∩ k[u]), the contraction
-is reached without it: each principal saturation is contracted to k[u] and the
-contractions are intersected there.  `FamilyReport.saturation` itself is only
-intersected, in the full ring, when it is first read.
+The saturation is the intersection of the saturations I : v^inf for v in
+x, y, z.  The entry ideal is homogeneous in x, y, z, so `saturate_by_variable`
+gives each I : v^inf and its contraction to k[u] from one Buchberger run.
+Since (A ∩ B) ∩ k[u] = (A ∩ k[u]) ∩ (B ∩ k[u]), the contraction is reached
+without the saturation: the three contractions are intersected in k[u].
+`FamilyReport.saturation` itself is only intersected, in the full ring, when
+it is first read.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .blowup import PairInput, make_pair, pair_syzygies
-from .groebner import groebner, ideal_member, normal_form
+from .groebner import groebner
 from .ideal_ops import (
     DimensionReport,
     dimension,
-    eliminate,
     ideal_contains,
     intersect,
-    saturate_principal,
+    saturate_by_variable,
 )
 from .rings import Ideal, Polynomial, RingContext, RingError
 from .syzygy import PolyMatrix, entry_ideal, syzygies
@@ -159,8 +160,14 @@ class FamilyReport:
 
     @cached_property
     def saturation(self) -> Ideal:
-        """The entry ideal saturated by (x, y, z); intersected on first read."""
-        sat, *rest = self._saturations
+        """The entry ideal saturated by (x, y, z); intersected on first read.
+
+        Each piece enters the meets by its reduced basis under the ring's
+        order: the tag-variable elimination on the block-order bases that
+        `saturate_by_variable` returns can run for minutes (family a).
+        """
+        sat, *rest = (Ideal(satv.ring, groebner(satv).elements)
+                      for satv in self._saturations)
         for satv in rest:
             sat = intersect(sat, satv)
         return sat
@@ -255,8 +262,8 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     # saturation by the irrelevant ideal, one variable at a time; contracting
     # commutes with intersecting, so each piece is contracted to k[u] first
     base = Ideal(ring, list(groebner(script).elements))
-    sats = tuple(saturate_principal(base, ring.var(v)) for v in geom)
-    contraction, *rest = [eliminate(satv, "geom") for satv in sats]
+    sats, contractions = zip(*(saturate_by_variable(base, v) for v in geom))
+    contraction, *rest = contractions
     for cv in rest:
         contraction = intersect(contraction, cv)
     crep = dimension(contraction)

@@ -352,7 +352,6 @@ class GroebnerBasis:
     ring: RingContext
     order: MonomialOrder
     elements: tuple
-    reduced: bool = True
     _records: tuple | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
@@ -395,31 +394,20 @@ def _run_buchberger(gens, ring, order, track):
     if not seeds:
         return [], scales
 
-    # interreduce the seeds until stable
-    work = seeds
-    while True:
-        recs = []
-        nxt = []
-        changed = False
-        for terms, rep in work:
-            r, _ = _reduce_full(terms, recs, guard, budget,
-                                rep=rep if track else None)
-            if r != terms:
-                changed = True
-            if r:
-                r, rep = _strip(r, rep)
-                recs.append(_Rec(r, guard, rep))
-                nxt.append((r, rep))
-        work = nxt
-        if not changed:
-            break
+    # one pass: each seed is reduced by the seeds kept before it, so every kept
+    # seed is already a normal form of its predecessors and a second pass
+    # would reproduce the first
+    f = []
+    for terms, rep in seeds:
+        r, _ = _reduce_full(terms, f, guard, budget, rep=rep)
+        if r:
+            r, rep = _strip(r, rep)
+            f.append(_Rec(r, guard, rep))
 
-    f = recs
     ex = [rec.lm & emask for rec in f]          # exponent words of the lms
     index_of = {rec.frozen(): i for i, rec in enumerate(f)}
 
-    def normal(h_terms, h_rep, J):
-        reducers = [f[j] for j in J]
+    def normal(h_terms, h_rep, reducers):
         r, _ = _reduce_full(h_terms, reducers, guard, budget, rep=h_rep)
         if not r:
             return None
@@ -468,6 +456,8 @@ def _run_buchberger(gens, ring, order, track):
     for i in sorted(range(len(f)), key=lambda i: f[i].lm):
         G, CP = update(G, CP, i)
 
+    # the reducers are G by ascending leading monomial, rebuilt when G changes
+    reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
     while CP:
         budget.spend()
         pair = min(CP)
@@ -476,26 +466,35 @@ def _run_buchberger(gens, ring, order, track):
         s_terms, s_rep = _spoly(f[ig1], f[ig2], lcm, guard, track)
         if not s_terms:
             continue
-        J = sorted(G, key=lambda j: f[j].lm)
-        iht = normal(s_terms, s_rep, J)
+        iht = normal(s_terms, s_rep, reducers)
         if iht is not None:
             G, CP = update(G, CP, iht)
+            reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
 
-    # minimalize leading terms, then tail-reduce for the reduced basis
-    order_G = sorted(G, key=lambda j: f[j].lm)
+    return _reduce_records(reducers, lay, budget, track), scales
+
+
+def _reduce_records(recs, lay: _Layout, budget, track) -> list:
+    """The reduced basis from the records of a Groebner basis, descending.
+
+    Minimalize the leading terms, then tail-reduce each survivor by the
+    others; no S-pair is formed.  `recs` must be ascending by leading monomial.
+    """
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
     minimal = []
-    for ig in order_G:
-        if all((ex[ig] - ex[jg]) & eguard for jg in minimal):
-            minimal.append(ig)
+    for rec in recs:
+        e = rec.lm & emask
+        if all((e - (kept.lm & emask)) & eguard for kept in minimal):
+            minimal.append(rec)
     final = []
-    for ig in minimal:
-        others = [f[jg] for jg in minimal if jg != ig]
-        rep = {j: dict(d) for j, d in f[ig].rep.items()} if track else None
-        r, _ = _reduce_full(dict(f[ig].items()), others, guard, budget, rep=rep)
+    for rec in minimal:
+        others = [g for g in minimal if g is not rec]
+        rep = {j: dict(d) for j, d in rec.rep.items()} if track else None
+        r, _ = _reduce_full(dict(rec.items()), others, guard, budget, rep=rep)
         r, rep = _strip(r, rep)
         final.append(_Rec(r, guard, rep))
     final.sort(key=lambda rec: rec.lm, reverse=True)
-    return final, scales
+    return final
 
 
 def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -503,6 +502,23 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     gens, ring = _as_gens(source)
     order = order or ring.order
     final, _ = _run_buchberger(gens, ring, order, track=False)
+    return _untracked_basis(ring, order, final)
+
+
+def reduced_basis(basis: Sequence[Polynomial], ring: RingContext,
+                  order: MonomialOrder) -> GroebnerBasis:
+    """The reduced Groebner basis of the ideal that `basis` generates.
+
+    `basis` must already be a Groebner basis under `order`; it is only
+    minimalized and tail-reduced, without a Buchberger run.
+    """
+    lay = _layout(order, ring.arity)
+    recs = sorted((_Rec(_to_engine(lay, g)[0], lay.guard)
+                   for g in basis if not g.is_zero), key=lambda rec: rec.lm)
+    return _untracked_basis(ring, order, _reduce_records(recs, lay, _budget(), False))
+
+
+def _untracked_basis(ring, order, final) -> GroebnerBasis:
     lay = _layout(order, ring.arity)
     elems = tuple(_from_engine(ring, lay, rec.items(), Fraction(1, rec.lc))
                   for rec in final)

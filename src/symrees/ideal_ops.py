@@ -1,8 +1,8 @@
 """Ideal calculus: sum/product/power, intersection, quotient, saturation,
 elimination, equality, Krull dimension and graded minimal generators.
 
-One primitive, `_eliminate`, does every elimination: a Buchberger run under
-the block order with the eliminated variables first, keeping the basis
+One primitive, `_eliminate`, does every elimination but one: a Buchberger run
+under the block order with the eliminated variables first, keeping the basis
 elements free of them.  `eliminate` and `eliminate_vars` call it directly;
 `intersect` (tag variable w in w*I + (1-w)*J) and `saturate_principal`
 (t in (I, 1 - t*g)) first add one fresh variable with `RingContext.with_aux`.
@@ -10,7 +10,10 @@ By the elimination theorem the kept elements are the reduced basis of the
 result under the block order restricted to the kept variables, so when that
 restriction is the target ring's own order (grevlex targets; not lex ones),
 the result carries that basis in its Groebner cache and `groebner` on it
-runs no Buchberger.
+runs no Buchberger.  The exception is `saturate_by_variable` on input
+homogeneous in the variable's block: its one run, under a block order that
+also eliminates that block, gives both the saturation and its contraction,
+with no fresh variable.
 Quotients and saturations by ideals reduce to intersections plus Groebner
 normal forms.  Dimension comes from maximal independent variable sets modulo
 the initial ideal.
@@ -29,8 +32,17 @@ from .groebner import (
     groebner,
     ideal_member,
     normal_form,
+    reduced_basis,
 )
-from .rings import GREVLEX, Ideal, MonomialOrder, Polynomial, RingContext, RingError
+from .rings import (
+    GREVLEX,
+    Ideal,
+    MonomialOrder,
+    Polynomial,
+    RingContext,
+    RingError,
+    block_order,
+)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -78,22 +90,28 @@ def _same_ring(I: Ideal, J: Ideal):
 def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     """I ∩ k[variables not in `gone`], returned in `target`.
 
-    The one elimination every operation here rests on: a Buchberger run under
-    the block order with `gone` first, keeping the basis elements free of it.
-    The kept elements, still monic, reduced and descending, are the reduced
-    basis of the result under the block order restricted to the kept
-    variables; when that is `target.order`, the result's Groebner cache is
-    seeded with them.  `target` must list the kept variables in their order
-    in `I.ring`.
+    The elimination the operations here rest on: a Buchberger run under the
+    block order with `gone` first, keeping the basis elements free of it (see
+    `_free_part`).  `target` must list the kept variables in their order in
+    `I.ring`.
     """
     if I.is_zero:
         return Ideal(target, [])
-    order = I.ring.elim_order_vars(gone)
-    gb = buchberger(I, order)
+    return _free_part(buchberger(I, I.ring.elim_order_vars(gone)), gone, target)
+
+
+def _free_part(gb: GroebnerBasis, gone: Sequence[int], target: RingContext) -> Ideal:
+    """The elements of the reduced basis `gb` free of `gone`, in `target`.
+
+    `gb.order` must eliminate `gone`.  The kept elements, still monic, reduced
+    and descending, are the reduced basis of their ideal under `gb.order`
+    restricted to the kept variables; when that is `target.order`, the
+    result's Groebner cache is seeded with them.
+    """
     out = Ideal(target, [g.transport(target) for g in gb
                          if not any(m[i] for m in g.coeffs for i in gone)])
-    keep = [i for i in range(I.ring.arity) if i not in gone]
-    if order.restrict(keep) == target.order:
+    keep = [i for i in range(gb.ring.arity) if i not in gone]
+    if gb.order.restrict(keep) == target.order:
         out._gb_cache[target.order] = GroebnerBasis(target, target.order,
                                                     out.gens)
     return out
@@ -176,6 +194,44 @@ def saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     gens = [h.transport(ext) for h in I.gens]
     gens.append(ext.one - t * g.transport(ext))
     return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring)
+
+
+def saturate_by_variable(I: Ideal, v: str) -> tuple:
+    """(I : v^infinity, its contraction to the variables outside v's block).
+
+    For I homogeneous in v's block this is one Buchberger run (Bayer 1982;
+    Bayer-Stillman 1987) under the block order with v's block first, in
+    grevlex with v last.  There v divides the leading monomial of a
+    block-homogeneous polynomial only when it divides the polynomial, so the
+    basis elements divided by their v-content are a Groebner basis of
+    I : v^infinity; minimalizing and tail-reducing them, with no second
+    Buchberger run, gives its reduced basis under that order.  As in
+    `_eliminate`, the elements free of v's block are the contraction.  Input
+    not homogeneous in v's block takes `saturate_principal` and `eliminate`.
+    """
+    ring = I.ring
+    iv = ring.index(v)
+    block = next(b for b, idxs in ring.blocks if iv in idxs)
+    if not all(g.is_homogeneous(block).homogeneous for g in I.gens):
+        sat = saturate_principal(I, ring.var(v))
+        return sat, eliminate(sat, block)
+    gone = ring.block_indices(block)
+    keep = tuple(i for i in range(ring.arity) if i not in gone)
+    first = tuple(i for i in gone if i != iv) + (iv,)
+    order = block_order(*[(grp, GREVLEX) for grp in (first, keep) if grp])
+    gb = reduced_basis([_divide_out(g, iv) for g in buchberger(I, order)],
+                       ring, order)
+    return Ideal(ring, gb.elements), _free_part(gb, gone, ring.subring(keep))
+
+
+def _divide_out(g: Polynomial, i: int) -> Polynomial:
+    """g divided by the largest power of variable i that divides it."""
+    e = min(m[i] for m in g.coeffs)
+    if not e:
+        return g
+    return Polynomial.from_ints(
+        g.ring, {m[:i] + (m[i] - e,) + m[i + 1:]: c for m, c in g.coeffs.items()},
+        g.scale)
 
 
 def eliminate(I: Ideal, block: str) -> Ideal:

@@ -22,7 +22,7 @@ from symrees.fixtures import (
     curve_by_name,
     family_by_name,
 )
-from symrees.ideal_ops import eliminate, ideal_equal
+from symrees.ideal_ops import eliminate, ideal_equal, saturate_principal
 from symrees.syzygy import apply_row
 
 R3 = make_ring(["x", "y", "z"])
@@ -213,13 +213,43 @@ def test_curve_fixture_expectations_well_formed():
 # contraction route, lazy saturation, one syzygy run per pair
 
 
-@pytest.mark.parametrize("key", ["b", "f", "g", "i", "k"])
+@pytest.mark.parametrize("key", [fam.key for fam in FAMILIES])
 def test_contraction_is_contracted_saturation(key):
     # the contraction comes from the per-variable saturations, each contracted
-    # to k[u] first; it must be the reduced basis of saturation ∩ k[u]
+    # to k[u] first; it must be the reduced basis of saturation ∩ k[u], and
+    # each saturation the one the aux-variable route gives
     fam = family_by_name(key)
     report = analyze_family(fam.family(), seed=1, avoid=fam.constraint_polys())
+    base = Ideal(report.entry_ideal.ring, groebner(report.entry_ideal).elements)
+    for v, satv in zip(("x", "y", "z"), report._saturations):
+        assert ideal_equal(satv, saturate_principal(base, base.ring.var(v)))
     assert report.contraction.gens == eliminate(report.saturation, "geom").gens
+
+
+def test_family_saturation_is_one_engine_run_per_variable(monkeypatch,
+                                                          engine_inputs):
+    import symrees.curves as curves_mod
+    import symrees.ideal_ops as ops_mod
+
+    def forbidden(*args):
+        raise AssertionError("aux-variable saturation or elimination")
+
+    for mod in (curves_mod, ops_mod):
+        monkeypatch.setattr(mod, "saturate_principal", forbidden, raising=False)
+        monkeypatch.setattr(mod, "eliminate", forbidden, raising=False)
+    real = curves_mod.saturate_by_variable
+    runs = {}
+
+    def spy(I, v):
+        assert all(g.is_homogeneous("geom").homogeneous for g in I.gens)
+        before = len(engine_inputs)
+        out = real(I, v)
+        runs[v] = len(engine_inputs) - before
+        return out
+
+    monkeypatch.setattr(curves_mod, "saturate_by_variable", spy)
+    analyze_family(quintic_family(), seed=2)
+    assert runs == {"x": 1, "y": 1, "z": 1}
 
 
 def test_lazy_saturation_is_two_meets_built_once(monkeypatch):

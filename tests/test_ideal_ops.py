@@ -27,6 +27,7 @@ from symrees.ideal_ops import (
     minimal_homogeneous_generators,
     quotient,
     saturate,
+    saturate_by_variable,
     saturate_principal,
 )
 from symrees.oracle import (
@@ -34,7 +35,7 @@ from symrees.oracle import (
     monomial_quotient,
     monomial_saturation,
 )
-from strategies import build, ideals
+from strategies import build, homogeneous_ideals, ideals
 
 R3 = make_ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -80,6 +81,28 @@ def test_saturate_example_with_exponent():
     assert k == 2
     alt = saturate_principal(Ideal(R3, [X * X * Y]), X)
     assert ideal_equal(sat, alt)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gens_terms=homogeneous_ideals)
+def test_saturate_by_variable_matches_principal_saturation(gens_terms):
+    I = Ideal(R3, build(gens_terms))
+    for v in ("x", "y", "z"):
+        sat, contraction = saturate_by_variable(I, v)
+        want = saturate_principal(I, R3.var(v))
+        assert ideal_equal(sat, want)
+        assert contraction.gens == eliminate(want, "geom").gens
+
+
+def test_saturate_by_variable_falls_back_on_inhomogeneous_input():
+    # dividing a basis by x-contents saturates only homogeneous input: on this
+    # ideal the grevlex-with-x-last basis, so divided, spans (y^2 - 2y,
+    # xy + y/2, x^2 - y/8), strictly inside I : x^inf
+    R = make_ring(["x", "y"])
+    I = Ideal(R, [R.parse("2*x*y + y"), R.parse("-x^2*y + 2*x^2")])
+    sat, contraction = saturate_by_variable(I, "x")
+    assert ideal_equal(sat, Ideal(R, [R.parse("x + 1/2"), R.parse("y - 2")]))
+    assert contraction.is_zero and contraction.ring.arity == 0
 
 
 def test_eliminate_parabola():
