@@ -28,6 +28,7 @@ from .curves import (
     evaluate_member,
     gradient_pair,
     linear_type_certificate,
+    sample_parameters,
 )
 from .groebner import buchberger, ideal_member
 from .ideal_ops import (
@@ -273,18 +274,9 @@ def criterion_8_property_suites(res, fast: bool = False):
 
     # (iv) Euler identity on every homogeneous fixture
     ok_all = True
-    for fix in CURVES:
-        f = fix.curve()
-        ring = f.ring
-        d = f.degree()
-        euler = ring.zero
-        for v in ["x", "y", "z"]:
-            euler = euler + ring.var(v) * f.derivative(v)
-        ok_all = ok_all and euler == f * d
-    for fam in FAMILIES:
-        F = fam.family()
+    for F in [c.curve() for c in CURVES] + [fam.family() for fam in FAMILIES]:
         ring = F.ring
-        d = F.is_homogeneous("geom").degree
+        d = F.degree("geom")
         euler = ring.zero
         for v in ["x", "y", "z"]:
             euler = euler + ring.var(v) * F.derivative(v)
@@ -315,7 +307,6 @@ def criterion_8_property_suites(res, fast: bool = False):
 def criterion_9_dimension_bounds(res):
     members = [(c.slug, c.curve()) for c in CURVES]
     for fam in FAMILIES:
-        from .curves import sample_parameters
         alpha = sample_parameters(fam.ring(), fam.constraint_polys(), seed=9)
         f = fam.family().evaluate_block("param", alpha)
         members.append((f"family-{fam.key}-member", f))

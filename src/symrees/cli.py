@@ -10,13 +10,17 @@ Input files are line-based: a ring header followed by named payloads.
     candidate P1: x; y; T3
     constraints: u^2 - 1
 
-Blank lines and lines starting with '#' are ignored.  Reports print as
-human-readable text or as machine-readable JSON with a stable field order
-(`--format machine`); machine reports are byte-identical for identical
-inputs and seed.
+Blank lines and lines starting with '#' are ignored; each payload may be
+declared once.  Reports print as human-readable text or as machine-readable
+JSON with a stable field order (`--format machine`); machine reports are
+byte-identical for identical inputs and seed.
 
-Exit codes: 0 success, 1 failed mathematical verdict in acceptance mode,
-2 input error, 3 resource limit exceeded, 4 internal error.
+Every leaf command is registered through one runner, `_command`, which loads
+FILE, times the command body, emits the report and maps errors to exit
+codes, so these are uniform across commands: every human report ends with
+`elapsed:`, and the exit codes are 0 success, 1 failed mathematical verdict
+(`accept`, `fixtures run`), 2 input error, 3 resource limit exceeded,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .blowup import (
     make_pair,
     relation_type,
     standard_base_check,
+    verify_component_list,
     vv_pieces,
 )
 from .curves import analyze_family, evaluate_member, gradient_pair, linear_type_certificate
@@ -57,8 +62,19 @@ from .ideal_ops import (
     saturate,
 )
 from .fixtures import CURVES, FAMILIES, PAIR_FIXTURES, pair_by_name
-from .rings import Ideal, ParseError, RingContext, RingError, parse_ring_header, poly_str
-from .syzygy import PolyMatrix, entry_ideal, hessian, jacobian, minors, syzygies
+from .rings import (
+    GREVLEX,
+    LEX,
+    Ideal,
+    ParseError,
+    Polynomial,
+    RingError,
+    RingContext,
+    make_ring,
+    parse_ring_header,
+    poly_str,
+)
+from .syzygy import PolyMatrix, hessian, jacobian, minors, syzygies
 
 
 @dataclass
@@ -78,31 +94,39 @@ def parse_input(text: str) -> JobSpec:
     ideals: dict = {}
     candidates: dict = {}
     constraints: list = []
+    declared: dict = {}  # payload label -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(":")
         key = key.strip().lower()
-        if key == "ring" or key.startswith("ring"):
+        if key.startswith("ring"):
             ring = parse_ring_header(line)
             continue
         if ring is None:
             raise RingError(f"line {lineno}: the ring header must come first")
+        terms = [s.strip() for s in rest.split(";") if s.strip()]
         if key == "curve":
             curve = rest.strip()
         elif key == "family":
             family = rest.strip()
         elif key.startswith("ideal"):
-            name = key.split()[1] if len(key.split()) > 1 else "I"
-            ideals[name.upper()] = [s.strip() for s in rest.split(";") if s.strip()]
+            name = key.split()[1].upper() if len(key.split()) > 1 else "I"
+            key = f"ideal {name}"
+            ideals[name] = terms
         elif key.startswith("candidate"):
             name = key.split()[1] if len(key.split()) > 1 else f"P{len(candidates)+1}"
-            candidates[name] = [s.strip() for s in rest.split(";") if s.strip()]
+            key = f"candidate {name}"
+            candidates[name] = terms
         elif key == "constraints":
-            constraints = [s.strip() for s in rest.split(";") if s.strip()]
+            constraints = terms
         else:
             raise RingError(f"line {lineno}: unknown payload {key!r}")
+        if key in declared:
+            raise RingError(f"line {lineno}: `{key}:` is already declared "
+                            f"on line {declared[key]}")
+        declared[key] = lineno
     if ring is None:
         raise RingError("no ring header found")
     return JobSpec(ring, curve, family, ideals, candidates, constraints)
@@ -119,40 +143,56 @@ def job_ideal(job: JobSpec, name: str = "I") -> Ideal:
     return Ideal(job.ring, [job.ring.parse(t) for t in job.ideals[name]])
 
 
+def job_form(job: JobSpec, key: str) -> Polynomial:
+    """The `curve:` or `family:` payload, parsed."""
+    text = getattr(job, key)
+    if not text:
+        raise RingError(f"input file does not declare `{key}:`")
+    return job.ring.parse(text)
+
+
 def job_constraints(job: JobSpec):
     if not job.constraints:
         return []
-    pnames = [job.ring.names[i] for i in job.ring.block_indices("param")] \
-        if job.ring.has_block("param") else []
-    from .rings import make_ring
-    pring = make_ring([], pnames) if pnames else None
-    if pring is None:
+    ring = job.ring
+    pnames = [ring.names[i] for i in ring.block_indices("param")] \
+        if ring.has_block("param") else []
+    if not pnames:
         raise RingError("constraints need a params block")
+    pring = make_ring([], pnames)
     return [pring.parse(t) for t in job.constraints]
+
+
+def _job_pair(job: JobSpec):
+    I = job_ideal(job, "I")
+    J = job_ideal(job, "J") if "J" in job.ideals else Ideal(job.ring, [])
+    return make_pair(job.ring, list(I.gens), list(J.gens))
+
+
+def _ideals(job: JobSpec, *names: str, **extra) -> dict:
+    """Report inputs: the named ideals' generator texts, then `extra`."""
+    return {**{n: job.ideals.get(n, []) for n in names}, **extra}
 
 
 # ---------------------------------------------------------------------------
 # reporting
 
 
-def emit(ctx, command: str, inputs: dict, results: dict, seed=None,
-         claim: str | None = None, elapsed: float | None = None):
+def emit(ctx, command: str, inputs: dict, results: dict, seed=None, *,
+         elapsed: float):
     fmt = ctx.obj["format"]
     if fmt == "machine":
         report = {"command": command, "inputs": inputs, "results": results,
-                  "claim": claim, "seed": seed, "timing": None}
+                  "claim": None, "seed": seed, "timing": None}
         click.echo(json.dumps(report, indent=2, default=str))
     else:
         click.echo(f"command: {command}")
         for k, v in inputs.items():
             click.echo(f"  {k}: {v}")
-        if claim:
-            click.echo(f"claim: {claim}")
         _human(results, indent=0)
         if seed is not None:
             click.echo(f"seed: {seed}")
-        if elapsed is not None:
-            click.echo(f"elapsed: {elapsed:.2f}s")
+        click.echo(f"elapsed: {elapsed:.2f}s")
 
 
 def _human(obj, indent=0, label="results"):
@@ -198,28 +238,8 @@ def matrix_rows(M: PolyMatrix) -> list:
     return [[poly_str(e) for e in row] for row in M.entries]
 
 
-def _wrap_errors(fn):
-    import functools
-
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except WorkLimitExceeded as exc:
-            click.echo(f"resource limit: {exc}", err=True)
-            sys.exit(3)
-        except (ParseError, RingError, CertificateError, OSError) as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(2)
-        except Exception:
-            # a bug, not a verdict or bad input: report it with its traceback
-            click.echo(f"internal error:\n{traceback.format_exc()}", err=True)
-            sys.exit(4)
-    return inner
-
-
 # ---------------------------------------------------------------------------
-# command groups
+# the command runner
 
 
 @click.group()
@@ -238,23 +258,69 @@ def main(ctx, fmt, limit):
     ctx.with_resource(work_limit(limit))
 
 
-@main.command("gb")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--order", type=click.Choice(["grevlex", "lex"]), default=None)
-@click.pass_context
-@_wrap_errors
-def gb_cmd(ctx, file, order):
+def _command(group, name: str, *params, file: bool = True, passed=None,
+             label: str | None = None):
+    """Register the decorated body as the leaf command `name` of `group`.
+
+    The body is called as `body(job, **options)`, or `body(**options)` when
+    `file` is false, and returns `(inputs, results)` or
+    `(inputs, results, seed)`.  The runner adds the FILE argument and loads
+    it, times the body, emits the report, maps exceptions to exit codes and
+    exits 1 when `passed(results)` is false.  The report's `command` field is
+    `label`, by default the command's path below `main`.
+    """
+    if label is None:
+        label = name if group is main else f"{group.name} {name}"
+    if file:
+        params = (click.Argument(["file"], type=click.Path(exists=True)),) + params
+
+    def register(body):
+        def run(**options):
+            try:
+                job = (load_job(options.pop("file")),) if file else ()
+                t0 = time.perf_counter()
+                inputs, results, *seed = body(*job, **options)
+                elapsed = time.perf_counter() - t0
+                emit(click.get_current_context(), label, inputs, results, *seed,
+                     elapsed=elapsed)
+            except WorkLimitExceeded as exc:
+                click.echo(f"resource limit: {exc}", err=True)
+                sys.exit(3)
+            except (ParseError, RingError, CertificateError, OSError) as exc:
+                click.echo(f"input error: {exc}", err=True)
+                sys.exit(2)
+            except Exception:
+                # a bug, not a verdict or bad input: report it with its traceback
+                click.echo(f"internal error:\n{traceback.format_exc()}", err=True)
+                sys.exit(4)
+            if passed is not None and not passed(results):
+                sys.exit(1)
+
+        group.command(name, params=list(params), help=body.__doc__)(run)
+        return body
+    return register
+
+
+def _bound(default: int):
+    return click.Option(["--bound"], type=int, default=default, show_default=True)
+
+
+def _seed():
+    return click.Option(["--seed"], type=int, default=0, show_default=True)
+
+
+# ---------------------------------------------------------------------------
+# Groebner bases, ideal calculus, syzygies
+
+
+@_command(main, "gb",
+          click.Option(["--order"], type=click.Choice(["grevlex", "lex"]), default=None))
+def gb_cmd(job, order):
     """Reduced Groebner basis of `ideal I` from FILE."""
-    job = load_job(file)
-    I = job_ideal(job)
-    from .rings import GREVLEX, LEX
-    ordv = {"grevlex": GREVLEX, "lex": LEX}.get(order) if order else None
-    t0 = time.time()
-    basis = buchberger(I, ordv)
-    emit(ctx, "gb", {"ideal": job.ideals["I"]},
-         {"basis": [poly_str(g) for g in basis.elements],
-          "size": len(basis.elements)},
-         elapsed=time.time() - t0)
+    basis = buchberger(job_ideal(job), {"grevlex": GREVLEX, "lex": LEX}.get(order))
+    return ({"ideal": job.ideals["I"]},
+            {"basis": [poly_str(g) for g in basis.elements],
+             "size": len(basis.elements)})
 
 
 @main.group("ideal")
@@ -262,172 +328,89 @@ def ideal_group():
     """Ideal calculus on `ideal I` (and `ideal J`) from an input file."""
 
 
-def _binary(ctx, file, op, opname):
-    job = load_job(file)
-    I, J = job_ideal(job, "I"), job_ideal(job, "J")
-    t0 = time.time()
-    out = op(I, J)
-    emit(ctx, f"ideal {opname}",
-         {"I": job.ideals["I"], "J": job.ideals["J"]},
-         {opname: ideal_strs(out)}, elapsed=time.time() - t0)
+def _binary(op, key):
+    def body(job):
+        out = op(job_ideal(job, "I"), job_ideal(job, "J"))
+        return _ideals(job, "I", "J"), {key: ideal_strs(out)}
+    return body
 
 
-@ideal_group.command("sum")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_sum_cmd(ctx, file):
-    _binary(ctx, file, ideal_sum, "sum")
+for _name, _op, _key in (("sum", ideal_sum, "sum"),
+                         ("product", ideal_product, "product"),
+                         ("intersect", intersect, "intersection"),
+                         ("quotient", quotient, "quotient")):
+    _command(ideal_group, _name, label=f"ideal {_key}")(_binary(_op, _key))
 
 
-@ideal_group.command("product")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_product_cmd(ctx, file):
-    _binary(ctx, file, ideal_product, "product")
+@_command(ideal_group, "power", click.Option(["-t", "exponent"], type=int, required=True))
+def ideal_power_cmd(job, exponent):
+    out = ideal_power(job_ideal(job), exponent)
+    return _ideals(job, "I", t=exponent), {"power": ideal_strs(out)}
 
 
-@ideal_group.command("power")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("-t", "exponent", type=int, required=True)
-@click.pass_context
-@_wrap_errors
-def ideal_power_cmd(ctx, file, exponent):
-    job = load_job(file)
-    I = job_ideal(job)
-    out = ideal_power(I, exponent)
-    emit(ctx, "ideal power", {"I": job.ideals["I"], "t": exponent},
-         {"power": ideal_strs(out)})
+@_command(ideal_group, "saturate")
+def ideal_saturate_cmd(job):
+    sat, k = saturate(job_ideal(job, "I"), job_ideal(job, "J"))
+    return _ideals(job, "I", "J"), {"saturation": ideal_strs(sat), "exponent": k}
 
 
-@ideal_group.command("intersect")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_intersect_cmd(ctx, file):
-    _binary(ctx, file, intersect, "intersection")
+@_command(ideal_group, "eliminate",
+          click.Option(["--block"], default="geom", show_default=True))
+def ideal_eliminate_cmd(job, block):
+    out = eliminate(job_ideal(job), block)
+    return (_ideals(job, "I", block=block),
+            {"elimination": ideal_strs(out), "ring": ",".join(out.ring.names)})
 
 
-@ideal_group.command("quotient")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_quotient_cmd(ctx, file):
-    _binary(ctx, file, quotient, "quotient")
+@_command(ideal_group, "equal")
+def ideal_equal_cmd(job):
+    equal = ideal_equal(job_ideal(job, "I"), job_ideal(job, "J"))
+    return _ideals(job, "I", "J"), {"equal": equal}
 
 
-@ideal_group.command("saturate")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_saturate_cmd(ctx, file):
-    job = load_job(file)
-    I, J = job_ideal(job, "I"), job_ideal(job, "J")
-    t0 = time.time()
-    sat, k = saturate(I, J)
-    emit(ctx, "ideal saturate", {"I": job.ideals["I"], "J": job.ideals["J"]},
-         {"saturation": ideal_strs(sat), "exponent": k},
-         elapsed=time.time() - t0)
+@_command(ideal_group, "dim")
+def ideal_dim_cmd(job):
+    rep = dimension(job_ideal(job))
+    return (_ideals(job, "I"),
+            {"dim": rep.dim, "codim": rep.codim, "empty": rep.empty,
+             "witness": list(rep.witness)})
 
 
-@ideal_group.command("eliminate")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--block", default="geom", show_default=True)
-@click.pass_context
-@_wrap_errors
-def ideal_eliminate_cmd(ctx, file, block):
-    job = load_job(file)
-    I = job_ideal(job)
-    out = eliminate(I, block)
-    emit(ctx, "ideal eliminate", {"I": job.ideals["I"], "block": block},
-         {"elimination": ideal_strs(out),
-          "ring": ",".join(out.ring.names)})
+@_command(ideal_group, "mingens",
+          click.Option(["--grading"], default=None,
+                       help="block name for the grading, default standard"))
+def ideal_mingens_cmd(job, grading):
+    out = minimal_homogeneous_generators(job_ideal(job), grading)
+    return (_ideals(job, "I", grading=grading or "standard"),
+            {"generators": [{"poly": poly_str(g), "degree": d} for g, d in out]})
 
 
-@ideal_group.command("equal")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_equal_cmd(ctx, file):
-    job = load_job(file)
-    I, J = job_ideal(job, "I"), job_ideal(job, "J")
-    emit(ctx, "ideal equal", {"I": job.ideals["I"], "J": job.ideals["J"]},
-         {"equal": ideal_equal(I, J)})
-
-
-@ideal_group.command("dim")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def ideal_dim_cmd(ctx, file):
-    job = load_job(file)
-    I = job_ideal(job)
-    rep = dimension(I)
-    emit(ctx, "ideal dim", {"I": job.ideals["I"]},
-         {"dim": rep.dim, "codim": rep.codim, "empty": rep.empty,
-          "witness": list(rep.witness)})
-
-
-@ideal_group.command("mingens")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--grading", default=None, help="block name for the grading, default standard")
-@click.pass_context
-@_wrap_errors
-def ideal_mingens_cmd(ctx, file, grading):
-    job = load_job(file)
-    I = job_ideal(job)
-    out = minimal_homogeneous_generators(I, grading)
-    emit(ctx, "ideal mingens", {"I": job.ideals["I"], "grading": grading or "standard"},
-         {"generators": [{"poly": poly_str(g), "degree": d} for g, d in out]})
-
-
-@main.command("syz")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def syz_cmd(ctx, file):
+@_command(main, "syz")
+def syz_cmd(job):
     """First syzygy matrix of the generators of `ideal I`."""
-    job = load_job(file)
-    I = job_ideal(job)
-    t0 = time.time()
-    phi = syzygies(list(I.gens))
-    emit(ctx, "syz", {"I": job.ideals["I"]},
-         {"rows": phi.rows, "cols": phi.cols, "matrix": matrix_rows(phi)},
-         elapsed=time.time() - t0)
+    phi = syzygies(list(job_ideal(job).gens))
+    return (_ideals(job, "I"),
+            {"rows": phi.rows, "cols": phi.cols, "matrix": matrix_rows(phi)})
 
 
-@main.command("minors")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("-r", "size", type=int, required=True, help="minor size")
-@click.option("--of", "source", type=click.Choice(["jacobian", "syzygy", "hessian"]),
-              default="jacobian", show_default=True)
-@click.pass_context
-@_wrap_errors
-def minors_cmd(ctx, file, size, source):
+@_command(main, "minors",
+          click.Option(["-r", "size"], type=int, required=True, help="minor size"),
+          click.Option(["--of", "source"],
+                       type=click.Choice(["jacobian", "syzygy", "hessian"]),
+                       default="jacobian", show_default=True))
+def minors_cmd(job, size, source):
     """Ideal of r x r minors of a derived matrix of the input."""
-    job = load_job(file)
     if source == "hessian":
-        if not job.curve:
-            raise RingError("hessian minors need a `curve:` payload")
-        M = hessian(job.ring.parse(job.curve))
+        M = hessian(job_form(job, "curve"))
     else:
-        I = job_ideal(job)
-        M = jacobian(list(I.gens)) if source == "jacobian" \
-            else syzygies(list(I.gens))
+        gens = list(job_ideal(job).gens)
+        M = jacobian(gens) if source == "jacobian" else syzygies(gens)
     out = minors(M, size)
-    emit(ctx, "minors", {"of": source, "r": size},
-         {"matrix": matrix_rows(M), "minors": ideal_strs(out)})
+    return {"of": source, "r": size}, {"matrix": matrix_rows(M), "minors": ideal_strs(out)}
 
 
 # ---------------------------------------------------------------------------
 # blowup-algebra commands
-
-
-def _job_pair(job: JobSpec):
-    I = job_ideal(job, "I")
-    J = job_ideal(job, "J") if "J" in job.ideals else Ideal(job.ring, [])
-    return make_pair(job.ring, list(I.gens), list(J.gens))
 
 
 @main.group("aluffi")
@@ -435,154 +418,83 @@ def aluffi_group():
     """Presentations and invariants of the pair `ideal J` inside `ideal I`."""
 
 
-@aluffi_group.command("present")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def aluffi_present_cmd(ctx, file):
-    job = load_job(file)
-    pair = _job_pair(job)
-    t0 = time.time()
-    pres = aluffi_presentation(pair)
-    emit(ctx, "aluffi present",
-         {"I": job.ideals["I"], "J": job.ideals.get("J", [])},
-         {"fiber_variables": list(pres.fiber_names),
-          "sym_ideal": ideal_strs(pres.sym_ideal),
-          "rees_ideal": ideal_strs(pres.rees_ideal),
-          "aluffi_ideal": ideal_strs(pres.aluffi_ideal),
-          "tilde_j": [poly_str(t) for t in pres.tilde_j]},
-         elapsed=time.time() - t0)
+@_command(aluffi_group, "present")
+def aluffi_present_cmd(job):
+    pres = aluffi_presentation(_job_pair(job))
+    return (_ideals(job, "I", "J"),
+            {"fiber_variables": list(pres.fiber_names),
+             "sym_ideal": ideal_strs(pres.sym_ideal),
+             "rees_ideal": ideal_strs(pres.rees_ideal),
+             "aluffi_ideal": ideal_strs(pres.aluffi_ideal),
+             "tilde_j": [poly_str(t) for t in pres.tilde_j]})
 
 
-@aluffi_group.command("torsion")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--bound", type=int, default=4, show_default=True)
-@click.pass_context
-@_wrap_errors
-def aluffi_torsion_cmd(ctx, file, bound):
-    job = load_job(file)
-    pair = _job_pair(job)
-    t0 = time.time()
-    report = vv_pieces(pair, bound)
-    pieces = []
-    for p in report.pieces:
-        pieces.append({
-            "degree": p.degree,
-            "nonzero": p.nonzero,
-            "witnesses": [poly_str(w) for w in p.witnesses],
-            "internal_dims": [list(x) for x in p.internal_dims],
-            "annihilator_exponents": list(p.annihilator_exponents),
-        })
-    emit(ctx, "aluffi torsion",
-         {"I": job.ideals["I"], "J": job.ideals.get("J", []), "bound": bound},
-         {"pieces": pieces, "all_zero": report.all_zero},
-         elapsed=time.time() - t0)
+@_command(aluffi_group, "torsion", _bound(4))
+def aluffi_torsion_cmd(job, bound):
+    report = vv_pieces(_job_pair(job), bound)
+    pieces = [{"degree": p.degree,
+               "nonzero": p.nonzero,
+               "witnesses": [poly_str(w) for w in p.witnesses],
+               "internal_dims": [list(x) for x in p.internal_dims],
+               "annihilator_exponents": list(p.annihilator_exponents)}
+              for p in report.pieces]
+    return (_ideals(job, "I", "J", bound=bound),
+            {"pieces": pieces, "all_zero": report.all_zero})
 
 
-@aluffi_group.command("linear-type")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def aluffi_lt_cmd(ctx, file):
-    job = load_job(file)
-    pair = _job_pair(job)
-    emit(ctx, "aluffi linear-type", {"I": job.ideals["I"]},
-         {"linear_type": is_linear_type(pair)})
+@_command(aluffi_group, "linear-type")
+def aluffi_lt_cmd(job):
+    return _ideals(job, "I"), {"linear_type": is_linear_type(_job_pair(job))}
 
 
-@aluffi_group.command("ar-number")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--bound", type=int, default=4, show_default=True)
-@click.pass_context
-@_wrap_errors
-def aluffi_ar_cmd(ctx, file, bound):
-    job = load_job(file)
-    pair = _job_pair(job)
-    k = artin_rees_number(pair, bound)
-    emit(ctx, "aluffi ar-number",
-         {"I": job.ideals["I"], "J": job.ideals.get("J", []), "bound": bound},
-         {"artin_rees_number": k if k is not None else "exceeds bound"})
+@_command(aluffi_group, "ar-number", _bound(4))
+def aluffi_ar_cmd(job, bound):
+    k = artin_rees_number(_job_pair(job), bound)
+    return (_ideals(job, "I", "J", bound=bound),
+            {"artin_rees_number": k if k is not None else "exceeds bound"})
 
 
-@aluffi_group.command("standard-base")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--bound", type=int, default=4, show_default=True)
-@click.pass_context
-@_wrap_errors
-def aluffi_sb_cmd(ctx, file, bound):
-    job = load_job(file)
-    pair = _job_pair(job)
-    rep = standard_base_check(pair, bound)
-    emit(ctx, "aluffi standard-base",
-         {"I": job.ideals["I"], "J": job.ideals.get("J", []), "bound": bound},
-         {"orders": list(rep.orders),
-          "per_degree": [{"degree": t, "holds": ok} for t, ok in rep.per_degree],
-          "passed": rep.passed})
+@_command(aluffi_group, "standard-base", _bound(4))
+def aluffi_sb_cmd(job, bound):
+    rep = standard_base_check(_job_pair(job), bound)
+    return (_ideals(job, "I", "J", bound=bound),
+            {"orders": list(rep.orders),
+             "per_degree": [{"degree": t, "holds": ok} for t, ok in rep.per_degree],
+             "passed": rep.passed})
 
 
-@aluffi_group.command("reltype")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--bound", type=int, default=10, show_default=True)
-@click.pass_context
-@_wrap_errors
-def aluffi_reltype_cmd(ctx, file, bound):
-    job = load_job(file)
-    pair = _job_pair(job)
-    rt = relation_type(pair, bound)
-    emit(ctx, "aluffi reltype", {"I": job.ideals["I"], "bound": bound},
-         {"relation_type": rt if rt is not None else "exceeds bound"})
+@_command(aluffi_group, "reltype", _bound(10))
+def aluffi_reltype_cmd(job, bound):
+    rt = relation_type(_job_pair(job), bound)
+    return (_ideals(job, "I", bound=bound),
+            {"relation_type": rt if rt is not None else "exceeds bound"})
 
 
-@aluffi_group.command("spread")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def aluffi_spread_cmd(ctx, file):
-    job = load_job(file)
-    I = job_ideal(job)
-    emit(ctx, "aluffi spread", {"I": job.ideals["I"]},
-         {"analytic_spread": analytic_spread(I)})
+@_command(aluffi_group, "spread")
+def aluffi_spread_cmd(job):
+    return _ideals(job, "I"), {"analytic_spread": analytic_spread(job_ideal(job))}
 
 
-@aluffi_group.command("dim")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def aluffi_dim_cmd(ctx, file):
-    job = load_job(file)
-    pair = _job_pair(job)
-    pres = aluffi_presentation(pair)
-    rep = aluffi_dimension(pres)
-    emit(ctx, "aluffi dim",
-         {"I": job.ideals["I"], "J": job.ideals.get("J", [])},
-         {"dim": rep.dim, "codim": rep.codim})
+@_command(aluffi_group, "dim")
+def aluffi_dim_cmd(job):
+    rep = aluffi_dimension(aluffi_presentation(_job_pair(job)))
+    return _ideals(job, "I", "J"), {"dim": rep.dim, "codim": rep.codim}
 
 
-@aluffi_group.command("verify-components")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def aluffi_verify_cmd(ctx, file):
-    from .blowup import verify_component_list
-    job = load_job(file)
-    pair = _job_pair(job)
-    pres = aluffi_presentation(pair)
-    cands = []
-    names = []
-    for name, texts in job.candidates.items():
-        cands.append(Ideal(pres.ring, [pres.ring.parse(t) for t in texts]))
-        names.append(name)
+@_command(aluffi_group, "verify-components")
+def aluffi_verify_cmd(job):
+    pres = aluffi_presentation(_job_pair(job))
+    names = list(job.candidates)
+    cands = [Ideal(pres.ring, [pres.ring.parse(t) for t in texts])
+             for texts in job.candidates.values()]
     rep = verify_component_list(pres, cands)
-    rows = []
-    for name, row in zip(names, rep.rows):
-        rows.append({"candidate": name,
-                     "contains_presentation": row.contains_presentation,
-                     "dim": row.dim.dim})
-    emit(ctx, "aluffi verify-components",
-         {"I": job.ideals["I"], "J": job.ideals.get("J", []),
-          "candidates": names},
-         {"rows": rows, "radical_forward": rep.radical_forward,
-          "radical_backward": rep.radical_backward, "covers": rep.covers})
+    rows = [{"candidate": name,
+             "contains_presentation": row.contains_presentation,
+             "dim": row.dim.dim}
+            for name, row in zip(names, rep.rows)]
+    return (_ideals(job, "I", "J", candidates=names),
+            {"rows": rows, "radical_forward": rep.radical_forward,
+             "radical_backward": rep.radical_backward, "covers": rep.covers})
 
 
 # ---------------------------------------------------------------------------
@@ -594,26 +506,17 @@ def curve_group():
     """Plane-curve gradient-ideal certificates."""
 
 
-@curve_group.command("cert")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_context
-@_wrap_errors
-def curve_cert_cmd(ctx, file):
-    job = load_job(file)
-    if not job.curve:
-        raise RingError("curve cert needs a `curve:` payload")
-    f = job.ring.parse(job.curve)
-    t0 = time.time()
-    gp = gradient_pair(f)
+@_command(curve_group, "cert")
+def curve_cert_cmd(job):
+    gp = gradient_pair(job_form(job, "curve"))
     cert = linear_type_certificate(gp)
-    emit(ctx, "curve cert", {"curve": job.curve},
-         {"verdict": cert.verdict.value, "reason": cert.reason,
-          "codim_gradient": cert.codim_gradient,
-          "singular_dim": cert.singular_dim,
-          "codim_entry_ideal": cert.codim_entry_ideal,
-          "threshold": cert.threshold,
-          "gradient": [poly_str(g) for g in gp.pair.i_gens]},
-         elapsed=time.time() - t0)
+    return ({"curve": job.curve},
+            {"verdict": cert.verdict.value, "reason": cert.reason,
+             "codim_gradient": cert.codim_gradient,
+             "singular_dim": cert.singular_dim,
+             "codim_entry_ideal": cert.codim_entry_ideal,
+             "threshold": cert.threshold,
+             "gradient": [poly_str(g) for g in gp.pair.i_gens]})
 
 
 @main.group("family")
@@ -640,45 +543,27 @@ def _family_results(report):
     }
 
 
-@family_group.command("analyze")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-@_wrap_errors
-def family_analyze_cmd(ctx, file, seed):
-    job = load_job(file)
-    if not job.family:
-        raise RingError("family analyze needs a `family:` payload")
-    F = job.ring.parse(job.family)
-    t0 = time.time()
-    report = analyze_family(F, seed=seed, avoid=job_constraints(job))
-    emit(ctx, "family analyze", {"family": job.family},
-         _family_results(report), seed=seed, elapsed=time.time() - t0)
+@_command(family_group, "analyze", _seed())
+def family_analyze_cmd(job, seed):
+    report = analyze_family(job_form(job, "family"), seed=seed,
+                            avoid=job_constraints(job))
+    return {"family": job.family}, _family_results(report), seed
 
 
-@family_group.command("member")
-@click.argument("file", type=click.Path(exists=True))
-@click.option("--alpha", required=True,
-              help="comma-separated rationals for the parameters")
-@click.pass_context
-@_wrap_errors
-def family_member_cmd(ctx, file, alpha):
-    job = load_job(file)
-    if not job.family:
-        raise RingError("family member needs a `family:` payload")
-    F = job.ring.parse(job.family)
+@_command(family_group, "member",
+          click.Option(["--alpha"], required=True,
+                       help="comma-separated rationals for the parameters"))
+def family_member_cmd(job, alpha):
+    F = job_form(job, "family")
     try:
         values = [Fraction(a) for a in alpha.split(",")] if alpha else []
     except (ValueError, ZeroDivisionError):
         raise RingError(f"--alpha needs comma-separated rationals, got {alpha!r}") from None
-    t0 = time.time()
-    member = evaluate_member(F, values)
-    cert = member.certificate
-    emit(ctx, "family member", {"family": job.family, "alpha": alpha},
-         {"verdict": cert.verdict.value, "reason": cert.reason,
-          "codim_gradient": cert.codim_gradient,
-          "codim_entry_ideal": cert.codim_entry_ideal},
-         elapsed=time.time() - t0)
+    cert = evaluate_member(F, values).certificate
+    return ({"family": job.family, "alpha": alpha},
+            {"verdict": cert.verdict.value, "reason": cert.reason,
+             "codim_gradient": cert.codim_gradient,
+             "codim_entry_ideal": cert.codim_entry_ideal})
 
 
 # ---------------------------------------------------------------------------
@@ -690,48 +575,29 @@ def fixtures_group():
     """Built-in worked examples with their expected verdicts."""
 
 
-@fixtures_group.command("list")
-@click.pass_context
-@_wrap_errors
-def fixtures_list_cmd(ctx):
-    rows = []
-    for fam in FAMILIES:
-        rows.append({"kind": "family", "key": fam.key, "slug": fam.slug,
-                     "claim": fam.claim})
-    for c in CURVES:
-        rows.append({"kind": "curve", "key": c.slug, "slug": c.slug,
-                     "claim": c.claim})
-    for name, (_, claim) in PAIR_FIXTURES.items():
-        rows.append({"kind": "pair", "key": name, "slug": name, "claim": claim})
-    emit(ctx, "fixtures list", {}, {"fixtures": rows})
+@_command(fixtures_group, "list", file=False)
+def fixtures_list_cmd():
+    rows = [{"kind": "family", "key": fam.key, "slug": fam.slug, "claim": fam.claim}
+            for fam in FAMILIES]
+    rows += [{"kind": "curve", "key": c.slug, "slug": c.slug, "claim": c.claim}
+             for c in CURVES]
+    rows += [{"kind": "pair", "key": name, "slug": name, "claim": claim}
+             for name, (_, claim) in PAIR_FIXTURES.items()]
+    return {}, {"fixtures": rows}
 
 
-@fixtures_group.command("run")
-@click.argument("name", required=False)
-@click.option("--all", "run_all", is_flag=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--bound", type=int, default=4, show_default=True)
-@click.pass_context
-@_wrap_errors
-def fixtures_run_cmd(ctx, name, run_all, seed, bound):
-    if not name and not run_all:
-        raise RingError("give a fixture name or --all")
-    targets = []
-    if run_all:
-        targets = [f.slug for f in FAMILIES] + [c.slug for c in CURVES] \
-            + list(PAIR_FIXTURES)
-    else:
-        targets = [name]
-    out = []
-    failed = False
-    for slug in targets:
-        res = _run_fixture(slug, seed, bound)
-        out.append(res)
-        failed = failed or not res.get("passed", True)
-    emit(ctx, "fixtures run", {"targets": targets},
-         {"reports": out}, seed=seed)
-    if failed:
-        sys.exit(1)
+@_command(fixtures_group, "run",
+          click.Argument(["name"], required=False),
+          click.Option(["--all", "run_all"], is_flag=True),
+          _seed(), _bound(4), file=False,
+          passed=lambda results: all(r.get("passed", True) for r in results["reports"]))
+def fixtures_run_cmd(name, run_all, seed, bound):
+    if bool(name) == run_all:
+        raise RingError("give either a fixture name or --all")
+    targets = [name] if name else \
+        [f.slug for f in FAMILIES] + [c.slug for c in CURVES] + list(PAIR_FIXTURES)
+    return ({"targets": targets},
+            {"reports": [_run_fixture(slug, seed, bound) for slug in targets]}, seed)
 
 
 def _run_fixture(slug: str, seed: int, bound: int) -> dict:
@@ -767,24 +633,20 @@ def _run_fixture(slug: str, seed: int, bound: int) -> dict:
     raise RingError(f"unknown fixture {slug!r}")
 
 
-@main.command("accept")
-@click.option("--only", default=None,
-              help="run only criteria whose number, slug or tag matches")
-@click.pass_context
-@_wrap_errors
-def accept_cmd(ctx, only):
+@_command(main, "accept",
+          click.Option(["--only"], default=None,
+                       help="run only criteria whose number, slug or tag matches"),
+          file=False, passed=lambda results: results["all_passed"])
+def accept_cmd(only):
     """Run the acceptance suite; exits 1 if any criterion fails."""
     from .acceptance import run_acceptance
     results = run_acceptance(only)
-    rows = []
     for r in results:
-        rows.append({"number": r.number, "criterion": r.slug,
-                     "passed": r.passed, "details": r.details})
         click.echo(r.line(), err=True)
-    emit(ctx, "accept", {"only": only},
-         {"criteria": rows, "all_passed": all(r.passed for r in results)})
-    if not all(r.passed for r in results):
-        sys.exit(1)
+    rows = [{"number": r.number, "criterion": r.slug,
+             "passed": r.passed, "details": r.details} for r in results]
+    return {"only": only}, {"criteria": rows,
+                            "all_passed": all(r.passed for r in results)}
 
 
 if __name__ == "__main__":

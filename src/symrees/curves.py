@@ -56,6 +56,19 @@ class GradientPair:
         return self.pair.i_ideal
 
 
+def _gradient_parts(f: Polynomial) -> list:
+    """(variable, partial / content, content) for each nonzero geometric partial."""
+    ring = f.ring
+    out = []
+    for i in ring.block_indices("geom"):
+        v = ring.names[i]
+        p = f.derivative(v)
+        if not p.is_zero:
+            c = p.content()
+            out.append((v, p * (1 / c), c))
+    return out
+
+
 def gradient_pair(f: Polynomial) -> GradientPair:
     """J = (f) inside the gradient ideal, with the exact Euler certificate."""
     ring = f.ring
@@ -63,16 +76,9 @@ def gradient_pair(f: Polynomial) -> GradientPair:
     if rep.is_zero or not rep.homogeneous or rep.degree < 1:
         raise RingError("gradient pairs need a nonconstant form")
     d = rep.degree
-    geom = [ring.names[i] for i in ring.block_indices("geom")]
-    gens = []
-    certs = []
-    for v in geom:
-        p = f.derivative(v)
-        if p.is_zero:
-            continue
-        c = p.content()
-        gens.append(p * (1 / c))
-        certs.append(ring.var(v) * (c / d))
+    parts = _gradient_parts(f)
+    gens = [g for _, g, _ in parts]
+    certs = [ring.var(v) * (c / d) for v, _, c in parts]
     if not gens:
         raise RingError("zero gradient; the ground field characteristic would divide the degree")
     return GradientPair(f, d, make_pair(ring, gens, [f], [certs]))
@@ -240,11 +246,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         warnings.append("parameter content could not be certified equal to 1")
 
     geom = [ring.names[i] for i in ring.block_indices("geom")]
-    gens = []
-    for v in geom:
-        p = F.derivative(v)
-        if not p.is_zero:
-            gens.append(p * (1 / p.content()))
+    gens = [g for _, g, _ in _gradient_parts(F)]
     grad = Ideal(ring, gens)
     grep = dimension(grad)
     if grep.codim != 2:

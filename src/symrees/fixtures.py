@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blowup import PairInput, make_pair
+from .oracle import monomials_of_degree
 from .rings import Ideal, Polynomial, RingContext, make_ring
 from .syzygy import apply_row, jacobian, minors
 
@@ -236,42 +237,36 @@ def four_points_pair() -> PairInput:
     return make_pair(ring, i_gens, j_gens)
 
 
-def coordinate_points_pair(n: int = 3) -> PairInput:
-    """Square-free quadrics of the coordinate points plus pure powers x_i^(n-1)."""
-    names = [f"x{i+1}" for i in range(n)] if n != 3 else ["x", "y", "z"]
-    ring = make_ring(names)
+def coordinate_points_pair() -> PairInput:
+    """Square-free quadrics of the three coordinate points plus the squares."""
+    ring = make_ring(["x", "y", "z"])
     xs = ring.gens()
-    j_gens = [xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)]
-    i_gens = list(j_gens) + [x ** (n - 1) for x in xs]
+    j_gens = [xs[i] * xs[j] for i in range(3) for j in range(i + 1, 3)]
+    i_gens = list(j_gens) + [x ** 2 for x in xs]
     return make_pair(ring, i_gens, j_gens)
 
 
-def product_partials_pair(n: int = 3) -> PairInput:
-    """Partials of x_1...x_n plus the squared mixed second partials."""
-    names = [f"x{i+1}" for i in range(n)] if n != 3 else ["x", "y", "z"]
+def product_partials_pair() -> PairInput:
+    """Partials of x*y*z plus the squared mixed second partials."""
+    names = ["x", "y", "z"]
     ring = make_ring(names)
-    xs = ring.gens()
-    prod = ring.one
-    for x in xs:
-        prod = prod * x
+    x, y, z = ring.gens()
+    prod = x * y * z
     j_gens = [prod.derivative(v) for v in names]
     sq = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(3):
+        for j in range(i + 1, 3):
             delta = j_gens[j].derivative(names[i])
             sq.append(delta * delta)
     return make_pair(ring, j_gens + sq, j_gens)
 
 
-def forms_pair(r: int = 2) -> PairInput:
-    """Equigenerated J with I = (J, m^r), r at least the generation degree."""
+def forms_pair() -> PairInput:
+    """Equigenerated quadrics J with I = (J, m^2)."""
     ring = make_ring(["x", "y", "z"])
     x, y, z = ring.gens()
     j_gens = [x * x - y * z, y * y - x * z]
-    mr = []
-    from .oracle import monomials_of_degree
-    for m in monomials_of_degree(3, r):
-        mr.append(ring.monomial(m, 1))
+    mr = [ring.monomial(m, 1) for m in monomials_of_degree(3, 2)]
     return make_pair(ring, j_gens + mr, j_gens)
 
 

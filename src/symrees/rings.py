@@ -115,18 +115,6 @@ class MonomialOrder:
                 out.append(tuple(row))
         return tuple(out)
 
-    def eliminates(self, indices: Iterable[int]) -> bool:
-        """True when some prefix of block groups is exactly `indices`."""
-        want = set(indices)
-        if self.kind != "block":
-            return not want
-        have = set()
-        for grp in self.groups:
-            if have == want:
-                return True
-            have.update(grp)
-        return have == want
-
     def restrict(self, keep: Sequence[int]) -> "MonomialOrder":
         """The induced order on the subring spanned by `keep` (old indices)."""
         if self.kind in ("lex", "grevlex"):
@@ -301,10 +289,6 @@ class RingContext:
         (name,) = self.fresh_names(stem, 1)
         ext = self.extend([name], "aux")
         return ext, ext.var(name)
-
-    def elim_order(self, block: str) -> MonomialOrder:
-        """Block order eliminating `block`: its variables strictly first."""
-        return self.elim_order_vars(self.block_indices(block))
 
     def elim_order_vars(self, indices: Sequence[int]) -> MonomialOrder:
         first = tuple(indices)

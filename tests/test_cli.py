@@ -55,6 +55,26 @@ def test_parse_input_requires_header():
         parse_input("ideal I: x")
 
 
+@pytest.mark.parametrize("first, second", [
+    ("ideal I: x^2; x*y", "ideal I: y^3"),
+    ("ideal J: x", "ideal j: y"),
+    ("candidate P1: x", "candidate P1: y"),
+    ("curve: x*y*z", "curve: x^3"),
+    ("family: x*y*z", "family: x^3"),
+    ("constraints: x", "constraints: y"),
+])
+def test_parse_input_rejects_a_second_declaration(first, second):
+    with pytest.raises(RingError, match="line 4:.*already declared on line 2"):
+        parse_input(f"ring: x,y,z\n{first}\n\n{second}\n")
+
+
+def test_redeclared_ideal_is_input_error(tmp_path):
+    path = write(tmp_path, "dup.txt", "ring: x,y,z\nideal I: x^2; x*y\nideal I: y^3\n")
+    res = CliRunner().invoke(main, ["ideal", "dim", path])
+    assert res.exit_code == 2
+    assert "input error: line 3" in res.output
+
+
 def test_gb_command(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["gb", write(tmp_path, "gb.txt", GB)])
@@ -282,6 +302,13 @@ def test_exit_code_failed_verdict(monkeypatch):
 
 def test_exit_code_input_error_on_unknown_fixture():
     res = CliRunner().invoke(main, ["fixtures", "run", "no-such-fixture"])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
+@pytest.mark.parametrize("args", [[], ["four-points", "--all"]])
+def test_fixtures_run_needs_exactly_one_of_name_and_all(args):
+    res = CliRunner().invoke(main, ["fixtures", "run"] + args)
     assert res.exit_code == 2
     assert "input error" in res.output
 
