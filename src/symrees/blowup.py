@@ -339,20 +339,19 @@ def _graded_dims(gb: GroebnerBasis, cap: int) -> list:
     return dims
 
 
-def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
-              internal_cap: int | None = None) -> TorsionReport:
+def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionReport:
     """The pieces (J cap I^t)/(J * I^(t-1)) for 2 <= t <= bound.
 
     When I and J are homogeneous, `internal_dims` lists the nonzero
-    dim (J cap I^t)_d - dim (J * I^(t-1))_d for 0 <= d <= internal_cap, each
-    read off the leading monomials of the two reduced bases.
+    dim (J cap I^t)_d - dim (J * I^(t-1))_d for 0 <= d <= 2 * (largest degree
+    of a generator of I), each read off the leading monomials of the two
+    reduced bases.
     """
     if bound < 2:
         raise RingError("torsion bound must be at least 2")
     I, J = pair.i_ideal, pair.j_ideal
     homog = all(g.is_homogeneous().homogeneous for g in list(I.gens) + list(J.gens))
-    if internal_cap is None and homog:
-        internal_cap = 2 * max(g.degree() for g in I.gens)
+    internal_cap = 2 * max(g.degree() for g in I.gens) if homog else None
     pieces = []
     for t in range(2, bound + 1):
         meet = _pair_meet(pair, t)
@@ -361,7 +360,7 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND, *,
         witnesses = tuple(g for g in meet.gens
                           if not normal_form(g, gb_lower).is_zero)
         dims = ()
-        if homog and internal_cap is not None:
+        if homog:
             gb_meet = groebner(meet)
             dims = tuple((d, a - b) for d, (a, b) in enumerate(zip(
                 _graded_dims(gb_meet, internal_cap),

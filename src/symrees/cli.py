@@ -99,24 +99,25 @@ def parse_input(text: str) -> JobSpec:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, rest = line.partition(":")
-        key = key.strip().lower()
-        if key.startswith("ring"):
-            ring = parse_ring_header(line)
-            continue
-        if ring is None:
-            raise RingError(f"line {lineno}: the ring header must come first")
+        head, _, rest = line.partition(":")
+        words = head.split()
+        key = head.strip().lower()
         terms = [s.strip() for s in rest.split(";") if s.strip()]
-        if key == "curve":
+        if key.startswith("ring"):
+            key = "ring"
+            ring = parse_ring_header(line)
+        elif ring is None:
+            raise RingError(f"line {lineno}: the ring header must come first")
+        elif key == "curve":
             curve = rest.strip()
         elif key == "family":
             family = rest.strip()
         elif key.startswith("ideal"):
-            name = key.split()[1].upper() if len(key.split()) > 1 else "I"
+            name = words[1].upper() if len(words) > 1 else "I"
             key = f"ideal {name}"
             ideals[name] = terms
         elif key.startswith("candidate"):
-            name = key.split()[1] if len(key.split()) > 1 else f"P{len(candidates)+1}"
+            name = words[1] if len(words) > 1 else f"P{len(candidates)+1}"
             key = f"candidate {name}"
             candidates[name] = terms
         elif key == "constraints":

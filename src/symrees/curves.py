@@ -38,6 +38,8 @@ from .ideal_ops import (
 from .rings import Ideal, Polynomial, RingContext, RingError
 from .syzygy import PolyMatrix, entry_ideal, syzygies
 
+SAMPLE_TRIES = 2000   # draws `sample_parameters` makes before giving up
+
 
 class Verdict(Enum):
     LINEAR_TYPE = "linear-type"
@@ -200,7 +202,7 @@ def _content_one_certified(F: Polynomial, ring: RingContext) -> bool:
 
 
 def sample_parameters(ring: RingContext, avoid: Sequence[Polynomial],
-                      seed: int = 0, tries: int = 2000) -> tuple:
+                      seed: int = 0) -> tuple:
     """Deterministic rational sample off the loci where `avoid` members vanish."""
     if not ring.has_block("param"):
         return ()
@@ -209,7 +211,7 @@ def sample_parameters(ring: RingContext, avoid: Sequence[Polynomial],
         return ()
     rng = random.Random(seed)
     pnames = [ring.names[i] for i in pidx]
-    for _ in range(tries):
+    for _ in range(SAMPLE_TRIES):
         alpha = tuple(Fraction(rng.randint(-9, 9)) for _ in pnames)
         if all(a == 0 for a in alpha):
             continue

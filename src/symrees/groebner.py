@@ -4,8 +4,8 @@ Packed monomials.  Inside the engine a monomial is one Python int
 (Bachmann-Schoenemann, "Monomial representations for Groebner bases
 computations", ISSAC 1998; Monagan-Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  For an order with
-rows r_1..r_k (non-negative integer linear forms, see MonomialOrder.rows) on a
-ring of arity n, the fields of x^e from the most significant down are
+rows r_1..r_k (0/1 linear forms, see MonomialOrder.rows) on a ring of arity
+n, the fields of x^e from the most significant down are
 
     r_1.e, ..., r_k.e  (the order word)  |  e_n, ..., e_1  (the exponent word)
 
@@ -18,10 +18,11 @@ unpacked by bit extraction on the way out.
 
 Exponent bound: every field must stay below 2**(FIELD_BITS - 1) = 32768, that
 is each exponent and each row value (the total degree under grevlex, the
-weighted degree under wgrevlex, the degree in each group under block orders).
-Inputs are checked when packed and every product the engine forms is checked
-against the guard bits; a field that reaches its guard bit raises RingError,
-so an overflow is never silent.
+degree in each group under block orders).  Inputs are checked when packed and
+every product the engine forms is checked against the guard bits; a field
+that reaches its guard bit raises RingError, so an overflow is never silent.
+Outside the engine, `MonomialOrder.key_func` packs the same row values into
+64-bit fields and raises RingError past 2**64 - 1.
 
 Coefficients.  A Polynomial already holds content-1 ints plus one Fraction
 scale, so entering the engine only packs exponents and leaving it unpacks them
@@ -84,7 +85,7 @@ def _overflow() -> RingError:
 class _Layout:
     """How the monomials of one (order, arity) pack into ints."""
 
-    __slots__ = ("rows", "shifts", "var", "guard", "emask", "eguard", "cmax")
+    __slots__ = ("rows", "shifts", "var", "guard", "emask", "eguard")
 
     def __init__(self, order: MonomialOrder, arity: int):
         rows = order.rows(arity)
@@ -102,12 +103,11 @@ class _Layout:
                          for k in range(arity + nrows))
         self.emask = (1 << base) - 1
         self.eguard = self.guard & self.emask
-        self.cmax = max((c for row in rows for c in row), default=1)
 
     def pack(self, m) -> int:
-        # total degree * largest row entry bounds every field; past that,
-        # check each field exactly before packing
-        if sum(m) * self.cmax > FIELD_MAX and (
+        # row entries are 0 or 1, so the total degree bounds every field;
+        # past that, check each field exactly before packing
+        if sum(m) > FIELD_MAX and (
                 max(m) > FIELD_MAX
                 or any(sum(map(mul, row, m)) > FIELD_MAX for row in self.rows)):
             raise _overflow()

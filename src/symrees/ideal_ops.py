@@ -35,13 +35,11 @@ from .groebner import (
     reduced_basis,
 )
 from .rings import (
-    GREVLEX,
     Ideal,
     MonomialOrder,
     Polynomial,
     RingContext,
     RingError,
-    block_order,
 )
 
 
@@ -217,8 +215,7 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
         return sat, eliminate(sat, block)
     gone = ring.block_indices(block)
     keep = tuple(i for i in range(ring.arity) if i not in gone)
-    first = tuple(i for i in gone if i != iv) + (iv,)
-    order = block_order(*[(grp, GREVLEX) for grp in (first, keep) if grp])
+    order = ring.elim_order_vars(tuple(i for i in gone if i != iv) + (iv,))
     gb = reduced_basis([_divide_out(g, iv) for g in buchberger(I, order)],
                        ring, order)
     return Ideal(ring, gb.elements), _free_part(gb, gone, ring.subring(keep))

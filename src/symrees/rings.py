@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -32,122 +33,94 @@ class RingError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A multiplicative well-order on monomials.
+    """A multiplicative well-order on monomials, defined by its rows alone.
 
-    kind is one of "lex", "grevlex", "wgrevlex", "block".  Block orders carry
-    index groups compared left to right with their own inner orders; a block
-    order whose first groups cover a variable block is an elimination order
-    for that block.
+    kind is one of "lex", "grevlex", "block".  A block order carries index
+    groups compared left to right, each ordered by grevlex on its indices in
+    the order they are listed; a block order whose first groups cover a
+    variable block is an elimination order for that block.  Every term order
+    is given by such rows (Robbiano, EUROCAL 1985): `rows` is the one
+    definition of each kind, and `key_func` and the engine's packed
+    monomials are derived from it.
     """
 
     kind: str
-    weights: tuple = ()
     groups: tuple = ()       # block: tuple of index tuples
-    inners: tuple = ()       # block: tuple of MonomialOrder, one per group
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "wgrevlex", "block"):
+        if self.kind not in ("lex", "grevlex", "block"):
             raise RingError(f"unknown order kind {self.kind!r}")
-        if self.kind == "wgrevlex" and not all(
-                isinstance(w, int) and w > 0 for w in self.weights):
-            # a zero or negative weight breaks the well-order
-            raise RingError("wgrevlex weights must be positive integers")
-        if self.kind == "block":
-            if len(self.groups) != len(self.inners):
-                raise RingError("block order needs one inner order per group")
-            seen = [i for g in self.groups for i in g]
-            if len(seen) != len(set(seen)):
-                raise RingError("block order groups overlap")
+        seen = [i for g in self.groups for i in g]
+        if len(seen) != len(set(seen)):
+            raise RingError("block order groups overlap")
 
-    def key_func(self, arity: int) -> Callable[[Monom], tuple]:
+    def key_func(self, arity: int) -> Callable[[Monom], int]:
         """Return a key function: larger key == larger monomial."""
-        if self.kind == "lex":
-            return lambda m: m
-        if self.kind == "grevlex":
-            def key(m):
-                return (sum(m), tuple(-e for e in reversed(m)))
-            return key
-        if self.kind == "wgrevlex":
-            if len(self.weights) != arity:
-                raise RingError("weight vector arity mismatch")
-            w = self.weights
-            def key(m):
-                return (sum(wi * e for wi, e in zip(w, m)),
-                        tuple(-e for e in reversed(m)))
-            return key
-        # block
-        seen = sorted(i for g in self.groups for i in g)
-        if seen != list(range(arity)):
-            raise RingError("block order does not cover the ring")
-        parts = []
-        for grp, inner in zip(self.groups, self.inners):
-            sub = inner.key_func(len(grp))
-            parts.append((grp, sub))
-        def key(m):
-            return tuple(sub(tuple(m[i] for i in grp)) for grp, sub in parts)
-        return key
+        return _order_key(self, arity)
 
     def rows(self, arity: int) -> tuple:
-        """The order as non-negative integer linear forms, compared left to right.
+        """The order as 0/1 linear forms, compared left to right.
 
         m < m' exactly when the row values of m come lexicographically before
-        those of m'.  lex: unit rows; grevlex: the prefix sums
-        e_1+..+e_n, e_1+..+e_{n-1}, .., e_1; wgrevlex: the same sums weighted;
-        block: each group's rows, concatenated in group order.
+        those of m'.  A group g_1..g_k gives the grevlex rows, the prefix sums
+        e_g1+..+e_gk, e_g1+..+e_g(k-1), .., e_g1, and the groups' rows are
+        concatenated.  lex is one group per variable (unit rows), grevlex one
+        group of all variables.
         """
-        if self.kind == "lex":
-            return tuple(tuple(int(i == j) for j in range(arity))
-                         for i in range(arity))
-        if self.kind in ("grevlex", "wgrevlex"):
-            w = (1,) * arity if self.kind == "grevlex" else self.weights
-            if len(w) != arity:
-                raise RingError("weight vector arity mismatch")
-            return tuple(tuple(w[j] if j < k else 0 for j in range(arity))
-                         for k in range(arity, 0, -1))
-        if sorted(i for g in self.groups for i in g) != list(range(arity)):
+        groups = {"lex": tuple((i,) for i in range(arity)),
+                  "grevlex": (tuple(range(arity)),)}.get(self.kind, self.groups)
+        if sorted(i for g in groups for i in g) != list(range(arity)):
             raise RingError("block order does not cover the ring")
-        out = []
-        for grp, inner in zip(self.groups, self.inners):
-            for sub in inner.rows(len(grp)):
-                row = [0] * arity
-                for i, c in zip(grp, sub):
-                    row[i] = c
-                out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(int(i in grp[:k]) for i in range(arity))
+                     for grp in groups for k in range(len(grp), 0, -1))
 
     def restrict(self, keep: Sequence[int]) -> "MonomialOrder":
         """The induced order on the subring spanned by `keep` (old indices)."""
-        if self.kind in ("lex", "grevlex"):
+        if self.kind != "block":
             return self
-        if self.kind == "wgrevlex":
-            return MonomialOrder("wgrevlex",
-                                 weights=tuple(self.weights[i] for i in keep))
         pos = {old: new for new, old in enumerate(keep)}
-        groups, inners = [], []
-        for grp, inner in zip(self.groups, self.inners):
-            sub = [i for i in grp if i in pos]
-            if sub:
-                groups.append(tuple(range(len(sub))))  # local positions; fixed below
-                inners.append(inner if inner.kind != "wgrevlex"
-                              else MonomialOrder("wgrevlex", weights=tuple(
-                                  inner.weights[grp.index(i)] for i in sub)))
-                groups[-1] = tuple(pos[i] for i in sub)
-        if not groups:
-            return GREVLEX
-        if len(groups) == 1:
-            return inners[0]
-        return MonomialOrder("block", groups=tuple(groups), inners=tuple(inners))
+        return block_order(*(tuple(pos[i] for i in grp if i in pos)
+                             for grp in self.groups))
 
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
+KEY_BITS = 64
+KEY_MAX = (1 << KEY_BITS) - 1   # largest row value an order key may hold
 
-def block_order(*parts: tuple) -> MonomialOrder:
-    """Build a block order from (index-tuple, inner-order) pairs."""
-    groups = tuple(tuple(g) for g, _ in parts)
-    inners = tuple(o for _, o in parts)
-    return MonomialOrder("block", groups=groups, inners=inners)
+
+@lru_cache(maxsize=64)
+def _order_key(order: MonomialOrder, arity: int) -> Callable[[Monom], int]:
+    """The row values of a monomial packed into one int, KEY_BITS per row.
+
+    Rows are non-negative, so the packed ints compare as the row vectors do
+    as long as no row value exceeds KEY_MAX; a larger one raises RingError.
+    Each row entry is 0 or 1, so no row value exceeds the total degree.
+    """
+    rows = order.rows(arity)
+    cols = tuple(sum(row[i] << (KEY_BITS * r) for r, row in enumerate(reversed(rows)))
+                 for i in range(arity))
+
+    def key(m):
+        if sum(m) > KEY_MAX and any(sum(map(mul, row, m)) > KEY_MAX for row in rows):
+            raise RingError(f"monomial exceeds the order key's bound: a row value"
+                            f" (such as the total degree) is above {KEY_MAX}")
+        return sum(map(mul, m, cols))
+
+    return key
+
+
+def block_order(*groups: tuple) -> MonomialOrder:
+    """The block order on index groups, each in grevlex as listed.
+
+    Empty groups are dropped, and one group in ascending order is GREVLEX.
+    """
+    groups = tuple(tuple(g) for g in groups if g)
+    flat = tuple(i for g in groups for i in g)
+    if len(groups) <= 1 and flat == tuple(range(len(flat))):
+        return GREVLEX
+    return MonomialOrder("block", groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +209,7 @@ class RingContext:
 
     # -- derived rings --------------------------------------------------------
 
-    def extend(self, new_names: Sequence[str], block: str,
-               order: MonomialOrder | None = None) -> "RingContext":
+    def extend(self, new_names: Sequence[str], block: str) -> "RingContext":
         """Append fresh variables as a new (or existing) trailing block."""
         new_names = tuple(new_names)
         for n in new_names:
@@ -252,10 +224,9 @@ class RingContext:
                 break
         else:
             blocks.append((block, added))
-        return RingContext(names, tuple(blocks), order or GREVLEX)
+        return RingContext(names, tuple(blocks), GREVLEX)
 
-    def subring(self, keep: Sequence[int],
-                order: MonomialOrder | None = None) -> "RingContext":
+    def subring(self, keep: Sequence[int]) -> "RingContext":
         """Subring on the variables at `keep` (old indices, in order)."""
         keep = list(keep)
         names = tuple(self.names[i] for i in keep)
@@ -265,39 +236,28 @@ class RingContext:
             sub = tuple(pos[i] for i in idxs if i in pos)
             if sub:
                 blocks.append((b, sub))
-        return RingContext(names, tuple(blocks),
-                           order or self.order.restrict(keep))
+        return RingContext(names, tuple(blocks), self.order.restrict(keep))
 
-    def drop_block(self, block: str, order: MonomialOrder | None = None) -> "RingContext":
+    def drop_block(self, block: str) -> "RingContext":
         gone = set(self.block_indices(block))
-        return self.subring([i for i in range(self.arity) if i not in gone], order)
-
-    def fresh_names(self, stem: str, count: int) -> list:
-        """`count` identifiers built on `stem`, avoiding existing names."""
-        out, k = [], 0
-        taken = set(self.names)
-        while len(out) < count:
-            cand = f"{stem}{k}" if (count > 1 or k > 0 or stem in taken) else stem
-            if cand not in taken:
-                out.append(cand)
-                taken.add(cand)
-            k += 1
-        return out
+        return self.subring([i for i in range(self.arity) if i not in gone])
 
     def with_aux(self, stem: str) -> tuple:
-        """(ring plus one fresh variable in the trailing "aux" block, that variable)."""
-        (name,) = self.fresh_names(stem, 1)
+        """(ring plus one fresh variable in the trailing "aux" block, that variable).
+
+        The variable is named `stem`, or `stem0`, `stem1`, ... if that is taken.
+        """
+        name, k = stem, 0
+        while name in self.names:
+            name, k = f"{stem}{k}", k + 1
         ext = self.extend([name], "aux")
         return ext, ext.var(name)
 
     def elim_order_vars(self, indices: Sequence[int]) -> MonomialOrder:
+        """The block order with `indices` first (as listed), then the rest."""
         first = tuple(indices)
-        rest = tuple(i for i in range(self.arity) if i not in set(first))
-        if not first:
-            return GREVLEX
-        if not rest:
-            return GREVLEX
-        return block_order((first, GREVLEX), (rest, GREVLEX))
+        gone = set(first)
+        return block_order(first, tuple(i for i in range(self.arity) if i not in gone))
 
     def __repr__(self):
         bl = "; ".join(f"{b}: {','.join(self.names[i] for i in idxs)}"

@@ -62,10 +62,13 @@ def test_parse_input_requires_header():
     ("curve: x*y*z", "curve: x^3"),
     ("family: x*y*z", "family: x^3"),
     ("constraints: x", "constraints: y"),
+    ("ring: x,y,z", "ring: x,y"),
 ])
 def test_parse_input_rejects_a_second_declaration(first, second):
+    # line 1 is the ring header, or a comment when the pair is two headers
+    head = "# two ring headers" if first.startswith("ring") else "ring: x,y,z"
     with pytest.raises(RingError, match="line 4:.*already declared on line 2"):
-        parse_input(f"ring: x,y,z\n{first}\n\n{second}\n")
+        parse_input(f"{head}\n{first}\n\n{second}\n")
 
 
 def test_redeclared_ideal_is_input_error(tmp_path):
@@ -73,6 +76,11 @@ def test_redeclared_ideal_is_input_error(tmp_path):
     res = CliRunner().invoke(main, ["ideal", "dim", path])
     assert res.exit_code == 2
     assert "input error: line 3" in res.output
+
+
+def test_candidate_names_keep_their_case():
+    job = parse_input("ring: x,y\ncandidate P1: x\ncandidate q2: y\ncandidate: x; y\n")
+    assert list(job.candidates) == ["P1", "q2", "P3"]
 
 
 def test_gb_command(tmp_path):

@@ -13,7 +13,6 @@ from symrees import (
     GREVLEX,
     LEX,
     Ideal,
-    MonomialOrder,
     ParseError,
     RingContext,
     RingError,
@@ -231,7 +230,7 @@ def test_grevlex_vs_lex():
 
 def test_order_well_ordering_and_multiplicativity():
     rng = random.Random(5)
-    for order in (GREVLEX, LEX, MonomialOrder("wgrevlex", weights=(1, 2, 1))):
+    for order in (GREVLEX, LEX):
         key = order.key_func(3)
         one = (0, 0, 0)
         for _ in range(200):
@@ -255,32 +254,72 @@ def test_elimination_order_structure():
     assert order.groups == ((0, 1, 2), (3,))
 
 
-def _row_key(order, arity):
-    rows = order.rows(arity)
-    return lambda m: tuple(sum(c * e for c, e in zip(row, m)) for row in rows)
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _lex_cmp(a, b):
+    """Textbook lex: the first nonzero entry of a - b decides."""
+    return next((_sign(x - y) for x, y in zip(a, b) if x != y), 0)
+
+
+def _grevlex_cmp(a, b):
+    """Textbook grevlex: total degree, then the smaller last differing exponent."""
+    if sum(a) != sum(b):
+        return _sign(sum(a) - sum(b))
+    return next((_sign(y - x) for x, y in zip(reversed(a), reversed(b)) if x != y), 0)
+
+
+def _block_cmp(groups):
+    """Textbook block order: groups left to right, each in grevlex as listed."""
+    def cmp(a, b):
+        for g in groups:
+            c = _grevlex_cmp([a[i] for i in g], [b[i] for i in g])
+            if c:
+                return c
+        return 0
+    return cmp
 
 
 def test_order_rows_agree_with_key():
+    """The rows-derived key orders monomials as the textbook comparators do."""
     ring = make_ring(["x", "y", "z"], ["u"])
-    orders = (GREVLEX, LEX, MonomialOrder("wgrevlex", weights=(1, 2, 1, 3)),
-              ring.elim_order_vars(ring.block_indices("geom")),
-              ring.elim_order_vars([3]),
-              block_order(((1, 3), LEX), ((0, 2), GREVLEX)))
+    cases = ((GREVLEX, _grevlex_cmp), (LEX, _lex_cmp),
+             (ring.elim_order_vars(ring.block_indices("geom")),
+              _block_cmp(((0, 1, 2), (3,)))),
+             (ring.elim_order_vars([3]), _block_cmp(((3,), (0, 1, 2)))),
+             (block_order((2, 0, 3, 1)), _block_cmp(((2, 0, 3, 1),))))
     rng = random.Random(11)
-    for order in orders:
-        key, rkey = order.key_func(4), _row_key(order, 4)
-        assert all(c >= 0 for row in order.rows(4) for c in row)
-        for _ in range(300):
+    for order, cmp in cases:
+        key = order.key_func(4)
+        # the key and the engine bound row values by the total degree
+        assert {c for row in order.rows(4) for c in row} == {0, 1}
+        for _ in range(400):
             a = tuple(rng.randint(0, 3) for _ in range(4))
             b = tuple(rng.randint(0, 3) for _ in range(4))
-            assert (key(a) < key(b)) == (rkey(a) < rkey(b))
-            assert (key(a) == key(b)) == (rkey(a) == rkey(b)) == (a == b)
+            assert _sign(key(a) - key(b)) == cmp(a, b)
+            assert (key(a) == key(b)) == (a == b)
 
 
-@pytest.mark.parametrize("weights", [(1, 0, 1), (2, -1, 1), (1, 2.5, 1)])
-def test_wgrevlex_rejects_weights_that_are_not_positive_integers(weights):
-    with pytest.raises(RingError):
-        MonomialOrder("wgrevlex", weights=weights)
+def test_restrict_keeps_a_permuted_group():
+    order = block_order((1, 2, 0))
+    assert order.restrict([0, 1, 2]) == order != GREVLEX
+    assert order.restrict([0, 1, 2]).rows(3) == ((1, 1, 1), (0, 1, 1), (0, 1, 0))
+    # a group left in ascending order is grevlex itself
+    assert block_order((0, 1), (2,)).restrict([0, 1]) == GREVLEX
+    assert block_order((2,), (0, 1)).restrict([0, 1]) == GREVLEX
+
+
+def test_order_key_raises_past_its_bound():
+    big = (1 << 64) - 1
+    # a row value of 2**64 - 1 still fits, and the order is kept there
+    assert GREVLEX.key_func(3)((big, 0, 0)) > GREVLEX.key_func(3)((big - 1, 1, 0))
+    # lex rows are single exponents: a total degree past the bound is fine
+    assert LEX.key_func(3)((1 << 63, 1 << 63, 0)) > LEX.key_func(3)((1 << 63, 0, 1))
+    with pytest.raises(RingError, match="order key"):
+        GREVLEX.key_func(3)((1 << 63, 1 << 63, 0))
+    with pytest.raises(RingError, match="order key"):
+        LEX.key_func(3)((0, 1 << 64, 0))
 
 
 def test_extend_and_subring():
