@@ -38,9 +38,8 @@ from typing import Sequence
 
 from .groebner import (
     GroebnerBasis,
-    buchberger_tracked,
-    division,
     groebner,
+    member_lifts,
     normal_form,
     radical_member,
 )
@@ -68,22 +67,15 @@ class CertificateError(ValueError):
 def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial]) -> list:
     """For each a in `js`, coefficients c with a = sum c_j * i_gens[j].
 
-    One tracked basis of `i_gens` serves every element: each is divided by it
-    and its quotients are pulled back along the basis's representation.
+    One tracked basis of `i_gens` serves every element: each is reduced by it
+    inside the engine with its representation tracked (`member_lifts`).
     """
     if not js:
         return []
-    gb, A = buchberger_tracked(list(i_gens))
-    rows = []
-    for a in js:
-        nf, quots = division(a, gb)
-        if not nf.is_zero:
+    rows = member_lifts(js, list(i_gens))
+    for a, row in zip(js, rows):
+        if row is None:
             raise CertificateError(f"{a} is not in the ideal of the given generators")
-        if not gb.elements:  # every b_j is zero, and so is a
-            rows.append([a.ring.zero for _ in i_gens])
-        else:
-            rows.append([apply_row(quots, [row[j] for row in A])
-                         for j in range(len(i_gens))])
     return rows
 
 

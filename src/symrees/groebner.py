@@ -34,7 +34,11 @@ and the normal (minimal lcm) selection strategy, with deterministic
 tie-breaks so a basis is reproducible and unique for (ideal, order).
 
 Optionally every basis element tracks its representation in terms of the input
-generators; this feeds containment certificates and syzygy extraction.
+generators (as their content-1 integer parts).  Containment certificates
+(`member_lifts`) and syzygies (`syzygy_lifts`) are lifted on the records of
+one tracked run: each target, generator or S-polynomial of a basis pair is
+reduced to zero by the final records with its representation tracked, and
+that representation, rescaled by the generators' scales, is the row.
 
 Work budget.  Every reduction step and every S-pair taken spends one unit of a
 budget; WorkLimitExceeded is raised when it runs out.  `with work_limit(n):`
@@ -51,6 +55,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -197,10 +202,12 @@ class _Rec:
 
     The leading term is kept apart from the tail; `top` is the field-wise max
     of all terms, so a product x^q * self passes the exponent bound exactly
-    when q + top does.
+    when q + top does.  `rtop` is the same bound for every term of the
+    representation `rep`.  A record is not changed once built, except that
+    `buchberger_tracked` drops its `rep`.
     """
 
-    __slots__ = ("lm", "lc", "tail", "top", "rep")
+    __slots__ = ("lm", "lc", "tail", "top", "rep", "rtop")
 
     def __init__(self, terms: dict, guard: int, rep=None):
         lm = max(terms)
@@ -209,6 +216,7 @@ class _Rec:
         self.tail = [(m, c) for m, c in terms.items() if m != lm]
         self.top = _top(terms, guard)
         self.rep = rep
+        self.rtop = _top((m for d in rep.values() for m in d), guard) if rep else 0
 
     def items(self) -> list:
         return [(self.lm, self.lc)] + self.tail
@@ -235,12 +243,13 @@ def _axpy(dst: dict, c: int, q: int, src) -> None:
             del dst[mm]
 
 
-def _rep_axpy(rep, c, q, src_rep, guard):
-    if rep is None or src_rep is None:
+def _rep_axpy(rep, c, q, src: _Rec, guard):
+    """rep += c * x^q * src.rep, when both are tracked."""
+    if rep is None or src.rep is None:
         return
-    for j, d in src_rep.items():
-        if (q + _top(d, guard)) & guard:
-            raise _overflow()
+    if (q + src.rtop) & guard:
+        raise _overflow()
+    for j, d in src.rep.items():
         tgt = rep.setdefault(j, {})
         _axpy(tgt, c, q, d.items())
         if not tgt:
@@ -288,7 +297,7 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], guard: int, budget,
         if (q + g.top) & guard:
             raise _overflow()
         _axpy(p, -cr, q, g.tail)
-        _rep_axpy(rep, -cr, q, g.rep, guard)
+        _rep_axpy(rep, -cr, q, g, guard)
         if quotients is not None:
             qd = quotients.setdefault(idx, {})
             s = qd.get(q, 0) + cr
@@ -314,8 +323,8 @@ def _spoly(gi: _Rec, gj: _Rec, lcm: int, guard: int, track: bool):
     rep = None
     if track:
         rep = {}
-        _rep_axpy(rep, ci, qi, gi.rep, guard)
-        _rep_axpy(rep, -cj, qj, gj.rep, guard)
+        _rep_axpy(rep, ci, qi, gi, guard)
+        _rep_axpy(rep, -cj, qj, gj, guard)
     return out, rep
 
 
@@ -534,16 +543,90 @@ def buchberger_tracked(source, order: MonomialOrder | None = None):
     elems = []
     A = []
     for rec in final:
-        lc = Fraction(rec.lc)
-        elems.append(_from_engine(ring, lay, rec.items(), 1 / lc))
-        row = []
-        for j in range(len(gens)):
-            d = rec.rep.get(j, {}) if rec.rep else {}
-            row.append(_from_engine(ring, lay, d.items(), scales[j] / lc)
-                       if d else ring.zero)
-        A.append(row)
+        inv = 1 / Fraction(rec.lc)
+        elems.append(_from_engine(ring, lay, rec.items(), inv))
+        A.append(_rep_row(ring, lay, rec.rep, scales, inv))
         rec.rep = None
     return GroebnerBasis(ring, order, tuple(elems), _records=tuple(final)), A
+
+
+def _rep_row(ring, lay: _Layout, rep: dict, scales, c) -> list:
+    """c * rep as coefficients of the generators whose scales are `scales`.
+
+    The engine tracks each generator g_j as its content-1 integer part
+    g_j / scales[j], so entry j is c * rep[j] / scales[j].
+    """
+    return [_from_engine(ring, lay, rep[j].items(), c / scale) if j in rep
+            else ring.zero for j, scale in enumerate(scales)]
+
+
+def _tracked_run(source):
+    """(ring, layout, budget, final records, scales) of one tracked run under
+    the ring's order; the records are descending, as `division` sees them."""
+    gens, ring = _as_gens(source)
+    final, scales = _run_buchberger(gens, ring, ring.order, track=True)
+    return ring, _layout(ring.order, ring.arity), _budget(), final, scales
+
+
+def syzygy_lifts(gens: Sequence[Polynomial]) -> list:
+    """Rows over `gens` that generate their first syzygy module.
+
+    One tracked run gives a basis G = F*A of F = gens.  Generator i reduced to
+    zero by G, its representation seeded as the unit row e_i, leaves a
+    multiple of row i of B*A - Id (F = G*B by that reduction); each basis pair
+    that the chain criterion keeps leaves its S-polynomial's syzygy pulled
+    back along A (Schreyer 1980).  Zero rows are dropped; the rows are not
+    normalized.
+    """
+    ring, lay, budget, final, scales = _tracked_run(gens)
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
+    rows = []
+
+    def lift(terms, rep, what):
+        if _reduce_full(terms, final, guard, budget, rep=rep)[0]:
+            raise AssertionError(f"{what} did not reduce to zero against its basis")
+        if rep:
+            rows.append(_rep_row(ring, lay, rep, scales, 1))
+
+    for i, g in enumerate(gens):
+        lift(_to_engine(lay, g)[0], {i: {0: 1}}, "generator")
+
+    # pair (k, l) is skipped when some lm_j divides lcm_kl and neither
+    # lcm_kj nor lcm_jl equals it; pairs are taken in `combinations` order
+    ex = [rec.lm & emask for rec in final]
+    lcms = {}
+    for k, l in combinations(range(len(final)), 2):
+        lcms[k, l] = lcms[l, k] = _fmax(ex[k], ex[l], eguard)
+    for k, l in combinations(range(len(final)), 2):
+        lcm = lcms[k, l]
+        if any(j != k and j != l and not ((lcm - e) & eguard)
+               and lcms[k, j] != lcm and lcms[j, l] != lcm for j, e in enumerate(ex)):
+            continue
+        packed = lay.pack_exponents(lcm)
+        if packed & guard:
+            raise _overflow()
+        lift(*_spoly(final[k], final[l], packed, guard, True), "S-polynomial")
+    return rows
+
+
+def member_lifts(targets: Sequence[Polynomial], gens: Sequence[Polynomial]) -> list:
+    """For each target a, a row c with a == sum_j c[j] * gens[j], or None when
+    a is not in the ideal of `gens`.
+
+    One tracked run serves every target: a is reduced by the basis with an
+    empty representation, which ends as minus the quotients pulled back
+    along the basis's representation, times the reduction's multiplier.
+    """
+    ring, lay, budget, final, scales = _tracked_run(gens)
+    rows = []
+    for a in targets:
+        if a.ring != ring:
+            raise RingError("ring mismatch")
+        terms, scale = _to_engine(lay, a)
+        rep: dict = {}
+        r, mult = _reduce_full(terms, final, lay.guard, budget, rep=rep)
+        rows.append(None if r else _rep_row(ring, lay, rep, scales, -scale / mult))
+    return rows
 
 
 def _as_gens(source):

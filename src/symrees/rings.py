@@ -628,17 +628,21 @@ def _make(ring: RingContext, coeffs: dict, scale: Fraction) -> Polynomial:
 
 
 def poly_str(p: Polynomial) -> str:
-    if not p.terms:
+    if not p.coeffs:
         return "0"
+    key = p.ring.order.key_func(p.ring.arity)
+    num, den = p.scale.numerator, p.scale.denominator
+    names = p.ring.names
     parts = []
-    for m, c in p.sorted_terms():
+    for m, k in sorted(p.coeffs.items(), key=lambda mc: key(mc[0]), reverse=True):
+        c = num * k
+        mag = abs(c) if den == 1 else abs(Fraction(c, den))
         factors = []
-        for name, e in zip(p.ring.names, m):
+        for name, e in zip(names, m):
             if e == 1:
                 factors.append(name)
             elif e:
                 factors.append(f"{name}^{e}")
-        mag = abs(c)
         if not factors:
             body = str(mag)
         elif mag == 1:

@@ -1,15 +1,18 @@
 """First syzygies, polynomial matrices, minors and Jacobians.
 
-Syzygies of (g_1..g_m) come from a tracked Groebner run: with G = F*A and
-F = G*B (division), the kernel of F is generated by the rows of B*A - Id
-together with the pullbacks A^t * s of the S-pair syzygies s of G (Schreyer
-1980).  A basis pair (k, l) is skipped when some third element g_j has
-lm(g_j) | lcm(k, l) and lcm(k, j), lcm(j, l) both differ from lcm(k, l):
-then S_kl is a monomial combination of S_kj and S_jl, whose lcms strictly
-divide lcm(k, l), so by induction on the lcm the kept pairs still generate
-(Buchberger's chain criterion, Gebauer-Moller, J. Symb. Comp. 1988).  Pairs
-whose lcms tie are kept.  Columns are content-normalized and deduplicated
-but not minimalized; the entry ideal I_1 is independent of that choice.
+Syzygies of (g_1..g_m) are lifted inside the engine (`groebner.syzygy_lifts`):
+with G = F*A from one tracked Groebner run and F = G*B by reduction, the
+kernel of F is generated by the rows of B*A - Id together with the pullbacks
+A^t * s of the S-pair syzygies s of G (Schreyer 1980).  Each is a
+fraction-free reduction on the engine's records with its representation
+tracked, so neither B nor A is formed.  A basis pair (k, l) is skipped when
+some third element g_j has lm(g_j) | lcm(k, l) and lcm(k, j), lcm(j, l) both
+differ from lcm(k, l): then S_kl is a monomial combination of S_kj and S_jl,
+whose lcms strictly divide lcm(k, l), so by induction on the lcm the kept
+pairs still generate (Buchberger's chain criterion, Gebauer-Moller, J. Symb.
+Comp. 1988).  Pairs whose lcms tie are kept.  Columns are content-normalized
+and deduplicated but not minimalized; the entry ideal I_1 is independent of
+that choice.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, le
+from operator import add
 from typing import Sequence
 
-from .groebner import buchberger_tracked, division
+from .groebner import syzygy_lifts
 from .rings import Ideal, Polynomial, RingContext, RingError
 
 
@@ -157,67 +160,12 @@ def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:
         cols = [[ring.one if i == j else zero for i in range(m)] for j in range(m)]
         return matrix_from_columns(ring, cols)
 
-    live = [gens[j] for j in nonzero_idx]
-    gb, A = buchberger_tracked(live)
-    s = len(gb.elements)
-
-    # F = G*B via division of each generator by the basis
-    B = []
-    for g in live:
-        nf, quots = division(g, gb)
-        if not nf.is_zero:
-            raise AssertionError("generator did not reduce to zero against its basis")
-        B.append(quots)
-
-    raw_cols = []
-
-    # rows of B*A - Id are syzygies of the generators
-    a_cols = [[A[k][j] for k in range(s)] for j in range(len(live))]
-    for i in range(len(live)):
-        row = [apply_row(B[i], a_col) for a_col in a_cols]
-        row[i] = row[i] - ring.one
-        if any(not p.is_zero for p in row):
-            raw_cols.append(row)
-
-    # Schreyer generators: one syzygy of G per basis pair that the chain
-    # criterion keeps, pulled back along A
-    leads = [g.leading(gb.order) for g in gb.elements]
-    lcms = {}
-    for k, l in combinations(range(s), 2):
-        lcms[k, l] = lcms[l, k] = tuple(map(max, leads[k][0], leads[l][0]))
-    for k, l in combinations(range(s), 2):
-        mk, ck = leads[k]
-        ml, cl = leads[l]
-        lcm = lcms[k, l]
-        if any(j != k and j != l and all(map(le, leads[j][0], lcm))
-               and lcms[k, j] != lcm and lcms[j, l] != lcm for j in range(s)):
-            continue
-        qk = tuple(a - b for a, b in zip(lcm, mk))
-        ql = tuple(a - b for a, b in zip(lcm, ml))
-        tk = ring.monomial(qk, 1 / ck)
-        tl = ring.monomial(ql, 1 / cl)
-        spair = tk * gb.elements[k] - tl * gb.elements[l]
-        svec = [zero] * s
-        svec[k] = tk
-        svec[l] = -tl
-        if not spair.is_zero:
-            nf, quots = division(spair, gb)
-            if not nf.is_zero:
-                raise AssertionError("S-polynomial did not reduce to zero")
-            for i, q in enumerate(quots):
-                if not q.is_zero:
-                    svec[i] = svec[i] - q
-        col = [apply_row(svec, a_col) for a_col in a_cols]
-        if any(not p.is_zero for p in col):
-            raw_cols.append(col)
-
-    # re-insert rows for zero generators, normalize, dedupe
     cols = []
     seen = set()
-    for col in raw_cols:
+    for row in syzygy_lifts([gens[j] for j in nonzero_idx]):
         full = [zero] * m
         for pos, j in enumerate(nonzero_idx):
-            full[j] = col[pos]
+            full[j] = row[pos]
         full = _normalize_column(full)
         fz = tuple(full)
         if fz not in seen:
@@ -239,7 +187,7 @@ def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomi
 
     The integer parts of the products are summed into one dict over the
     common denominator of their scales, and a pair with a zero factor is
-    skipped: most division quotients in `syzygies` are zero.
+    skipped: certificate rows and syzygy columns are mostly zero.
     """
     ring = gens[0].ring
     live = []
