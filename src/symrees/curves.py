@@ -158,8 +158,7 @@ class FamilyReport:
     codim_entry: int
     contraction: Ideal
     contraction_dim: DimensionReport
-    seed: int | None
-    member: MemberReport | None
+    member: MemberReport
     generic_linear_type: bool
     legs: tuple                  # the three equivalent criteria, as booleans
     consistent: bool
@@ -236,7 +235,6 @@ def _eval_params(g: Polynomial, pnames, alpha) -> Fraction:
 
 
 def analyze_family(F: Polynomial, *, seed: int = 0,
-                   alpha: Sequence[Fraction] | None = None,
                    avoid: Sequence[Polynomial] = ()) -> FamilyReport:
     """Degeneration analysis of a parameterized plane-curve family."""
     ring = F.ring
@@ -272,11 +270,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         contraction = intersect(contraction, cv)
     crep = dimension(contraction)
 
-    member = None
-    used_seed = None
-    if alpha is None:
-        used_seed = seed
-        alpha = sample_parameters(ring, avoid, seed)
+    alpha = sample_parameters(ring, avoid, seed)
     member = evaluate_member(F, alpha, family_entry_ideal=base)
 
     leg_codim = srep.codim_at_least(3)
@@ -287,7 +281,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         family=F, gradient_gens=tuple(gens), syzygy_matrix=phi,
         entry_ideal=script, codim_gradient=grep.codim, codim_entry=srep.codim,
         contraction=contraction, contraction_dim=crep,
-        seed=used_seed, member=member,
+        member=member,
         generic_linear_type=leg_codim,
         legs=legs, consistent=len(set(legs)) == 1, warnings=tuple(warnings),
         _saturations=sats)

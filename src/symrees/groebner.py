@@ -34,11 +34,14 @@ and the normal (minimal lcm) selection strategy, with deterministic
 tie-breaks so a basis is reproducible and unique for (ideal, order).
 
 Optionally every basis element tracks its representation in terms of the input
-generators (as their content-1 integer parts).  Containment certificates
-(`member_lifts`) and syzygies (`syzygy_lifts`) are lifted on the records of
-one tracked run: each target, generator or S-polynomial of a basis pair is
-reduced to zero by the final records with its representation tracked, and
-that representation, rescaled by the generators' scales, is the row.
+generators (as their content-1 integer parts); this representation is the
+engine's only lift bookkeeping.  Containment certificates (`member_lifts`)
+and syzygies (`syzygy_lifts`) are lifted on the records of one tracked run:
+each target, generator or S-polynomial of a basis pair is reduced to zero by
+the final records with its representation tracked, and that representation,
+rescaled by the generators' scales, is the row.  `division` reduces the same
+way, on copies of a basis's records that each represent themselves, so the
+quotients are the representation of the input.
 
 Work budget.  Every reduction step and every S-pair taken spends one unit of a
 budget; WorkLimitExceeded is raised when it runs out.  `with work_limit(n):`
@@ -203,8 +206,7 @@ class _Rec:
     The leading term is kept apart from the tail; `top` is the field-wise max
     of all terms, so a product x^q * self passes the exponent bound exactly
     when q + top does.  `rtop` is the same bound for every term of the
-    representation `rep`.  A record is not changed once built, except that
-    `buchberger_tracked` drops its `rep`.
+    representation `rep`.  A record is not changed once built.
     """
 
     __slots__ = ("lm", "lc", "tail", "top", "rep", "rtop")
@@ -257,13 +259,17 @@ def _rep_axpy(rep, c, q, src: _Rec, guard):
 
 
 def _reduce_full(terms: dict, reducers: Sequence[_Rec], guard: int, budget,
-                 rep=None, quotients=None) -> tuple:
+                 rep=None) -> tuple:
     """Full normal form; returns (remainder, multiplier).
 
-    Fraction-free: on exit  multiplier * input == remainder
-                            + sum(quotients[i] * reducers[i])
-    with the representation payload scaled consistently when tracking.
-    The first reducer whose leading monomial divides the current term acts.
+    Fraction-free: if step k subtracts c_k * x^q_k * reducers[i_k], on exit
+
+        remainder == multiplier * input  - sum_k c_k * x^q_k * reducers[i_k]
+        rep       == multiplier * rep_in - sum_k c_k * x^q_k * reducers[i_k].rep
+
+    the second when tracking, with `rep` updated in place from its value
+    rep_in on entry.  The first reducer whose leading monomial divides the
+    current term acts.
     """
     p = dict(terms)
     r: dict = {}
@@ -289,22 +295,12 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], guard: int, budget,
             _dict_scale(p, lcr)
             _dict_scale(r, lcr)
             _scale_rep(rep, lcr)
-            if quotients is not None:
-                for qd in quotients.values():
-                    _dict_scale(qd, lcr)
             mult *= lcr
         q = m - lm
         if (q + g.top) & guard:
             raise _overflow()
         _axpy(p, -cr, q, g.tail)
         _rep_axpy(rep, -cr, q, g, guard)
-        if quotients is not None:
-            qd = quotients.setdefault(idx, {})
-            s = qd.get(q, 0) + cr
-            if s:
-                qd[q] = s
-            else:
-                del qd[q]
     return r, mult
 
 
@@ -534,20 +530,16 @@ def _untracked_basis(ring, order, final) -> GroebnerBasis:
     return GroebnerBasis(ring, order, elems, _records=tuple(final))
 
 
-def buchberger_tracked(source, order: MonomialOrder | None = None):
-    """(GroebnerBasis, A) with A[k][j] satisfying  basis[k] == sum_j A[k][j]*gens[j]."""
-    gens, ring = _as_gens(source)
-    order = order or ring.order
-    final, scales = _run_buchberger(gens, ring, order, track=True)
-    lay = _layout(order, ring.arity)
-    elems = []
-    A = []
-    for rec in final:
-        inv = 1 / Fraction(rec.lc)
-        elems.append(_from_engine(ring, lay, rec.items(), inv))
-        A.append(_rep_row(ring, lay, rec.rep, scales, inv))
-        rec.rep = None
-    return GroebnerBasis(ring, order, tuple(elems), _records=tuple(final)), A
+def buchberger_tracked(source):
+    """(GroebnerBasis, A) with A[k][j] satisfying  basis[k] == sum_j A[k][j]*gens[j].
+
+    The basis is under the ring's order and carries untracked copies of the
+    run's records.
+    """
+    ring, lay, _, final, scales = _tracked_run(source)
+    A = [_rep_row(ring, lay, rec.rep, scales, Fraction(1, rec.lc)) for rec in final]
+    recs = [_Rec(dict(rec.items()), lay.guard) for rec in final]
+    return _untracked_basis(ring, ring.order, recs), A
 
 
 def _rep_row(ring, lay: _Layout, rep: dict, scales, c) -> list:
@@ -668,20 +660,16 @@ def division(p: Polynomial, G: GroebnerBasis):
         return p, [G.ring.zero] * len(G.elements)
     lay = _layout(G.order, G.ring.arity)
     ints, scale = _to_engine(lay, p)
-    recs = G._engine_records(lay)
-    quots: dict = {}
-    r, mult = _reduce_full(ints, recs, lay.guard, _budget(), quotients=quots)
-    nf = _from_engine(G.ring, lay, r.items(), scale / mult)
-    out = []
-    for i, (g, rec) in enumerate(zip(G.elements, recs)):
-        d = quots.get(i)
-        if d:
-            # g == g_lc / rec.lc * (rec as an integer polynomial)
-            rec_scale = g.scale * g.coeffs[lay.unpack(rec.lm)] / rec.lc
-            out.append(_from_engine(G.ring, lay, d.items(), scale / (mult * rec_scale)))
-        else:
-            out.append(G.ring.zero)
-    return nf, out
+    # record i represents itself, so p's representation ends as minus the
+    # quotients; g_i == scales[i] * (record i as an integer polynomial)
+    recs = [_Rec(dict(rec.items()), lay.guard, {i: {0: 1}})
+            for i, rec in enumerate(G._engine_records(lay))]
+    scales = [g.scale * g.coeffs[lay.unpack(rec.lm)] / rec.lc
+              for g, rec in zip(G.elements, recs)]
+    rep: dict = {}
+    r, mult = _reduce_full(ints, recs, lay.guard, _budget(), rep=rep)
+    return (_from_engine(G.ring, lay, r.items(), scale / mult),
+            _rep_row(G.ring, lay, rep, scales, -scale / mult))
 
 
 def ideal_member(p: Polynomial, source) -> bool:

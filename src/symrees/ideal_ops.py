@@ -14,9 +14,10 @@ runs no Buchberger.  The exception is `saturate_by_variable` on input
 homogeneous in the variable's block: its one run, under a block order that
 also eliminates that block, gives both the saturation and its contraction,
 with no fresh variable.
-Quotients and saturations by ideals reduce to intersections plus Groebner
-normal forms.  Dimension comes from maximal independent variable sets modulo
-the initial ideal.
+Quotients and saturations by ideals reduce to intersections plus one lift:
+I : (g) is I ∩ (g) with each generator divided by g, all those quotients
+read off one tracked run (`member_lifts`).  Dimension comes from maximal
+independent variable sets modulo the initial ideal.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Sequence
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    division,
     groebner,
     ideal_member,
+    member_lifts,
     normal_form,
     reduced_basis,
 )
@@ -41,6 +42,8 @@ from .rings import (
     RingContext,
     RingError,
 )
+
+SATURATE_MAX_STEPS = 64   # colon steps `saturate` takes before it gives up
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -133,21 +136,6 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring)
 
 
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly."""
-    if g.is_zero:
-        raise RingError("division by zero polynomial")
-    if f.is_zero:
-        return f
-    # (g.monic(),) is the reduced basis of (g), so one division decides
-    gb = GroebnerBasis(f.ring, f.ring.order, (g.monic(),))
-    nf, quots = division(f, gb)
-    if not nf.is_zero:
-        raise RingError("not an exact division")
-    # the basis element is g made monic, so undo the scaling
-    return quots[0] * (1 / g.leading()[1])
-
-
 def quotient(I: Ideal, J: Ideal) -> Ideal:
     """I : J, as the intersection over generators of J of (I : g)."""
     _same_ring(I, J)
@@ -163,20 +151,23 @@ def quotient(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
-    """I : (g)  =  (I ∩ (g)) / g."""
+    """I : (g)  =  (I ∩ (g)) / g, the quotients lifted over (g) in one run."""
     if I.is_zero:
         return I
     meet = intersect(I, Ideal(I.ring, [g]))
-    return Ideal(I.ring, [exact_divide(h, g) for h in meet.gens])
+    rows = member_lifts(meet.gens, [g])
+    if None in rows:
+        raise RingError("not an exact division")
+    return Ideal(I.ring, [row[0] for row in rows])
 
 
-def saturate(I: Ideal, J: Ideal, *, max_steps: int = 64):
+def saturate(I: Ideal, J: Ideal):
     """(I : J^infinity, k) with k the least exponent where the chain stops."""
     _same_ring(I, J)
     if J.is_zero:
         raise RingError("saturation by the zero ideal")
     prev = I
-    for k in range(max_steps):
+    for k in range(SATURATE_MAX_STEPS):
         nxt = quotient(prev, J)
         if ideal_equal(nxt, prev):
             return prev, k

@@ -570,10 +570,6 @@ class Polynomial:
 
     # -- printing ---------------------------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder | None = None) -> list:
-        key = (order or self.ring.order).key_func(self.ring.arity)
-        return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
-
     def __str__(self):
         return poly_str(self)
 
@@ -771,11 +767,18 @@ class _Tokens:
         return t
 
 
+MAX_NESTING = 100   # parentheses and unary minus signs a factor may nest
+
+
 def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
-    """Parse `x^2*y + 3/2*z - 4`; `*` is optional between factors."""
+    """Parse `x^2*y + 3/2*z - 4`; `*` is optional between factors.
+
+    The parser recurses once per nesting level of a factor, so input nested
+    deeper than MAX_NESTING is refused with a ParseError.
+    """
     toks = _Tokens(text)
 
-    def parse_expr():
+    def parse_expr(depth):
         sign = 1
         kind, _, _ = toks.peek()
         while kind in ("+", "-"):
@@ -783,7 +786,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                 sign = -sign
             toks.next()
             kind, _, _ = toks.peek()
-        acc = parse_term() * sign
+        acc = parse_term(depth) * sign
         while True:
             kind, _, _ = toks.peek()
             if kind not in ("+", "-"):
@@ -794,22 +797,24 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                     sign = -sign
                 toks.next()
                 kind, _, _ = toks.peek()
-            acc = acc + parse_term() * sign
+            acc = acc + parse_term(depth) * sign
 
-    def parse_term():
-        acc = parse_factor()
+    def parse_term(depth):
+        acc = parse_factor(depth)
         while True:
             kind, _, _ = toks.peek()
             if kind == "*":
                 toks.next()
-                acc = acc * parse_factor()
+                acc = acc * parse_factor(depth)
             elif kind in ("int", "ident", "("):
-                acc = acc * parse_factor()
+                acc = acc * parse_factor(depth)
             else:
                 return acc
 
-    def parse_factor():
+    def parse_factor(depth):
         kind, val, pos = toks.next()
+        if kind in ("(", "-") and depth >= MAX_NESTING:
+            raise ParseError("expression nested too deeply", pos, text)
         if kind == "int":
             num = int(val)
             k2, _, _ = toks.peek()
@@ -829,12 +834,12 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                 raise ParseError(f"unknown variable {val!r}", pos, text)
             base = ring.var(val)
         elif kind == "(":
-            base = parse_expr()
+            base = parse_expr(depth + 1)
             k2, _, p2 = toks.next()
             if k2 != ")":
                 raise ParseError("expected ')'", p2, text)
         elif kind == "-":
-            return -parse_factor()
+            return -parse_factor(depth + 1)
         else:
             raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input",
                              pos, text)
@@ -847,7 +852,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
             base = base ** int(v3)
         return base
 
-    result = parse_expr()
+    result = parse_expr(0)
     kind, val, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos, text)

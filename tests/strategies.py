@@ -26,6 +26,9 @@ def _form_terms(degree: int):
                     min_size=1, max_size=3)
 
 
+# one linear form; repeated monomials may cancel it to zero
+linear_forms = _form_terms(1)
+
 # homogeneous generators of degree 1 or 2, not necessarily all of one degree;
 # repeated monomials may cancel a generator to zero
 homogeneous_ideals = st.lists(st.integers(1, 2).flatmap(_form_terms),

@@ -22,8 +22,8 @@ from symrees.blowup import (
     vv_pieces,
 )
 from symrees.curves import gradient_pair
-from symrees.ideal_ops import dimension, ideal_contains, ideal_equal
-from symrees.fixtures import PAIR_FIXTURES, four_points_pair, pair_by_name
+from symrees.ideal_ops import dimension, ideal_contains, ideal_equal, saturate_principal
+from symrees.fixtures import CURVES, PAIR_FIXTURES, four_points_pair, pair_by_name
 
 R2 = make_ring(["x", "y"])
 XX, YY = R2.gens()
@@ -403,6 +403,22 @@ def test_shared_pair_gives_serial_results_across_threads():
             assert [f.result(timeout=60) for f in futures] == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+PAIRS_AND_CURVES = (
+    [pytest.param(lambda name=name: pair_by_name(name), id=name)
+     for name in sorted(PAIR_FIXTURES)]
+    + [pytest.param(lambda curve=curve: gradient_pair(curve.curve()).pair, id=curve.slug)
+       for curve in CURVES])
+
+
+@pytest.mark.parametrize("build_pair", PAIRS_AND_CURVES)
+def test_rees_ideal_is_the_symmetric_ideal_saturated_by_a_generator(build_pair):
+    # a second route to the Rees ideal: R is a domain, so the R-torsion of
+    # Sym_R(I) is killed by any nonzero b in I, and Rees(I) = Sym_R(I) : b^inf
+    pair = build_pair()
+    b = pair.i_gens[0].transport(pair.fiber_ring)
+    assert ideal_equal(saturate_principal(sym_ideal(pair), b), rees_ideal(pair))
 
 
 def test_standard_base_reads_only_the_powers_it_needs():

@@ -98,6 +98,15 @@ def test_malformed_polynomial_is_input_error(tmp_path):
     assert "column" in res.output
 
 
+def test_deep_nesting_is_input_error(tmp_path):
+    path = write(tmp_path, "deep.txt",
+                 "ring: x,y,z\nideal I: " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    res = CliRunner().invoke(main, ["gb", path])
+    assert res.exit_code == 2
+    assert "input error:" in res.output and "nested too deeply" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_unknown_variable_is_input_error(tmp_path):
     runner = CliRunner()
     path = write(tmp_path, "bad.txt", "ring: x,y\ncurve: x^2*q\n")

@@ -149,6 +149,36 @@ def test_basis_generators_mutual_membership():
         assert rebuilt == b
 
 
+def test_buchberger_tracked_leaves_the_run_records_unchanged(monkeypatch):
+    import sys
+    engine = sys.modules["symrees.groebner"]
+    real = engine._tracked_run
+    runs = []
+
+    def recording(source):
+        run = real(source)
+        final = run[3]
+        runs.append((final, [(rec.frozen(), {j: dict(d) for j, d in rec.rep.items()},
+                              rec.rtop) for rec in final]))
+        return run
+
+    monkeypatch.setattr(engine, "_tracked_run", recording)
+    gens = [R3.parse("4*x^2*y - 2*z^3"), R3.parse("-x*z + 3/2*y^2"),
+            R3.parse("-2/3*y*z + x")]
+    gb, _ = buchberger_tracked(gens)
+    (final, before), = runs
+    assert [(rec.frozen(), rec.rep, rec.rtop) for rec in final] == before
+    assert all(rec.rep is None for rec in gb._records)
+    assert not set(map(id, gb._records)) & set(map(id, final))
+    assert gb == buchberger(gens)
+    rng = random.Random(5)
+    for _ in range(20):
+        p = random_poly(rng, R3, max_terms=5, max_exp=4)
+        nf, quots = division(p, gb)
+        assert nf == normal_form(p, gb)
+        assert sum((q * g for q, g in zip(quots, gb.elements)), nf) == p
+
+
 def test_division_certificate():
     gens = [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z"), R3.parse("x*y - z^2")]
     gb = buchberger(Ideal(R3, gens))

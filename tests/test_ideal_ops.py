@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -35,7 +36,7 @@ from symrees.oracle import (
     monomial_quotient,
     monomial_saturation,
 )
-from strategies import build, homogeneous_ideals, ideals
+from strategies import build, homogeneous_ideals, ideals, linear_forms
 
 R3 = make_ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -73,6 +74,41 @@ def test_quotient_examples():
     assert ideal_equal(quotient(I, Ideal(R3, [R3.one])), I)
     with pytest.raises(RingError):
         quotient(I, Ideal(R3, []))
+
+
+COLON_I = ["x^2*y - z^3", "x*z - y^2", "y*z - x"]
+
+
+@pytest.mark.parametrize("factors", [
+    (2, 1), (-1, 1), (Fraction(-2, 3), 4), (4, Fraction(-2, 3)), (Fraction(7, 5), -3),
+])
+def test_colon_by_scaled_generators_matches_the_monic_ones(factors):
+    # the quotients are exact lifts over the scaled generator itself, so a
+    # generator's content, sign or fractional leading coefficient must not
+    # change I : J or I : J^inf
+    I = Ideal(R3, [R3.parse(g) for g in COLON_I])
+    monic = [X * Y, Z]
+    J = Ideal(R3, monic)
+    scaled = Ideal(R3, [c * g for c, g in zip(factors, monic)])
+    assert ideal_equal(quotient(I, scaled), quotient(I, J))
+    sat, k = saturate(I, scaled)
+    want, k_want = saturate(I, J)
+    assert ideal_equal(sat, want) and k == k_want
+    for c, g in zip(factors, monic):
+        assert ideal_equal(quotient(I, Ideal(R3, [c * g])), quotient(I, Ideal(R3, [g])))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gens_terms=homogeneous_ideals, g_terms=linear_forms,
+       c=st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+def test_colon_ignores_the_scale_of_the_generator(gens_terms, g_terms, c):
+    I = Ideal(R3, build(gens_terms))
+    (g,) = build([g_terms])
+    assume(not g.is_zero)
+    want = quotient(I, Ideal(R3, [g.monic()]))
+    assert ideal_equal(quotient(I, Ideal(R3, [c * g])), want)
+    for h in want.gens:
+        assert ideal_member(h * g, I)
 
 
 def test_saturate_example_with_exponent():

@@ -138,6 +138,24 @@ def test_parse_unknown_variable():
         R3.parse("x + q")
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "2*" + "-(" * 3000 + "x" + ")" * 3000,
+    "2*" + "-" * 3000 + "x",
+], ids=["parentheses", "minus-parentheses", "minus-in-factor"])
+def test_parse_refuses_deep_nesting(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        R3.parse(text)
+
+
+def test_parse_accepts_nesting_up_to_the_bound():
+    from symrees.rings import MAX_NESTING
+    assert R3.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
+    assert R3.parse("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2)) == X
+    # a run of signs in front of a term is a loop, not nesting
+    assert R3.parse("-" * 3000 + "x") == X
+
+
 # ---------------------------------------------------------------------------
 # homogeneity and degrees
 
