@@ -85,6 +85,20 @@ class JobSpec:
     ideals: dict
     candidates: dict
     constraints: list
+    # payload label -> the (line, column) in the file of each of its texts
+    origins: dict
+
+
+def _payload_texts(rest: str, col: int) -> tuple:
+    """The ';'-separated texts of a payload whose text `rest` starts at
+    column `col`, and the column at which each text starts."""
+    texts, cols = [], []
+    for piece in rest.split(";"):
+        if piece.strip():
+            texts.append(piece.strip())
+            cols.append(col + len(piece) - len(piece.lstrip()))
+        col += len(piece) + 1
+    return texts, cols
 
 
 def parse_input(text: str) -> JobSpec:
@@ -95,6 +109,7 @@ def parse_input(text: str) -> JobSpec:
     candidates: dict = {}
     constraints: list = []
     declared: dict = {}  # payload label -> line number
+    origins: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -102,7 +117,8 @@ def parse_input(text: str) -> JobSpec:
         head, _, rest = line.partition(":")
         words = head.split()
         key = head.strip().lower()
-        terms = [s.strip() for s in rest.split(";") if s.strip()]
+        col = len(raw) - len(raw.lstrip()) + len(head) + 2
+        terms, cols = _payload_texts(rest, col)
         if key.startswith("ring"):
             key = "ring"
             ring = parse_ring_header(line)
@@ -110,8 +126,10 @@ def parse_input(text: str) -> JobSpec:
             raise RingError(f"line {lineno}: the ring header must come first")
         elif key == "curve":
             curve = rest.strip()
+            cols = [col + len(rest) - len(rest.lstrip())]
         elif key == "family":
             family = rest.strip()
+            cols = [col + len(rest) - len(rest.lstrip())]
         elif key.startswith("ideal"):
             name = words[1].upper() if len(words) > 1 else "I"
             key = f"ideal {name}"
@@ -128,9 +146,10 @@ def parse_input(text: str) -> JobSpec:
             raise RingError(f"line {lineno}: `{key}:` is already declared "
                             f"on line {declared[key]}")
         declared[key] = lineno
+        origins[key] = [(lineno, c) for c in cols]
     if ring is None:
         raise RingError("no ring header found")
-    return JobSpec(ring, curve, family, ideals, candidates, constraints)
+    return JobSpec(ring, curve, family, ideals, candidates, constraints, origins)
 
 
 def load_job(path: str) -> JobSpec:
@@ -138,10 +157,22 @@ def load_job(path: str) -> JobSpec:
         return parse_input(fh.read())
 
 
+def _parse_payload(job: JobSpec, ring: RingContext, key: str, texts) -> list:
+    """The texts of payload `key` parsed in `ring`; a ParseError reports its
+    position in the input file."""
+    out = []
+    for text, origin in zip(texts, job.origins[key]):
+        try:
+            out.append(ring.parse(text))
+        except ParseError as exc:
+            raise ParseError(exc.msg, exc.pos, text, origin) from None
+    return out
+
+
 def job_ideal(job: JobSpec, name: str = "I") -> Ideal:
     if name not in job.ideals:
         raise RingError(f"input file does not declare `ideal {name}:`")
-    return Ideal(job.ring, [job.ring.parse(t) for t in job.ideals[name]])
+    return Ideal(job.ring, _parse_payload(job, job.ring, f"ideal {name}", job.ideals[name]))
 
 
 def job_form(job: JobSpec, key: str) -> Polynomial:
@@ -149,7 +180,7 @@ def job_form(job: JobSpec, key: str) -> Polynomial:
     text = getattr(job, key)
     if not text:
         raise RingError(f"input file does not declare `{key}:`")
-    return job.ring.parse(text)
+    return _parse_payload(job, job.ring, key, [text])[0]
 
 
 def job_constraints(job: JobSpec):
@@ -161,7 +192,7 @@ def job_constraints(job: JobSpec):
     if not pnames:
         raise RingError("constraints need a params block")
     pring = make_ring([], pnames)
-    return [pring.parse(t) for t in job.constraints]
+    return _parse_payload(job, pring, "constraints", job.constraints)
 
 
 def _job_pair(job: JobSpec):
@@ -486,8 +517,8 @@ def aluffi_dim_cmd(job):
 def aluffi_verify_cmd(job):
     pres = aluffi_presentation(_job_pair(job))
     names = list(job.candidates)
-    cands = [Ideal(pres.ring, [pres.ring.parse(t) for t in texts])
-             for texts in job.candidates.values()]
+    cands = [Ideal(pres.ring, _parse_payload(job, pres.ring, f"candidate {name}", texts))
+             for name, texts in job.candidates.items()]
     rep = verify_component_list(pres, cands)
     rows = [{"candidate": name,
              "contains_presentation": row.contains_presentation,

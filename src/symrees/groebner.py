@@ -30,8 +30,12 @@ under one scale per polynomial.  Reduction is fraction-free: to cancel a term
 we cross-multiply by leading coefficients instead of dividing, tracking the
 accumulated multiplier, which the result's scale absorbs.  Pair handling
 follows the classic GROEBNERNEWS2 layout with the Gebauer-Moeller criteria
-and the normal (minimal lcm) selection strategy, with deterministic
-tie-breaks so a basis is reproducible and unique for (ideal, order).
+(`_update`) and the normal (minimal lcm) selection strategy, with
+deterministic tie-breaks so a basis is reproducible and unique for (ideal,
+order).  A pair of two monomials never enters the pair set: its S-polynomial
+is zero, so it would only be taken up and dropped.  The basis found is made
+reduced in one upward pass (`_reduce_records`): each element is tail-reduced
+by the already-reduced elements below it.
 
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -258,8 +262,8 @@ def _rep_axpy(rep, c, q, src: _Rec, guard):
             del rep[j]
 
 
-def _reduce_full(terms: dict, reducers: Sequence[_Rec], guard: int, budget,
-                 rep=None) -> tuple:
+def _reduce_full(terms: dict, reducers: Sequence[_Rec], lms: Sequence[int],
+                 guard: int, budget, rep=None) -> tuple:
     """Full normal form; returns (remainder, multiplier).
 
     Fraction-free: if step k subtracts c_k * x^q_k * reducers[i_k], on exit
@@ -268,13 +272,13 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], guard: int, budget,
         rep       == multiplier * rep_in - sum_k c_k * x^q_k * reducers[i_k].rep
 
     the second when tracking, with `rep` updated in place from its value
-    rep_in on entry.  The first reducer whose leading monomial divides the
-    current term acts.
+    rep_in on entry.  `lms` lists the reducers' leading monomials, built once
+    by the caller for each set of reducers.  The first reducer whose leading
+    monomial divides the current term acts.
     """
     p = dict(terms)
     r: dict = {}
     mult = 1
-    lms = [g.lm for g in reducers]
     while p:
         m = max(p)
         c = p.pop(m)
@@ -382,9 +386,79 @@ class GroebnerBasis:
         return recs
 
 
+def _update(G: set, B: set, ih: int, ex: list, mono: list, lay: _Layout) -> tuple:
+    """Gebauer-Moeller update of the basis indices G and the pair set B by the
+    new element ih; returns (G_new, B_new).
+
+    ex[i] is the exponent word of element i's leading monomial and mono[i]
+    tells whether element i is a monomial.  A pair is kept as (lcm, i, j)
+    with its packed lcm computed once.  A pair of two monomials never enters
+    B_new: its S-polynomial is zero.  It still takes part in the chain test
+    that builds D, so it changes no other pair's fate.
+    """
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
+    shift = FIELD_BITS - 1
+    mh = ex[ih]
+    mhg = mh | eguard
+    # the candidates in the order a copy of G pops them, each with the field-
+    # wise max (_fmax) of its word and mh, that is the exponent word of its lcm
+    cands = list(set(G))
+    lcms = []
+    for ig in cands:
+        e = ex[ig]
+        s = (mhg - e) & eguard
+        s -= s >> shift
+        lcms.append((mh & s) | (e & ~s))
+    # chain test: a candidate whose lcm is divided by the lcm of a later
+    # candidate or of a kept one is dropped, unless lm_h and lm_g are coprime
+    D = []
+    kept = []
+    for k, lcm_hg in enumerate(lcms):
+        ig = cands[k]
+        if mh + ex[ig] != lcm_hg:
+            divided = False
+            for other in lcms[k + 1:]:
+                if not ((lcm_hg - other) & eguard):
+                    divided = True
+                    break
+            if not divided:
+                for other in kept:
+                    if not ((lcm_hg - other) & eguard):
+                        divided = True
+                        break
+            if divided:
+                continue
+        D.append(ig)
+        kept.append(lcm_hg)
+    # an old pair stays unless mh divides its lcm strictly on both sides
+    B_new = set()
+    for pair in B:
+        lcm12 = pair[0] & emask
+        if (lcm12 - mh) & eguard:
+            B_new.add(pair)
+            continue
+        for e in (ex[pair[1]], ex[pair[2]]):
+            s = (mhg - e) & eguard
+            s -= s >> shift
+            if (mh & s) | (e & ~s) == lcm12:
+                B_new.add(pair)
+                break
+    # a coprime pair reduces to zero (Buchberger's first criterion)
+    mono_h = mono[ih]
+    for ig, lcm_hg in zip(D, kept):
+        if mh + ex[ig] != lcm_hg and not (mono_h and mono[ig]):
+            lcm = lay.pack_exponents(lcm_hg)
+            if lcm & guard:
+                raise _overflow()
+            B_new.add((lcm, ih, ig))
+    G_new = {ig for ig in G if (ex[ig] - mh) & eguard}
+    G_new.add(ih)
+    return G_new, B_new
+
+
 def _run_buchberger(gens, ring, order, track):
     lay = _layout(order, ring.arity)
-    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
+    guard, emask = lay.guard, lay.emask
     budget = _budget()
 
     seeds = []
@@ -402,18 +476,21 @@ def _run_buchberger(gens, ring, order, track):
     # one pass: each seed is reduced by the seeds kept before it, so every kept
     # seed is already a normal form of its predecessors and a second pass
     # would reproduce the first
-    f = []
+    f = []        # the records; pairs and G refer to them by index
+    lms = []      # the seeds' leading monomials
     for terms, rep in seeds:
-        r, _ = _reduce_full(terms, f, guard, budget, rep=rep)
+        r, _ = _reduce_full(terms, f, lms, guard, budget, rep=rep)
         if r:
             r, rep = _strip(r, rep)
             f.append(_Rec(r, guard, rep))
+            lms.append(f[-1].lm)
 
-    ex = [rec.lm & emask for rec in f]          # exponent words of the lms
+    ex = [lm & emask for lm in lms]             # exponent words of the lms
+    mono = [not rec.tail for rec in f]
     index_of = {rec.frozen(): i for i, rec in enumerate(f)}
 
-    def normal(h_terms, h_rep, reducers):
-        r, _ = _reduce_full(h_terms, reducers, guard, budget, rep=h_rep)
+    def normal(h_terms, h_rep, reducers, reducer_lms):
+        r, _ = _reduce_full(h_terms, reducers, reducer_lms, guard, budget, rep=h_rep)
         if not r:
             return None
         r, h_rep = _strip(r, h_rep)
@@ -423,46 +500,17 @@ def _run_buchberger(gens, ring, order, track):
             index_of[fz] = len(f)
             f.append(rec)
             ex.append(rec.lm & emask)
+            mono.append(not rec.tail)
         return index_of[fz]
-
-    def update(G, B, ih):
-        # Gebauer-Moeller pair filtering on exponent words; a pair is kept
-        # as (lcm, i, j) with its packed lcm computed once
-        mh = ex[ih]
-        lcm_h = {ig: _fmax(mh, ex[ig], eguard) for ig in G}
-        C = set(G)
-        D = []
-        while C:
-            ig = C.pop()
-            lcm_hg = lcm_h[ig]
-            if mh + ex[ig] == lcm_hg or (
-                    not any(not ((lcm_hg - lcm_h[ip]) & eguard) for ip in C)
-                    and not any(not ((lcm_hg - lcm_h[ip]) & eguard) for ip in D)):
-                D.append(ig)
-        B_new = set()
-        for pair in B:
-            lcm12 = pair[0] & emask
-            if ((lcm12 - mh) & eguard
-                    or _fmax(ex[pair[1]], mh, eguard) == lcm12
-                    or _fmax(ex[pair[2]], mh, eguard) == lcm12):
-                B_new.add(pair)
-        for ig in D:
-            if mh + ex[ig] != lcm_h[ig]:
-                lcm = lay.pack_exponents(lcm_h[ig])
-                if lcm & guard:
-                    raise _overflow()
-                B_new.add((lcm, ih, ig))
-        G_new = {ig for ig in G if (ex[ig] - mh) & eguard}
-        G_new.add(ih)
-        return G_new, B_new
 
     G: set = set()
     CP: set = set()
-    for i in sorted(range(len(f)), key=lambda i: f[i].lm):
-        G, CP = update(G, CP, i)
+    for i in sorted(range(len(f)), key=lms.__getitem__):
+        G, CP = _update(G, CP, i, ex, mono, lay)
 
     # the reducers are G by ascending leading monomial, rebuilt when G changes
     reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
+    reducer_lms = [rec.lm for rec in reducers]
     while CP:
         budget.spend()
         pair = min(CP)
@@ -471,10 +519,11 @@ def _run_buchberger(gens, ring, order, track):
         s_terms, s_rep = _spoly(f[ig1], f[ig2], lcm, guard, track)
         if not s_terms:
             continue
-        iht = normal(s_terms, s_rep, reducers)
+        iht = normal(s_terms, s_rep, reducers, reducer_lms)
         if iht is not None:
-            G, CP = update(G, CP, iht)
+            G, CP = _update(G, CP, iht, ex, mono, lay)
             reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
+            reducer_lms = [rec.lm for rec in reducers]
 
     return _reduce_records(reducers, lay, budget, track), scales
 
@@ -482,23 +531,27 @@ def _run_buchberger(gens, ring, order, track):
 def _reduce_records(recs, lay: _Layout, budget, track) -> list:
     """The reduced basis from the records of a Groebner basis, descending.
 
-    Minimalize the leading terms, then tail-reduce each survivor by the
-    others; no S-pair is formed.  `recs` must be ascending by leading monomial.
+    `recs` must be ascending by leading monomial; no S-pair is formed.  Walking
+    up, a record whose leading monomial that of a kept one divides is dropped,
+    and every other record is tail-reduced by the reduced records built before
+    it.  A term of its tail is below its leading monomial, so only a record
+    with a smaller leading monomial can act on it; those are already reduced,
+    so no reduction cascades.
     """
-    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
-    minimal = []
-    for rec in recs:
-        e = rec.lm & emask
-        if all((e - (kept.lm & emask)) & eguard for kept in minimal):
-            minimal.append(rec)
+    guard = lay.guard
     final = []
-    for rec in minimal:
-        others = [g for g in minimal if g is not rec]
-        rep = {j: dict(d) for j, d in rec.rep.items()} if track else None
-        r, _ = _reduce_full(dict(rec.items()), others, guard, budget, rep=rep)
-        r, rep = _strip(r, rep)
-        final.append(_Rec(r, guard, rep))
-    final.sort(key=lambda rec: rec.lm, reverse=True)
+    lms = []
+    for rec in recs:
+        for lm in lms:
+            if not ((rec.lm - lm) & guard):
+                break
+        else:
+            rep = {j: dict(d) for j, d in rec.rep.items()} if track else None
+            r, _ = _reduce_full(dict(rec.items()), final, lms, guard, budget, rep=rep)
+            r, rep = _strip(r, rep)
+            final.append(_Rec(r, guard, rep))
+            lms.append(rec.lm)
+    final.reverse()
     return final
 
 
@@ -552,6 +605,19 @@ def _rep_row(ring, lay: _Layout, rep: dict, scales, c) -> list:
             else ring.zero for j, scale in enumerate(scales)]
 
 
+def _primitive_scale(rep: dict, scales) -> Fraction:
+    """c such that the row c * rep (see _rep_row) has content 1 over Q and its
+    first nonzero entry a positive leading coefficient."""
+    num, den = 0, 1
+    for j, d in rep.items():
+        cont = Fraction(int_content(d.values()), abs(scales[j]))
+        num = gcd(num, cont.numerator)
+        den = lcm(den, cont.denominator)
+    j = min(rep)
+    c = Fraction(den, num)
+    return -c if (rep[j][max(rep[j])] < 0) != (scales[j] < 0) else c
+
+
 def _tracked_run(source):
     """(ring, layout, budget, final records, scales) of one tracked run under
     the ring's order; the records are descending, as `division` sees them."""
@@ -567,18 +633,19 @@ def syzygy_lifts(gens: Sequence[Polynomial]) -> list:
     zero by G, its representation seeded as the unit row e_i, leaves a
     multiple of row i of B*A - Id (F = G*B by that reduction); each basis pair
     that the chain criterion keeps leaves its S-polynomial's syzygy pulled
-    back along A (Schreyer 1980).  Zero rows are dropped; the rows are not
-    normalized.
+    back along A (Schreyer 1980).  Zero rows are dropped; each row is scaled
+    to content 1 with its first nonzero entry's leading coefficient positive.
     """
     ring, lay, budget, final, scales = _tracked_run(gens)
     guard, emask, eguard = lay.guard, lay.emask, lay.eguard
+    lms = [rec.lm for rec in final]
     rows = []
 
     def lift(terms, rep, what):
-        if _reduce_full(terms, final, guard, budget, rep=rep)[0]:
+        if _reduce_full(terms, final, lms, guard, budget, rep=rep)[0]:
             raise AssertionError(f"{what} did not reduce to zero against its basis")
         if rep:
-            rows.append(_rep_row(ring, lay, rep, scales, 1))
+            rows.append(_rep_row(ring, lay, rep, scales, _primitive_scale(rep, scales)))
 
     for i, g in enumerate(gens):
         lift(_to_engine(lay, g)[0], {i: {0: 1}}, "generator")
@@ -610,13 +677,14 @@ def member_lifts(targets: Sequence[Polynomial], gens: Sequence[Polynomial]) -> l
     along the basis's representation, times the reduction's multiplier.
     """
     ring, lay, budget, final, scales = _tracked_run(gens)
+    lms = [rec.lm for rec in final]
     rows = []
     for a in targets:
         if a.ring != ring:
             raise RingError("ring mismatch")
         terms, scale = _to_engine(lay, a)
         rep: dict = {}
-        r, mult = _reduce_full(terms, final, lay.guard, budget, rep=rep)
+        r, mult = _reduce_full(terms, final, lms, lay.guard, budget, rep=rep)
         rows.append(None if r else _rep_row(ring, lay, rep, scales, -scale / mult))
     return rows
 
@@ -648,7 +716,8 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         return p
     lay = _layout(G.order, G.ring.arity)
     ints, scale = _to_engine(lay, p)
-    r, mult = _reduce_full(ints, G._engine_records(lay), lay.guard, _budget())
+    recs = G._engine_records(lay)
+    r, mult = _reduce_full(ints, recs, [rec.lm for rec in recs], lay.guard, _budget())
     return _from_engine(G.ring, lay, r.items(), scale / mult)
 
 
@@ -667,7 +736,8 @@ def division(p: Polynomial, G: GroebnerBasis):
     scales = [g.scale * g.coeffs[lay.unpack(rec.lm)] / rec.lc
               for g, rec in zip(G.elements, recs)]
     rep: dict = {}
-    r, mult = _reduce_full(ints, recs, lay.guard, _budget(), rep=rep)
+    r, mult = _reduce_full(ints, recs, [rec.lm for rec in recs], lay.guard, _budget(),
+                           rep=rep)
     return (_from_engine(G.ring, lay, r.items(), scale / mult),
             _rep_row(G.ring, lay, rep, scales, -scale / mult))
 

@@ -712,10 +712,16 @@ class Ideal:
 
 
 class ParseError(ValueError):
-    def __init__(self, msg: str, pos: int, text: str = ""):
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    """A syntax error at offset `pos` of `text`, reported by 1-based line and
+    column; `origin` is where the text's first character stands in a larger
+    input, such as a payload within an input file."""
+
+    def __init__(self, msg: str, pos: int, text: str = "", origin: tuple = (1, 1)):
+        line = text.count("\n", 0, pos)
+        col = pos - (text.rfind("\n", 0, pos) + 1) + (1 if line else origin[1])
+        line += origin[0]
         super().__init__(f"{msg} at line {line}, column {col}")
+        self.msg = msg
         self.pos = pos
         self.line = line
         self.col = col

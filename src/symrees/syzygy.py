@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from operator import add
 from typing import Sequence
 
@@ -125,26 +125,6 @@ def entry_ideal(M: PolyMatrix) -> Ideal:
     return Ideal(M.ring, [e for row in M.entries for e in row])
 
 
-def _normalize_column(col):
-    """Divide a column by the gcd-content of all its coefficients.
-
-    Each entry's integer part has content 1, so that gcd is the gcd of the
-    entries' scales.
-    """
-    num, den = 0, 1
-    for p in col:
-        if p.coeffs:
-            num = gcd(num, p.scale.numerator)
-            den = lcm(den, p.scale.denominator)
-    if num == 0:
-        return list(col)
-    cont = Fraction(num, den)
-    lead = next(p for p in col if not p.is_zero)
-    if lead.leading()[1] < 0:
-        cont = -cont
-    return [p * (1 / cont) for p in col]
-
-
 def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:
     """Matrix whose columns generate the first syzygy module of `gens`."""
     gens = list(gens)
@@ -166,7 +146,6 @@ def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:
         full = [zero] * m
         for pos, j in enumerate(nonzero_idx):
             full[j] = row[pos]
-        full = _normalize_column(full)
         fz = tuple(full)
         if fz not in seen:
             seen.add(fz)

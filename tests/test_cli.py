@@ -98,6 +98,25 @@ def test_malformed_polynomial_is_input_error(tmp_path):
     assert "column" in res.output
 
 
+@pytest.mark.parametrize("command, text, where", [
+    (["gb"], "ring: x,y,z\n\n  ideal I:  x + y;   x^^2\n", "at line 3, column 24"),
+    (["ideal", "intersect"], "ring: x,y,z\nideal J: x; y +* z\nideal I: x\n",
+     "at line 2, column 16"),
+    (["curve", "cert"], "ring: x,y,z\n# a comment\ncurve:   x*y +* z\n",
+     "at line 3, column 15"),
+    (["family", "analyze"],
+     "ring: x,y,z | params: u\nfamily: x^5 + u*y^4*z\nconstraints: u - 1; u^^2\n",
+     "at line 3, column 23"),
+    (["aluffi", "verify-components"],
+     "ring: x,y,z\nideal I: x; y\nideal J: x\ncandidate P1: x; T1 +) y\n",
+     "at line 4, column 22"),
+])
+def test_parse_error_reports_its_position_in_the_file(tmp_path, command, text, where):
+    res = CliRunner().invoke(main, command + [write(tmp_path, "bad.txt", text)])
+    assert res.exit_code == 2
+    assert where in res.output
+
+
 def test_deep_nesting_is_input_error(tmp_path):
     path = write(tmp_path, "deep.txt",
                  "ring: x,y,z\nideal I: " + "(" * 3000 + "x" + ")" * 3000 + "\n")

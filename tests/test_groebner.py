@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import inspect
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symrees import (
     GREVLEX,
@@ -25,8 +28,22 @@ from symrees import (
     radical_member,
     work_limit,
 )
-from symrees.groebner import FIELD_MAX, buchberger_tracked
+from symrees.groebner import (
+    FIELD_MAX,
+    _Budget,
+    _fmax,
+    _from_engine,
+    _layout,
+    _overflow,
+    _Rec,
+    _reduce_full,
+    _strip,
+    _update,
+    buchberger_tracked,
+)
 from symrees.ideal_ops import ideal_power, ideal_product, intersect
+
+from strategies import build, ideals
 
 R3 = make_ring(["x", "y", "z"])
 X, Y, Z = R3.gens()
@@ -408,3 +425,132 @@ def test_threads_share_layouts_and_lazy_records():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+# ---------------------------------------------------------------------------
+# pair bookkeeping and tail reduction against the routes they replaced
+
+
+def reference_update(ex, lay):
+    """The Gebauer-Moeller update as it stood before monomial pairs were left
+    out of the pair set: a closure over the exponent words `ex`, kept verbatim."""
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
+
+    def update(G, B, ih):
+        # Gebauer-Moeller pair filtering on exponent words; a pair is kept
+        # as (lcm, i, j) with its packed lcm computed once
+        mh = ex[ih]
+        lcm_h = {ig: _fmax(mh, ex[ig], eguard) for ig in G}
+        C = set(G)
+        D = []
+        while C:
+            ig = C.pop()
+            lcm_hg = lcm_h[ig]
+            if mh + ex[ig] == lcm_hg or (
+                    not any(not ((lcm_hg - lcm_h[ip]) & eguard) for ip in C)
+                    and not any(not ((lcm_hg - lcm_h[ip]) & eguard) for ip in D)):
+                D.append(ig)
+        B_new = set()
+        for pair in B:
+            lcm12 = pair[0] & emask
+            if ((lcm12 - mh) & eguard
+                    or _fmax(ex[pair[1]], mh, eguard) == lcm12
+                    or _fmax(ex[pair[2]], mh, eguard) == lcm12):
+                B_new.add(pair)
+        for ig in D:
+            if mh + ex[ig] != lcm_h[ig]:
+                lcm = lay.pack_exponents(lcm_h[ig])
+                if lcm & guard:
+                    raise _overflow()
+                B_new.add((lcm, ih, ig))
+        G_new = {ig for ig in G if (ex[ig] - mh) & eguard}
+        G_new.add(ih)
+        return G_new, B_new
+
+    return update
+
+
+ORDERS = [GREVLEX, LEX, R3.elim_order_vars([0])]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.booleans()),
+                min_size=1, max_size=14, unique_by=lambda t: t[0]),
+       st.sampled_from(ORDERS))
+def test_update_keeps_the_pairs_of_the_reference_but_monomial_ones(elements, order):
+    lay = _layout(order, 3)
+    ex = [lay.pack(e) & lay.emask for e, _ in elements]
+    mono = [m for _, m in elements]
+    reference = reference_update(ex, lay)
+    G, B, G_ref, B_ref = set(), set(), set(), set()
+    for ih in range(len(ex)):
+        G_ref, B_ref = reference(G_ref, B_ref, ih)
+        G, B = _update(G, B, ih, ex, mono, lay)
+        assert G == G_ref
+        assert B == {p for p in B_ref if not (mono[p[1]] and mono[p[2]])}
+
+
+def reference_reduce_records(recs, lay, budget, track):
+    """The reduced basis as it was built before tail reduction walked up on
+    reduced records: each minimal record is reduced by all the other ones."""
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
+    minimal = []
+    for rec in recs:
+        e = rec.lm & emask
+        if all((e - (kept.lm & emask)) & eguard for kept in minimal):
+            minimal.append(rec)
+    final = []
+    for rec in minimal:
+        others = [g for g in minimal if g is not rec]
+        rep = {j: dict(d) for j, d in rec.rep.items()} if track else None
+        r, _ = _reduce_full(dict(rec.items()), others, [g.lm for g in others],
+                            guard, budget, rep=rep)
+        r, rep = _strip(r, rep)
+        final.append(_Rec(r, guard, rep))
+    final.sort(key=lambda rec: rec.lm, reverse=True)
+    return final
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ideals, st.sampled_from(ORDERS))
+def test_tail_reduction_on_reduced_records_matches_reducing_by_all_others(gens_terms,
+                                                                          order):
+    gens = build(gens_terms)
+    engine = sys.modules["symrees.groebner"]
+    real = engine._reduce_records
+    calls = []
+
+    def recording(recs, lay, budget, track):
+        calls.append((list(recs), lay, track))
+        return real(recs, lay, budget, track)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_reduce_records", recording)
+        gb = buchberger(gens, order)
+        tracked, A = buchberger_tracked(gens)
+
+    def monic(lay, recs):
+        return [_from_engine(R3, lay, rec.items(), Fraction(1, rec.lc)) for rec in recs]
+
+    for recs, lay, track in calls:
+        new = real(recs, lay, _Budget(10 ** 6), track)
+        old = reference_reduce_records(recs, lay, _Budget(10 ** 6), track)
+        assert monic(lay, new) == monic(lay, old)
+        if not track:
+            assert [rec.frozen() for rec in new] == [rec.frozen() for rec in old]
+    assert tracked == buchberger(gens)
+    assert gb == buchberger(gens, order)
+    # every tracked representation still rebuilds its basis element
+    for k, b in enumerate(tracked.elements):
+        assert sum((a * g for a, g in zip(A[k], gens)), R3.zero) == b
+
+
+def test_monomial_ideal_spends_no_work_on_empty_pairs():
+    # no pair of two monomials is taken up: the one unit is the reduction of
+    # the seed x^2*y by x^2
+    I = Ideal(R3, [R3.parse(g) for g in ("x^2", "x*y", "y^2*z", "x^2*y", "z^3")])
+    with work_limit(1):
+        gb = buchberger(I)
+    assert gb.elements == tuple(R3.parse(g) for g in ("y^2*z", "z^3", "x^2", "x*y"))
+    with pytest.raises(WorkLimitExceeded), work_limit(0):
+        buchberger(I)

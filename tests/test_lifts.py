@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import le
 
 import pytest
@@ -21,13 +22,34 @@ from hypothesis import strategies as st
 from symrees import RingError, buchberger_tracked, division, make_pair, syzygies
 from symrees.blowup import CertificateError, solve_certificates
 from symrees.groebner import FIELD_MAX
-from symrees.syzygy import _normalize_column, apply_row
+from symrees.syzygy import apply_row
 
 from strategies import R3, build, ideals, rationals, terms
 
 X, Y, Z = R3.gens()
 
 scales = st.lists(rationals.filter(bool), min_size=3, max_size=3)
+
+
+def normalize_column(col):
+    """Divide a column by the gcd-content of all its coefficients, with the
+    first nonzero entry's leading coefficient positive.
+
+    Each entry's integer part has content 1, so that gcd is the gcd of the
+    entries' scales.
+    """
+    num, den = 0, 1
+    for p in col:
+        if p.coeffs:
+            num = gcd(num, p.scale.numerator)
+            den = lcm(den, p.scale.denominator)
+    if num == 0:
+        return list(col)
+    cont = Fraction(num, den)
+    lead = next(p for p in col if not p.is_zero)
+    if lead.leading()[1] < 0:
+        cont = -cont
+    return [p * (1 / cont) for p in col]
 
 
 def reference_syzygy_columns(gens) -> list:
@@ -75,7 +97,7 @@ def reference_syzygy_columns(gens) -> list:
         full = [zero] * m
         for pos, j in enumerate(nonzero_idx):
             full[j] = col[pos]
-        full = _normalize_column(full)
+        full = normalize_column(full)
         if full not in cols:
             cols.append(full)
     for j, g in enumerate(gens):
