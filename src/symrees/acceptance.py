@@ -195,11 +195,11 @@ def _random_monomial_ideal(rng, arity, max_deg, max_gens):
 
 
 @_criterion(8, "property-suites", "property")
-def criterion_8_property_suites(res, fast: bool = False):
+def criterion_8_property_suites(res):
     rng = random.Random(8)
 
     # (i) regular-sequence pairs: zero torsion, Artin-Rees number 1
-    count = 4 if fast else 10
+    count = 10
     ok_all = True
     for _ in range(count):
         ring = make_ring(["x", "y", "z"])
@@ -218,7 +218,7 @@ def criterion_8_property_suites(res, fast: bool = False):
            f"(i) {count} regular-sequence pairs: zero torsion and Artin-Rees number 1")
 
     # (ii) intersect/quotient/saturate against the monomial brute-force oracle
-    runs = 30 if fast else 100
+    runs = 100
     deg = 8
     ok_all = True
     for _ in range(runs):
@@ -249,7 +249,7 @@ def criterion_8_property_suites(res, fast: bool = False):
     _check(res, ok_all, f"(ii) {runs} monomial ideals: intersect/quotient/saturate match the oracle")
 
     # (iii) reduced-basis uniqueness under generator permutation
-    runs = 30 if fast else 100
+    runs = 100
     ok_all = True
     for _ in range(runs):
         ring = make_ring(["x", "y"]) if rng.random() < 0.5 else make_ring(["x", "y", "z"])
@@ -289,7 +289,7 @@ def criterion_8_property_suites(res, fast: bool = False):
                 for s in ("three-node-quartic", "bad-quintic", "fermat-quartic")]
     fixtures.append(four_points_pair())
     fixtures.append(pair_by_name("coordinate-points"))
-    for pair in fixtures[: 3 if fast else 5]:
+    for pair in fixtures:
         base = aluffi_presentation(pair)
         phi = syzygies(list(pair.i_gens))
         col = phi.columns()[0]

@@ -643,7 +643,8 @@ def _run_fixture(slug: str, seed: int, bound: int) -> dict:
                     "consistent": report.consistent,
                     "generic_linear_type": report.generic_linear_type,
                     "member_verdict": report.member.certificate.verdict.value,
-                    "passed": ok_cols and report.consistent}
+                    "passed": (ok_cols and report.consistent
+                               and report.generic_linear_type)}
     for c in CURVES:
         if slug == c.slug:
             gp = gradient_pair(c.curve())

@@ -181,23 +181,17 @@ class FamilyReport:
 
 
 def _content_one_certified(F: Polynomial, ring: RingContext) -> bool:
-    """Cheap sufficient test that F has unit content over the parameters."""
-    if not ring.has_block("param") or not ring.block_indices("param"):
+    """Sufficient test that F has unit content over the parameters: some
+    geometric monomial's coefficient in k[u] is a nonzero constant."""
+    pidx = ring.block_indices("param") if ring.has_block("param") else ()
+    if not pidx:
         return True
-    pidx = set(ring.block_indices("param"))
-    coeffs: dict = {}
+    constant: dict = {}
     for m in F.coeffs:
         geom_part = tuple(0 if i in pidx else e for i, e in enumerate(m))
-        u_part = tuple(e if i in pidx else 0 for i, e in enumerate(m))
-        coeffs.setdefault(geom_part, []).append(u_part)
-    mins = None
-    for parts in coeffs.values():
-        if any(sum(u) == 0 for u in parts):
-            return True  # some coefficient has a constant term; stronger: constant
-        lo = tuple(min(u[i] for u in parts) for i in range(len(parts[0])))
-        mins = lo if mins is None else tuple(min(a, b) for a, b in zip(mins, lo))
-    # all coefficients monomial-divisible by a common parameter monomial?
-    return mins is not None and all(e == 0 for e in mins)
+        constant[geom_part] = (constant.get(geom_part, True)
+                               and not any(m[i] for i in pidx))
+    return any(constant.values())
 
 
 def sample_parameters(ring: RingContext, avoid: Sequence[Polynomial],

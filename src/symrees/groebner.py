@@ -39,8 +39,11 @@ by the already-reduced elements below it.
 
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
-engine's only lift bookkeeping.  Containment certificates (`member_lifts`)
-and syzygies (`syzygy_lifts`) are lifted on the records of one tracked run:
+engine's only lift bookkeeping.  Tracking is a property of the records: a run
+chooses it once, for its seeds, and every S-polynomial and reduction built
+from tracked records is tracked in turn.  Containment certificates
+(`member_lifts`) and syzygies (`syzygy_lifts`) are lifted on the records of
+one tracked run:
 each target, generator or S-polynomial of a basis pair is reduced to zero by
 the final records with its representation tracked, and that representation,
 rescaled by the generators' scales, is the row.  `division` reduces the same
@@ -210,7 +213,8 @@ class _Rec:
     The leading term is kept apart from the tail; `top` is the field-wise max
     of all terms, so a product x^q * self passes the exponent bound exactly
     when q + top does.  `rtop` is the same bound for every term of the
-    representation `rep`.  A record is not changed once built.
+    representation `rep`, which is None on an untracked record; records of one
+    run are all tracked or all untracked.  A record is not changed once built.
     """
 
     __slots__ = ("lm", "lc", "tail", "top", "rep", "rtop")
@@ -226,9 +230,6 @@ class _Rec:
 
     def items(self) -> list:
         return [(self.lm, self.lc)] + self.tail
-
-    def frozen(self):
-        return self.lm, self.lc, frozenset(self.tail)
 
 
 def _scale_rep(rep, c):
@@ -308,8 +309,9 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], lms: Sequence[int],
     return r, mult
 
 
-def _spoly(gi: _Rec, gj: _Rec, lcm: int, guard: int, track: bool):
-    """S-polynomial of two records; their leading terms cancel at lcm."""
+def _spoly(gi: _Rec, gj: _Rec, lcm: int, guard: int):
+    """S-polynomial of two records; their leading terms cancel at lcm.  Its
+    representation is tracked when the records' are."""
     qi = lcm - gi.lm
     qj = lcm - gj.lm
     if (qi + gi.top) & guard or (qj + gj.top) & guard:
@@ -321,7 +323,7 @@ def _spoly(gi: _Rec, gj: _Rec, lcm: int, guard: int, track: bool):
     _axpy(out, ci, qi, gi.tail)
     _axpy(out, -cj, qj, gj.tail)
     rep = None
-    if track:
+    if gi.rep is not None:
         rep = {}
         _rep_axpy(rep, ci, qi, gi, guard)
         _rep_axpy(rep, -cj, qj, gj, guard)
@@ -470,9 +472,6 @@ def _run_buchberger(gens, ring, order, track):
             rep = {j: {0: 1}} if track else None
             seeds.append((ints, rep))
 
-    if not seeds:
-        return [], scales
-
     # one pass: each seed is reduced by the seeds kept before it, so every kept
     # seed is already a normal form of its predecessors and a second pass
     # would reproduce the first
@@ -487,21 +486,6 @@ def _run_buchberger(gens, ring, order, track):
 
     ex = [lm & emask for lm in lms]             # exponent words of the lms
     mono = [not rec.tail for rec in f]
-    index_of = {rec.frozen(): i for i, rec in enumerate(f)}
-
-    def normal(h_terms, h_rep, reducers, reducer_lms):
-        r, _ = _reduce_full(h_terms, reducers, reducer_lms, guard, budget, rep=h_rep)
-        if not r:
-            return None
-        r, h_rep = _strip(r, h_rep)
-        rec = _Rec(r, guard, h_rep)
-        fz = rec.frozen()
-        if fz not in index_of:
-            index_of[fz] = len(f)
-            f.append(rec)
-            ex.append(rec.lm & emask)
-            mono.append(not rec.tail)
-        return index_of[fz]
 
     G: set = set()
     CP: set = set()
@@ -516,19 +500,26 @@ def _run_buchberger(gens, ring, order, track):
         pair = min(CP)
         CP.remove(pair)
         lcm, ig1, ig2 = pair
-        s_terms, s_rep = _spoly(f[ig1], f[ig2], lcm, guard, track)
+        s_terms, s_rep = _spoly(f[ig1], f[ig2], lcm, guard)
         if not s_terms:
             continue
-        iht = normal(s_terms, s_rep, reducers, reducer_lms)
-        if iht is not None:
-            G, CP = _update(G, CP, iht, ex, mono, lay)
+        # a nonzero remainder is a new record: no lm in G divides its lm, while
+        # some lm in G divides that of every record in f
+        r, _ = _reduce_full(s_terms, reducers, reducer_lms, guard, budget, rep=s_rep)
+        if r:
+            r, s_rep = _strip(r, s_rep)
+            rec = _Rec(r, guard, s_rep)
+            f.append(rec)
+            ex.append(rec.lm & emask)
+            mono.append(not rec.tail)
+            G, CP = _update(G, CP, len(f) - 1, ex, mono, lay)
             reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
             reducer_lms = [rec.lm for rec in reducers]
 
-    return _reduce_records(reducers, lay, budget, track), scales
+    return _reduce_records(reducers, lay, budget), scales
 
 
-def _reduce_records(recs, lay: _Layout, budget, track) -> list:
+def _reduce_records(recs, lay: _Layout, budget) -> list:
     """The reduced basis from the records of a Groebner basis, descending.
 
     `recs` must be ascending by leading monomial; no S-pair is formed.  Walking
@@ -546,7 +537,7 @@ def _reduce_records(recs, lay: _Layout, budget, track) -> list:
             if not ((rec.lm - lm) & guard):
                 break
         else:
-            rep = {j: dict(d) for j, d in rec.rep.items()} if track else None
+            rep = None if rec.rep is None else {j: dict(d) for j, d in rec.rep.items()}
             r, _ = _reduce_full(dict(rec.items()), final, lms, guard, budget, rep=rep)
             r, rep = _strip(r, rep)
             final.append(_Rec(r, guard, rep))
@@ -573,7 +564,7 @@ def reduced_basis(basis: Sequence[Polynomial], ring: RingContext,
     lay = _layout(order, ring.arity)
     recs = sorted((_Rec(_to_engine(lay, g)[0], lay.guard)
                    for g in basis if not g.is_zero), key=lambda rec: rec.lm)
-    return _untracked_basis(ring, order, _reduce_records(recs, lay, _budget(), False))
+    return _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
 
 
 def _untracked_basis(ring, order, final) -> GroebnerBasis:
@@ -664,7 +655,7 @@ def syzygy_lifts(gens: Sequence[Polynomial]) -> list:
         packed = lay.pack_exponents(lcm)
         if packed & guard:
             raise _overflow()
-        lift(*_spoly(final[k], final[l], packed, guard, True), "S-polynomial")
+        lift(*_spoly(final[k], final[l], packed, guard), "S-polynomial")
     return rows
 
 
@@ -712,8 +703,6 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of p on full division by G; linear in p, idempotent."""
     if p.ring != G.ring:
         raise RingError("ring mismatch")
-    if p.is_zero or not G.elements:
-        return p
     lay = _layout(G.order, G.ring.arity)
     ints, scale = _to_engine(lay, p)
     recs = G._engine_records(lay)
@@ -725,8 +714,6 @@ def division(p: Polynomial, G: GroebnerBasis):
     """(normal form, quotients aligned with G.elements):  p = sum q_i g_i + nf."""
     if p.ring != G.ring:
         raise RingError("ring mismatch")
-    if p.is_zero or not G.elements:
-        return p, [G.ring.zero] * len(G.elements)
     lay = _layout(G.order, G.ring.arity)
     ints, scale = _to_engine(lay, p)
     # record i represents itself, so p's representation ends as minus the

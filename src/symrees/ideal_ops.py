@@ -37,7 +37,6 @@ from .groebner import (
 )
 from .rings import (
     Ideal,
-    MonomialOrder,
     Polynomial,
     RingContext,
     RingError,
@@ -96,8 +95,6 @@ def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     `_free_part`).  `target` must list the kept variables in their order in
     `I.ring`.
     """
-    if I.is_zero:
-        return Ideal(target, [])
     return _free_part(buchberger(I, I.ring.elim_order_vars(gone)), gone, target)
 
 
@@ -268,13 +265,13 @@ class DimensionReport:
         return True if self.empty else self.codim >= c
 
 
-def dimension(I: Ideal, order: MonomialOrder | None = None) -> DimensionReport:
+def dimension(I: Ideal) -> DimensionReport:
     """dim ring/I as the largest variable set independent modulo in(I)."""
     ring = I.ring
     n = ring.arity
     if I.is_zero:
         return DimensionReport(n, 0, tuple(ring.names))
-    gb = groebner(I, order)
+    gb = groebner(I)
     if gb.is_unit_ideal:
         return DimensionReport(-1, n + 1, (), empty=True)
     supports = []

@@ -12,7 +12,9 @@ whose lcms strictly divide lcm(k, l), so by induction on the lcm the kept
 pairs still generate (Buchberger's chain criterion, Gebauer-Moller, J. Symb.
 Comp. 1988).  Pairs whose lcms tie are kept.  Columns are content-normalized
 and deduplicated but not minimalized; the entry ideal I_1 is independent of
-that choice.
+that choice.  A zero generator needs no case of its own: the engine drops it
+from the run, and reduced to zero with its representation seeded as e_i it
+leaves the unit column e_i.
 """
 
 from __future__ import annotations
@@ -69,23 +71,23 @@ def matrix_from_columns(ring: RingContext, columns: Sequence[Sequence[Polynomial
     return PolyMatrix(ring, rows, len(columns), ent)
 
 
-def jacobian(gens: Sequence[Polynomial], var_names: Sequence[str] | None = None,
-             block: str = "geom") -> PolyMatrix:
-    """Rows indexed by variables, columns by generators."""
+def jacobian(gens: Sequence[Polynomial],
+             var_names: Sequence[str] | None = None) -> PolyMatrix:
+    """Rows indexed by variables (default: the geometric block), columns by
+    generators."""
     if not gens:
         raise RingError("empty generator list")
     ring = gens[0].ring
     if var_names is None:
-        var_names = [ring.names[i] for i in ring.block_indices(block)]
+        var_names = [ring.names[i] for i in ring.block_indices("geom")]
     ent = tuple(tuple(g.derivative(v) for g in gens) for v in var_names)
     return PolyMatrix(ring, len(var_names), len(gens), ent)
 
 
-def hessian(f: Polynomial, var_names: Sequence[str] | None = None,
-            block: str = "geom") -> PolyMatrix:
+def hessian(f: Polynomial) -> PolyMatrix:
+    """Second derivatives in the geometric block's variables."""
     ring = f.ring
-    if var_names is None:
-        var_names = [ring.names[i] for i in ring.block_indices(block)]
+    var_names = [ring.names[i] for i in ring.block_indices("geom")]
     ent = tuple(tuple(f.derivative(v).derivative(w) for w in var_names)
                 for v in var_names)
     return PolyMatrix(ring, len(var_names), len(var_names), ent)
@@ -130,35 +132,10 @@ def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:
     gens = list(gens)
     if not gens:
         raise RingError("empty generator list")
-    ring = gens[0].ring
-    m = len(gens)
-    zero = ring.zero
-
-    nonzero_idx = [j for j, g in enumerate(gens) if not g.is_zero]
-    if not nonzero_idx:
-        # everything is zero: unit vectors are syzygies
-        cols = [[ring.one if i == j else zero for i in range(m)] for j in range(m)]
-        return matrix_from_columns(ring, cols)
-
-    cols = []
-    seen = set()
-    for row in syzygy_lifts([gens[j] for j in nonzero_idx]):
-        full = [zero] * m
-        for pos, j in enumerate(nonzero_idx):
-            full[j] = row[pos]
-        fz = tuple(full)
-        if fz not in seen:
-            seen.add(fz)
-            cols.append(full)
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            unit = [zero] * m
-            unit[j] = ring.one
-            cols.append(unit)
-
+    cols = list(dict.fromkeys(map(tuple, syzygy_lifts(gens))))
     degs = lambda c: max((p.degree() or 0) for p in c if not p.is_zero)
     cols.sort(key=lambda c: (degs(c), tuple(str(p) for p in c)))
-    return matrix_from_columns(ring, cols)
+    return matrix_from_columns(gens[0].ring, cols)
 
 
 def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:

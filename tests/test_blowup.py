@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from operator import le
+
 import pytest
 
-from symrees import Ideal, RingError, ideal_member, make_ring, normal_form
+from symrees import Ideal, RingError, groebner, ideal_member, make_ring, normal_form
 from symrees.blowup import (
     CertificateError,
     aluffi_dimension,
@@ -24,6 +26,7 @@ from symrees.blowup import (
 from symrees.curves import gradient_pair
 from symrees.ideal_ops import dimension, ideal_contains, ideal_equal, saturate_principal
 from symrees.fixtures import CURVES, PAIR_FIXTURES, four_points_pair, pair_by_name
+from symrees.oracle import monomials_of_degree, rank
 
 R2 = make_ring(["x", "y"])
 XX, YY = R2.gens()
@@ -419,6 +422,40 @@ def test_rees_ideal_is_the_symmetric_ideal_saturated_by_a_generator(build_pair):
     pair = build_pair()
     b = pair.i_gens[0].transport(pair.fiber_ring)
     assert ideal_equal(saturate_principal(sym_ideal(pair), b), rees_ideal(pair))
+
+
+@pytest.mark.parametrize("build_pair", PAIRS_AND_CURVES)
+def test_rees_ideal_bigraded_pieces_are_kernels_of_the_monomial_map(build_pair):
+    # a second route to the Rees ideal's bigraded pieces: for I generated in one
+    # degree d, its (a, b) piece is the kernel of x^alpha T^beta -> x^alpha b^beta
+    # on the monomials of bidegree (a, b), and in(Rees) has as many monomials
+    # there as the piece has dimension.  The a = 0 row is the special fiber;
+    # the piece (d, 1) holds the Koszul syzygies, so it is never zero.
+    pair = build_pair()
+    ring, gens = pair.ring, list(pair.i_gens)
+    (d,) = {g.degree() for g in gens}
+    lead = groebner(rees_ideal(pair)).leading_monomials()
+    bidegrees = {(a, b) for a in range(4) for b in range(4 - a)}
+    bidegrees |= {(a, 1) for a in range(d + 1)}
+    kernels = {}
+    for a, b in sorted(bidegrees):
+        mons = [(alpha, beta) for alpha in monomials_of_degree(ring.arity, a)
+                for beta in monomials_of_degree(len(gens), b)]
+        in_lead = sum(any(all(map(le, m, alpha + beta)) for m in lead)
+                      for alpha, beta in mons)
+        index = {m: i for i, m in enumerate(monomials_of_degree(ring.arity, a + b * d))}
+        rows = []
+        for alpha, beta in mons:
+            image = ring.monomial(alpha)
+            for g, e in zip(gens, beta):
+                image = image * g ** e
+            row = [0] * len(index)
+            for m, c in image.terms.items():
+                row[index[m]] = c
+            rows.append(row)
+        kernels[a, b] = len(mons) - rank(rows)
+        assert in_lead == kernels[a, b], (a, b)
+    assert kernels[d, 1]
 
 
 def test_standard_base_reads_only_the_powers_it_needs():

@@ -336,6 +336,26 @@ def test_exit_code_failed_verdict(monkeypatch):
     assert res.exit_code == 1
 
 
+def test_family_fixture_fails_when_not_of_linear_type(monkeypatch):
+    # a consistent analysis that contradicts the claim "linear type" fails
+    import dataclasses
+
+    import symrees.cli as cli
+    real = cli.analyze_family
+
+    def not_linear_type(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), generic_linear_type=False,
+                                   legs=(False, False, False), consistent=True)
+
+    monkeypatch.setattr(cli, "analyze_family", not_linear_type)
+    res = CliRunner().invoke(main, ["--format", "machine", "fixtures", "run",
+                                    "higher-cusp"])
+    assert res.exit_code == 1
+    rep = json.loads(res.output)["results"]["reports"][0]
+    assert rep["columns_verified"] is True and rep["consistent"] is True
+    assert rep["passed"] is False
+
+
 def test_exit_code_input_error_on_unknown_fixture():
     res = CliRunner().invoke(main, ["fixtures", "run", "no-such-fixture"])
     assert res.exit_code == 2

@@ -10,6 +10,7 @@ from symrees import Ideal, RingError, groebner, ideal_member, make_ring
 from symrees.blowup import aluffi_presentation, is_linear_type, pair_syzygies
 from symrees.curves import (
     Verdict,
+    _content_one_certified,
     analyze_family,
     evaluate_member,
     gradient_pair,
@@ -113,6 +114,24 @@ def test_quintic_family_special_member():
     assert member.specialization_strict is True
     assert member.evaluated_entry_codim == 2
     assert member.member_entry_codim == 3
+
+
+CONTENT_WARNING = "parameter content could not be certified equal to 1"
+
+
+def test_parameter_content_is_certified_only_by_a_constant_coefficient():
+    F = quintic_family()
+    ring = F.ring
+    u = ring.var("u")
+    assert CONTENT_WARNING not in analyze_family(F, seed=2).warnings
+    # (u+1)*F and u*F have non-unit content in k[u]
+    for G in ((u + 1) * F, u * F):
+        assert CONTENT_WARNING in analyze_family(G, seed=2).warnings
+    # every coefficient has a constant term, and the content is still u + 1
+    G = ring.parse("(u^2 + u)*x^4 + (u + 1)*y^4 + (u + 1)*z^4")
+    assert not _content_one_certified(G, ring)
+    for fam in FAMILIES:
+        assert _content_one_certified(fam.family(), fam.ring())
 
 
 def test_family_member_bad_value():

@@ -175,8 +175,9 @@ def test_buchberger_tracked_leaves_the_run_records_unchanged(monkeypatch):
     def recording(source):
         run = real(source)
         final = run[3]
-        runs.append((final, [(rec.frozen(), {j: dict(d) for j, d in rec.rep.items()},
-                              rec.rtop) for rec in final]))
+        runs.append((final, [(rec.lm, rec.lc, list(rec.tail),
+                              {j: dict(d) for j, d in rec.rep.items()}, rec.rtop)
+                             for rec in final]))
         return run
 
     monkeypatch.setattr(engine, "_tracked_run", recording)
@@ -184,7 +185,7 @@ def test_buchberger_tracked_leaves_the_run_records_unchanged(monkeypatch):
             R3.parse("-2/3*y*z + x")]
     gb, _ = buchberger_tracked(gens)
     (final, before), = runs
-    assert [(rec.frozen(), rec.rep, rec.rtop) for rec in final] == before
+    assert [(rec.lm, rec.lc, rec.tail, rec.rep, rec.rtop) for rec in final] == before
     assert all(rec.rep is None for rec in gb._records)
     assert not set(map(id, gb._records)) & set(map(id, final))
     assert gb == buchberger(gens)
@@ -194,6 +195,19 @@ def test_buchberger_tracked_leaves_the_run_records_unchanged(monkeypatch):
         nf, quots = division(p, gb)
         assert nf == normal_form(p, gb)
         assert sum((q * g for q, g in zip(quots, gb.elements)), nf) == p
+
+
+def test_zero_and_empty_basis_divide_on_the_general_path_at_no_work():
+    gb = buchberger([X * X - Y, Y * Z])
+    empty = buchberger(Ideal(R3, []))
+    p = R3.parse("x^2*z - 3/2*y + 1")
+    with work_limit(0):
+        assert empty.elements == ()
+        assert normal_form(R3.zero, gb) == R3.zero
+        assert division(R3.zero, gb) == (R3.zero, [R3.zero] * len(gb))
+        assert normal_form(p, empty) == p
+        assert division(p, empty) == (p, [])
+        assert normal_form(R3.zero, empty) == R3.zero
 
 
 def test_division_certificate():
@@ -490,7 +504,7 @@ def test_update_keeps_the_pairs_of_the_reference_but_monomial_ones(elements, ord
         assert B == {p for p in B_ref if not (mono[p[1]] and mono[p[2]])}
 
 
-def reference_reduce_records(recs, lay, budget, track):
+def reference_reduce_records(recs, lay, budget):
     """The reduced basis as it was built before tail reduction walked up on
     reduced records: each minimal record is reduced by all the other ones."""
     guard, emask, eguard = lay.guard, lay.emask, lay.eguard
@@ -502,7 +516,7 @@ def reference_reduce_records(recs, lay, budget, track):
     final = []
     for rec in minimal:
         others = [g for g in minimal if g is not rec]
-        rep = {j: dict(d) for j, d in rec.rep.items()} if track else None
+        rep = None if rec.rep is None else {j: dict(d) for j, d in rec.rep.items()}
         r, _ = _reduce_full(dict(rec.items()), others, [g.lm for g in others],
                             guard, budget, rep=rep)
         r, rep = _strip(r, rep)
@@ -520,9 +534,9 @@ def test_tail_reduction_on_reduced_records_matches_reducing_by_all_others(gens_t
     real = engine._reduce_records
     calls = []
 
-    def recording(recs, lay, budget, track):
-        calls.append((list(recs), lay, track))
-        return real(recs, lay, budget, track)
+    def recording(recs, lay, budget):
+        calls.append((list(recs), lay))
+        return real(recs, lay, budget)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_reduce_records", recording)
@@ -532,12 +546,18 @@ def test_tail_reduction_on_reduced_records_matches_reducing_by_all_others(gens_t
     def monic(lay, recs):
         return [_from_engine(R3, lay, rec.items(), Fraction(1, rec.lc)) for rec in recs]
 
-    for recs, lay, track in calls:
-        new = real(recs, lay, _Budget(10 ** 6), track)
-        old = reference_reduce_records(recs, lay, _Budget(10 ** 6), track)
+    def terms(recs):
+        return [(rec.lm, rec.lc, sorted(rec.tail)) for rec in recs]
+
+    assert {recs[0].rep is None for recs, _ in calls if recs} == {True, False}
+    for recs, lay in calls:
+        new = real(recs, lay, _Budget(10 ** 6))
+        old = reference_reduce_records(recs, lay, _Budget(10 ** 6))
         assert monic(lay, new) == monic(lay, old)
-        if not track:
-            assert [rec.frozen() for rec in new] == [rec.frozen() for rec in old]
+        # tracking is read off the records: kept by tracked ones, absent otherwise
+        assert all((rec.rep is None) == (recs[0].rep is None) for rec in new + old)
+        if recs and recs[0].rep is None:
+            assert terms(new) == terms(old)
     assert tracked == buchberger(gens)
     assert gb == buchberger(gens, order)
     # every tracked representation still rebuilds its basis element

@@ -152,6 +152,14 @@ def test_eliminate_parabola():
 def test_eliminate_zero_ideal():
     out = eliminate(Ideal(R3, []), "geom")
     assert out.is_zero
+    # the zero ideal takes the general path, at no work
+    ring = make_ring(["x", "y"], ["u"])
+    with work_limit(0):
+        out = eliminate(Ideal(ring, []), "param")
+        vars_out = eliminate_vars(Ideal(ring, []), ["x", "u"])
+        assert groebner(out).elements == ()
+    assert out.is_zero and out.ring.names == ("x", "y")
+    assert vars_out.is_zero and vars_out.ring.names == ("y",)
 
 
 def test_ideal_equal_examples():
@@ -201,14 +209,15 @@ def test_dimension_witness_is_independent():
 
 
 def test_dimension_order_independent():
-    from symrees import GREVLEX, LEX
+    # dimension reads the ring's order; the same ideal in a lex ring
+    R3_lex = make_ring(["x", "y", "z"], order=LEX)
     fixtures = [
         Ideal(R3, [X * X - Y * Z, X * Y - Z * Z]),
         Ideal(R3, [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z")]),
         Ideal(R3, [R3.parse("x^3 - y"), R3.parse("z^2")]),
     ]
     for I in fixtures:
-        assert dimension(I, GREVLEX).dim == dimension(I, LEX).dim
+        assert dimension(I).dim == dimension(I.transport(R3_lex)).dim
 
 
 def test_minimal_homogeneous_generators():

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from symrees import Ideal, RingError, fixtures, make_ring
+from symrees import Ideal, RingError, fixtures, make_ring, work_limit
 from symrees.curves import sample_parameters
 from symrees.ideal_ops import dimension, ideal_equal
 from symrees.oracle import _column_degree, column_in_span, syzygies_up_to_degree
@@ -167,6 +167,16 @@ def test_syzygies_of_zero_generator():
     assert unit_found
     for col in phi.columns():
         assert apply_row([X, R3.zero], col).is_zero
+    zero, one = R3.zero, R3.one
+    assert phi.columns() == [[zero, one]]
+    assert syzygies([zero, X]).columns() == [[one, zero]]
+    # all-zero input: the unit columns, lifted with no work and sorted
+    with work_limit(0):
+        assert syzygies([zero, zero]).columns() == [[zero, one], [one, zero]]
+    # a zero generator adds its unit column and leaves the others in place
+    mixed = syzygies([X, zero, Y]).columns()
+    assert [[a, c] for a, b, c in mixed if b.is_zero] == syzygies([X, Y]).columns()
+    assert [zero, one, zero] in mixed and len(mixed) == 2
 
 
 def test_matrix_shape_validation():
