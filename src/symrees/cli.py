@@ -10,10 +10,17 @@ Input files are line-based: a ring header followed by named payloads.
     candidate P1: x; y; T3
     constraints: u^2 - 1
 
-Blank lines and lines starting with '#' are ignored; each payload may be
-declared once.  Reports print as human-readable text or as machine-readable
-JSON with a stable field order (`--format machine`); machine reports are
-byte-identical for identical inputs and seed.
+Blank lines and lines starting with '#' are ignored.  A payload head is one
+of the kinds above; `ideal` may add a name (upper-cased, default `I`) and
+`candidate` one (as written, default `P<n>`).  `parse_input` reads the file
+into one table, `JobSpec.payloads`: label (`ideal I`, `curve`, ...) -> the
+payload's `;`-separated texts, each with its line and column, which
+`job_polys` parses in a given ring so that a syntax error names its place in
+the file.  Each payload may be declared once.
+
+Reports print as human-readable text or as machine-readable JSON with a stable
+field order (`--format machine`); machine reports are byte-identical for
+identical inputs and seed.
 
 Every leaf command is registered through one runner, `_command`, which loads
 FILE, times the command body, emits the report and maps errors to exit
@@ -63,8 +70,7 @@ from .ideal_ops import (
 )
 from .fixtures import CURVES, FAMILIES, PAIR_FIXTURES, pair_by_name
 from .rings import (
-    GREVLEX,
-    LEX,
+    ORDERS,
     Ideal,
     ParseError,
     Polynomial,
@@ -80,76 +86,53 @@ from .syzygy import PolyMatrix, hessian, jacobian, minors, syzygies
 @dataclass
 class JobSpec:
     ring: RingContext
-    curve: str | None
-    family: str | None
-    ideals: dict
-    candidates: dict
-    constraints: list
-    # payload label -> the (line, column) in the file of each of its texts
-    origins: dict
+    # payload label ("ideal I", "curve", "candidate P1", ...) -> its texts,
+    # each with the (line, column) in the file where it starts
+    payloads: dict
 
-
-def _payload_texts(rest: str, col: int) -> tuple:
-    """The ';'-separated texts of a payload whose text `rest` starts at
-    column `col`, and the column at which each text starts."""
-    texts, cols = [], []
-    for piece in rest.split(";"):
-        if piece.strip():
-            texts.append(piece.strip())
-            cols.append(col + len(piece) - len(piece.lstrip()))
-        col += len(piece) + 1
-    return texts, cols
+    def texts(self, label: str) -> list:
+        return [text for text, _ in self.payloads.get(label, ())]
 
 
 def parse_input(text: str) -> JobSpec:
     ring = None
-    curve = None
-    family = None
-    ideals: dict = {}
-    candidates: dict = {}
-    constraints: list = []
+    payloads: dict = {}
     declared: dict = {}  # payload label -> line number
-    origins: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         head, _, rest = line.partition(":")
-        words = head.split()
-        key = head.strip().lower()
-        col = len(raw) - len(raw.lstrip()) + len(head) + 2
-        terms, cols = _payload_texts(rest, col)
-        if key.startswith("ring"):
-            key = "ring"
-            ring = parse_ring_header(line)
-        elif ring is None:
-            raise RingError(f"line {lineno}: the ring header must come first")
-        elif key == "curve":
-            curve = rest.strip()
-            cols = [col + len(rest) - len(rest.lstrip())]
-        elif key == "family":
-            family = rest.strip()
-            cols = [col + len(rest) - len(rest.lstrip())]
-        elif key.startswith("ideal"):
-            name = words[1].upper() if len(words) > 1 else "I"
-            key = f"ideal {name}"
-            ideals[name] = terms
-        elif key.startswith("candidate"):
-            name = words[1] if len(words) > 1 else f"P{len(candidates)+1}"
-            key = f"candidate {name}"
-            candidates[name] = terms
-        elif key == "constraints":
-            constraints = terms
+        kind, *name = head.split() or [""]
+        kind = kind.lower()
+        if kind in ("ring", "curve", "family", "constraints") and not name:
+            label = kind
+        elif kind == "ideal" and len(name) < 2:
+            label = f"ideal {name[0].upper() if name else 'I'}"
+        elif kind == "candidate" and len(name) < 2:
+            count = sum(key.startswith("candidate ") for key in payloads)
+            label = f"candidate {name[0] if name else f'P{count + 1}'}"
         else:
-            raise RingError(f"line {lineno}: unknown payload {key!r}")
-        if key in declared:
-            raise RingError(f"line {lineno}: `{key}:` is already declared "
-                            f"on line {declared[key]}")
-        declared[key] = lineno
-        origins[key] = [(lineno, c) for c in cols]
+            raise RingError(f"line {lineno}: unknown payload {head.strip()!r}")
+        if ring is None and label != "ring":
+            raise RingError(f"line {lineno}: the ring header must come first")
+        if label in declared:
+            raise RingError(f"line {lineno}: `{label}:` is already declared "
+                            f"on line {declared[label]}")
+        declared[label] = lineno
+        if label == "ring":
+            ring = parse_ring_header(line)
+            continue
+        col = len(raw) - len(raw.lstrip()) + len(head) + 2
+        payloads[label] = []
+        for piece in rest.split(";"):
+            if piece.strip():
+                origin = (lineno, col + len(piece) - len(piece.lstrip()))
+                payloads[label].append((piece.strip(), origin))
+            col += len(piece) + 1
     if ring is None:
         raise RingError("no ring header found")
-    return JobSpec(ring, curve, family, ideals, candidates, constraints, origins)
+    return JobSpec(ring, payloads)
 
 
 def load_job(path: str) -> JobSpec:
@@ -157,53 +140,52 @@ def load_job(path: str) -> JobSpec:
         return parse_input(fh.read())
 
 
-def _parse_payload(job: JobSpec, ring: RingContext, key: str, texts) -> list:
-    """The texts of payload `key` parsed in `ring`; a ParseError reports its
-    position in the input file."""
+def job_polys(job: JobSpec, label: str, ring: RingContext | None = None) -> list:
+    """The texts of payload `label` parsed in `ring`, by default the job's;
+    a ParseError reports its position in the input file."""
+    if label not in job.payloads:
+        raise RingError(f"input file does not declare `{label}:`")
     out = []
-    for text, origin in zip(texts, job.origins[key]):
+    for text, origin in job.payloads[label]:
         try:
-            out.append(ring.parse(text))
+            out.append((ring or job.ring).parse(text))
         except ParseError as exc:
             raise ParseError(exc.msg, exc.pos, text, origin) from None
     return out
 
 
 def job_ideal(job: JobSpec, name: str = "I") -> Ideal:
-    if name not in job.ideals:
-        raise RingError(f"input file does not declare `ideal {name}:`")
-    return Ideal(job.ring, _parse_payload(job, job.ring, f"ideal {name}", job.ideals[name]))
+    return Ideal(job.ring, job_polys(job, f"ideal {name}"))
 
 
 def job_form(job: JobSpec, key: str) -> Polynomial:
-    """The `curve:` or `family:` payload, parsed."""
-    text = getattr(job, key)
-    if not text:
-        raise RingError(f"input file does not declare `{key}:`")
-    return _parse_payload(job, job.ring, key, [text])[0]
+    """The one polynomial of the `curve:` or `family:` payload."""
+    count = len(job.payloads.get(key, ()))
+    if count != 1:
+        raise RingError(f"`{key}:` needs one polynomial, the input file gives {count}")
+    return job_polys(job, key)[0]
 
 
 def job_constraints(job: JobSpec):
-    if not job.constraints:
+    if not job.payloads.get("constraints"):
         return []
     ring = job.ring
     pnames = [ring.names[i] for i in ring.block_indices("param")] \
         if ring.has_block("param") else []
     if not pnames:
         raise RingError("constraints need a params block")
-    pring = make_ring([], pnames)
-    return _parse_payload(job, pring, "constraints", job.constraints)
+    return job_polys(job, "constraints", make_ring([], pnames))
 
 
 def _job_pair(job: JobSpec):
     I = job_ideal(job, "I")
-    J = job_ideal(job, "J") if "J" in job.ideals else Ideal(job.ring, [])
+    J = job_ideal(job, "J") if "ideal J" in job.payloads else Ideal(job.ring, [])
     return make_pair(job.ring, list(I.gens), list(J.gens))
 
 
 def _ideals(job: JobSpec, *names: str, **extra) -> dict:
     """Report inputs: the named ideals' generator texts, then `extra`."""
-    return {**{n: job.ideals.get(n, []) for n in names}, **extra}
+    return {**{n: job.texts(f"ideal {n}") for n in names}, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +328,11 @@ def _seed():
 
 
 @_command(main, "gb",
-          click.Option(["--order"], type=click.Choice(["grevlex", "lex"]), default=None))
+          click.Option(["--order"], type=click.Choice(list(ORDERS)), default=None))
 def gb_cmd(job, order):
     """Reduced Groebner basis of `ideal I` from FILE."""
-    basis = buchberger(job_ideal(job), {"grevlex": GREVLEX, "lex": LEX}.get(order))
-    return ({"ideal": job.ideals["I"]},
+    basis = buchberger(job_ideal(job), ORDERS.get(order))
+    return ({"ideal": job.texts("ideal I")},
             {"basis": [poly_str(g) for g in basis.elements],
              "size": len(basis.elements)})
 
@@ -516,9 +498,9 @@ def aluffi_dim_cmd(job):
 @_command(aluffi_group, "verify-components")
 def aluffi_verify_cmd(job):
     pres = aluffi_presentation(_job_pair(job))
-    names = list(job.candidates)
-    cands = [Ideal(pres.ring, _parse_payload(job, pres.ring, f"candidate {name}", texts))
-             for name, texts in job.candidates.items()]
+    labels = [label for label in job.payloads if label.startswith("candidate ")]
+    names = [label.split()[1] for label in labels]
+    cands = [Ideal(pres.ring, job_polys(job, label, pres.ring)) for label in labels]
     rep = verify_component_list(pres, cands)
     rows = [{"candidate": name,
              "contains_presentation": row.contains_presentation,
@@ -542,7 +524,7 @@ def curve_group():
 def curve_cert_cmd(job):
     gp = gradient_pair(job_form(job, "curve"))
     cert = linear_type_certificate(gp)
-    return ({"curve": job.curve},
+    return ({"curve": job.texts("curve")[0]},
             {"verdict": cert.verdict.value, "reason": cert.reason,
              "codim_gradient": cert.codim_gradient,
              "singular_dim": cert.singular_dim,
@@ -579,7 +561,7 @@ def _family_results(report):
 def family_analyze_cmd(job, seed):
     report = analyze_family(job_form(job, "family"), seed=seed,
                             avoid=job_constraints(job))
-    return {"family": job.family}, _family_results(report), seed
+    return {"family": job.texts("family")[0]}, _family_results(report), seed
 
 
 @_command(family_group, "member",
@@ -592,7 +574,7 @@ def family_member_cmd(job, alpha):
     except (ValueError, ZeroDivisionError):
         raise RingError(f"--alpha needs comma-separated rationals, got {alpha!r}") from None
     cert = evaluate_member(F, values).certificate
-    return ({"family": job.family, "alpha": alpha},
+    return ({"family": job.texts("family")[0], "alpha": alpha},
             {"verdict": cert.verdict.value, "reason": cert.reason,
              "codim_gradient": cert.codim_gradient,
              "codim_entry_ideal": cert.codim_entry_ideal})

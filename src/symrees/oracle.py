@@ -65,16 +65,21 @@ def monomial_quotient(A: Sequence[Monom], B: Sequence[Monom], arity: int,
     return out
 
 
-def monomial_saturation(A: Sequence[Monom], B: Sequence[Monom], arity: int,
-                        degree: int, power: int = 12) -> set:
-    """Degree-bounded member set of A : B^infinity, as A : B^power.
+SATURATION_POWER = 12
 
-    The chain A : B^k is stationary once k exceeds every exponent occurring
-    in A, so any power beyond that is the saturation.
+
+def monomial_saturation(A: Sequence[Monom], B: Sequence[Monom], arity: int,
+                        degree: int) -> set:
+    """Degree-bounded member set of A : B^infinity, as A : B^SATURATION_POWER.
+
+    The chain A : B^k is stationary once k >= |B|(e - 1) + 1, e the largest
+    exponent in A: then each product of k generators of B has a factor b^e,
+    and A : b^e = A : b^infinity.  The callers' B have at most 2 generators
+    and their A exponents at most 4, so k = 12 is past that point.
     """
     from itertools import combinations_with_replacement
     bk = []
-    for combo in combinations_with_replacement(B, power):
+    for combo in combinations_with_replacement(B, SATURATION_POWER):
         m = tuple(0 for _ in range(arity))
         for b in combo:
             m = tuple(x + y for x, y in zip(m, b))
@@ -121,8 +126,7 @@ def rank(rows: list) -> int:
     return len(_rref(work))
 
 
-def graded_piece_dimension(gens: Sequence[Polynomial], degree: int,
-                           block: str | None = None) -> int:
+def graded_piece_dimension(gens: Sequence[Polynomial], degree: int) -> int:
     """dim_Q of the degree-d part of the ideal (gens), standard grading.
 
     Spanning set: g * (monomials of degree d - deg g) for each homogeneous g.
@@ -136,7 +140,7 @@ def graded_piece_dimension(gens: Sequence[Polynomial], degree: int,
     index = {m: i for i, m in enumerate(basis)}
     rows = []
     for g in gens:
-        rep = g.is_homogeneous(block)
+        rep = g.is_homogeneous()
         if rep.is_zero:
             continue
         if not rep.homogeneous:

@@ -11,6 +11,7 @@ conversion), and everything is immutable after construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +86,7 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
+ORDERS = {"grevlex": GREVLEX, "lex": LEX}   # the orders an input may name
 
 KEY_BITS = 64
 KEY_MAX = (1 << KEY_BITS) - 1   # largest row value an order key may hold
@@ -269,7 +271,7 @@ def make_ring(geom: Sequence[str], params: Sequence[str] = (),
               order: MonomialOrder | str = GREVLEX) -> RingContext:
     """k[params][geom] with the geometric block first in the variable list."""
     if isinstance(order, str):
-        order = {"grevlex": GREVLEX, "lex": LEX}[order]
+        order = ORDERS[order]
     geom = tuple(geom)
     params = tuple(params)
     blocks = [("geom", tuple(range(len(geom))))]
@@ -727,42 +729,33 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks = []
-        self._scan()
-        self.i = 0
+# After any whitespace: an ASCII integer, an identifier (a word character other
+# than a decimal digit, then word characters), an operator, or any other
+# character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.toks.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i, text)
-        self.toks.append(("end", "", n))
+
+class _Tokens:
+    """The tokens `(kind, value, offset)` of a polynomial's text; an
+    operator's kind is itself, and an integer's value is its int."""
+
+    def __init__(self, text: str):
+        self.toks = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            val, pos = m[kind], m.start(kind)
+            if kind == "int":
+                try:
+                    val = int(val)
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise ParseError(f"integer of {len(val)} digits is too long",
+                                     pos, text) from None
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {val!r}", pos, text)
+            self.toks.append((val if kind == "op" else kind, val, pos))
+        self.toks.append(("end", "", len(text)))
+        self.i = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -785,56 +778,42 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     toks = _Tokens(text)
 
     def parse_expr(depth):
+        acc = parse_signed_term(depth)
+        while toks.peek()[0] in ("+", "-"):
+            acc = acc + parse_signed_term(depth)
+        return acc
+
+    def parse_signed_term(depth):
         sign = 1
-        kind, _, _ = toks.peek()
-        while kind in ("+", "-"):
-            if kind == "-":
+        while toks.peek()[0] in ("+", "-"):
+            if toks.next()[0] == "-":
                 sign = -sign
-            toks.next()
-            kind, _, _ = toks.peek()
-        acc = parse_term(depth) * sign
-        while True:
-            kind, _, _ = toks.peek()
-            if kind not in ("+", "-"):
-                return acc
-            sign = 1
-            while kind in ("+", "-"):
-                if kind == "-":
-                    sign = -sign
-                toks.next()
-                kind, _, _ = toks.peek()
-            acc = acc + parse_term(depth) * sign
+        return parse_term(depth) * sign
 
     def parse_term(depth):
         acc = parse_factor(depth)
-        while True:
-            kind, _, _ = toks.peek()
-            if kind == "*":
+        while toks.peek()[0] in ("*", "int", "ident", "("):
+            if toks.peek()[0] == "*":
                 toks.next()
-                acc = acc * parse_factor(depth)
-            elif kind in ("int", "ident", "("):
-                acc = acc * parse_factor(depth)
-            else:
-                return acc
+            acc = acc * parse_factor(depth)
+        return acc
 
     def parse_factor(depth):
         kind, val, pos = toks.next()
         if kind in ("(", "-") and depth >= MAX_NESTING:
             raise ParseError("expression nested too deeply", pos, text)
         if kind == "int":
-            num = int(val)
             k2, _, _ = toks.peek()
             if k2 == "/":
                 toks.next()
-                k3, v3, p3 = toks.next()
+                k3, den, p3 = toks.next()
                 if k3 != "int":
                     raise ParseError("expected integer denominator", p3, text)
-                den = int(v3)
                 if den == 0:
                     raise ParseError("zero denominator", p3, text)
-                base = ring.constant(Fraction(num, den))
+                base = ring.constant(Fraction(val, den))
             else:
-                base = ring.constant(num)
+                base = ring.constant(val)
         elif kind == "ident":
             if val not in ring.names:
                 raise ParseError(f"unknown variable {val!r}", pos, text)
@@ -855,7 +834,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
             k3, v3, p3 = toks.next()
             if k3 != "int":
                 raise ParseError("expected integer exponent", p3, text)
-            base = base ** int(v3)
+            base = base ** v3
         return base
 
     result = parse_expr(0)
@@ -884,7 +863,7 @@ def parse_ring_header(line: str) -> RingContext:
         elif key == "params":
             params = vals
         elif key == "order":
-            if len(vals) != 1 or vals[0] not in ("grevlex", "lex"):
+            if len(vals) != 1 or vals[0] not in ORDERS:
                 raise RingError(f"unsupported order {rest.strip()!r}")
             order = vals[0]
         else:

@@ -71,15 +71,12 @@ def matrix_from_columns(ring: RingContext, columns: Sequence[Sequence[Polynomial
     return PolyMatrix(ring, rows, len(columns), ent)
 
 
-def jacobian(gens: Sequence[Polynomial],
-             var_names: Sequence[str] | None = None) -> PolyMatrix:
-    """Rows indexed by variables (default: the geometric block), columns by
-    generators."""
+def jacobian(gens: Sequence[Polynomial]) -> PolyMatrix:
+    """Rows indexed by the geometric block's variables, columns by generators."""
     if not gens:
         raise RingError("empty generator list")
     ring = gens[0].ring
-    if var_names is None:
-        var_names = [ring.names[i] for i in ring.block_indices("geom")]
+    var_names = [ring.names[i] for i in ring.block_indices("geom")]
     ent = tuple(tuple(g.derivative(v) for g in gens) for v in var_names)
     return PolyMatrix(ring, len(var_names), len(gens), ent)
 

@@ -3,13 +3,16 @@
 `perfbench/tracer.py` wraps program functions by module and attribute name,
 and `perfbench/workloads.py` builds its items from the public API.  A rename
 in `src/` breaks either one without failing any other test, so these tests
-resolve every traced name and build every workload (without running it).
+resolve every traced name, build every workload (without running it) and
+resolve every program name the workloads read.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -52,3 +55,37 @@ def test_every_workload_builds(name):
         " fixtures.FAMILIES, CURVES or PAIR_FIXTURES is a benchmark revision")
     assert len({item.name for item in items}) == count
     assert all(callable(item.run) and callable(item.check) for item in items)
+
+
+def test_every_program_name_the_workloads_read_exists():
+    # the workloads read these names only inside each item's run(), which
+    # test_every_workload_builds does not call, so resolve them statically
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "symrees":
+                    modules[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "symrees":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(owner, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+                elif inspect.ismodule(getattr(owner, alias.name)):
+                    modules[alias.asname or alias.name] = getattr(owner, alias.name)
+    assert modules
+    for node in ast.walk(tree):
+        root, chain = node, []
+        while isinstance(root, ast.Attribute):
+            chain.insert(0, root.attr)
+            root = root.value
+        if not (chain and isinstance(root, ast.Name) and root.id in modules):
+            continue
+        owner = modules[root.id]
+        for attr in chain:
+            if not hasattr(owner, attr):
+                missing.append(".".join([root.id] + chain))
+                break
+            owner = getattr(owner, attr)
+    assert not missing

@@ -40,13 +40,13 @@ def write(tmp_path, name, text):
 
 def test_parse_input_curve_job():
     job = parse_input(QUARTIC)
-    assert job.curve == "x^2*y^2 + x^2*z^2 + y^2*z^2"
+    assert job.payloads == {"curve": [("x^2*y^2 + x^2*z^2 + y^2*z^2", (2, 8))]}
     assert job.ring.names == ("x", "y", "z")
 
 
 def test_parse_input_family_job():
     job = parse_input(FAMILY)
-    assert job.family is not None
+    assert job.texts("family") == ["y^4*z + x^5 + u*x^3*y^2"]
     assert job.ring.block_indices("param") == (3,)
 
 
@@ -80,7 +80,8 @@ def test_redeclared_ideal_is_input_error(tmp_path):
 
 def test_candidate_names_keep_their_case():
     job = parse_input("ring: x,y\ncandidate P1: x\ncandidate q2: y\ncandidate: x; y\n")
-    assert list(job.candidates) == ["P1", "q2", "P3"]
+    assert list(job.payloads) == ["candidate P1", "candidate q2", "candidate P3"]
+    assert job.payloads["candidate P3"] == [("x", (4, 12)), ("y", (4, 15))]
 
 
 def test_gb_command(tmp_path):
@@ -115,6 +116,40 @@ def test_parse_error_reports_its_position_in_the_file(tmp_path, command, text, w
     res = CliRunner().invoke(main, command + [write(tmp_path, "bad.txt", text)])
     assert res.exit_code == 2
     assert where in res.output
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ideal I: x^²", "expected integer exponent at line 2, column 12"),
+    ("ideal I: ²*y", "unknown variable '²' at line 2, column 10"),
+    ("ideal I: 3٣*x", "unexpected character '٣' at line 2, column 11"),
+    ("ideal I: x + " + "1" * 5000 + "*y",
+     "integer of 5000 digits is too long at line 2, column 14"),
+    ("ideal I: x^" + "1" * 5000, "integer of 5000 digits is too long at line 2, column 12"),
+    ("ideal I: y; x + 1/" + "2" * 5000,
+     "integer of 5000 digits is too long at line 2, column 19"),
+    ("idealism I: x", "line 2: unknown payload 'idealism I'"),
+    ("ideal I J: x", "line 2: unknown payload 'ideal I J'"),
+    ("candidates: x", "line 2: unknown payload 'candidates'"),
+], ids=["superscript-exponent", "superscript-factor", "arabic-indic-digit",
+        "long-coefficient", "long-exponent", "long-denominator",
+        "idealism", "ideal-two-names", "candidates"])
+def test_malformed_input_is_an_input_error_not_a_crash(tmp_path, line, message):
+    res = CliRunner().invoke(main, ["gb", write(tmp_path, "bad.txt", f"ring: x,y\n{line}\n")])
+    assert res.exit_code == 2
+    assert f"input error: {message}" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("curve: x^3; y^3", "`curve:` needs one polynomial, the input file gives 2"),
+    ("curve:", "`curve:` needs one polynomial, the input file gives 0"),
+    ("ideal I: x", "`curve:` needs one polynomial, the input file gives 0"),
+])
+def test_curve_payload_holds_one_polynomial(tmp_path, text, message):
+    path = write(tmp_path, "c.txt", f"ring: x,y,z\n{text}\n")
+    res = CliRunner().invoke(main, ["curve", "cert", path])
+    assert res.exit_code == 2
+    assert f"input error: {message}" in res.output
 
 
 def test_deep_nesting_is_input_error(tmp_path):

@@ -319,3 +319,29 @@ def test_evaluate_member_repeats_no_engine_input(fam, engine_inputs):
                              family_entry_ideal=family_entry)
     assert engine_inputs and len(engine_inputs) == len(set(engine_inputs))
     assert member == report.member
+
+
+# Plane cubics with one singular point.  Kept here rather than in
+# fixtures.CURVES, whose items the benchmark's curves workload runs.
+SINGULAR_CUBICS = [
+    ("nodal", "y^2*z - x^3 - x^2*z", 1),   # an A1 point: Tjurina number 1
+    ("cuspidal", "y^2*z - x^3", 2),        # an A2 point: Tjurina number 2
+]
+
+
+@pytest.mark.parametrize("text, tjurina", [(t, tau) for _, t, tau in SINGULAR_CUBICS],
+                         ids=[name for name, _, _ in SINGULAR_CUBICS])
+def test_singular_cubic_gradient_ideals_are_of_linear_type(text, tjurina):
+    # the abstract's claim: gradient ideals of plane curves of degree at most
+    # 3 are of linear type
+    from math import comb
+
+    from symrees.blowup import _graded_dims
+
+    gp = gradient_pair(R3.parse(text))
+    assert linear_type_certificate(gp).verdict is Verdict.LINEAR_TYPE
+    assert is_linear_type(gp.pair)
+    # the total Tjurina number is the Hilbert polynomial of R/I_f, a
+    # constant: dim (R/I_f)_d for every d past the regularity
+    dims = _graded_dims(groebner(gp.gradient_ideal), 8)
+    assert [comb(d + 2, 2) - dims[d] for d in range(4, 9)] == [tjurina] * 5

@@ -128,9 +128,9 @@ def test_entry_ideal_codimension_three_node_quartic():
 
 
 def test_jacobian_examples():
-    M = jacobian([X * X], ["x", "y"])
-    assert M.rows == 2 and M.cols == 1
-    assert M[0, 0] == 2 * X and M[1, 0].is_zero
+    M = jacobian([X * X])
+    assert M.rows == 3 and M.cols == 1
+    assert M[0, 0] == 2 * X and M[1, 0].is_zero and M[2, 0].is_zero
 
     four = jacobian([R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z")])
     assert four.rows == 3 and four.cols == 2
