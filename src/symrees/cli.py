@@ -136,8 +136,14 @@ def parse_input(text: str) -> JobSpec:
 
 
 def load_job(path: str) -> JobSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_input(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_input(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise RingError(f"line {line}: byte 0x{data[exc.start]:02x} "
+                        "is not UTF-8 text") from None
 
 
 def job_polys(job: JobSpec, label: str, ring: RingContext | None = None) -> list:

@@ -4,9 +4,11 @@ via syzygy 1-minors, and the parameter-family degeneration analyzer.
 For a form f of degree d the gradient pair is J = (f) inside I_f = (partials)
 with the Euler certificate f = sum (x_i/d) df/dx_i.  The certificate routine
 decides linear type for an isolated-singularity plane curve by the height of
-the entry ideal of the syzygy matrix; the family analyzer runs the same data
-over k[u][x,y,z], saturates the entry ideal by (x,y,z), contracts to k[u] and
-cross-checks three equivalent degeneration criteria.
+the entry ideal of the syzygy matrix.  The family analyzer reads the same data
+off the family's gradient pair over k[u][x,y,z] (`pair_syzygies`,
+`entry_ideal`), saturates the entry ideal by (x,y,z), contracts to k[u] and
+cross-checks three equivalent degeneration criteria, the third being the
+certificate of one sampled member (`evaluate_member`).
 
 The saturation is the intersection of the saturations I : v^inf for v in
 x, y, z.  The entry ideal is homogeneous in x, y, z, so `saturate_by_variable`
@@ -31,12 +33,11 @@ from .groebner import groebner
 from .ideal_ops import (
     DimensionReport,
     dimension,
-    ideal_contains,
     intersect,
     saturate_by_variable,
 )
 from .rings import Ideal, Polynomial, RingContext, RingError
-from .syzygy import PolyMatrix, entry_ideal, syzygies
+from .syzygy import PolyMatrix, entry_ideal
 
 SAMPLE_TRIES = 2000   # draws `sample_parameters` makes before giving up
 
@@ -58,19 +59,6 @@ class GradientPair:
         return self.pair.i_ideal
 
 
-def _gradient_parts(f: Polynomial) -> list:
-    """(variable, partial / content, content) for each nonzero geometric partial."""
-    ring = f.ring
-    out = []
-    for i in ring.block_indices("geom"):
-        v = ring.names[i]
-        p = f.derivative(v)
-        if not p.is_zero:
-            c = p.content()
-            out.append((v, p * (1 / c), c))
-    return out
-
-
 def gradient_pair(f: Polynomial) -> GradientPair:
     """J = (f) inside the gradient ideal, with the exact Euler certificate."""
     ring = f.ring
@@ -78,9 +66,14 @@ def gradient_pair(f: Polynomial) -> GradientPair:
     if rep.is_zero or not rep.homogeneous or rep.degree < 1:
         raise RingError("gradient pairs need a nonconstant form")
     d = rep.degree
-    parts = _gradient_parts(f)
-    gens = [g for _, g, _ in parts]
-    certs = [ring.var(v) * (c / d) for v, _, c in parts]
+    gens, certs = [], []
+    for i in ring.block_indices("geom"):
+        v = ring.names[i]
+        p = f.derivative(v)
+        if not p.is_zero:
+            c = p.content()
+            gens.append(p * (1 / c))
+            certs.append(ring.var(v) * (c / d))
     if not gens:
         raise RingError("zero gradient; the ground field characteristic would divide the degree")
     return GradientPair(f, d, make_pair(ring, gens, [f], [certs]))
@@ -143,9 +136,6 @@ class MemberReport:
     alpha: tuple
     gradient: GradientPair
     certificate: Certificate
-    evaluated_entry_codim: int | None   # codim of the family entry ideal at alpha
-    member_entry_codim: int | None      # codim I_1(syzygies of the member)
-    specialization_strict: bool | None  # evaluated ideal strictly inside the member's
 
 
 @dataclass(frozen=True)
@@ -240,19 +230,17 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         warnings.append("parameter content could not be certified equal to 1")
 
     geom = [ring.names[i] for i in ring.block_indices("geom")]
-    gens = [g for _, g, _ in _gradient_parts(F)]
-    grad = Ideal(ring, gens)
-    grep = dimension(grad)
+    gp = gradient_pair(F)
+    grep = dimension(gp.gradient_ideal)
     if grep.codim != 2:
         warnings.append(f"gradient ideal has codimension {grep.codim}, not 2")
 
-    phi = syzygies(gens)
+    phi = pair_syzygies(gp.pair)
     gidx = set(ring.block_indices("geom"))
     if any(not any(m[i] for i in gidx)
            for col in phi.columns() for p in col for m in p.coeffs):
         warnings.append("syzygy coordinate with a geometric-degree-0 term")
     script = entry_ideal(phi)
-    script = Ideal(ring, list(dict.fromkeys(g for g in script.gens)))
     srep = dimension(script)
 
     # saturation by the irrelevant ideal, one variable at a time; contracting
@@ -265,14 +253,14 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     crep = dimension(contraction)
 
     alpha = sample_parameters(ring, avoid, seed)
-    member = evaluate_member(F, alpha, family_entry_ideal=base)
+    member = evaluate_member(F, alpha)
 
     leg_codim = srep.codim_at_least(3)
     leg_contraction = crep.codim_at_least(1) if not contraction.is_zero else False
     leg_member = member.certificate.verdict == Verdict.LINEAR_TYPE
     legs = (leg_codim, leg_contraction, leg_member)
     return FamilyReport(
-        family=F, gradient_gens=tuple(gens), syzygy_matrix=phi,
+        family=F, gradient_gens=gp.pair.i_gens, syzygy_matrix=phi,
         entry_ideal=script, codim_gradient=grep.codim, codim_entry=srep.codim,
         contraction=contraction, contraction_dim=crep,
         member=member,
@@ -281,8 +269,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
         _saturations=sats)
 
 
-def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,
-                    family_entry_ideal: Ideal | None = None) -> MemberReport:
+def evaluate_member(F: Polynomial, alpha: Sequence[Fraction]) -> MemberReport:
     """Specialize the parameters and certify the member's gradient ideal."""
     ring = F.ring
     alpha = tuple(Fraction(a) for a in alpha)
@@ -295,21 +282,4 @@ def evaluate_member(F: Polynomial, alpha: Sequence[Fraction], *,
             raise RingError("this family has no parameters")
         f = F
     gp = gradient_pair(f)
-    cert = linear_type_certificate(gp)
-
-    eval_codim = None
-    member_codim = cert.codim_entry_ideal
-    strict = None
-    if family_entry_ideal is not None:
-        evaluated = Ideal(f.ring, [g.evaluate_block("param", alpha).transport(f.ring)
-                                   for g in family_entry_ideal.gens])
-        erep = dimension(evaluated)
-        eval_codim = None if erep.empty else erep.codim
-        if cert.entry_ideal is not None:
-            member_entry = cert.entry_ideal
-            inside = ideal_contains(member_entry, evaluated)
-            if not inside:
-                strict = None  # containment unexpectedly fails; surfaced via codims
-            else:
-                strict = not ideal_contains(evaluated, member_entry)
-    return MemberReport(alpha, gp, cert, eval_codim, member_codim, strict)
+    return MemberReport(alpha, gp, linear_type_certificate(gp))

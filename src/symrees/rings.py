@@ -625,6 +625,22 @@ def _make(ring: RingContext, coeffs: dict, scale: Fraction) -> Polynomial:
     return _init(_new(Polynomial), ring, coeffs, scale)
 
 
+def _decimal(q) -> str:
+    """str(q) for an int or Fraction q >= 0 of any size.
+
+    An int past 2000 bits (603 digits, under any int-to-str limit Python
+    allows) is split by a power of ten, so that limit is neither hit nor set.
+    """
+    n, d = q.numerator, q.denominator
+    if d != 1:
+        return f"{_decimal(n)}/{_decimal(d)}"
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20      # about half of n's decimal digits
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def poly_str(p: Polynomial) -> str:
     if not p.coeffs:
         return "0"
@@ -642,11 +658,11 @@ def poly_str(p: Polynomial) -> str:
             elif e:
                 factors.append(f"{name}^{e}")
         if not factors:
-            body = str(mag)
+            body = _decimal(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_decimal(mag)] + factors)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

@@ -121,7 +121,8 @@ def minors(M: PolyMatrix, r: int) -> Ideal:
 
 
 def entry_ideal(M: PolyMatrix) -> Ideal:
-    return Ideal(M.ring, [e for row in M.entries for e in row])
+    """I_1(M): the distinct nonzero entries, row-major by first occurrence."""
+    return Ideal(M.ring, dict.fromkeys(e for row in M.entries for e in row))
 
 
 def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:

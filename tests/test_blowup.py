@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import gcd
 from operator import le
 
 import pytest
@@ -24,7 +25,14 @@ from symrees.blowup import (
     vv_pieces,
 )
 from symrees.curves import gradient_pair
-from symrees.ideal_ops import dimension, ideal_contains, ideal_equal, saturate_principal
+from symrees.ideal_ops import (
+    block_degree,
+    dimension,
+    ideal_contains,
+    ideal_equal,
+    minimal_homogeneous_generators,
+    saturate_principal,
+)
 from symrees.fixtures import CURVES, PAIR_FIXTURES, four_points_pair, pair_by_name
 from symrees.oracle import monomials_of_degree, rank
 
@@ -424,6 +432,22 @@ def test_rees_ideal_is_the_symmetric_ideal_saturated_by_a_generator(build_pair):
     assert ideal_equal(saturate_principal(sym_ideal(pair), b), rees_ideal(pair))
 
 
+def _monomial_map(pair, a, b):
+    """The monomials x^alpha T^beta of bidegree (a, b), with their images
+    x^alpha b^beta; for I generated in one degree, the (a, b) piece of the
+    Rees ideal is the kernel of this map."""
+    ring, gens = pair.ring, list(pair.i_gens)
+    mons = [(alpha, beta) for alpha in monomials_of_degree(ring.arity, a)
+            for beta in monomials_of_degree(len(gens), b)]
+    images = []
+    for alpha, beta in mons:
+        image = ring.monomial(alpha)
+        for g, e in zip(gens, beta):
+            image = image * g ** e
+        images.append(image)
+    return mons, images
+
+
 @pytest.mark.parametrize("build_pair", PAIRS_AND_CURVES)
 def test_rees_ideal_bigraded_pieces_are_kernels_of_the_monomial_map(build_pair):
     # a second route to the Rees ideal's bigraded pieces: for I generated in one
@@ -439,16 +463,12 @@ def test_rees_ideal_bigraded_pieces_are_kernels_of_the_monomial_map(build_pair):
     bidegrees |= {(a, 1) for a in range(d + 1)}
     kernels = {}
     for a, b in sorted(bidegrees):
-        mons = [(alpha, beta) for alpha in monomials_of_degree(ring.arity, a)
-                for beta in monomials_of_degree(len(gens), b)]
+        mons, images = _monomial_map(pair, a, b)
         in_lead = sum(any(all(map(le, m, alpha + beta)) for m in lead)
                       for alpha, beta in mons)
         index = {m: i for i, m in enumerate(monomials_of_degree(ring.arity, a + b * d))}
         rows = []
-        for alpha, beta in mons:
-            image = ring.monomial(alpha)
-            for g, e in zip(gens, beta):
-                image = image * g ** e
+        for image in images:
             row = [0] * len(index)
             for m, c in image.terms.items():
                 row[index[m]] = c
@@ -456,6 +476,86 @@ def test_rees_ideal_bigraded_pieces_are_kernels_of_the_monomial_map(build_pair):
         kernels[a, b] = len(mons) - rank(rows)
         assert in_lead == kernels[a, b], (a, b)
     assert kernels[d, 1]
+
+
+def _echelon(rows):
+    """Fraction-free echelon form of sparse integer rows {column: value}.
+
+    Each row is reduced on its largest column by the pivot row kept there;
+    returns the pivot rows by pivot column, so their number is the rank.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = gcd(*row.values())
+                pivots[col] = {k: v // content for k, v in row.items()}
+                break
+            f, g = pivot[col], row[col]
+            common = gcd(f, g)
+            f, g = f // common, g // common
+            if f != 1:
+                row = {k: f * v for k, v in row.items()}
+            for k, v in pivot.items():
+                s = row.get(k, 0) - g * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    return pivots
+
+
+def _integer_row(image):
+    """The coefficients of an integer polynomial, by monomial."""
+    assert all(c.denominator == 1 for c in image.terms.values())
+    return {m: c.numerator for m, c in image.terms.items()}
+
+
+def _fiber_kernel(pair, a, b):
+    """A basis of the Rees ideal's (a, b) piece, as vectors {(alpha, beta): c}
+    in the kernel of `_monomial_map`: the identity columns (0, j) sit below
+    the image columns (1, m), so the rows whose image part is eliminated
+    pivot on them."""
+    mons, images = _monomial_map(pair, a, b)
+    rows = []
+    for j, image in enumerate(images):
+        row = {(1, m): c for m, c in _integer_row(image).items()}
+        row[0, j] = 1
+        rows.append(row)
+    return [{mons[j]: v for (_, j), v in row.items()}
+            for (kind, _), row in _echelon(rows).items() if kind == 0]
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda curve: curve.slug)
+def test_relation_type_is_the_last_fiber_degree_with_a_new_generator(curve):
+    # a second route to relation type for I generated in one degree: the Rees
+    # ideal K needs a minimal generator of fiber degree b exactly when, for
+    # some a, sum_i T_i * K_(a, b-1) is smaller than K_(a, b).  Bounded: a
+    # runs up to the largest x-degree of a minimal generator, and past the
+    # relation type b only b + 1 and b + 2 are checked
+    pair = gradient_pair(curve.curve()).pair
+    b = relation_type(pair)
+    top = max(block_degree(g, "geom") for g, _ in
+              minimal_homogeneous_generators(rees_ideal(pair), "fiber"))
+    kernels = {(a, c): _fiber_kernel(pair, a, c)
+               for a in range(top + 1) for c in range(b - 1, b + 2)}
+    dims = {key: len(basis) for key, basis in kernels.items()}
+    for a in range(top + 1):    # of K_(a, b + 2) only the dimension is needed
+        mons, images = _monomial_map(pair, a, b + 2)
+        dims[a, b + 2] = len(mons) - len(_echelon(map(_integer_row, images)))
+
+    def new_generators(a, c):
+        # dim K_(a, c) - dim sum_i T_i * K_(a, c - 1)
+        shifted = [{(alpha, tuple(e + (j == i) for j, e in enumerate(beta))): v
+                    for (alpha, beta), v in vec.items()}
+                   for vec in kernels[a, c - 1] for i in range(len(pair.i_gens))]
+        return dims[a, c] - len(_echelon(shifted))
+
+    assert any(new_generators(a, b) > 0 for a in range(top + 1))
+    assert all(new_generators(a, c) == 0
+               for a in range(top + 1) for c in (b + 1, b + 2))
 
 
 def test_standard_base_reads_only_the_powers_it_needs():

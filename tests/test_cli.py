@@ -140,6 +140,31 @@ def test_malformed_input_is_an_input_error_not_a_crash(tmp_path, line, message):
     assert "Traceback" not in res.output
 
 
+def test_non_utf8_input_is_an_input_error_not_a_crash(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ring: x,y\nideal I: x\xff + y\n")
+    res = CliRunner().invoke(main, ["gb", str(path)])
+    assert res.exit_code == 2
+    assert "input error: line 2: byte 0xff is not UTF-8 text" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("x + 1" + "0" * 3000 + "*y",
+     "x^2 + 2" + "0" * 3000 + "*x*y + 1" + "0" * 6000 + "*y^2"),
+    ("x + 1/1" + "0" * 3000 + "*y",
+     "x^2 + 1/5" + "0" * 2999 + "*x*y + 1/1" + "0" * 6000 + "*y^2"),
+], ids=["long-numerator", "long-denominator"])
+def test_coefficients_past_the_int_string_limit_print(tmp_path, line, expected):
+    # the square has a coefficient of 6001 digits, past Python's default
+    # 4300-digit limit on int-to-str conversion
+    path = write(tmp_path, "big.txt", f"ring: x,y\nideal I: {line}\n")
+    res = CliRunner().invoke(main, ["--format", "machine", "ideal", "power", path,
+                                    "-t", "2"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["results"]["power"] == [expected]
+
+
 @pytest.mark.parametrize("text, message", [
     ("curve: x^3; y^3", "`curve:` needs one polynomial, the input file gives 2"),
     ("curve:", "`curve:` needs one polynomial, the input file gives 0"),
@@ -356,6 +381,13 @@ def test_accept_filter_runs_subset():
     numbers = [c["number"] for c in payload["results"]["criteria"]]
     assert numbers == [1, 7]
     assert payload["results"]["all_passed"] is True
+
+
+def test_accept_filter_matching_nothing_is_an_input_error():
+    res = CliRunner().invoke(main, ["accept", "--only", "curves"])
+    assert res.exit_code == 2
+    assert ("input error: 'curves' matches no criterion number, slug or tag; "
+            "the tags are vv, curve, family, catalog, property, dimension") in res.output
 
 
 # ---------------------------------------------------------------------------

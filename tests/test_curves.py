@@ -23,7 +23,13 @@ from symrees.fixtures import (
     curve_by_name,
     family_by_name,
 )
-from symrees.ideal_ops import eliminate, ideal_equal, saturate_principal
+from symrees.ideal_ops import (
+    dimension,
+    eliminate,
+    ideal_contains,
+    ideal_equal,
+    saturate_principal,
+)
 from symrees.syzygy import apply_row
 
 R3 = make_ring(["x", "y", "z"])
@@ -108,12 +114,17 @@ def test_quintic_family_analysis():
 def test_quintic_family_special_member():
     F = quintic_family()
     report = analyze_family(F, seed=2)
-    member = evaluate_member(F, [0], family_entry_ideal=report.entry_ideal)
-    assert member.certificate.verdict == Verdict.LINEAR_TYPE
-    # specialization of the family entry ideal is strictly smaller here
-    assert member.specialization_strict is True
-    assert member.evaluated_entry_codim == 2
-    assert member.member_entry_codim == 3
+    cert = evaluate_member(F, [0]).certificate
+    assert cert.verdict == Verdict.LINEAR_TYPE
+    # at u = 0 the family entry ideal specializes to an ideal of height 2,
+    # strictly inside the member's own entry ideal, of height 3
+    ring = cert.entry_ideal.ring
+    evaluated = Ideal(ring, [g.evaluate_block("param", [0]).transport(ring)
+                             for g in report.entry_ideal.gens])
+    assert dimension(evaluated).codim == 2
+    assert dimension(cert.entry_ideal).codim == 3
+    assert ideal_contains(cert.entry_ideal, evaluated)
+    assert not ideal_contains(evaluated, cert.entry_ideal)
 
 
 CONTENT_WARNING = "parameter content could not be certified equal to 1"
@@ -308,15 +319,12 @@ def test_pair_syzygies_computed_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.key)
 def test_evaluate_member_repeats_no_engine_input(fam, engine_inputs):
-    # the member's entry ideal comes with its certificate, so the containment
-    # tests reuse the basis its height was read from
+    # certifying a member runs each engine input once, and the member
+    # analyze_family reports is the one evaluate_member computes alone
     F = fam.family()
     report = analyze_family(F, avoid=fam.constraint_polys())
-    # the family entry ideal as analyze_family passes it: its reduced basis
-    family_entry = Ideal(F.ring, groebner(report.entry_ideal).elements)
     engine_inputs.clear()
-    member = evaluate_member(F, report.member.alpha,
-                             family_entry_ideal=family_entry)
+    member = evaluate_member(F, report.member.alpha)
     assert engine_inputs and len(engine_inputs) == len(set(engine_inputs))
     assert member == report.member
 
