@@ -1,17 +1,18 @@
 """symrees: exact symmetric/Rees/Aluffi algebra presentations over Q.
 
-Layers, bottom up: rings (sparse rational polynomials in block-structured
-rings), groebner (the Buchberger engine), ideal_ops (set operations and
-dimension), syzygy (first syzygies, minors, Jacobians), blowup (algebra
-presentations and invariants of a pair J <= I), curves (gradient ideals,
-linear-type certificates, family analysis), fixtures (built-in worked
-examples) and cli (the command-line front end).
+Layers, bottom up: budget (the work budget), rings (sparse rational
+polynomials in block-structured rings), groebner (the Buchberger engine),
+hilbert (Hilbert series of monomial ideals, for Hilbert-driven runs),
+ideal_ops (set operations and dimension), syzygy (first syzygies, minors,
+Jacobians), blowup (algebra presentations and invariants of a pair J <= I),
+curves (gradient ideals, linear-type certificates, family analysis),
+fixtures (built-in worked examples) and cli (the command-line front end).
 
 All values are immutable after construction and safe to share across
 threads; per-object caches only ever replace missing entries with
 equivalent computed values.  The work budget is context-scoped: `with
-work_limit(n):` gives the engine calls in its block one shared budget of n
-units, held in a ContextVar, so concurrent threads never see each other's
+work_limit(n):` gives the engine calls and parsed powers in its block one
+shared budget of n units, held in a ContextVar, so concurrent threads never see each other's
 budget (a new thread starts outside every block).
 """
 
@@ -30,9 +31,9 @@ from .rings import (
     parse_ring_header,
     poly_str,
 )
+from .budget import WorkLimitExceeded, work_limit
 from .groebner import (
     GroebnerBasis,
-    WorkLimitExceeded,
     buchberger,
     buchberger_tracked,
     division,
@@ -40,7 +41,6 @@ from .groebner import (
     ideal_member,
     normal_form,
     radical_member,
-    work_limit,
 )
 from .ideal_ops import (
     DimensionReport,

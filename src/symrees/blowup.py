@@ -4,7 +4,8 @@ the linear-type test, Artin-Rees numbers, standard-base verification,
 relation type, analytic spread and algebra dimension.
 
 Conventions.  For I = (b_1..b_n) in R the fiber ring is R[T_1..T_n]; the Rees
-ideal is the kernel of T_i -> b_i*u computed by eliminating u; the symmetric
+ideal is the kernel of T_i -> b_i*u computed by eliminating u (a
+Hilbert-driven run for homogeneous b_i, see `_rees_kernel`); the symmetric
 ideal is generated by the linear forms attached to the syzygies of the b_i;
 with certificates a = sum c_j b_j for each generator a of J, the companion
 form a~ = sum c_j T_j lets the three algebras live in one ring:
@@ -43,6 +44,7 @@ from .groebner import (
     normal_form,
     radical_member,
 )
+from .hilbert import HilbertSeries, hilbert_numerator
 from .ideal_ops import (
     DimensionReport,
     dimension,
@@ -149,15 +151,33 @@ def _fiber_names(ring: RingContext, n: int) -> list:
 # the three presentation ideals
 
 
-def _rees_kernel(ring: RingContext, i_gens: Sequence[Polynomial],
-                 j_gens: Sequence[Polynomial]) -> Ideal:
-    """(j_gens, T_i - b_i*u) ∩ R[T], by eliminating u."""
+def _rees_kernel(ring: RingContext, i_gens: Sequence[Polynomial], J: Ideal) -> Ideal:
+    """(J, T_i - b_i*u) ∩ R[T], by eliminating u.
+
+    When every b_i and every generator of J is homogeneous, the input is
+    homogeneous for deg T_i = deg b_i + 1 and every other variable of degree
+    1, and R[T, u]/(J, T_i - b_i*u) is R[u]/J (T_i -> b_i*u).  Its Hilbert
+    numerator is then that of R[T, u]/(in(J) + (T_1..T_n)), which is
+    N(in J) * prod_i (1 - t^(deg b_i + 1)), with N(in J) = 1 for J = (); the
+    input ideal records it, so the elimination is a Hilbert-driven run.
+    """
     ext, names = _fiber(ring, len(i_gens))
     ext2, u = ext.with_aux("_u")
-    gens = [a.transport(ext2) for a in j_gens]
+    gens = [a.transport(ext2) for a in J.gens]
     gens += [ext2.var(t) - b.transport(ext2) * u for t, b in zip(names, i_gens)]
-    elim = eliminate_vars(Ideal(ext2, gens), [ext2.names[-1]])
-    return elim.transport(ext)
+    kernel = Ideal(ext2, gens)
+    degs = [b.is_homogeneous() for b in i_gens]
+    if all(d.homogeneous for d in degs) and all(a.is_homogeneous().homogeneous
+                                                for a in J.gens):
+        n = len(i_gens)
+        tail = (0,) * (n + 1)
+        lead = [m + tail for m in groebner(J).leading_monomials()] if J.gens else []
+        lead += [(0,) * ring.arity + tuple(int(i == j) for j in range(n)) + (0,)
+                 for i in range(n)]
+        weights = (1,) * ring.arity + tuple(d.degree + 1 for d in degs) + (1,)
+        numerator = hilbert_numerator(lead, weights)
+        kernel._derived["hilbert"] = HilbertSeries(weights, numerator)
+    return eliminate_vars(kernel, [ext2.names[-1]]).transport(ext)
 
 
 def rees_ideal(source) -> Ideal:
@@ -170,7 +190,7 @@ def rees_ideal(source) -> Ideal:
     if I.is_zero:
         raise RingError("I must be nonzero")
     if "rees" not in I._derived:
-        I._derived["rees"] = _rees_kernel(I.ring, I.gens, ())
+        I._derived["rees"] = _rees_kernel(I.ring, I.gens, Ideal(I.ring, ()))
     return I._derived["rees"]
 
 
@@ -234,7 +254,7 @@ def aluffi_presentation(pair: PairInput) -> AluffiPresentation:
 def relative_rees_ideal(pair: PairInput) -> Ideal:
     """Presentation on R[T] of the Rees algebra of (I/J) over R/J."""
     if "relrees" not in pair._cache:
-        pair._cache["relrees"] = _rees_kernel(pair.ring, pair.i_gens, pair.j_gens)
+        pair._cache["relrees"] = _rees_kernel(pair.ring, pair.i_gens, pair.j_ideal)
     return pair._cache["relrees"]
 
 

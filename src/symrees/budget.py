@@ -1,0 +1,54 @@
+"""The work budget: one count of work units per computation.
+
+`with work_limit(n):` opens one budget of n units shared by every charged
+step in the block: the engine's reduction steps and S-pairs, and the term
+products of the powers written in parsed input.  WorkLimitExceeded is raised
+when it runs out.  The budget lives in a ContextVar, so concurrent threads
+and contexts each see their own; outside any block each computation that
+asks for a budget gets a fresh one of DEFAULT_WORK_LIMIT units.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+DEFAULT_WORK_LIMIT = 10 ** 6
+
+
+class WorkLimitExceeded(RuntimeError):
+    """The configured work budget ran out before the computation finished."""
+
+
+class _Budget:
+    __slots__ = ("left",)
+
+    def __init__(self, limit):
+        self.left = limit
+
+    def spend(self, n=1):
+        self.left -= n
+        if self.left < 0:
+            raise WorkLimitExceeded("work limit exceeded; raise --work-limit")
+
+
+_BUDGET: ContextVar[_Budget | None] = ContextVar("symrees_budget", default=None)
+
+
+@contextmanager
+def work_limit(limit: int):
+    """Share one budget of `limit` work units among the engine calls in the block.
+
+    An inner block replaces an outer one while it lasts; a thread started
+    inside a block starts with an empty context, so outside every block.
+    """
+    token = _BUDGET.set(_Budget(limit))
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def _budget() -> _Budget:
+    budget = _BUDGET.get()
+    return _Budget(DEFAULT_WORK_LIMIT) if budget is None else budget

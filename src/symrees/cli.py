@@ -54,8 +54,9 @@ from .blowup import (
     verify_component_list,
     vv_pieces,
 )
+from .budget import DEFAULT_WORK_LIMIT, WorkLimitExceeded, work_limit
 from .curves import analyze_family, evaluate_member, gradient_pair, linear_type_certificate
-from .groebner import DEFAULT_WORK_LIMIT, WorkLimitExceeded, buchberger, work_limit
+from .groebner import buchberger
 from .ideal_ops import (
     dimension,
     eliminate,

@@ -37,6 +37,21 @@ is zero, so it would only be taken up and dropped.  The basis found is made
 reduced in one upward pass (`_reduce_records`): each element is tail-reduced
 by the already-reduced elements below it.
 
+Hilbert-driven runs (Traverso, J. Symb. Comp. 22, 1996).  An Ideal whose
+`_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states
+that it is homogeneous for those positive variable weights and that S/I has
+the Hilbert series N(t) / prod_i (1 - t^w_i).  Only the Rees kernels record
+one (`blowup._rees_kernel`); every other run, tracked runs included, keeps
+the selection above.  Such a run takes its pairs degree by degree, by
+(weighted degree, lcm), and keeps the numerator of its lead ideal L current
+as leading monomials arrive: N(L + (m)) = N(L) - t^deg(m) N(L : m), with
+N(L : m) by Bigatti's pivot recursion.  At the start of degree D the deficit
+HF(S/L, D) - HF(S/I, D) counts the leading monomials that degree still
+lacks; each new element lowers it by one, and at 0 the degree's remaining
+pairs reduce to zero, so they are dropped.  Two checks keep a wrong series
+from returning an incomplete basis: a negative deficit raises AssertionError,
+and so does a final lead ideal whose numerator is not N.
+
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
 engine's only lift bookkeeping.  Tracking is a property of the records: a run
@@ -50,18 +65,14 @@ rescaled by the generators' scales, is the row.  `division` reduces the same
 way, on copies of a basis's records that each represent themselves, so the
 quotients are the representation of the input.
 
-Work budget.  Every reduction step and every S-pair taken spends one unit of a
-budget; WorkLimitExceeded is raised when it runs out.  `with work_limit(n):`
-opens one budget of n units shared by all engine calls in the block (the CLI
-wraps each command in one).  The budget lives in a ContextVar, so concurrent
-threads and contexts each see their own; outside any block every engine call
-gets a fresh budget of DEFAULT_WORK_LIMIT units.
+Work budget.  Every reduction step and every S-pair taken spends one unit of
+the context's work budget (`budget.work_limit`; the CLI wraps each command in
+one); outside any block every engine call gets a fresh budget of
+DEFAULT_WORK_LIMIT units.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -70,6 +81,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from .budget import _budget
 from .rings import (
     GREVLEX,
     Ideal,
@@ -80,15 +92,9 @@ from .rings import (
     int_content,
 )
 
-DEFAULT_WORK_LIMIT = 10 ** 6
-
 FIELD_BITS = 16
 FIELD_MAX = (1 << (FIELD_BITS - 1)) - 1   # largest value a packed field may hold
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-class WorkLimitExceeded(RuntimeError):
-    """The configured work budget ran out before the computation finished."""
 
 
 def _overflow() -> RingError:
@@ -171,40 +177,6 @@ def _to_engine(lay: _Layout, p: Polynomial) -> tuple:
 def _from_engine(ring: RingContext, lay: _Layout, items, scale: Fraction) -> Polynomial:
     unpack = lay.unpack
     return Polynomial.from_ints(ring, {unpack(m): v for m, v in items if v}, scale)
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        self.left = limit
-
-    def spend(self, n=1):
-        self.left -= n
-        if self.left < 0:
-            raise WorkLimitExceeded("work limit exceeded; raise --work-limit")
-
-
-_BUDGET: ContextVar[_Budget | None] = ContextVar("symrees_budget", default=None)
-
-
-@contextmanager
-def work_limit(limit: int):
-    """Share one budget of `limit` work units among the engine calls in the block.
-
-    An inner block replaces an outer one while it lasts; a thread started
-    inside a block starts with an empty context, so outside every block.
-    """
-    token = _BUDGET.set(_Budget(limit))
-    try:
-        yield
-    finally:
-        _BUDGET.reset(token)
-
-
-def _budget() -> _Budget:
-    budget = _BUDGET.get()
-    return _Budget(DEFAULT_WORK_LIMIT) if budget is None else budget
 
 
 class _Rec:
@@ -458,7 +430,7 @@ def _update(G: set, B: set, ih: int, ex: list, mono: list, lay: _Layout) -> tupl
     return G_new, B_new
 
 
-def _run_buchberger(gens, ring, order, track):
+def _run_buchberger(gens, ring, order, track, hilbert=None):
     lay = _layout(order, ring.arity)
     guard, emask = lay.guard, lay.emask
     budget = _budget()
@@ -495,9 +467,18 @@ def _run_buchberger(gens, ring, order, track):
     # the reducers are G by ascending leading monomial, rebuilt when G changes
     reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
     reducer_lms = [rec.lm for rec in reducers]
+    count = None if hilbert is None else hilbert.count(lay, ex)
+    batch = []    # a Hilbert-driven run's pairs of the degree under way
     while CP:
+        if count is None:
+            pair = min(CP)
+        else:
+            if not batch:
+                batch = count.next_batch(CP, emask)
+                if not batch:
+                    break
+            pair = batch.pop()
         budget.spend()
-        pair = min(CP)
         CP.remove(pair)
         lcm, ig1, ig2 = pair
         s_terms, s_rep = _spoly(f[ig1], f[ig2], lcm, guard)
@@ -515,7 +496,13 @@ def _run_buchberger(gens, ring, order, track):
             G, CP = _update(G, CP, len(f) - 1, ex, mono, lay)
             reducers = sorted((f[j] for j in G), key=lambda rec: rec.lm)
             reducer_lms = [rec.lm for rec in reducers]
+            if count is not None and count.add(ex[-1]):
+                # the degree has all its leading monomials: the rest reduce to 0
+                CP.difference_update(batch)
+                batch = []
 
+    if count is not None:
+        count.finish()
     return _reduce_records(reducers, lay, budget), scales
 
 
@@ -547,10 +534,15 @@ def _reduce_records(recs, lay: _Layout, budget) -> list:
 
 
 def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of an Ideal or a generator list."""
+    """Reduced Groebner basis of an Ideal or a generator list.
+
+    An Ideal whose `_derived["hilbert"]` holds its `hilbert.HilbertSeries`
+    gets a Hilbert-driven run.
+    """
     gens, ring = _as_gens(source)
     order = order or ring.order
-    final, _ = _run_buchberger(gens, ring, order, track=False)
+    hilbert = source._derived.get("hilbert") if isinstance(source, Ideal) else None
+    final, _ = _run_buchberger(gens, ring, order, track=False, hilbert=hilbert)
     return _untracked_basis(ring, order, final)
 
 

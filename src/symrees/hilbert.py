@@ -1,0 +1,171 @@
+"""Hilbert series of monomial ideals, and the count of a Hilbert-driven run.
+
+For positive variable weights w_i, S/M has the Hilbert series
+N(t) / prod_i (1 - t^w_i) with N a polynomial, the Hilbert numerator, here a
+dict {exponent of t: coefficient} with no zero entries.  Monomials are the
+engine's exponent words (see `groebner`), so divisibility is one subtraction
+against the guard bits and an lcm one field-wise max.
+
+A `HilbertSeries` recorded on an Ideal as `_derived["hilbert"]` states that
+the ideal is homogeneous for its weights and that S/I has its numerator;
+`groebner.buchberger` then runs Hilbert-driven (Traverso, J. Symb. Comp. 22,
+1996) with the `_HilbertCount` it makes.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Sequence
+
+from .groebner import _FIELD_MASK, _fmax, _Layout, _layout, _top
+from .rings import GREVLEX
+
+
+def _minimal(words, eguard: int) -> list:
+    """The minimal generators of the monomial ideal of the exponent words.
+
+    a | b makes b - a a nonnegative word, so a <= b: ascending, a divisor
+    comes before its multiples."""
+    out = []
+    for w in sorted(set(words)):
+        for k in out:
+            if not ((w - k) & eguard):
+                break
+        else:
+            out.append(w)
+    return out
+
+
+def _shift_add(dst: dict, src: dict, c: int, k: int) -> None:
+    """dst += c * t^k * src, for numerators."""
+    for e, v in src.items():
+        s = dst.get(e + k, 0) + c * v
+        if s:
+            dst[e + k] = s
+        else:
+            del dst[e + k]
+
+
+def _numerator(gens: list, shifts, weights, eguard: int) -> dict:
+    """The Hilbert numerator of the monomial ideal M of the exponent words.
+
+    Pivot recursion (Bigatti, J. Pure Appl. Algebra 119, 1997) on p = x_i^e,
+    x_i the variable in most minimal generators and e its least exponent
+    among them:  N(M) = N(M + p) + t^deg(p) N(M : p),  where M + p splits as
+    (p) plus the generators free of x_i.  Pairwise coprime generators end it.
+    """
+    gens = _minimal(gens, eguard)
+    if sum(gens) == _top(gens, eguard):      # no variable in two generators
+        num = {0: 1}
+        for g in gens:
+            _shift_add(num, dict(num), -1,
+                       sum(w * ((g >> s) & _FIELD_MASK) for s, w in zip(shifts, weights)))
+        return num
+    most = 1
+    for s, w in zip(shifts, weights):
+        exps = [(g >> s) & _FIELD_MASK for g in gens]
+        k = len(exps) - exps.count(0)
+        if k > most:
+            most, shift, weight, pexps = k, s, w, exps
+    e = min(x for x in pexps if x)
+    free = _numerator([g for g, x in zip(gens, pexps) if not x], shifts, weights, eguard)
+    num = _numerator([g - (e << shift) if x else g for g, x in zip(gens, pexps)],
+                     shifts, weights, eguard)
+    _shift_add(num, free, -1, 0)
+    _shift_add(free, num, 1, e * weight)
+    return free
+
+
+def hilbert_numerator(monomials: Sequence[tuple], weights: Sequence[int]) -> dict:
+    """The Hilbert numerator of the monomial ideal of the exponent tuples,
+    variable i of degree weights[i]."""
+    lay = _layout(GREVLEX, len(weights))
+    return _numerator([lay.pack(m) & lay.emask for m in monomials], lay.shifts,
+                      tuple(weights), lay.eguard)
+
+
+class HilbertSeries(NamedTuple):
+    """N(t) / prod_i (1 - t^weights[i]): variable i has degree weights[i] > 0."""
+
+    weights: tuple
+    numerator: dict
+
+    def count(self, lay: _Layout, words) -> "_HilbertCount":
+        """The count of a run whose first leading monomials are `words`."""
+        return _HilbertCount(lay, self, words)
+
+
+class _HilbertCount:
+    """A Hilbert-driven run's count: the numerator of its lead ideal L, kept
+    current as leading monomials arrive, against the input's numerator.
+
+    At the start of degree D the deficit HF(S/L, D) - HF(S/I, D) is the number
+    of leading monomials that degree still lacks.  Every new element of the
+    degree adds one, and at 0 its remaining pairs reduce to zero.  A negative
+    deficit, or a final L whose numerator is not the input's, means the stated
+    series is wrong, and raises AssertionError rather than let dropped pairs
+    leave the basis incomplete.
+    """
+
+    __slots__ = ("shifts", "weights", "eguard", "target", "lead", "num", "degs", "left")
+
+    def __init__(self, lay: _Layout, series: HilbertSeries, words):
+        self.shifts = lay.shifts
+        self.weights = series.weights
+        self.eguard = lay.eguard
+        self.target = series.numerator
+        self.lead = []       # minimal generators of L
+        self.num = {0: 1}
+        self.degs = {}       # weighted degree by pair lcm
+        self.left = 0        # the deficit of the degree under way
+        for e in words:
+            self.add(e)
+
+    def degree(self, e: int) -> int:
+        return sum(w * ((e >> s) & _FIELD_MASK) for s, w in zip(self.shifts, self.weights))
+
+    def add(self, e: int) -> bool:
+        """L += (x^e): N(L + m) = N(L) - t^deg(m) N(L : m).  True when that
+        meets the deficit of the degree under way."""
+        eguard = self.eguard
+        colon = [_fmax(g, e, eguard) - e for g in self.lead]
+        if 0 not in colon:
+            _shift_add(self.num, _numerator(colon, self.shifts, self.weights, eguard),
+                       -1, self.degree(e))
+            self.lead = [g for g in self.lead if (g - e) & eguard]
+            self.lead.append(e)
+            self.left -= 1
+        return self.left == 0
+
+    def next_batch(self, CP: set, emask: int) -> list:
+        """The pairs of the least degree whose deficit is positive, descending
+        by lcm; the pairs of lower degrees, whose deficit is 0, leave CP
+        unreduced.  Empty when no pair is left."""
+        degs = self.degs
+        for pair in CP:
+            if pair[0] not in degs:
+                degs[pair[0]] = self.degree(pair[0] & emask)
+        while CP:
+            D = min(degs[pair[0]] for pair in CP)
+            batch = sorted((pair for pair in CP if degs[pair[0]] == D), reverse=True)
+            # the coefficient of t^D in (N(L) - N(I)) / prod_i (1 - t^w_i)
+            s = [0] * (D + 1)
+            for num, sign in ((self.num, 1), (self.target, -1)):
+                for k, c in num.items():
+                    if k <= D:
+                        s[k] += sign * c
+            for w in self.weights:
+                for k in range(w, D + 1):
+                    s[k] += s[k - w]
+            self.left = s[D]
+            if self.left < 0:
+                raise AssertionError(f"the lead ideal has fewer standard monomials in"
+                                     f" degree {D} than the stated Hilbert series")
+            if self.left:
+                return batch
+            CP.difference_update(batch)
+        return []
+
+    def finish(self) -> None:
+        if self.num != self.target:
+            raise AssertionError("the basis's lead ideal does not have the stated"
+                                 " Hilbert series")

@@ -1,6 +1,9 @@
 """Independent brute-force oracles: monomial-ideal set operations by direct
 enumeration, and degree-bounded linear algebra over Q for graded membership,
-syzygy completeness and vector-space dimensions of graded pieces.
+syzygy completeness and vector-space dimensions of graded pieces.  Ranks come
+from fraction-free elimination on sparse integer rows (`echelon`); kernel
+bases from a Gauss-Jordan elimination over Fractions (`_rref`), since their
+callers read the reduced rows.
 
 Everything here deliberately avoids the Groebner engine so the two routes can
 be compared against each other in tests.
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Sequence
 
 from .rings import Ideal, Monom, Polynomial, RingContext, RingError
@@ -121,9 +125,44 @@ def _rref(rows: list) -> list:
     return pivots
 
 
+def echelon(rows) -> dict:
+    """Fraction-free echelon form of sparse integer rows {column: value}.
+
+    Each row is reduced on its largest column by the pivot row kept there;
+    returns the pivot rows, each of content 1, by pivot column, so their
+    number is the rank.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = gcd(*row.values())
+                pivots[col] = {k: v // content for k, v in row.items()}
+                break
+            f, g = pivot[col], row[col]
+            common = gcd(f, g)
+            f, g = f // common, g // common
+            if f != 1:
+                row = {k: f * v for k, v in row.items()}
+            for k, v in pivot.items():
+                s = row.get(k, 0) - g * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    return pivots
+
+
 def rank(rows: list) -> int:
-    work = [list(map(Fraction, row)) for row in rows]
-    return len(_rref(work))
+    """Rank over Q of rows of ints or Fractions, by `echelon` on the sparse
+    integer rows left when each row's denominators are cleared."""
+    sparse = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row if v))
+        sparse.append({c: int(v * den) for c, v in enumerate(row) if v})
+    return len(echelon(sparse))
 
 
 def graded_piece_dimension(gens: Sequence[Polynomial], degree: int) -> int:

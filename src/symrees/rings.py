@@ -20,6 +20,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from .budget import _budget
+
 Monom = tuple  # exponent tuple, length == ring arity
 Coeff = Union[int, Fraction]
 
@@ -448,14 +450,26 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        return self._power(n)
+
+    def _power(self, n: int, budget=None):
+        """self^n by squaring.  With a work budget, each product first spends
+        one unit per pair of terms it multiplies; a monomial's powers spend
+        nothing."""
         if n < 0:
             raise RingError("negative power")
+        spend = budget.spend if budget is not None and len(self.coeffs) > 1 else None
         result = self.ring.one
         base = self
         while n:
             if n & 1:
+                if spend:
+                    spend(len(result.coeffs) * len(base.coeffs))
                 result = result * base
-            base = base * base if n > 1 else base
+            if n > 1:
+                if spend:
+                    spend(len(base.coeffs) ** 2)
+                base = base * base
             n >>= 1
         return result
 
@@ -680,7 +694,9 @@ class Ideal:
     Each object carries two caches that are filled on first use and never
     invalidated (an Ideal is immutable): `_gb_cache` maps a monomial order to
     the reduced Groebner basis, and `_derived` maps a name to an ideal derived
-    from this one alone, such as the Rees ideal under "rees".
+    from this one alone, such as the Rees ideal under "rees", or to a fact
+    known about it, such as its weighted Hilbert series under "hilbert"
+    (see `hilbert`).
     """
 
     __slots__ = ("ring", "gens", "_gb_cache", "_derived")
@@ -789,7 +805,9 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     """Parse `x^2*y + 3/2*z - 4`; `*` is optional between factors.
 
     The parser recurses once per nesting level of a factor, so input nested
-    deeper than MAX_NESTING is refused with a ParseError.
+    deeper than MAX_NESTING is refused with a ParseError.  A power spends the
+    term products it forms from the context's work budget, so a power in the
+    input cannot outrun the caller's work limit.
     """
     toks = _Tokens(text)
 
@@ -850,7 +868,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
             k3, v3, p3 = toks.next()
             if k3 != "int":
                 raise ParseError("expected integer exponent", p3, text)
-            base = base ** v3
+            base = base._power(v3, _budget())
         return base
 
     result = parse_expr(0)

@@ -14,9 +14,9 @@ def engine_inputs(monkeypatch):
     real = engine._run_buchberger
     runs = []
 
-    def recording(gens, ring, order, track):
+    def recording(gens, ring, order, track, hilbert=None):
         runs.append((tuple(gens), order, track))
-        return real(gens, ring, order, track)
+        return real(gens, ring, order, track, hilbert)
 
     monkeypatch.setattr(engine, "_run_buchberger", recording)
     return runs

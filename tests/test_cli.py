@@ -315,6 +315,16 @@ def test_command_work_is_pinned(tmp_path):
     assert _torsion_exit(tmp_path, 305) == 3
 
 
+def test_a_power_in_the_input_spends_the_work_limit(tmp_path):
+    # the power is expanded while the file is parsed, before any engine run
+    path = write(tmp_path, "power.txt", "ring: x,y,z\nideal I: (x+y+1)^400\n")
+    for args in (["--work-limit", "1"], []):
+        res = CliRunner().invoke(main, args + ["gb", path])
+        assert res.exit_code == 3
+        assert "resource limit: work limit exceeded" in res.output
+        assert "Traceback" not in res.output
+
+
 def test_work_limit_does_not_outlive_the_command(tmp_path):
     from symrees import Ideal, buchberger, make_ring
     path = write(tmp_path, "hard.txt",

@@ -28,9 +28,9 @@ from symrees import (
     radical_member,
     work_limit,
 )
+from symrees.budget import _Budget
 from symrees.groebner import (
     FIELD_MAX,
-    _Budget,
     _fmax,
     _from_engine,
     _layout,

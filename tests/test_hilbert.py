@@ -1,0 +1,148 @@
+"""Hilbert-driven Buchberger runs: the numerator of a monomial ideal, and the
+Rees kernels, whose input records its known Hilbert series."""
+
+from __future__ import annotations
+
+import sys
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from symrees import Ideal, buchberger, make_pair
+from symrees.blowup import _fiber, rees_ideal, relative_rees_ideal
+from symrees.budget import _BUDGET, work_limit
+from symrees.curves import gradient_pair
+from symrees.fixtures import CURVES, PAIR_FIXTURES, pair_by_name
+from symrees.hilbert import HilbertSeries, hilbert_numerator
+
+from strategies import R3, build, homogeneous_ideals, linear_forms
+
+
+def _series(num: dict, weights, top: int) -> list:
+    """The coefficients of t^0..t^top in num(t) / prod_i (1 - t^w_i)."""
+    s = [num.get(k, 0) for k in range(top + 1)]
+    for w in weights:
+        for k in range(w, top + 1):
+            s[k] += s[k - w]
+    return s
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gens=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=6),
+       weights=st.tuples(*[st.integers(1, 3)] * 4))
+def test_numerator_counts_the_standard_monomials(gens, weights):
+    top = 8
+    counts = [0] * (top + 1)
+    for m in product(range(top + 1), repeat=4):
+        d = sum(w * e for w, e in zip(weights, m))
+        if d <= top and not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            counts[d] += 1
+    assert _series(hilbert_numerator(gens, weights), weights, top) == counts
+
+
+def _kernel_input(pair, with_j: bool):
+    """The Rees kernel's input (J, T_i - b_i*u), and the fiber ring R[T]."""
+    ext, names = _fiber(pair.ring, len(pair.i_gens))
+    ext2, u = ext.with_aux("_u")
+    gens = [a.transport(ext2) for a in pair.j_gens] if with_j else []
+    gens += [ext2.var(t) - b.transport(ext2) * u for t, b in zip(names, pair.i_gens)]
+    return Ideal(ext2, gens), ext
+
+
+def _plain_kernel(pair, with_j: bool) -> tuple:
+    """The kernel from a Buchberger run with no Hilbert series, under the
+    same block order: its elements free of u, in R[T]."""
+    I, ext = _kernel_input(pair, with_j)
+    u = I.ring.arity - 1
+    gb = buchberger(I, I.ring.elim_order_vars([u]))
+    return tuple(g.transport(ext) for g in gb if not any(m[u] for m in g.coeffs))
+
+
+@pytest.fixture
+def hilbert_runs(monkeypatch):
+    """The Hilbert series given to each Buchberger run, None for a plain run."""
+    engine = sys.modules["symrees.groebner"]
+    real = engine._run_buchberger
+    runs = []
+
+    def recording(gens, ring, order, track, hilbert=None):
+        runs.append(hilbert)
+        return real(gens, ring, order, track, hilbert)
+
+    monkeypatch.setattr(engine, "_run_buchberger", recording)
+    return runs
+
+
+PAIRS = ([pytest.param(lambda name=name: pair_by_name(name), id=name)
+          for name in sorted(PAIR_FIXTURES)]
+         + [pytest.param(lambda curve=curve: gradient_pair(curve.curve()).pair,
+                         id=curve.slug) for curve in CURVES])
+
+
+@pytest.mark.parametrize("build_pair", PAIRS)
+def test_rees_kernels_equal_a_plain_run(build_pair, hilbert_runs):
+    pair = build_pair()
+    rees, rel = rees_ideal(pair), relative_rees_ideal(pair)
+    assert sum(h is not None for h in hilbert_runs) == 2
+    assert rees.gens == _plain_kernel(pair, False)
+    assert rel.gens == _plain_kernel(pair, True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gens_terms=homogeneous_ideals, l_terms=linear_forms)
+def test_rees_kernels_of_random_forms_equal_a_plain_run(gens_terms, l_terms):
+    gens = build(gens_terms)
+    (ell,) = build([l_terms])
+    assume(all(not g.is_zero for g in gens) and not ell.is_zero)
+    pair = make_pair(R3, gens, [ell * gens[0]])
+    assert rees_ideal(pair).gens == _plain_kernel(pair, False)
+    assert relative_rees_ideal(pair).gens == _plain_kernel(pair, True)
+
+
+def test_inhomogeneous_generators_take_a_plain_run(hilbert_runs):
+    x, y, _ = R3.gens()
+    pair = make_pair(R3, [x + 1, y * y], [])
+    rees = rees_ideal(pair)
+    assert hilbert_runs == [None]
+    assert rees.gens == _plain_kernel(pair, False)
+
+
+def _spent(I: Ideal) -> int:
+    """The work units of one run under the kernel's block order."""
+    limit = 10 ** 6
+    with work_limit(limit):
+        buchberger(I, I.ring.elim_order_vars([I.ring.arity - 1]))
+        return limit - _BUDGET.get().left
+
+
+def _recorded(pair, shift: int = 0) -> Ideal:
+    """The kernel input for J = (), recording the numerator
+    prod_i (1 - t^(deg b_i + 1)) with the first factor's degree moved by
+    `shift`; 0 records the true one."""
+    I, _ = _kernel_input(pair, False)
+    r, n = pair.ring.arity, len(pair.i_gens)
+    weights = (1,) * r + tuple(b.degree() + 1 for b in pair.i_gens) + (1,)
+    claimed = list(weights)
+    claimed[r] += shift
+    lead = [(0,) * r + tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
+    I._derived["hilbert"] = HilbertSeries(weights, hilbert_numerator(lead, claimed))
+    return I
+
+
+def test_hilbert_driven_kernel_takes_less_work():
+    curve = next(c for c in CURVES if c.slug == "bad-quintic-embedded")
+    pair = gradient_pair(curve.curve()).pair
+    plain, _ = _kernel_input(pair, False)
+    assert _spent(_recorded(pair)) < _spent(plain)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("curve", CURVES, ids=lambda curve: curve.slug)
+def test_a_wrong_hilbert_series_raises(curve, shift):
+    # +1 claims too many standard monomials, so some degree's deficit goes
+    # negative; -1 claims too few, so the final lead ideal does not match
+    I = _recorded(gradient_pair(curve.curve()).pair, shift)
+    with pytest.raises(AssertionError):
+        buchberger(I, I.ring.elim_order_vars([I.ring.arity - 1]))

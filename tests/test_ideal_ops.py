@@ -14,7 +14,7 @@ import symrees
 from symrees import LEX, Ideal, RingError, buchberger, groebner, ideal_member, make_ring
 from symrees.blowup import rees_ideal
 from symrees.fixtures import PAIR_FIXTURES, pair_by_name
-from symrees.groebner import DEFAULT_WORK_LIMIT, WorkLimitExceeded, work_limit
+from symrees.budget import DEFAULT_WORK_LIMIT, WorkLimitExceeded, work_limit
 from symrees.ideal_ops import (
     dimension,
     eliminate,

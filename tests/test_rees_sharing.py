@@ -27,7 +27,7 @@ from symrees.blowup import (
 )
 from symrees.curves import gradient_pair, linear_type_certificate
 from symrees.fixtures import CURVES, PAIR_FIXTURES, curve_by_name
-from symrees.groebner import WorkLimitExceeded, work_limit
+from symrees.budget import WorkLimitExceeded, work_limit
 from symrees.ideal_ops import eliminate_vars, ideal_equal
 from strategies import R3, build, homogeneous_ideals
 

@@ -156,6 +156,16 @@ def test_parse_accepts_nesting_up_to_the_bound():
     assert R3.parse("-" * 3000 + "x") == X
 
 
+def test_parsed_powers_spend_their_term_products():
+    # (x + y)^3 by squaring: 1 * (x + y) forms 1*2 term products, the square
+    # 2*2 and (x + y) * (x + y)^2 2*3, 12 in all; a monomial's powers spend none
+    from symrees import WorkLimitExceeded, work_limit
+    with work_limit(12):
+        assert R3.parse("(x + y)^3 + x^9*y^5") == (X + Y) ** 3 + X ** 9 * Y ** 5
+    with pytest.raises(WorkLimitExceeded), work_limit(11):
+        R3.parse("(x + y)^3")
+
+
 # ---------------------------------------------------------------------------
 # homogeneity and degrees
 
