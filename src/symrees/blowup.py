@@ -195,9 +195,10 @@ def rees_ideal(source) -> Ideal:
 
 
 def pair_syzygies(pair: PairInput) -> PolyMatrix:
-    """The first syzygy matrix of the b_i, computed once per pair."""
+    """The first syzygy matrix of the b_i, computed once per pair; its engine
+    run also leaves I's reduced basis in `pair.i_ideal`'s Groebner cache."""
     if "syz" not in pair._cache:
-        pair._cache["syz"] = syzygies(list(pair.i_gens))
+        pair._cache["syz"] = syzygies(pair.i_ideal)
     return pair._cache["syz"]
 
 

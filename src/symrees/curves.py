@@ -102,6 +102,8 @@ def linear_type_certificate(gp: GradientPair) -> Certificate:
     """
     ring = gp.f.ring
     n = len(ring.block_indices("geom"))
+    # the syzygies' engine run leaves the gradient ideal's basis in its cache
+    phi = pair_syzygies(gp.pair)
     rep = dimension(gp.gradient_ideal)
     if rep.empty:
         return Certificate(Verdict.INCONCLUSIVE, "unit gradient ideal",
@@ -114,7 +116,6 @@ def linear_type_certificate(gp: GradientPair) -> Certificate:
             Verdict.INCONCLUSIVE,
             "singular locus is not a nonempty set of points",
             rep.codim, rep.dim, None, None, None)
-    phi = pair_syzygies(gp.pair)
     script = entry_ideal(phi)
     srep = dimension(script)
     threshold = rep.codim + 1
@@ -231,11 +232,12 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
 
     geom = [ring.names[i] for i in ring.block_indices("geom")]
     gp = gradient_pair(F)
+    # the syzygies' engine run leaves the gradient ideal's basis in its cache
+    phi = pair_syzygies(gp.pair)
     grep = dimension(gp.gradient_ideal)
     if grep.codim != 2:
         warnings.append(f"gradient ideal has codimension {grep.codim}, not 2")
 
-    phi = pair_syzygies(gp.pair)
     gidx = set(ring.block_indices("geom"))
     if any(not any(m[i] for i in gidx)
            for col in phi.columns() for p in col for m in p.coeffs):

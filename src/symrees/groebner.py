@@ -33,9 +33,14 @@ follows the classic GROEBNERNEWS2 layout with the Gebauer-Moeller criteria
 (`_update`) and the normal (minimal lcm) selection strategy, with
 deterministic tie-breaks so a basis is reproducible and unique for (ideal,
 order).  A pair of two monomials never enters the pair set: its S-polynomial
-is zero, so it would only be taken up and dropped.  The basis found is made
-reduced in one upward pass (`_reduce_records`): each element is tail-reduced
-by the already-reduced elements below it.
+is zero, so it would only be taken up and dropped.  A run
+(`_run_buchberger`) returns its basis records ascending and not yet reduced;
+each caller makes reduced the records it keeps, in one upward pass
+(`_reduce_records`): each element is tail-reduced by the already-reduced
+elements below it.  So an elimination (`_eliminated`) finishes only the
+elements free of the eliminated variables, an ascending prefix of the
+records, and unpacks only their kept exponent fields, straight into the
+target ring.
 
 Hilbert-driven runs (Traverso, J. Symb. Comp. 22, 1996).  An Ideal whose
 `_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states
@@ -73,12 +78,13 @@ DEFAULT_WORK_LIMIT units.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .budget import _budget
@@ -431,6 +437,10 @@ def _update(G: set, B: set, ih: int, ex: list, mono: list, lay: _Layout) -> tupl
 
 
 def _run_buchberger(gens, ring, order, track, hilbert=None):
+    """(records, scales): the records of a Groebner basis of `gens` under
+    `order`, ascending by leading monomial and not yet reduced, and each
+    generator's scale.  The caller runs `_reduce_records` on the records it
+    keeps."""
     lay = _layout(order, ring.arity)
     guard, emask = lay.guard, lay.emask
     budget = _budget()
@@ -503,7 +513,7 @@ def _run_buchberger(gens, ring, order, track, hilbert=None):
 
     if count is not None:
         count.finish()
-    return _reduce_records(reducers, lay, budget), scales
+    return reducers, scales
 
 
 def _reduce_records(recs, lay: _Layout, budget) -> list:
@@ -542,8 +552,69 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     gens, ring = _as_gens(source)
     order = order or ring.order
     hilbert = source._derived.get("hilbert") if isinstance(source, Ideal) else None
-    final, _ = _run_buchberger(gens, ring, order, track=False, hilbert=hilbert)
-    return _untracked_basis(ring, order, final)
+    recs, _ = _run_buchberger(gens, ring, order, track=False, hilbert=hilbert)
+    lay = _layout(order, ring.arity)
+    return _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
+
+
+def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> list:
+    """The reduced basis of I ∩ k[variables not in `gone`] under the order
+    `I.ring.elim_order_vars(gone)` restricts to them, descending, as monic
+    polynomials of `target`, which lists those variables in their order in
+    `I.ring`.
+
+    One run under that order, Hilbert-driven when I records its series.  The
+    kept records are the ascending prefix `_free_prefix` finds; only they are
+    tail-reduced, which needs no other record (their tails are free of `gone`
+    as well, and so below every other leading monomial), and only their kept
+    exponent fields are unpacked.
+    """
+    ring = I.ring
+    order = ring.elim_order_vars(gone)
+    lay = _layout(order, ring.arity)
+    recs, _ = _run_buchberger(I.gens, ring, order, track=False,
+                              hilbert=I._derived.get("hilbert"))
+    final = _reduce_records(_free_prefix(recs, lay, gone), lay, _budget())
+    keep = [i for i in range(ring.arity) if i not in gone]
+    return _to_ring(target, lay, final, keep)
+
+
+def _free_elements(gb: GroebnerBasis, gone: Sequence[int],
+                   target: RingContext) -> list:
+    """The elements of the reduced basis `gb` free of `gone`, descending, in
+    `target` (as for `_eliminated`); `gb.order` must put `gone` first, as the
+    orders `elim_order_vars` builds for `gone` listed in any order do."""
+    lay = _layout(gb.order, gb.ring.arity)
+    kept = _free_prefix(gb._engine_records(lay)[::-1], lay, gone)
+    keep = [i for i in range(gb.ring.arity) if i not in gone]
+    return _to_ring(target, lay, kept[::-1], keep)
+
+
+def _free_prefix(recs, lay: _Layout, gone: Sequence[int]) -> list:
+    """The records of `recs`, ascending by leading monomial, that are free of
+    the variables `gone`, under an order whose first group is `gone`.
+
+    The top field of a packed monomial is then its first order row, the sum
+    of its exponents in `gone`.  A record is free of `gone` when its leading
+    monomial is, since every other term is smaller, and so exactly when that
+    field is 0; those records are a prefix, below the smallest word with a 1
+    there.  With no `gone` the order is grevlex, whose first row is the total
+    degree, and every record is kept.
+    """
+    if not gone:
+        return list(recs)
+    top = 1 << FIELD_BITS * (len(lay.shifts) + len(lay.rows) - 1)
+    return recs[:bisect_left(recs, top, key=attrgetter("lm"))]
+
+
+def _to_ring(target: RingContext, lay: _Layout, recs, keep: Sequence[int]) -> list:
+    """The records as monic polynomials of `target`, whose variables are those
+    at `keep`; the records' other exponent fields are all 0."""
+    shifts = [lay.shifts[i] for i in keep]
+    return [Polynomial.from_ints(
+                target, {tuple((m >> s) & _FIELD_MASK for s in shifts): c
+                         for m, c in rec.items()}, Fraction(1, rec.lc))
+            for rec in recs]
 
 
 def reduced_basis(basis: Sequence[Polynomial], ring: RingContext,
@@ -560,10 +631,13 @@ def reduced_basis(basis: Sequence[Polynomial], ring: RingContext,
 
 
 def _untracked_basis(ring, order, final) -> GroebnerBasis:
-    lay = _layout(order, ring.arity)
-    elems = tuple(_from_engine(ring, lay, rec.items(), Fraction(1, rec.lc))
-                  for rec in final)
-    return GroebnerBasis(ring, order, elems, _records=tuple(final))
+    elems = _to_ring(ring, _layout(order, ring.arity), final, range(ring.arity))
+    return GroebnerBasis(ring, order, tuple(elems), _records=tuple(final))
+
+
+def _untracked(final, lay: _Layout) -> list:
+    """Untracked copies of tracked records, each stripped to content 1."""
+    return [_Rec(_strip(dict(rec.items()), None)[0], lay.guard) for rec in final]
 
 
 def buchberger_tracked(source):
@@ -574,8 +648,7 @@ def buchberger_tracked(source):
     """
     ring, lay, _, final, scales = _tracked_run(source)
     A = [_rep_row(ring, lay, rec.rep, scales, Fraction(1, rec.lc)) for rec in final]
-    recs = [_Rec(dict(rec.items()), lay.guard) for rec in final]
-    return _untracked_basis(ring, ring.order, recs), A
+    return _untracked_basis(ring, ring.order, _untracked(final, lay)), A
 
 
 def _rep_row(ring, lay: _Layout, rep: dict, scales, c) -> list:
@@ -603,13 +676,22 @@ def _primitive_scale(rep: dict, scales) -> Fraction:
 
 def _tracked_run(source):
     """(ring, layout, budget, final records, scales) of one tracked run under
-    the ring's order; the records are descending, as `division` sees them."""
+    the ring's order; the records are reduced and descending, as `division`
+    sees them.  The run also gives an Ideal `source` its reduced basis under
+    the ring's order, when its Groebner cache lacks one: untracked copies of
+    the records, so `groebner` on it runs no Buchberger."""
     gens, ring = _as_gens(source)
-    final, scales = _run_buchberger(gens, ring, ring.order, track=True)
-    return ring, _layout(ring.order, ring.arity), _budget(), final, scales
+    lay = _layout(ring.order, ring.arity)
+    budget = _budget()
+    recs, scales = _run_buchberger(gens, ring, ring.order, track=True)
+    final = _reduce_records(recs, lay, budget)
+    if isinstance(source, Ideal) and ring.order not in source._gb_cache:
+        source._gb_cache[ring.order] = _untracked_basis(ring, ring.order,
+                                                        _untracked(final, lay))
+    return ring, lay, budget, final, scales
 
 
-def syzygy_lifts(gens: Sequence[Polynomial]) -> list:
+def syzygy_lifts(gens: Sequence[Polynomial] | Ideal) -> list:
     """Rows over `gens` that generate their first syzygy module.
 
     One tracked run gives a basis G = F*A of F = gens.  Generator i reduced to
@@ -618,6 +700,7 @@ def syzygy_lifts(gens: Sequence[Polynomial]) -> list:
     that the chain criterion keeps leaves its S-polynomial's syzygy pulled
     back along A (Schreyer 1980).  Zero rows are dropped; each row is scaled
     to content 1 with its first nonzero entry's leading coefficient positive.
+    An Ideal's generators are read, and its cache gets G (`_tracked_run`).
     """
     ring, lay, budget, final, scales = _tracked_run(gens)
     guard, emask, eguard = lay.guard, lay.emask, lay.eguard

@@ -3,17 +3,21 @@ elimination, equality, Krull dimension and graded minimal generators.
 
 One primitive, `_eliminate`, does every elimination but one: a Buchberger run
 under the block order with the eliminated variables first, keeping the basis
-elements free of them.  `eliminate` and `eliminate_vars` call it directly;
-`intersect` (tag variable w in w*I + (1-w)*J) and `saturate_principal`
-(t in (I, 1 - t*g)) first add one fresh variable with `RingContext.with_aux`.
-By the elimination theorem the kept elements are the reduced basis of the
-result under the block order restricted to the kept variables, so when that
-restriction is the target ring's own order (grevlex targets; not lex ones),
-the result carries that basis in its Groebner cache and `groebner` on it
-runs no Buchberger.  The exception is `saturate_by_variable` on input
-homogeneous in the variable's block: its one run, under a block order that
-also eliminates that block, gives both the saturation and its contraction,
-with no fresh variable.
+elements free of them.  The engine finishes only those (`groebner._eliminated`):
+they are an ascending prefix of the run's records, so only they are
+tail-reduced and unpacked into the target ring.  `eliminate` and
+`eliminate_vars` call it directly; `intersect` (tag variable w in
+w*I + (1-w)*J) and `saturate_principal` (t in (I, 1 - t*g)) first add one
+fresh variable with `RingContext.with_aux`.  By the elimination theorem the
+kept elements are the reduced basis of the result under the block order
+restricted to the kept variables, so when that restriction is the target
+ring's own order (grevlex targets; not lex ones), the result carries that
+basis in its Groebner cache (`_seeded`) and `groebner` on it runs no
+Buchberger.  The exception is `saturate_by_variable` on input homogeneous in
+the variable's block: its one run, under a block order that also eliminates
+that block, gives both the saturation and its contraction, read off the same
+prefix of the saturation's reduced basis (`groebner._free_elements`), with
+no fresh variable.
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
 read off one tracked run (`member_lifts`).  Dimension comes from maximal
@@ -28,6 +32,8 @@ from typing import Sequence
 
 from .groebner import (
     GroebnerBasis,
+    _eliminated,
+    _free_elements,
     buchberger,
     groebner,
     ideal_member,
@@ -90,28 +96,26 @@ def _same_ring(I: Ideal, J: Ideal):
 def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     """I ∩ k[variables not in `gone`], returned in `target`.
 
-    The elimination the operations here rest on: a Buchberger run under the
-    block order with `gone` first, keeping the basis elements free of it (see
-    `_free_part`).  `target` must list the kept variables in their order in
-    `I.ring`.
+    The elimination the operations here rest on: one Buchberger run under
+    the block order with `gone` first, whose basis elements free of `gone`
+    are the only ones finished (`groebner._eliminated`).  `target` must list
+    the kept variables in their order in `I.ring`.
     """
-    return _free_part(buchberger(I, I.ring.elim_order_vars(gone)), gone, target)
+    return _seeded(I.ring, gone, Ideal(target, _eliminated(I, gone, target)))
 
 
-def _free_part(gb: GroebnerBasis, gone: Sequence[int], target: RingContext) -> Ideal:
-    """The elements of the reduced basis `gb` free of `gone`, in `target`.
+def _seeded(ring: RingContext, gone: Sequence[int], out: Ideal) -> Ideal:
+    """`out`, given by the elements free of `gone` of a reduced basis under
+    an order of `ring` with `gone` first, with those elements in its Groebner
+    cache when that order restricted to the kept variables is `out`'s own.
 
-    `gb.order` must eliminate `gone`.  The kept elements, still monic, reduced
-    and descending, are the reduced basis of their ideal under `gb.order`
-    restricted to the kept variables; when that is `target.order`, the
-    result's Groebner cache is seeded with them.
+    By the elimination theorem they are the reduced basis of `out` under the
+    restricted order, which does not depend on how `gone` is ordered.
     """
-    out = Ideal(target, [g.transport(target) for g in gb
-                         if not any(m[i] for m in g.coeffs for i in gone)])
-    keep = [i for i in range(gb.ring.arity) if i not in gone]
-    if gb.order.restrict(keep) == target.order:
-        out._gb_cache[target.order] = GroebnerBasis(target, target.order,
-                                                    out.gens)
+    keep = [i for i in range(ring.arity) if i not in gone]
+    target = out.ring
+    if ring.elim_order_vars(gone).restrict(keep) == target.order:
+        out._gb_cache[target.order] = GroebnerBasis(target, target.order, out.gens)
     return out
 
 
@@ -206,7 +210,9 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
     order = ring.elim_order_vars(tuple(i for i in gone if i != iv) + (iv,))
     gb = reduced_basis([_divide_out(g, iv) for g in buchberger(I, order)],
                        ring, order)
-    return Ideal(ring, gb.elements), _free_part(gb, gone, ring.subring(keep))
+    sub = ring.subring(keep)
+    return Ideal(ring, gb.elements), _seeded(ring, gone,
+                                             Ideal(sub, _free_elements(gb, gone, sub)))
 
 
 def _divide_out(g: Polynomial, i: int) -> Polynomial:

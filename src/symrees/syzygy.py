@@ -125,15 +125,21 @@ def entry_ideal(M: PolyMatrix) -> Ideal:
     return Ideal(M.ring, dict.fromkeys(e for row in M.entries for e in row))
 
 
-def syzygies(gens: Sequence[Polynomial]) -> PolyMatrix:
-    """Matrix whose columns generate the first syzygy module of `gens`."""
-    gens = list(gens)
+def syzygies(gens: Sequence[Polynomial] | Ideal) -> PolyMatrix:
+    """Matrix whose columns generate the first syzygy module of `gens`.
+
+    Given an Ideal, the syzygies are those of its generators, and its
+    Groebner cache gets the reduced basis of the engine run (see
+    `groebner._tracked_run`).
+    """
+    if not isinstance(gens, Ideal):
+        gens = list(gens)
     if not gens:
         raise RingError("empty generator list")
     cols = list(dict.fromkeys(map(tuple, syzygy_lifts(gens))))
     degs = lambda c: max((p.degree() or 0) for p in c if not p.is_zero)
     cols.sort(key=lambda c: (degs(c), tuple(str(p) for p in c)))
-    return matrix_from_columns(gens[0].ring, cols)
+    return matrix_from_columns(next(iter(gens)).ring, cols)
 
 
 def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:

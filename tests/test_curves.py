@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from symrees import Ideal, RingError, groebner, ideal_member, make_ring
+from symrees import Ideal, RingError, buchberger, groebner, ideal_member, make_ring
 from symrees.blowup import aluffi_presentation, is_linear_type, pair_syzygies
 from symrees.curves import (
     Verdict,
@@ -353,3 +353,27 @@ def test_singular_cubic_gradient_ideals_are_of_linear_type(text, tjurina):
     # constant: dim (R/I_f)_d for every d past the regularity
     dims = _graded_dims(groebner(gp.gradient_ideal), 8)
     assert [comb(d + 2, 2) - dims[d] for d in range(4, 9)] == [tjurina] * 5
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda curve: curve.slug)
+def test_pair_syzygies_leave_the_gradient_basis_in_the_cache(curve, engine_inputs):
+    gp = gradient_pair(curve.curve())
+    I = gp.gradient_ideal
+    pair_syzygies(gp.pair)
+    assert [track for _, _, track in engine_inputs] == [True]
+    cached = I._gb_cache[I.ring.order]
+    untracked = buchberger(Ideal(I.ring, I.gens))
+    assert cached == untracked
+    # untracked copies of the tracked records, stripped to content 1
+    terms = lambda gb: [(rec.lm, rec.lc, rec.tail, rec.rep) for rec in gb._records]
+    assert terms(cached) == terms(untracked)
+    assert groebner(I) is cached and len(engine_inputs) == 2
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.key)
+def test_family_analysis_runs_no_untracked_basis_of_a_gradient(fam, engine_inputs):
+    report = analyze_family(fam.family(), avoid=fam.constraint_polys())
+    gradients = {report.gradient_gens, report.member.gradient.pair.i_gens}
+    assert not [gens for gens, _, track in engine_inputs
+                if not track and gens in gradients]
+    assert gradients <= {gens for gens, _, track in engine_inputs if track}

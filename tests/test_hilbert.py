@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symrees import Ideal, buchberger, make_pair
+from symrees import LEX, Ideal, buchberger, make_pair
 from symrees.blowup import _fiber, rees_ideal, relative_rees_ideal
 from symrees.budget import _BUDGET, work_limit
-from symrees.curves import gradient_pair
-from symrees.fixtures import CURVES, PAIR_FIXTURES, pair_by_name
+from symrees.curves import gradient_pair, sample_parameters
+from symrees.fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, pair_by_name
 from symrees.hilbert import HilbertSeries, hilbert_numerator
+from symrees.ideal_ops import eliminate_vars
+from symrees.rings import RingContext
 
 from strategies import R3, build, homogeneous_ideals, linear_forms
 
@@ -99,6 +101,51 @@ def test_rees_kernels_of_random_forms_equal_a_plain_run(gens_terms, l_terms):
     pair = make_pair(R3, gens, [ell * gens[0]])
     assert rees_ideal(pair).gens == _plain_kernel(pair, False)
     assert relative_rees_ideal(pair).gens == _plain_kernel(pair, True)
+
+
+def _member(fam):
+    """The member of a catalog family at the seed-0 sample of its parameters."""
+    alpha = sample_parameters(fam.ring(), fam.constraint_polys(), seed=0)
+    return fam.family().evaluate_block("param", alpha)
+
+
+# with the curves above, these are the Rees kernels of the benchmark's curves
+# workload at seed 0
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: f"family-{fam.key}-member")
+def test_member_kernels_equal_a_plain_run(fam):
+    pair = gradient_pair(_member(fam)).pair
+    assert rees_ideal(pair).gens == _plain_kernel(pair, False)
+
+
+def test_a_kernel_finishes_only_the_records_it_keeps(monkeypatch):
+    engine = sys.modules["symrees.groebner"]
+    real = engine._reduce_records
+    sizes = []
+
+    def recording(recs, lay, budget):
+        sizes.append(len(recs))
+        return real(recs, lay, budget)
+
+    monkeypatch.setattr(engine, "_reduce_records", recording)
+    pair = gradient_pair(curve_by_name("bad-quintic-embedded").curve()).pair
+    rees = rees_ideal(pair)
+    assert sizes == [6]
+    # the whole basis under the kernel's block order has 53 elements
+    I, ext = _kernel_input(pair, False)
+    sizes.clear()
+    assert len(buchberger(I, I.ring.elim_order_vars([I.ring.arity - 1]))) == 53
+    assert sizes == [53]
+    # a grevlex target carries the kept elements as its reduced basis
+    assert rees.ring == ext and ext.order == I.ring.order
+    assert rees._gb_cache[ext.order] == buchberger(Ideal(ext, rees.gens))
+    # the same elimination into a lex target finishes the same prefix and
+    # seeds nothing
+    lex = RingContext(I.ring.names, I.ring.blocks, LEX)
+    sizes.clear()
+    out = eliminate_vars(I.transport(lex), [I.ring.names[-1]])
+    assert sizes == [6]
+    assert out.ring.order == LEX and not out._gb_cache
+    assert out.gens == tuple(g.transport(out.ring) for g in rees.gens)
 
 
 def test_inhomogeneous_generators_take_a_plain_run(hilbert_runs):

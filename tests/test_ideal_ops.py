@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import symrees
-from symrees import LEX, Ideal, RingError, buchberger, groebner, ideal_member, make_ring
+from symrees import GREVLEX, LEX, Ideal, RingError, buchberger, groebner, ideal_member, make_ring
 from symrees.blowup import rees_ideal
 from symrees.fixtures import PAIR_FIXTURES, pair_by_name
 from symrees.budget import DEFAULT_WORK_LIMIT, WorkLimitExceeded, work_limit
@@ -393,3 +393,79 @@ def test_lex_target_is_not_seeded():
         assert lex.ring.order == LEX and not lex._gb_cache
         same = Ideal(lex.ring, [g.transport(lex.ring) for g in grev.gens])
         assert groebner(lex) == buchberger(same, LEX)
+
+
+# ---------------------------------------------------------------------------
+# elimination against the reference route: the full reduced basis under the
+# same block order, filtered to its elements free of the eliminated variables
+
+
+def _reference_elimination(I: Ideal, gone, target) -> tuple:
+    gb = buchberger(I, I.ring.elim_order_vars(gone))
+    return tuple(g.transport(target) for g in gb
+                 if not any(m[i] for m in g.coeffs for i in gone))
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """(input, gone, target, kept elements) of every elimination run."""
+    ops = sys.modules["symrees.ideal_ops"]
+    real = ops._eliminated
+    calls = []
+
+    def recording(I, gone, target):
+        out = real(I, gone, target)
+        calls.append((I, tuple(gone), target, tuple(out)))
+        return out
+
+    monkeypatch.setattr(ops, "_eliminated", recording)
+    return calls
+
+
+def _assert_reference(calls):
+    assert calls
+    for I, gone, target, kept in calls:
+        assert kept == _reference_elimination(I, gone, target)
+
+
+RL3 = make_ring(["x", "y", "z"], order="lex")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gens_terms=ideals, names=st.permutations(["x", "y", "z"]),
+       ring=st.sampled_from([R3, RL3]))
+def test_elimination_equals_the_reference_route(gens_terms, names, ring, eliminations):
+    I = Ideal(ring, [g.transport(ring) for g in build(gens_terms)])
+    eliminations.clear()
+    for k in range(4):          # no, one, two and all variables
+        try:
+            with work_limit(2000):
+                out = eliminate_vars(I, names[:k])
+        except WorkLimitExceeded:
+            assume(False)
+        keep = [n for n in ring.names if n not in names[:k]]
+        assert out.ring.names == tuple(keep) and out.ring.order == ring.order
+        (call,) = eliminations[k:]
+        assert out.gens == call[3]
+    _assert_reference(eliminations)
+
+
+@pytest.mark.parametrize("ring", [R3, RL3], ids=["grevlex", "lex"])
+def test_eliminating_no_variable_keeps_the_reduced_basis(ring):
+    # with nothing eliminated the run's order is grevlex, whose first order
+    # row is the total degree: every element is kept, not only the constants
+    I = Ideal(R3, [X * Y - Z * Z, X * X - Y * Z, Y ** 3 - X * Z]).transport(ring)
+    out = eliminate_vars(I, [])
+    assert out.ring == ring
+    assert out.gens == buchberger(I, GREVLEX).elements and len(out.gens) == 6
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
+def test_pair_fixture_meets_equal_the_reference_route(name, eliminations):
+    pair = pair_by_name(name)
+    I, J = pair.i_ideal, pair.j_ideal
+    intersect(I, J)
+    intersect(J, ideal_power(I, 2))
+    assert len(eliminations) == 2
+    _assert_reference(eliminations)
