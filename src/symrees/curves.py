@@ -12,7 +12,9 @@ certificate of one sampled member (`evaluate_member`).
 
 The saturation is the intersection of the saturations I : v^inf for v in
 x, y, z.  The entry ideal is homogeneous in x, y, z, so `saturate_by_variable`
-gives each I : v^inf and its contraction to k[u] from one Buchberger run.
+gives each I : v^inf and its contraction to k[u] from one Hilbert-driven
+Buchberger run, which starts from the entry ideal's grevlex basis, already
+in its cache from `dimension`.
 Since (A ∩ B) ∩ k[u] = (A ∩ k[u]) ∩ (B ∩ k[u]), the contraction is reached
 without the saturation: the three contractions are intersected in k[u].
 `FamilyReport.saturation` itself is only intersected, in the full ring, when
@@ -247,8 +249,7 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
 
     # saturation by the irrelevant ideal, one variable at a time; contracting
     # commutes with intersecting, so each piece is contracted to k[u] first
-    base = Ideal(ring, list(groebner(script).elements))
-    sats, contractions = zip(*(saturate_by_variable(base, v) for v in geom))
+    sats, contractions = zip(*(saturate_by_variable(script, v) for v in geom))
     contraction, *rest = contractions
     for cv in rest:
         contraction = intersect(contraction, cv)

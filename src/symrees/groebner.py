@@ -43,15 +43,17 @@ records, and unpacks only their kept exponent fields, straight into the
 target ring.
 
 Hilbert-driven runs (Traverso, J. Symb. Comp. 22, 1996).  An Ideal whose
-`_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states
-that it is homogeneous for those positive variable weights and that S/I has
-the Hilbert series N(t) / prod_i (1 - t^w_i).  Only the Rees kernels record
-one (`blowup._rees_kernel`); every other run, tracked runs included, keeps
-the selection above.  Such a run takes its pairs degree by degree, by
-(weighted degree, lcm), and keeps the numerator of its lead ideal L current
-as leading monomials arrive: N(L + (m)) = N(L) - t^deg(m) N(L : m), with
-N(L : m) by Bigatti's pivot recursion.  At the start of degree D the deficit
-HF(S/L, D) - HF(S/I, D) counts the leading monomials that degree still
+`_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states that
+it is homogeneous for those positive variable weights and that S/I has the
+Hilbert series N(t) / prod_i (1 - t^w_i).  The Rees kernels
+(`blowup._rees_kernel`) and the homogenized grevlex bases that saturations by
+a variable start from (`ideal_ops._homogenized`) record one; every other run,
+tracked runs included, keeps the selection above.  Such a run takes its pairs
+degree by degree, by (weighted degree, lcm), and keeps the numerator of its
+lead ideal L current as leading monomials arrive: N(L + (m)) = N(L) - t^deg(m)
+N(L : m), with N(L : m) by Bigatti's pivot recursion, starting from the
+numerator of the seeds' leading monomials.  At the start of degree D the
+deficit HF(S/L, D) - HF(S/I, D) counts the leading monomials that degree still
 lacks; each new element lowers it by one, and at 0 the degree's remaining
 pairs reduce to zero, so they are dropped.  Two checks keep a wrong series
 from returning an incomplete basis: a negative deficit raises AssertionError,
@@ -577,6 +579,17 @@ def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> list:
     final = _reduce_records(_free_prefix(recs, lay, gone), lay, _budget())
     keep = [i for i in range(ring.arity) if i not in gone]
     return _to_ring(target, lay, final, keep)
+
+
+def _minimal_basis(I: Ideal, order: MonomialOrder, target: RingContext) -> list:
+    """A minimal Groebner basis of I under `order`, not tail-reduced: the
+    records of one run, Hilbert-driven when I records its series, as monic
+    polynomials of `target`, whose variables are the first of I's ring.  The
+    exponents of the others are dropped, which sets those variables to 1."""
+    lay = _layout(order, I.ring.arity)
+    recs, _ = _run_buchberger(I.gens, I.ring, order, track=False,
+                              hilbert=I._derived.get("hilbert"))
+    return _to_ring(target, lay, recs, range(target.arity))
 
 
 def _free_elements(gb: GroebnerBasis, gone: Sequence[int],

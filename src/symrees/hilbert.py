@@ -8,8 +8,8 @@ against the guard bits and an lcm one field-wise max.
 
 A `HilbertSeries` recorded on an Ideal as `_derived["hilbert"]` states that
 the ideal is homogeneous for its weights and that S/I has its numerator;
-`groebner.buchberger` then runs Hilbert-driven (Traverso, J. Symb. Comp. 22,
-1996) with the `_HilbertCount` it makes.
+the engine's runs on that ideal are then Hilbert-driven (Traverso, J. Symb.
+Comp. 22, 1996), each with the `_HilbertCount` it makes.
 """
 
 from __future__ import annotations
@@ -113,12 +113,10 @@ class _HilbertCount:
         self.weights = series.weights
         self.eguard = lay.eguard
         self.target = series.numerator
-        self.lead = []       # minimal generators of L
-        self.num = {0: 1}
+        self.lead = _minimal(words, self.eguard)     # minimal generators of L
+        self.num = _numerator(self.lead, self.shifts, self.weights, self.eguard)
         self.degs = {}       # weighted degree by pair lcm
         self.left = 0        # the deficit of the degree under way
-        for e in words:
-            self.add(e)
 
     def degree(self, e: int) -> int:
         return sum(w * ((e >> s) & _FIELD_MASK) for s, w in zip(self.shifts, self.weights))

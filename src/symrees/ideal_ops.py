@@ -14,10 +14,11 @@ restricted to the kept variables, so when that restriction is the target
 ring's own order (grevlex targets; not lex ones), the result carries that
 basis in its Groebner cache (`_seeded`) and `groebner` on it runs no
 Buchberger.  The exception is `saturate_by_variable` on input homogeneous in
-the variable's block: its one run, under a block order that also eliminates
-that block, gives both the saturation and its contraction, read off the same
-prefix of the saturation's reduced basis (`groebner._free_elements`), with
-no fresh variable.
+the variable's block: its one run, Hilbert-driven from the input's grevlex
+basis (homogenized by a fresh last variable h when that is not homogeneous)
+under a block order that also eliminates that block, gives both the
+saturation and its contraction, read off the same prefix of the
+saturation's reduced basis (`groebner._free_elements`).
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
 read off one tracked run (`member_lifts`).  Dimension comes from maximal
@@ -34,14 +35,16 @@ from .groebner import (
     GroebnerBasis,
     _eliminated,
     _free_elements,
-    buchberger,
+    _minimal_basis,
     groebner,
     ideal_member,
     member_lifts,
     normal_form,
     reduced_basis,
 )
+from .hilbert import HilbertSeries, hilbert_numerator
 from .rings import (
+    GREVLEX,
     Ideal,
     Polynomial,
     RingContext,
@@ -189,30 +192,69 @@ def saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
 def saturate_by_variable(I: Ideal, v: str) -> tuple:
     """(I : v^infinity, its contraction to the variables outside v's block).
 
-    For I homogeneous in v's block this is one Buchberger run (Bayer 1982;
-    Bayer-Stillman 1987) under the block order with v's block first, in
-    grevlex with v last.  There v divides the leading monomial of a
-    block-homogeneous polynomial only when it divides the polynomial, so the
-    basis elements divided by their v-content are a Groebner basis of
-    I : v^infinity; minimalizing and tail-reducing them, with no second
-    Buchberger run, gives its reduced basis under that order.  As in
+    For I homogeneous in v's block this is one Hilbert-driven Buchberger run
+    (Bayer 1982; Bayer-Stillman 1987; Traverso 1996) on I's grevlex basis,
+    homogenized by a fresh last variable h when it is not homogeneous
+    (`_homogenized`), under the block order with v's block first, in grevlex
+    with v last, and the rest in grevlex with h last.  For f homogeneous in
+    every variable, in(f) at h = 1 is in(f at h = 1) under the same order
+    without h, so the run's basis at h = 1 is a Groebner basis of I; and v
+    divides the leading monomial of a block-homogeneous polynomial only when
+    it divides the polynomial, so its elements divided by their v-content are
+    one of I : v^infinity.  Minimalizing and tail-reducing them, with no
+    second Buchberger run, gives its reduced basis under that order.  As in
     `_eliminate`, the elements free of v's block are the contraction.  Input
     not homogeneous in v's block takes `saturate_principal` and `eliminate`.
     """
     ring = I.ring
     iv = ring.index(v)
     block = next(b for b, idxs in ring.blocks if iv in idxs)
-    if not all(g.is_homogeneous(block).homogeneous for g in I.gens):
+    gb = groebner(I, GREVLEX)
+    # the reduced basis of a block-homogeneous ideal is block-homogeneous
+    if not all(g.is_homogeneous(block).homogeneous for g in gb):
         sat = saturate_principal(I, ring.var(v))
         return sat, eliminate(sat, block)
     gone = ring.block_indices(block)
     keep = tuple(i for i in range(ring.arity) if i not in gone)
-    order = ring.elim_order_vars(tuple(i for i in gone if i != iv) + (iv,))
-    gb = reduced_basis([_divide_out(g, iv) for g in buchberger(I, order)],
-                       ring, order)
+    first = tuple(i for i in gone if i != iv) + (iv,)
+    H = _homogenized(I, gb)
+    sat = reduced_basis([_divide_out(g, iv) for g in
+                         _minimal_basis(H, H.ring.elim_order_vars(first), ring)],
+                        ring, ring.elim_order_vars(first))
     sub = ring.subring(keep)
-    return Ideal(ring, gb.elements), _seeded(ring, gone,
-                                             Ideal(sub, _free_elements(gb, gone, sub)))
+    return Ideal(ring, sat.elements), _seeded(ring, gone,
+                                              Ideal(sub, _free_elements(sat, gone, sub)))
+
+
+def _homogenized(I: Ideal, gb: GroebnerBasis) -> Ideal:
+    """I's reduced grevlex basis `gb`, homogenized by a fresh last variable h
+    when it is not homogeneous, recording its Hilbert series; kept in
+    `I._derived["homogenized"]`.
+
+    A grevlex basis homogenized is a Groebner basis of the homogenized ideal
+    whose leading monomials are the basis's own (each is of top degree), so
+    they give the Hilbert numerator with every variable of degree 1.
+    """
+    if "homogenized" not in I._derived:
+        ring = I.ring
+        elems = gb.elements
+        lead = gb.leading_monomials()
+        if not all(g.is_homogeneous().homogeneous for g in elems):
+            ring, _ = ring.with_aux("_h")
+            elems = [_homogenize(g, ring) for g in elems]
+            lead = [m + (0,) for m in lead]
+        H = Ideal(ring, elems)
+        weights = (1,) * ring.arity
+        H._derived["hilbert"] = HilbertSeries(weights, hilbert_numerator(lead, weights))
+        I._derived["homogenized"] = H
+    return I._derived["homogenized"]
+
+
+def _homogenize(g: Polynomial, ext: RingContext) -> Polynomial:
+    """g in `ext`, its last variable making up each term's degree to g's."""
+    d = max(map(sum, g.coeffs))
+    return Polynomial.from_ints(ext, {m + (d - sum(m),): c for m, c in g.coeffs.items()},
+                                g.scale)
 
 
 def _divide_out(g: Polynomial, i: int) -> Polynomial:

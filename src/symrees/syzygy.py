@@ -136,10 +136,34 @@ def syzygies(gens: Sequence[Polynomial] | Ideal) -> PolyMatrix:
         gens = list(gens)
     if not gens:
         raise RingError("empty generator list")
-    cols = list(dict.fromkeys(map(tuple, syzygy_lifts(gens))))
-    degs = lambda c: max((p.degree() or 0) for p in c if not p.is_zero)
-    cols.sort(key=lambda c: (degs(c), tuple(str(p) for p in c)))
+    cols = sorted(dict.fromkeys(map(tuple, syzygy_lifts(gens))), key=_ColumnKey)
     return matrix_from_columns(next(iter(gens)).ring, cols)
+
+
+class _ColumnKey:
+    """Orders columns by degree, then by their printed entries in turn; an
+    entry is printed only when a comparison reaches it."""
+
+    __slots__ = ("deg", "col", "text")
+
+    def __init__(self, col):
+        self.deg = max((p.degree() or 0) for p in col if not p.is_zero)
+        self.col = col
+        self.text = {}
+
+    def entry(self, i: int) -> str:
+        if i not in self.text:
+            self.text[i] = str(self.col[i])
+        return self.text[i]
+
+    def __lt__(self, other) -> bool:
+        if self.deg != other.deg:
+            return self.deg < other.deg
+        for i in range(len(self.col)):
+            a, b = self.entry(i), other.entry(i)
+            if a != b:
+                return a < b
+        return False
 
 
 def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:

@@ -5,7 +5,8 @@ import pytest
 
 @pytest.fixture
 def engine_inputs(monkeypatch):
-    """The input of every Buchberger run, as (generators, order, tracked).
+    """The input of every Buchberger run, as (generators, order, tracked,
+    whether a Hilbert series was given).
 
     Every basis the engine computes, tracked or not, goes through
     `_run_buchberger`, so the list holds one entry per run, in call order.
@@ -15,7 +16,7 @@ def engine_inputs(monkeypatch):
     runs = []
 
     def recording(gens, ring, order, track, hilbert=None):
-        runs.append((tuple(gens), order, track))
+        runs.append((tuple(gens), order, track, hilbert is not None))
         return real(gens, ring, order, track, hilbert)
 
     monkeypatch.setattr(engine, "_run_buchberger", recording)

@@ -15,9 +15,10 @@ from symrees.blowup import _fiber, rees_ideal, relative_rees_ideal
 from symrees.budget import _BUDGET, work_limit
 from symrees.curves import gradient_pair, sample_parameters
 from symrees.fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, pair_by_name
-from symrees.hilbert import HilbertSeries, hilbert_numerator
+from symrees.groebner import _layout
+from symrees.hilbert import HilbertSeries, _HilbertCount, hilbert_numerator
 from symrees.ideal_ops import eliminate_vars
-from symrees.rings import RingContext
+from symrees.rings import GREVLEX, RingContext
 
 from strategies import R3, build, homogeneous_ideals, linear_forms
 
@@ -42,6 +43,23 @@ def test_numerator_counts_the_standard_monomials(gens, weights):
         if d <= top and not any(all(a <= b for a, b in zip(g, m)) for g in gens):
             counts[d] += 1
     assert _series(hilbert_numerator(gens, weights), weights, top) == counts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gens=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=8),
+       weights=st.tuples(*[st.integers(1, 3)] * 4))
+def test_a_count_starts_from_its_seeds_numerator_at_once(gens, weights):
+    # the lead ideal of a run's seeds, built in one numerator, is the one
+    # that adding their leading monomials one at a time gives
+    lay = _layout(GREVLEX, 4)
+    words = [lay.pack(m) & lay.emask for m in gens]
+    series = HilbertSeries(weights, {})
+    at_once = _HilbertCount(lay, series, words)
+    one_by_one = _HilbertCount(lay, series, [])
+    for w in words:
+        one_by_one.add(w)
+    assert at_once.num == one_by_one.num == hilbert_numerator(gens, weights)
+    assert sorted(at_once.lead) == sorted(one_by_one.lead)
 
 
 def _kernel_input(pair, with_j: bool):

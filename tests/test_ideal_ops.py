@@ -30,7 +30,9 @@ from symrees.ideal_ops import (
     saturate,
     saturate_by_variable,
     saturate_principal,
+    _homogenized,
 )
+from symrees.hilbert import HilbertSeries
 from symrees.oracle import (
     monomial_members,
     monomial_quotient,
@@ -139,6 +141,44 @@ def test_saturate_by_variable_falls_back_on_inhomogeneous_input():
     sat, contraction = saturate_by_variable(I, "x")
     assert ideal_equal(sat, Ideal(R, [R.parse("x + 1/2"), R.parse("y - 2")]))
     assert contraction.is_zero and contraction.ring.arity == 0
+
+
+RU = make_ring(["x", "y", "z"], ["u"])
+RU_LEX = make_ring(["x", "y", "z"], ["u"], order="lex")
+
+
+def _with_u(ring, gens_terms, us) -> list:
+    """The forms of `homogeneous_ideals` in `ring`, term k times u^us[k]."""
+    us = iter(us)
+    return [sum((ring.monomial(m + (next(us),), c) for c, m in terms), ring.zero)
+            for terms in gens_terms]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gens_terms=homogeneous_ideals,
+       us=st.lists(st.integers(0, 2), min_size=9, max_size=9))
+@pytest.mark.parametrize("ring", [RU, RU_LEX], ids=["grevlex", "lex"])
+def test_saturate_by_variable_through_the_homogenized_basis(ring, gens_terms, us):
+    # forms in x, y, z over k[u], mostly not homogeneous in u: their grevlex
+    # basis is homogenized by h; on the lex ring it is not the ring's own
+    I = Ideal(ring, _with_u(ring, gens_terms, us))
+    for v in ("x", "y", "z"):
+        sat, contraction = saturate_by_variable(I, v)
+        want = saturate_principal(I, ring.var(v))
+        assert ideal_equal(sat, want)
+        assert contraction.gens == eliminate(want, "geom").gens
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_wrong_series_on_the_homogenized_basis_raises(delta):
+    I = Ideal(RU, [RU.parse("x^2*u - y*z"), RU.parse("x*y*u^2 - z^2")])
+    H = _homogenized(I, groebner(I, GREVLEX))
+    assert H.ring.names == ("x", "y", "z", "u", "_h")
+    weights, num = H._derived["hilbert"]
+    wrong = {**num, 3: num.get(3, 0) + delta}
+    H._derived["hilbert"] = HilbertSeries(weights, {k: c for k, c in wrong.items() if c})
+    with pytest.raises(AssertionError):
+        saturate_by_variable(I, "x")
 
 
 def test_eliminate_parabola():

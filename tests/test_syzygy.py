@@ -9,10 +9,12 @@ import pytest
 
 from symrees import Ideal, RingError, fixtures, make_ring, work_limit
 from symrees.curves import sample_parameters
+from symrees.groebner import syzygy_lifts
 from symrees.ideal_ops import dimension, ideal_equal
 from symrees.oracle import _column_degree, column_in_span, syzygies_up_to_degree
 from symrees.syzygy import (
     PolyMatrix,
+    _ColumnKey,
     apply_row,
     entry_ideal,
     hessian,
@@ -233,3 +235,21 @@ def test_family_ring_column_counts(key, count):
     # 80, 66, 90 and 91 columns with one Schreyer generator per basis pair
     F = fixtures.family_by_name(key).family()
     assert syzygies(gradient(F)).cols == count
+
+
+GRADIENTS = ([pytest.param(lambda f=f: gradient(f.family()), id=f"family-{f.key}")
+              for f in fixtures.FAMILIES]
+             + [pytest.param(lambda c=c: gradient(c.curve()), id=c.slug)
+                for c in fixtures.CURVES])
+
+
+@pytest.mark.parametrize("build", GRADIENTS)
+def test_lazy_column_order_is_the_printed_key_order(build):
+    # the columns sort as by (degree, every entry printed), from any start
+    cols = list(dict.fromkeys(map(tuple, syzygy_lifts(build()))))
+    degree = lambda c: max((p.degree() or 0) for p in c if not p.is_zero)
+    printed = lambda c: (degree(c), tuple(str(p) for p in c))
+    want = sorted(cols, key=printed)
+    assert [tuple(c) for c in syzygies(build()).columns()] == want
+    for start in (cols[::-1], random.Random(0).sample(cols, len(cols))):
+        assert sorted(start, key=_ColumnKey) == sorted(start, key=printed)
