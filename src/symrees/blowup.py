@@ -29,6 +29,10 @@ torsion pieces as the lower filtration ideal, by the Artin-Rees number as
 when every I-order is 1), the relative Rees ideal under "relrees", the syzygy
 matrix under "syz" and its fiber forms under "symforms".  Since the ideals are
 shared, so are their Groebner caches: each basis is computed once per pair.
+An ideal compared with J cap I^t (the lower filtration ideal, an Artin-Rees
+product, a standard-base right-hand side) lies in it and is recorded as
+within it, as the symmetric ideal is within the Rees ideal, so its Groebner
+run stops once its lead ideal covers the larger ideal's (see `groebner`).
 """
 
 from __future__ import annotations
@@ -260,8 +264,15 @@ def relative_rees_ideal(pair: PairInput) -> Ideal:
 
 
 def is_linear_type(pair: PairInput) -> bool:
-    """The syzygy forms generate the whole Rees ideal."""
-    return ideal_equal(sym_ideal(pair), rees_ideal(pair))
+    """The syzygy forms generate the whole Rees ideal.
+
+    They lie in it, so the symmetric ideal is recorded as within the Rees
+    ideal, whose basis the elimination leaves cached (`groebner.buchberger`).
+    """
+    sym = sym_ideal(pair)
+    rees = rees_ideal(pair)
+    sym._derived["within"] = rees
+    return ideal_equal(sym, rees)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +330,15 @@ def _pair_meet(pair: PairInput, t: int) -> Ideal:
 
 
 def _pair_lower(pair: PairInput, t: int) -> Ideal:
-    """J * I^(t-1), built once per pair and degree under `("lower", t)`."""
+    """J * I^(t-1), built once per pair and degree under `("lower", t)`.
+
+    Since J <= I it lies in J cap I^t, and is recorded as within that meet
+    (`groebner.buchberger`), which is built first if it is not yet.
+    """
     if ("lower", t) not in pair._cache:
-        pair._cache[("lower", t)] = ideal_product(pair.j_ideal,
-                                                  _pair_power(pair, t - 1))
+        lower = ideal_product(pair.j_ideal, _pair_power(pair, t - 1))
+        lower._derived["within"] = _pair_meet(pair, t)
+        pair._cache[("lower", t)] = lower
     return pair._cache[("lower", t)]
 
 
@@ -397,7 +413,12 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionRepo
 
 
 def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> int | None:
-    """Least k <= bound with J cap I^t = (J cap I^k) I^(t-k) for k <= t <= bound."""
+    """Least k <= bound with J cap I^t = (J cap I^k) I^(t-k) for k <= t <= bound.
+
+    Each right-hand side lies in J cap I^t and is recorded as within it, so
+    its basis run stops once its lead ideal covers the meet's
+    (`groebner.buchberger`).
+    """
     if bound < 1:
         raise RingError("bound must be at least 1")
     # k >= 1 and t >= k, so J cap I^0 is never read
@@ -411,6 +432,7 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> int
                 rhs = _pair_lower(pair, t)
             else:
                 rhs = ideal_product(meets[k], _pair_power(pair, t - k))
+                rhs._derived["within"] = meets[t]
             if not ideal_equal(meets[t], rhs):
                 ok = False
                 break
@@ -428,7 +450,11 @@ class StandardBaseReport:
 
 def standard_base_check(pair: PairInput,
                         bound: int = DEFAULT_DEGREE_BOUND) -> StandardBaseReport:
-    """Test J cap I^t = sum_i a_i I^(t - nu_i) with nu_i the I-order of a_i."""
+    """Test J cap I^t = sum_i a_i I^(t - nu_i) with nu_i the I-order of a_i.
+
+    Each a_i lies in J and in I^nu_i, so the right-hand side lies in
+    J cap I^t and is recorded as within it (`groebner.buchberger`).
+    """
     if bound < 1:
         raise RingError("bound must be at least 1")
     orders = []
@@ -452,6 +478,7 @@ def standard_base_check(pair: PairInput,
         else:
             rhs = Ideal(pair.ring, [a * g for a, nu in zip(pair.j_gens, orders)
                                     for g in _pair_power(pair, max(t - nu, 0)).gens])
+            rhs._derived["within"] = meet
         eq = ideal_equal(meet, rhs)
         rows.append((t, eq))
         passed = passed and eq

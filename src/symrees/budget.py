@@ -2,10 +2,11 @@
 
 `with work_limit(n):` opens one budget of n units shared by every charged
 step in the block: the engine's reduction steps and S-pairs, and the term
-products of the powers written in parsed input.  WorkLimitExceeded is raised
-when it runs out.  The budget lives in a ContextVar, so concurrent threads
-and contexts each see their own; outside any block each computation that
-asks for a budget gets a fresh one of DEFAULT_WORK_LIMIT units.
+products of ideal products, ideal powers and the powers written in parsed
+input.  WorkLimitExceeded is raised when it runs out.  The budget lives in a
+ContextVar, so concurrent threads and contexts each see their own; outside
+any block each computation that asks for a budget gets a fresh one of
+DEFAULT_WORK_LIMIT units.
 """
 
 from __future__ import annotations

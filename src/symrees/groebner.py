@@ -59,6 +59,21 @@ pairs reduce to zero, so they are dropped.  Two checks keep a wrong series
 from returning an incomplete basis: a negative deficit raises AssertionError,
 and so does a final lead ideal whose numerator is not N.
 
+Runs inside a known ideal.  An Ideal B whose `_derived["within"]` holds an
+Ideal A states that B lies in A.  The torsion pieces, the Artin-Rees and
+standard-base checks (`blowup`) record it for the ideals they compare with
+J cap I^t, and the linear-type test for the symmetric ideal inside the Rees
+ideal.  Only `buchberger` reads it, so tracked runs and eliminations never
+stop this way.  When A's reduced basis under the run's order is already
+cached, `buchberger` gives the run the exponent words of A's leading
+monomials, and each new record, seed or S-pair remainder, drops the words
+its leading monomial divides.  Once none is left the run returns the records
+it has, skipping the remaining seeds, the pair set and the S-pairs: their
+leading monomials generate L with L <= in(B) <= in(A) <= L, so they are a
+Groebner basis of B and B = A (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 sec. 5).  A wrong claim that the check can see, a reduced
+basis that is not A's, raises AssertionError.
+
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
 engine's only lift bookkeeping.  Tracking is a property of the records: a run
@@ -438,13 +453,19 @@ def _update(G: set, B: set, ih: int, ex: list, mono: list, lay: _Layout) -> tupl
     return G_new, B_new
 
 
-def _run_buchberger(gens, ring, order, track, hilbert=None):
+def _run_buchberger(gens, ring, order, track, hilbert=None, cover=None):
     """(records, scales): the records of a Groebner basis of `gens` under
     `order`, ascending by leading monomial and not yet reduced, and each
     generator's scale.  The caller runs `_reduce_records` on the records it
-    keeps."""
+    keeps.
+
+    `cover`, when given, lists the exponent words of the leading monomials of
+    an ideal known to contain `gens`.  Each new record removes from it the
+    words its leading monomial divides, and once it is empty the run stops
+    with the records it has (see the module docstring).
+    """
     lay = _layout(order, ring.arity)
-    guard, emask = lay.guard, lay.emask
+    guard, emask, eguard = lay.guard, lay.emask, lay.eguard
     budget = _budget()
 
     seeds = []
@@ -467,6 +488,8 @@ def _run_buchberger(gens, ring, order, track, hilbert=None):
             r, rep = _strip(r, rep)
             f.append(_Rec(r, guard, rep))
             lms.append(f[-1].lm)
+            if cover is not None and not _uncover(cover, lms[-1] & emask, eguard):
+                return sorted(f, key=attrgetter("lm")), scales
 
     ex = [lm & emask for lm in lms]             # exponent words of the lms
     mono = [not rec.tail for rec in f]
@@ -512,10 +535,19 @@ def _run_buchberger(gens, ring, order, track, hilbert=None):
                 # the degree has all its leading monomials: the rest reduce to 0
                 CP.difference_update(batch)
                 batch = []
+            if cover is not None and not _uncover(cover, ex[-1], eguard):
+                break
 
     if count is not None:
         count.finish()
     return reducers, scales
+
+
+def _uncover(cover: list, e: int, eguard: int) -> list:
+    """Drop from `cover`, in place, the exponent words that the word `e`
+    divides; returns what is left."""
+    cover[:] = [w for w in cover if (w - e) & eguard]
+    return cover
 
 
 def _reduce_records(recs, lay: _Layout, budget) -> list:
@@ -549,14 +581,26 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of an Ideal or a generator list.
 
     An Ideal whose `_derived["hilbert"]` holds its `hilbert.HilbertSeries`
-    gets a Hilbert-driven run.
+    gets a Hilbert-driven run.  An Ideal B whose `_derived["within"]` holds
+    an Ideal A containing it, with A's basis under `order` already cached,
+    gets a run that stops once its lead ideal covers A's; its basis must
+    then be A's.
     """
     gens, ring = _as_gens(source)
     order = order or ring.order
-    hilbert = source._derived.get("hilbert") if isinstance(source, Ideal) else None
-    recs, _ = _run_buchberger(gens, ring, order, track=False, hilbert=hilbert)
     lay = _layout(order, ring.arity)
-    return _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
+    derived = source._derived if isinstance(source, Ideal) else {}
+    outer = derived["within"]._gb_cache.get(order) if "within" in derived else None
+    cover = None
+    if outer is not None and outer.elements:
+        cover = [rec.lm & lay.emask for rec in outer._engine_records(lay)]
+    recs, _ = _run_buchberger(gens, ring, order, track=False,
+                              hilbert=derived.get("hilbert"), cover=cover)
+    gb = _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
+    if cover == [] and gb.elements != outer.elements:
+        raise AssertionError("an ideal recorded as within another has the other's"
+                             " lead ideal but not its basis")
+    return gb
 
 
 def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> list:

@@ -696,7 +696,9 @@ class Ideal:
     the reduced Groebner basis, and `_derived` maps a name to an ideal derived
     from this one alone, such as the Rees ideal under "rees", or to a fact
     known about it, such as its weighted Hilbert series under "hilbert"
-    (see `hilbert`).
+    (see `hilbert`) or an Ideal known to contain it under "within" (see
+    `groebner.buchberger`).  A fact is recorded by the code that builds the
+    Ideal, before anything reads it.
     """
 
     __slots__ = ("ring", "gens", "_gb_cache", "_derived")

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from operator import le
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from symrees import Ideal, RingError, groebner, ideal_member, make_ring, normal_form
+from symrees import (
+    Ideal,
+    RingError,
+    buchberger,
+    groebner,
+    ideal_member,
+    make_ring,
+    normal_form,
+)
 from symrees.blowup import (
     CertificateError,
+    _pair_lower,
     aluffi_dimension,
     aluffi_presentation,
     analytic_spread,
@@ -29,11 +42,13 @@ from symrees.ideal_ops import (
     dimension,
     ideal_contains,
     ideal_equal,
+    ideal_product,
     minimal_homogeneous_generators,
     saturate_principal,
 )
 from symrees.fixtures import CURVES, PAIR_FIXTURES, four_points_pair, pair_by_name
 from symrees.oracle import echelon, monomials_of_degree, rank
+from strategies import build, homogeneous_ideals, linear_forms
 
 R2 = make_ring(["x", "y"])
 XX, YY = R2.gens()
@@ -641,3 +656,145 @@ def test_filtration_bases_computed_once_per_pair(monkeypatch):
     hits = [basis for gens, basis in runs
             if basis in filtration and gens not in checks]
     assert hits and len(hits) == len(set(hits))
+
+
+# ---------------------------------------------------------------------------
+# ideals recorded as within a larger one (groebner.buchberger's cover)
+
+
+@contextmanager
+def recorded_within():
+    """(B, A) for each Ideal B that reaches the engine recorded as within A."""
+    engine = sys.modules["symrees.groebner"]
+    real = engine.buchberger
+    seen = []
+
+    def recording(source, order=None):
+        if isinstance(source, Ideal) and "within" in source._derived:
+            seen.append((source, source._derived["within"]))
+        return real(source, order)
+
+    engine.buchberger = recording
+    try:
+        yield seen
+    finally:
+        engine.buchberger = real
+
+
+def _assert_recorded_containments_hold(seen):
+    assert seen
+    for B, A in seen:
+        assert ideal_contains(A, B)
+        # a fresh Ideal with B's generators carries no record: a plain run
+        assert groebner(B).elements == buchberger(Ideal(B.ring, B.gens)).elements
+
+
+def _regular_sequence_pair(a, b, c, two):
+    x, y, z = R3.gens()
+    return make_pair(R3, [x ** a, y ** b, z ** c], [x ** a, y ** b] if two else [x ** a])
+
+
+TORSION_PAIRS = (
+    [pytest.param(lambda name=name: pair_by_name(name), id=name)
+     for name in sorted(PAIR_FIXTURES)]
+    + [pytest.param(lambda abc=abc: _regular_sequence_pair(*abc),
+                    id="regular-sequence-%d%d%d-%d" % abc)
+       for abc in [(1, 1, 1, 0), (2, 1, 3, 1), (3, 2, 1, 0), (2, 3, 2, 1)]]
+    # I-orders 2 and 3: the standard-base check builds its own right-hand side
+    + [pytest.param(lambda: make_pair(R3, [X, Y, Z], [X ** 2 - Y * Z, Y ** 3]),
+                    id="orders-above-one")])
+
+
+@pytest.mark.parametrize("build_pair", TORSION_PAIRS)
+def test_recorded_torsion_containments_hold(build_pair, engine_inputs):
+    pair = build_pair()
+    with recorded_within() as seen:
+        vv_pieces(pair, 4)
+        artin_rees_number(pair, 4)
+        standard_base_check(pair, 4)
+    lowers = {id(ideal) for key, ideal in pair._cache.items() if key[0] == "lower"}
+    assert lowers <= {id(B) for B, _ in seen}
+    _assert_recorded_containments_hold(seen)
+    # tracked runs never get a containment
+    assert not [run for run in engine_inputs if run[2] and run[4]]
+
+
+def test_artin_rees_products_are_recorded():
+    # four-points has torsion in degree 2, so k = 1 fails at t = 2 and k = 2
+    # compares J cap I^t with (J cap I^2) * I^(t-2) for t = 3, 4
+    pair = four_points_pair()
+    with recorded_within() as seen:
+        assert artin_rees_number(pair, 4) == 2
+    cache = pair._cache
+    lowers = [ideal for key, ideal in cache.items() if key[0] == "lower"]
+    products = [(B.gens, A) for B, A in seen if all(B is not L for L in lowers)]
+    assert products == [(ideal_product(cache[("meet", 2)], cache[("power", t - 2)]).gens,
+                         cache[("meet", t)]) for t in (3, 4)]
+    _assert_recorded_containments_hold(seen)
+
+
+def test_standard_base_right_hand_side_is_recorded():
+    pair = make_pair(R3, [X, Y, Z], [X ** 2 - Y * Z, Y ** 3])
+    with recorded_within() as seen:
+        report = standard_base_check(pair, 3)
+    assert report.orders == (2, 3) and report.passed
+    lowers = [ideal for key, ideal in pair._cache.items() if key[0] == "lower"]
+    assert not lowers and len(seen) == 3
+    assert [A for _, A in seen] == [pair._cache[("meet", t)] for t in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda curve: curve.slug)
+def test_symmetric_ideal_is_recorded_within_the_rees_ideal(curve):
+    pair = gradient_pair(curve.curve()).pair
+    with recorded_within() as seen:
+        linear = is_linear_type(pair)
+    [(sym, rees)] = seen
+    assert rees is rees_ideal(pair) and sym.gens == sym_ideal(pair).gens
+    assert linear == (groebner(sym).elements == groebner(rees).elements)
+    _assert_recorded_containments_hold(seen)
+
+
+def test_coordinate_points_lower_filtration_takes_no_s_pair(monkeypatch, engine_inputs):
+    pair = pair_by_name("coordinate-points")
+    lower = _pair_lower(pair, 4)
+    meet = pair._cache[("meet", 4)]
+    assert lower._derived["within"] is meet and pair.ring.order in meet._gb_cache
+    engine = sys.modules["symrees.groebner"]
+    taken = []
+    real = engine._spoly
+
+    def counting(*args):
+        taken.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_spoly", counting)
+    before = len(engine_inputs)
+    gb = groebner(lower)
+    assert [run[4] for run in engine_inputs[before:]] == [True]
+    assert not taken
+    assert gb.elements == groebner(meet).elements
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    """(I, J) of homogeneous forms with J <= I: each generator of J is a
+    generator of I times a linear form, or a generator of I itself."""
+    i_gens = build(draw(homogeneous_ideals))
+    assume(all(not g.is_zero for g in i_gens))
+    picks = draw(st.lists(st.tuples(st.integers(0, 2), st.none() | linear_forms),
+                          min_size=1, max_size=2))
+    j_gens = [i_gens[k % len(i_gens)] * (R3.one if form is None else build([form])[0])
+              for k, form in picks]
+    assume(all(not g.is_zero for g in j_gens))
+    return i_gens, j_gens
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(homogeneous_pairs())
+def test_recorded_containments_hold_on_homogeneous_pairs(ij):
+    pair = make_pair(R3, *ij)
+    with recorded_within() as seen:
+        vv_pieces(pair, 3)
+        artin_rees_number(pair, 3)
+        standard_base_check(pair, 3)
+    _assert_recorded_containments_hold(seen)

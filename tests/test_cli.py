@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -290,8 +291,8 @@ def test_work_limit_exit_code(tmp_path):
     assert res.exit_code == 3
 
 
-# torsion at bound 3 makes 21 engine calls: the largest spends 179 work units,
-# all of them together 306
+# torsion at bound 3 makes 19 engine calls: the largest spends 179 work units,
+# all of them together 261; its ideal products and powers spend 358 more
 TORSION_PAIR = """\
 ring: x,y,z
 ideal I: x^2 - x*z; y^2 - y*z; x*y - x*z - y*z + z^2
@@ -311,8 +312,8 @@ def test_work_limit_caps_the_whole_command(tmp_path):
 
 
 def test_command_work_is_pinned(tmp_path):
-    assert _torsion_exit(tmp_path, 306) == 0
-    assert _torsion_exit(tmp_path, 305) == 3
+    assert _torsion_exit(tmp_path, 619) == 0
+    assert _torsion_exit(tmp_path, 618) == 3
 
 
 def test_a_power_in_the_input_spends_the_work_limit(tmp_path):
@@ -323,6 +324,20 @@ def test_a_power_in_the_input_spends_the_work_limit(tmp_path):
         assert res.exit_code == 3
         assert "resource limit: work limit exceeded" in res.output
         assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [["power", "-t", "40"], ["product"]])
+def test_ideal_products_spend_the_work_limit(tmp_path, args):
+    # I^40 has 41 generators of up to 12341 terms each; uncapped it ran for
+    # many seconds and printed megabytes
+    path = write(tmp_path, "pw.txt", "ring: x,y,z\nideal I: x+y+z+1; x*y - z^2 + 3\n"
+                 "ideal J: x+y+z+1; x*y - z^2 + 3\n")
+    start = time.monotonic()
+    res = CliRunner().invoke(main, ["--work-limit", "1", "ideal"] + args + [path])
+    assert time.monotonic() - start < 10
+    assert res.exit_code == 3
+    assert "resource limit: work limit exceeded" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_work_limit_does_not_outlive_the_command(tmp_path):

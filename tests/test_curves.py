@@ -274,7 +274,7 @@ def test_family_saturation_is_one_engine_run_per_variable(monkeypatch,
         assert all(g.is_homogeneous("geom").homogeneous for g in I.gens)
         before = len(engine_inputs)
         out = real(I, v)
-        runs[v] = [series for *_, series in engine_inputs[before:]]
+        runs[v] = [series for _, _, _, series, _ in engine_inputs[before:]]
         return out
 
     monkeypatch.setattr(curves_mod, "saturate_by_variable", spy)
@@ -361,7 +361,7 @@ def test_pair_syzygies_leave_the_gradient_basis_in_the_cache(curve, engine_input
     gp = gradient_pair(curve.curve())
     I = gp.gradient_ideal
     pair_syzygies(gp.pair)
-    assert [track for _, _, track, _ in engine_inputs] == [True]
+    assert [track for _, _, track, _, _ in engine_inputs] == [True]
     cached = I._gb_cache[I.ring.order]
     untracked = buchberger(Ideal(I.ring, I.gens))
     assert cached == untracked
@@ -375,6 +375,6 @@ def test_pair_syzygies_leave_the_gradient_basis_in_the_cache(curve, engine_input
 def test_family_analysis_runs_no_untracked_basis_of_a_gradient(fam, engine_inputs):
     report = analyze_family(fam.family(), avoid=fam.constraint_polys())
     gradients = {report.gradient_gens, report.member.gradient.pair.i_gens}
-    assert not [gens for gens, _, track, _ in engine_inputs
+    assert not [gens for gens, _, track, _, _ in engine_inputs
                 if not track and gens in gradients]
-    assert gradients <= {gens for gens, _, track, _ in engine_inputs if track}
+    assert gradients <= {gens for gens, _, track, _, _ in engine_inputs if track}

@@ -22,6 +22,7 @@ from symrees import (
     WorkLimitExceeded,
     buchberger,
     division,
+    groebner,
     ideal_member,
     make_ring,
     normal_form,
@@ -208,6 +209,46 @@ def test_zero_and_empty_basis_divide_on_the_general_path_at_no_work():
         assert normal_form(p, empty) == p
         assert division(p, empty) == (p, [])
         assert normal_form(R3.zero, empty) == R3.zero
+
+
+def test_a_wrong_containment_the_check_can_see_raises():
+    # (x + y) is not inside (x), but its one record's leading monomial covers x
+    outer = Ideal(R3, [X])
+    groebner(outer)
+    inner = Ideal(R3, [X + Y])
+    inner._derived["within"] = outer
+    with pytest.raises(AssertionError):
+        groebner(inner)
+
+
+def test_a_containment_whose_outer_basis_is_not_cached_is_a_plain_run(engine_inputs):
+    inner = Ideal(R3, [X + Y])
+    inner._derived["within"] = Ideal(R3, [X])
+    assert groebner(inner).elements == (X + Y,)
+    assert [run[4] for run in engine_inputs] == [False]
+
+
+def test_a_containment_stops_the_run_with_the_outer_basis(engine_inputs, monkeypatch):
+    # (x^2 - y^2, x*y, x^3) = (x^2 - y^2, x*y): inside it, whose lead ideal
+    # (x^2, x*y, y^3) the seeds x^2 - y^2 and x*y do not cover; the first
+    # S-pair gives y^3, and the run stops there with one pair left
+    outer = Ideal(R3, [X * X - Y * Y, X * Y])
+    inner = Ideal(R3, [X * Y, X ** 3, X * X - Y * Y])
+    inner._derived["within"] = outer
+    want = groebner(outer).elements
+    engine = sys.modules["symrees.groebner"]
+    real = engine._spoly
+    taken = []
+
+    def counting(*args):
+        taken.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_spoly", counting)
+    assert groebner(inner).elements == want
+    assert engine_inputs[-1][4] and len(taken) == 1
+    assert buchberger(Ideal(R3, inner.gens)).elements == want
+    assert len(taken) > 2
 
 
 def test_division_certificate():

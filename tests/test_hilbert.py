@@ -87,9 +87,9 @@ def hilbert_runs(monkeypatch):
     real = engine._run_buchberger
     runs = []
 
-    def recording(gens, ring, order, track, hilbert=None):
+    def recording(gens, ring, order, track, hilbert=None, cover=None):
         runs.append(hilbert)
-        return real(gens, ring, order, track, hilbert)
+        return real(gens, ring, order, track, hilbert, cover)
 
     monkeypatch.setattr(engine, "_run_buchberger", recording)
     return runs

@@ -354,6 +354,28 @@ def test_ideal_power_matches_naive_left_fold():
             assert [list(p.terms) for p in got] == [list(p.terms) for p in naive]
 
 
+def test_ideal_products_spend_their_term_products():
+    # (x + y)(x - y + 1): 2*2 + 2*3 + 3*2 + 3*3 = 25 term products; a power
+    # step spends for each product it forms from the level below, 1 * g first
+    I = Ideal(R3, [X + Y, X - Y + 1])
+    with work_limit(25):
+        assert ideal_product(I, I).gens == tuple(g * h for g in I.gens for h in I.gens)
+    with pytest.raises(WorkLimitExceeded), work_limit(24):
+        ideal_product(I, I)
+    # I^2 from I: (x + y)^2, (x + y)(x - y + 1), (x - y + 1)^2 spend 4 + 6 + 9;
+    # I from (1) spends 2 + 3 more
+    with work_limit(24):
+        ideal_power(I, 2)
+    with pytest.raises(WorkLimitExceeded), work_limit(23):
+        ideal_power(I, 2)
+
+
+def test_a_large_ideal_power_stops_at_the_work_limit():
+    I = Ideal(R3, [X + Y + Z + 1, X * Y - Z ** 2 + 3])
+    with pytest.raises(WorkLimitExceeded), work_limit(10):
+        ideal_power(I, 40)
+
+
 # ---------------------------------------------------------------------------
 # the reduced basis an elimination leaves in its result's Groebner cache
 

@@ -94,7 +94,7 @@ def test_criterion_9_sequence_repeats_no_engine_input(curve, engine_inputs,
     analytic_spread(gp.pair.i_ideal)
     relation_type(gp.pair.i_ideal)
     assert len(kernels) == 1
-    untracked = [(gens, order) for gens, order, tracked, _ in engine_inputs
+    untracked = [(gens, order) for gens, order, tracked, _, _ in engine_inputs
                  if not tracked]
     assert untracked and len(untracked) == len(set(untracked))
 
