@@ -23,12 +23,13 @@ J object.  A fresh Ideal with equal generators pays for its own kernel.
 What depends on J as well stays in `pair._cache`: the powers I^t under
 ("power", t), each built from I^(t-1) when first read, the meets J cap I^t
 under ("meet", t) (read by the torsion pieces, the Artin-Rees number and the
-standard-base check), the products J * I^(t-1) under ("lower", t) (read by the
-torsion pieces as the lower filtration ideal, by the Artin-Rees number as
-(J cap I) * I^(t-1) for k = 1, since J <= I, and by the standard-base check
-when every I-order is 1), the relative Rees ideal under "relrees", the syzygy
-matrix under "syz" and its fiber forms under "symforms".  Since the ideals are
-shared, so are their Groebner caches: each basis is computed once per pair.
+standard-base check; J cap I is J), the products J * I^(t-1) for t >= 2 under
+("lower", t) (read by the torsion pieces as the lower filtration ideal, by the
+Artin-Rees number as (J cap I) * I^(t-1) for k = 1, since J <= I, and by the
+standard-base check when every I-order is 1), the relative Rees ideal under
+"relrees", the syzygy matrix under "syz" and its fiber forms under
+"symforms".  Since the ideals are shared, so are their Groebner caches: each
+basis is computed once per pair.
 An ideal compared with J cap I^t (the lower filtration ideal, an Artin-Rees
 product, a standard-base right-hand side) lies in it and is recorded as
 within it, as the symmetric ideal is within the Rees ideal, so its Groebner
@@ -322,10 +323,12 @@ def _pair_meet(pair: PairInput, t: int) -> Ideal:
     """J cap I^t, computed once per pair and degree under `("meet", t)`.
 
     `vv_pieces`, `artin_rees_number` and `standard_base_check` share these
-    ideals and so their Groebner caches too.
+    ideals and so their Groebner caches too.  J cap I is J itself, since
+    `make_pair` checked J <= I by certificate.
     """
     if ("meet", t) not in pair._cache:
-        pair._cache[("meet", t)] = intersect(pair.j_ideal, _pair_power(pair, t))
+        pair._cache[("meet", t)] = (pair.j_ideal if t == 1 else
+                                    intersect(pair.j_ideal, _pair_power(pair, t)))
     return pair._cache[("meet", t)]
 
 
@@ -333,8 +336,11 @@ def _pair_lower(pair: PairInput, t: int) -> Ideal:
     """J * I^(t-1), built once per pair and degree under `("lower", t)`.
 
     Since J <= I it lies in J cap I^t, and is recorded as within that meet
-    (`groebner.buchberger`), which is built first if it is not yet.
+    (`groebner.buchberger`), which is built first if it is not yet.  J * I^0
+    is J itself, so it shares J's Groebner cache and needs no record.
     """
+    if t == 1:
+        return pair.j_ideal
     if ("lower", t) not in pair._cache:
         lower = ideal_product(pair.j_ideal, _pair_power(pair, t - 1))
         lower._derived["within"] = _pair_meet(pair, t)

@@ -1,12 +1,12 @@
 """The work budget: one count of work units per computation.
 
-`with work_limit(n):` opens one budget of n units shared by every charged
-step in the block: the engine's reduction steps and S-pairs, and the term
-products of ideal products, ideal powers and the powers written in parsed
-input.  WorkLimitExceeded is raised when it runs out.  The budget lives in a
-ContextVar, so concurrent threads and contexts each see their own; outside
-any block each computation that asks for a budget gets a fresh one of
-DEFAULT_WORK_LIMIT units.
+`with work_limit(n):` opens one budget of n units shared by all the work in
+the block, under one rule: every product of two polynomials spends one unit
+per pair of terms (`rings._mul_into`, the one product kernel), and the engine
+spends one per S-pair and reduction step.  WorkLimitExceeded is raised when
+it runs out.  The budget lives in a ContextVar, so concurrent threads and
+contexts each see their own; outside any block each computation that asks
+for a budget gets a fresh one of DEFAULT_WORK_LIMIT units.
 """
 
 from __future__ import annotations

@@ -268,7 +268,8 @@ def matrix_rows(M: PolyMatrix) -> list:
               default="human", help="report format")
 @click.option("--work-limit", "limit", type=click.IntRange(min=1),
               default=DEFAULT_WORK_LIMIT, show_default=True,
-              help="cap on the command's total reduction work")
+              help="cap on the command's total work: one unit per S-pair, "
+                   "reduction step and pair of terms multiplied")
 @click.pass_context
 def main(ctx, fmt, limit):
     """Exact blowup-algebra calculator: Groebner bases, ideal calculus,

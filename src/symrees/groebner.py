@@ -89,7 +89,8 @@ quotients are the representation of the input.
 
 Work budget.  Every reduction step and every S-pair taken spends one unit of
 the context's work budget (`budget.work_limit`; the CLI wraps each command in
-one); outside any block every engine call gets a fresh budget of
+one), as every product of two polynomials outside the engine spends one per
+pair of terms; outside any block every engine call gets a fresh budget of
 DEFAULT_WORK_LIMIT units.
 """
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .budget import _budget
 from .groebner import (
     GroebnerBasis,
     _eliminated,
@@ -62,7 +61,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     _same_ring(I, J)
-    return Ideal(I.ring, _products((g, h) for g in I.gens for h in J.gens))
+    return Ideal(I.ring, [g * h for g in I.gens for h in J.gens])
 
 
 def ideal_power(I: Ideal, t: int) -> Ideal:
@@ -87,19 +86,8 @@ def ideal_power_step(I: Ideal, prev: Ideal, t: int) -> Ideal:
         raise RingError("an ideal power step needs t >= 1")
     idx = range(len(I.gens))
     prods = dict(zip(combinations_with_replacement(idx, t - 1), prev.gens))
-    return Ideal(I.ring, _products((prods[combo[:-1]], I.gens[combo[-1]])
-                                   for combo in combinations_with_replacement(idx, t)))
-
-
-def _products(pairs) -> list:
-    """g * h for each pair (g, h), each product first spending one unit of the
-    work budget per pair of terms it multiplies, as parsed powers do."""
-    spend = _budget().spend
-    out = []
-    for g, h in pairs:
-        spend(len(g.coeffs) * len(h.coeffs))
-        out.append(g * h)
-    return out
+    return Ideal(I.ring, [prods[combo[:-1]] * I.gens[combo[-1]]
+                          for combo in combinations_with_replacement(idx, t)])
 
 
 def _same_ring(I: Ideal, J: Ideal):

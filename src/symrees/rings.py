@@ -434,15 +434,7 @@ class Polynomial:
         if not a or not b:
             return self.ring.zero
         out = {}
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(map(add, m1, m2))
-                s = get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        _mul_into(out, a, b)
         # primitive times primitive is primitive (Gauss), and the lex-largest
         # term of a product is the product of the lex-largest terms
         return _make(self.ring, out, self.scale * other.scale)
@@ -450,25 +442,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return self._power(n)
-
-    def _power(self, n: int, budget=None):
-        """self^n by squaring.  With a work budget, each product first spends
-        one unit per pair of terms it multiplies; a monomial's powers spend
-        nothing."""
+        """self^n by squaring."""
         if n < 0:
             raise RingError("negative power")
-        spend = budget.spend if budget is not None and len(self.coeffs) > 1 else None
         result = self.ring.one
         base = self
         while n:
             if n & 1:
-                if spend:
-                    spend(len(result.coeffs) * len(base.coeffs))
                 result = result * base
             if n > 1:
-                if spend:
-                    spend(len(base.coeffs) ** 2)
                 base = base * base
             n >>= 1
         return result
@@ -610,6 +592,25 @@ def int_content(values) -> int:
         if g == 1:
             return 1
     return g or 1
+
+
+def _mul_into(out: dict, a: dict, b: dict, k: int = 1) -> None:
+    """Add k * a * b into `out`, all integer parts keyed by exponent tuple.
+
+    The one product kernel: before it forms a term it spends one unit of the
+    context's work budget per pair of terms it multiplies.
+    """
+    _budget().spend(len(a) * len(b))
+    get = out.get
+    for m1, c1 in a.items():
+        kc1 = k * c1
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            s = get(m, 0) + kc1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 def _normalize(ints: dict, scale: Fraction) -> tuple:
@@ -807,8 +808,8 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     """Parse `x^2*y + 3/2*z - 4`; `*` is optional between factors.
 
     The parser recurses once per nesting level of a factor, so input nested
-    deeper than MAX_NESTING is refused with a ParseError.  A power spends the
-    term products it forms from the context's work budget, so a power in the
+    deeper than MAX_NESTING is refused with a ParseError.  Its products and
+    powers spend from the context's work budget like every product, so the
     input cannot outrun the caller's work limit.
     """
     toks = _Tokens(text)
@@ -870,7 +871,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
             k3, v3, p3 = toks.next()
             if k3 != "int":
                 raise ParseError("expected integer exponent", p3, text)
-            base = base._power(v3, _budget())
+            base = base ** v3
         return base
 
     result = parse_expr(0)

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
 from typing import Sequence
 
 from .groebner import syzygy_lifts
-from .rings import Ideal, Polynomial, RingContext, RingError
+from .rings import Ideal, Polynomial, RingContext, RingError, _mul_into
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,9 @@ def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomi
     """sum gens[i] * col[i]; zero exactly when col is a syzygy.
 
     The integer parts of the products are summed into one dict over the
-    common denominator of their scales, and a pair with a zero factor is
-    skipped: certificate rows and syzygy columns are mostly zero.
+    common denominator of their scales by the product kernel
+    (`rings._mul_into`), and a pair with a zero factor is skipped:
+    certificate rows and syzygy columns are mostly zero.
     """
     ring = gens[0].ring
     live = []
@@ -184,16 +184,6 @@ def apply_row(gens: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomi
             den = lcm(den, scale.denominator)
             live.append((g.coeffs, c.coeffs, scale))
     out: dict = {}
-    get = out.get
     for a, b, scale in live:
-        k = scale.numerator * (den // scale.denominator)
-        for m1, c1 in a.items():
-            kc1 = k * c1
-            for m2, c2 in b.items():
-                m = tuple(map(add, m1, m2))
-                s = get(m, 0) + kc1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        _mul_into(out, a, b, scale.numerator * (den // scale.denominator))
     return Polynomial.from_ints(ring, out, Fraction(1, den))

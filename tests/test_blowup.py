@@ -408,7 +408,7 @@ def test_meets_computed_once_per_pair_and_degree(monkeypatch):
     vv = vv_pieces(pair, 4)
     ar = artin_rees_number(pair, 4)
     sb = standard_base_check(pair, 4)
-    assert len(calls) == 4          # J cap I^t for t = 1..4
+    assert len(calls) == 3          # J cap I^t for t = 2..4; J cap I is J
     assert vv == vv_pieces(four_points_pair(), 4)
     assert ar == artin_rees_number(four_points_pair(), 4)
     assert sb == standard_base_check(four_points_pair(), 4)

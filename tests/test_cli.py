@@ -292,7 +292,8 @@ def test_work_limit_exit_code(tmp_path):
 
 
 # torsion at bound 3 makes 19 engine calls: the largest spends 179 work units,
-# all of them together 261; its ideal products and powers spend 358 more
+# all of them together 261; its polynomial products spend 379 more, 358 in
+# ideal products and powers, 17 parsing the input and 4 checking certificates
 TORSION_PAIR = """\
 ring: x,y,z
 ideal I: x^2 - x*z; y^2 - y*z; x*y - x*z - y*z + z^2
@@ -312,8 +313,8 @@ def test_work_limit_caps_the_whole_command(tmp_path):
 
 
 def test_command_work_is_pinned(tmp_path):
-    assert _torsion_exit(tmp_path, 619) == 0
-    assert _torsion_exit(tmp_path, 618) == 3
+    assert _torsion_exit(tmp_path, 640) == 0
+    assert _torsion_exit(tmp_path, 639) == 3
 
 
 def test_a_power_in_the_input_spends_the_work_limit(tmp_path):
@@ -334,6 +335,25 @@ def test_ideal_products_spend_the_work_limit(tmp_path, args):
                  "ideal J: x+y+z+1; x*y - z^2 + 3\n")
     start = time.monotonic()
     res = CliRunner().invoke(main, ["--work-limit", "1", "ideal"] + args + [path])
+    assert time.monotonic() - start < 10
+    assert res.exit_code == 3
+    assert "resource limit: work limit exceeded" in res.output
+    assert "Traceback" not in res.output
+
+
+# (x0 + ... + x7 + 1)^6 written as six factors: parsing it spends 18009 units
+# on its products, and its 3 x 3 Hessian minors are 3136 cofactor determinants
+# of 495-term entries; uncapped they ran for minutes
+SIX_FACTORS = ("ring: x0,x1,x2,x3,x4,x5,x6,x7\ncurve: "
+               + "*".join(["(x0+x1+x2+x3+x4+x5+x6+x7+1)"] * 6) + "\n")
+
+
+@pytest.mark.parametrize("limit, size", [(1, 1), (20000, 3)], ids=["parse", "minors"])
+def test_polynomial_products_spend_the_work_limit(tmp_path, limit, size):
+    path = write(tmp_path, "six.txt", SIX_FACTORS)
+    args = ["--work-limit", str(limit), "minors", "-r", str(size), "--of", "hessian", path]
+    start = time.monotonic()
+    res = CliRunner().invoke(main, args)
     assert time.monotonic() - start < 10
     assert res.exit_code == 3
     assert "resource limit: work limit exceeded" in res.output

@@ -38,6 +38,7 @@ from symrees.oracle import (
     monomial_quotient,
     monomial_saturation,
 )
+from symrees.syzygy import apply_row
 from strategies import build, homogeneous_ideals, ideals, linear_forms
 
 R3 = make_ring(["x", "y", "z"])
@@ -358,8 +359,9 @@ def test_ideal_products_spend_their_term_products():
     # (x + y)(x - y + 1): 2*2 + 2*3 + 3*2 + 3*3 = 25 term products; a power
     # step spends for each product it forms from the level below, 1 * g first
     I = Ideal(R3, [X + Y, X - Y + 1])
+    products = tuple(g * h for g in I.gens for h in I.gens)
     with work_limit(25):
-        assert ideal_product(I, I).gens == tuple(g * h for g in I.gens for h in I.gens)
+        assert ideal_product(I, I).gens == products
     with pytest.raises(WorkLimitExceeded), work_limit(24):
         ideal_product(I, I)
     # I^2 from I: (x + y)^2, (x + y)(x - y + 1), (x - y + 1)^2 spend 4 + 6 + 9;
@@ -368,6 +370,13 @@ def test_ideal_products_spend_their_term_products():
         ideal_power(I, 2)
     with pytest.raises(WorkLimitExceeded), work_limit(23):
         ideal_power(I, 2)
+    # a row spends 2*2 + 3*3 for its nonzero entries and nothing for the zero one
+    gens, row = [X + Y, X - Y + 1, Z], [X - Z, Y ** 2 + Z + 1, R3.zero]
+    value = sum((g * c for g, c in zip(gens, row)), R3.zero)
+    with work_limit(13):
+        assert apply_row(gens, row) == value
+    with pytest.raises(WorkLimitExceeded), work_limit(12):
+        apply_row(gens, row)
 
 
 def test_a_large_ideal_power_stops_at_the_work_limit():

@@ -158,12 +158,28 @@ def test_parse_accepts_nesting_up_to_the_bound():
 
 def test_parsed_powers_spend_their_term_products():
     # (x + y)^3 by squaring: 1 * (x + y) forms 1*2 term products, the square
-    # 2*2 and (x + y) * (x + y)^2 2*3, 12 in all; a monomial's powers spend none
+    # 2*2 and (x + y) * (x + y)^2 2*3, 12 in all; x^9 forms five one-term
+    # products, y^5 four and x^9 * y^5 one more, 22 in all
     from symrees import WorkLimitExceeded, work_limit
-    with work_limit(12):
-        assert R3.parse("(x + y)^3 + x^9*y^5") == (X + Y) ** 3 + X ** 9 * Y ** 5
+    want = (X + Y) ** 3 + X ** 9 * Y ** 5
+    with work_limit(22):
+        assert R3.parse("(x + y)^3 + x^9*y^5") == want
+    with pytest.raises(WorkLimitExceeded), work_limit(21):
+        R3.parse("(x + y)^3 + x^9*y^5")
     with pytest.raises(WorkLimitExceeded), work_limit(11):
         R3.parse("(x + y)^3")
+
+
+def test_parsed_products_spend_their_term_products():
+    # the running product of six 9-term factors has 9, 45, 165, 495 and 1287
+    # terms: 81 + 405 + 1485 + 4455 + 11583 = 18009 term products
+    from symrees import WorkLimitExceeded, work_limit
+    R = make_ring([f"x{i}" for i in range(8)])
+    text = "*".join(["(x0+x1+x2+x3+x4+x5+x6+x7+1)"] * 6)
+    with work_limit(18009):
+        assert len(R.parse(text).coeffs) == 3003
+    with pytest.raises(WorkLimitExceeded), work_limit(18008):
+        R.parse(text)
 
 
 # ---------------------------------------------------------------------------
