@@ -6,7 +6,8 @@ per pair of terms (`rings._mul_into`, the one product kernel), and the engine
 spends one per S-pair and reduction step.  WorkLimitExceeded is raised when
 it runs out.  The budget lives in a ContextVar, so concurrent threads and
 contexts each see their own; outside any block each computation that asks
-for a budget gets a fresh one of DEFAULT_WORK_LIMIT units.
+for a budget gets a fresh one of DEFAULT_WORK_LIMIT units, whose message
+names `symrees.work_limit` rather than the CLI's `--work-limit`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,20 @@ class WorkLimitExceeded(RuntimeError):
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "default")
 
-    def __init__(self, limit):
+    def __init__(self, limit, default=False):
         self.left = limit
+        self.default = default   # a computation's own budget, outside any block
 
     def spend(self, n=1):
         self.left -= n
         if self.left < 0:
+            if self.default:
+                raise WorkLimitExceeded(
+                    f"work limit exceeded: the default budget of"
+                    f" {DEFAULT_WORK_LIMIT} units ran out; choose a limit with"
+                    f" `with symrees.work_limit(n):`")
             raise WorkLimitExceeded("work limit exceeded; raise --work-limit")
 
 
@@ -52,4 +59,4 @@ def work_limit(limit: int):
 
 def _budget() -> _Budget:
     budget = _BUDGET.get()
-    return _Budget(DEFAULT_WORK_LIMIT) if budget is None else budget
+    return _Budget(DEFAULT_WORK_LIMIT, default=True) if budget is None else budget

@@ -57,7 +57,12 @@ deficit HF(S/L, D) - HF(S/I, D) counts the leading monomials that degree still
 lacks; each new element lowers it by one, and at 0 the degree's remaining
 pairs reduce to zero, so they are dropped.  Two checks keep a wrong series
 from returning an incomplete basis: a negative deficit raises AssertionError,
-and so does a final lead ideal whose numerator is not N.
+and so does a final lead ideal whose numerator is not N.  Only leading
+monomials steer such a run, so it top-reduces its seeds and S-polynomials
+(`_reduce_full` with `top`), stopping at the first irreducible term; each
+caller tail-reduces the records it keeps (`_reduce_records`), so its result
+is unchanged.  The records keep longer tails, but each step is cheaper, and a
+kernel that finishes a few of its records skips the rest's tails.
 
 Runs inside a known ideal.  An Ideal B whose `_derived["within"]` holds an
 Ideal A states that B lies in A.  The torsion pieces, the Artin-Rees and
@@ -260,7 +265,7 @@ def _rep_axpy(rep, c, q, src: _Rec, guard):
 
 
 def _reduce_full(terms: dict, reducers: Sequence[_Rec], lms: Sequence[int],
-                 guard: int, budget, rep=None) -> tuple:
+                 guard: int, budget, rep=None, top=False) -> tuple:
     """Full normal form; returns (remainder, multiplier).
 
     Fraction-free: if step k subtracts c_k * x^q_k * reducers[i_k], on exit
@@ -271,7 +276,9 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], lms: Sequence[int],
     the second when tracking, with `rep` updated in place from its value
     rep_in on entry.  `lms` lists the reducers' leading monomials, built once
     by the caller for each set of reducers.  The first reducer whose leading
-    monomial divides the current term acts.
+    monomial divides the current term acts.  With `top`, reduction stops at
+    the first term no leading monomial divides: the remainder is that term
+    plus the rest unreduced (a top-reduction).
     """
     p = dict(terms)
     r: dict = {}
@@ -283,6 +290,9 @@ def _reduce_full(terms: dict, reducers: Sequence[_Rec], lms: Sequence[int],
             if not ((m - lm) & guard):
                 break
         else:
+            if top:
+                p[m] = c
+                return p, mult
             r[m] = c
             continue
         budget.spend()
@@ -464,10 +474,15 @@ def _run_buchberger(gens, ring, order, track, hilbert=None, cover=None):
     an ideal known to contain `gens`.  Each new record removes from it the
     words its leading monomial divides, and once it is empty the run stops
     with the records it has (see the module docstring).
+
+    A Hilbert-driven run top-reduces its seeds and S-polynomials: only the
+    leading monomials steer it, and `_reduce_records` tail-reduces the
+    records the caller keeps.
     """
     lay = _layout(order, ring.arity)
     guard, emask, eguard = lay.guard, lay.emask, lay.eguard
     budget = _budget()
+    top = hilbert is not None
 
     seeds = []
     scales = []
@@ -478,13 +493,13 @@ def _run_buchberger(gens, ring, order, track, hilbert=None, cover=None):
             rep = {j: {0: 1}} if track else None
             seeds.append((ints, rep))
 
-    # one pass: each seed is reduced by the seeds kept before it, so every kept
-    # seed is already a normal form of its predecessors and a second pass
-    # would reproduce the first
+    # one pass: each seed is reduced by the seeds kept before it, so no kept
+    # seed's leading monomial is divisible by a predecessor's, and a second
+    # pass would reproduce the first
     f = []        # the records; pairs and G refer to them by index
     lms = []      # the seeds' leading monomials
     for terms, rep in seeds:
-        r, _ = _reduce_full(terms, f, lms, guard, budget, rep=rep)
+        r, _ = _reduce_full(terms, f, lms, guard, budget, rep=rep, top=top)
         if r:
             r, rep = _strip(r, rep)
             f.append(_Rec(r, guard, rep))
@@ -522,7 +537,8 @@ def _run_buchberger(gens, ring, order, track, hilbert=None, cover=None):
             continue
         # a nonzero remainder is a new record: no lm in G divides its lm, while
         # some lm in G divides that of every record in f
-        r, _ = _reduce_full(s_terms, reducers, reducer_lms, guard, budget, rep=s_rep)
+        r, _ = _reduce_full(s_terms, reducers, reducer_lms, guard, budget,
+                            rep=s_rep, top=top)
         if r:
             r, s_rep = _strip(r, s_rep)
             rec = _Rec(r, guard, s_rep)
@@ -626,15 +642,38 @@ def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> list:
     return _to_ring(target, lay, final, keep)
 
 
-def _minimal_basis(I: Ideal, order: MonomialOrder, target: RingContext) -> list:
-    """A minimal Groebner basis of I under `order`, not tail-reduced: the
-    records of one run, Hilbert-driven when I records its series, as monic
-    polynomials of `target`, whose variables are the first of I's ring.  The
-    exponents of the others are dropped, which sets those variables to 1."""
-    lay = _layout(order, I.ring.arity)
-    recs, _ = _run_buchberger(I.gens, I.ring, order, track=False,
-                              hilbert=I._derived.get("hilbert"))
-    return _to_ring(target, lay, recs, range(target.arity))
+def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> GroebnerBasis:
+    """The reduced basis of I : v^infinity under `ring.elim_order_vars(first)`,
+    v the variable at first[-1], where H is homogeneous and is I, or I
+    homogenized by a last variable h (`ring` is H's without h).
+
+    One run under `H.ring.elim_order_vars(first)`, Hilbert-driven when H
+    records its series.  Each record is moved on its packed words: the
+    exponent fields of `ring`'s variables are repacked under its layout,
+    which drops h's field (the top one), and the record's v-content is
+    subtracted.  The records are homogeneous, so no two terms meet at h = 1
+    and each keeps its leading monomial (see `ideal_ops.saturate_by_variable`);
+    sorted, they are tail-reduced by `_reduce_records` and unpacked once.
+    """
+    recs, _ = _run_buchberger(H.gens, H.ring, H.ring.elim_order_vars(first),
+                              track=False, hilbert=H._derived.get("hilbert"))
+    order = ring.elim_order_vars(first)
+    lay = _layout(order, ring.arity)
+    pack, guard = lay.pack_exponents, lay.guard
+    sv, xv = lay.shifts[first[-1]], lay.var[first[-1]]
+    out = []
+    for rec in recs:
+        terms = {pack(m): c for m, c in rec.items()}
+        k = min((m >> sv) & _FIELD_MASK for m in terms)
+        if k:
+            terms = {m - k * xv: c for m, c in terms.items()}
+        # every row of `order` is a row of H's order, so this bound holds
+        # already; it is checked as at every other entry into a layout
+        if any(m & guard for m in terms):
+            raise _overflow()
+        out.append(_Rec(terms, guard))
+    out.sort(key=attrgetter("lm"))
+    return _untracked_basis(ring, order, _reduce_records(out, lay, _budget()))
 
 
 def _free_elements(gb: GroebnerBasis, gone: Sequence[int],
@@ -673,19 +712,6 @@ def _to_ring(target: RingContext, lay: _Layout, recs, keep: Sequence[int]) -> li
                 target, {tuple((m >> s) & _FIELD_MASK for s in shifts): c
                          for m, c in rec.items()}, Fraction(1, rec.lc))
             for rec in recs]
-
-
-def reduced_basis(basis: Sequence[Polynomial], ring: RingContext,
-                  order: MonomialOrder) -> GroebnerBasis:
-    """The reduced Groebner basis of the ideal that `basis` generates.
-
-    `basis` must already be a Groebner basis under `order`; it is only
-    minimalized and tail-reduced, without a Buchberger run.
-    """
-    lay = _layout(order, ring.arity)
-    recs = sorted((_Rec(_to_engine(lay, g)[0], lay.guard)
-                   for g in basis if not g.is_zero), key=lambda rec: rec.lm)
-    return _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
 
 
 def _untracked_basis(ring, order, final) -> GroebnerBasis:

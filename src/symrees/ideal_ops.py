@@ -18,7 +18,9 @@ the variable's block: its one run, Hilbert-driven from the input's grevlex
 basis (homogenized by a fresh last variable h when that is not homogeneous)
 under a block order that also eliminates that block, gives both the
 saturation and its contraction, read off the same prefix of the
-saturation's reduced basis (`groebner._free_elements`).
+saturation's reduced basis (`groebner._free_elements`).  Its records leave the
+engine once (`groebner._saturated`): h is dropped and the variable divided out
+on their packed words, and they are tail-reduced and unpacked in one pass.
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
 read off one tracked run (`member_lifts`).  Dimension comes from maximal
@@ -35,12 +37,11 @@ from .groebner import (
     GroebnerBasis,
     _eliminated,
     _free_elements,
-    _minimal_basis,
+    _saturated,
     groebner,
     ideal_member,
     member_lifts,
     normal_form,
-    reduced_basis,
 )
 from .hilbert import HilbertSeries, hilbert_numerator
 from .rings import (
@@ -200,10 +201,12 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
     without h, so the run's basis at h = 1 is a Groebner basis of I; and v
     divides the leading monomial of a block-homogeneous polynomial only when
     it divides the polynomial, so its elements divided by their v-content are
-    one of I : v^infinity.  Minimalizing and tail-reducing them, with no
-    second Buchberger run, gives its reduced basis under that order.  As in
-    `_eliminate`, the elements free of v's block are the contraction.  Input
-    not homogeneous in v's block takes `saturate_principal` and `eliminate`.
+    one of I : v^infinity.  `groebner._saturated` sets h = 1 and divides out
+    v on the run's packed records, then minimalizes and tail-reduces them
+    with no second Buchberger run and unpacks them once: the reduced basis
+    under that order.  As in `_eliminate`, the elements free of v's block
+    are the contraction.  Input not homogeneous in v's block takes
+    `saturate_principal` and `eliminate`.
     """
     ring = I.ring
     iv = ring.index(v)
@@ -216,10 +219,7 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
     gone = ring.block_indices(block)
     keep = tuple(i for i in range(ring.arity) if i not in gone)
     first = tuple(i for i in gone if i != iv) + (iv,)
-    H = _homogenized(I, gb)
-    sat = reduced_basis([_divide_out(g, iv) for g in
-                         _minimal_basis(H, H.ring.elim_order_vars(first), ring)],
-                        ring, ring.elim_order_vars(first))
+    sat = _saturated(_homogenized(I, gb), ring, first)
     sub = ring.subring(keep)
     return Ideal(ring, sat.elements), _seeded(ring, gone,
                                               Ideal(sub, _free_elements(sat, gone, sub)))
@@ -254,16 +254,6 @@ def _homogenize(g: Polynomial, ext: RingContext) -> Polynomial:
     d = max(map(sum, g.coeffs))
     return Polynomial.from_ints(ext, {m + (d - sum(m),): c for m, c in g.coeffs.items()},
                                 g.scale)
-
-
-def _divide_out(g: Polynomial, i: int) -> Polynomial:
-    """g divided by the largest power of variable i that divides it."""
-    e = min(m[i] for m in g.coeffs)
-    if not e:
-        return g
-    return Polynomial.from_ints(
-        g.ring, {m[:i] + (m[i] - e,) + m[i + 1:]: c for m, c in g.coeffs.items()},
-        g.scale)
 
 
 def eliminate(I: Ideal, block: str) -> Ideal:

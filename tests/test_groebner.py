@@ -372,6 +372,22 @@ def test_thread_started_in_a_block_gets_no_budget_from_it():
             buchberger(I)
 
 
+def test_default_budget_names_the_library_limit():
+    # outside any block a product gets its own budget of 10^6 units, which
+    # 1001 x 1000 pairs of terms overrun; a library caller has no --work-limit
+    a = sum((R3.monomial((i, 0, 0), 1) for i in range(1001)), R3.zero)
+    b = sum((R3.monomial((0, j, 0), 1) for j in range(1000)), R3.zero)
+    with pytest.raises(WorkLimitExceeded) as exc:
+        a * b
+    msg = str(exc.value)
+    assert msg.startswith("work limit exceeded")
+    assert "symrees.work_limit(n)" in msg and "1000000" in msg
+    assert "--work-limit" not in msg
+    # a block's budget keeps the message the CLI reports
+    with pytest.raises(WorkLimitExceeded, match="raise --work-limit"), work_limit(5):
+        a * b
+
+
 def test_no_public_callable_takes_a_work_limit():
     # the budget is context-scoped; no signature may thread it through again.
     # `__all__` holds functions, classes (with their methods) and the layer

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from symrees import LEX, Ideal, buchberger, make_pair
 from symrees.blowup import _fiber, rees_ideal, relative_rees_ideal
-from symrees.budget import _BUDGET, work_limit
+from symrees.budget import _BUDGET, WorkLimitExceeded, work_limit
 from symrees.curves import gradient_pair, sample_parameters
 from symrees.fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, pair_by_name
 from symrees.groebner import _layout
@@ -121,6 +121,21 @@ def test_rees_kernels_of_random_forms_equal_a_plain_run(gens_terms, l_terms):
     assert relative_rees_ideal(pair).gens == _plain_kernel(pair, True)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gens_terms=homogeneous_ideals)
+@pytest.mark.parametrize("order", [GREVLEX, R3.elim_order_vars([0])],
+                         ids=["grevlex", "elim-x"])
+def test_hilbert_driven_runs_give_the_plain_reduced_basis(gens_terms, order):
+    # a Hilbert-driven run only top-reduces its records; `buchberger`
+    # tail-reduces them, so its basis is the one a plain run gives
+    gens = build(gens_terms)
+    plain = buchberger(Ideal(R3, gens), order)
+    lead = buchberger(Ideal(R3, gens)).leading_monomials()
+    I = Ideal(R3, gens)
+    I._derived["hilbert"] = HilbertSeries((1, 1, 1), hilbert_numerator(lead, (1, 1, 1)))
+    assert buchberger(I, order) == plain
+
+
 def _member(fam):
     """The member of a catalog family at the seed-0 sample of its parameters."""
     alpha = sample_parameters(fam.ring(), fam.constraint_polys(), seed=0)
@@ -201,6 +216,22 @@ def test_hilbert_driven_kernel_takes_less_work():
     pair = gradient_pair(curve.curve()).pair
     plain, _ = _kernel_input(pair, False)
     assert _spent(_recorded(pair)) < _spent(plain)
+
+
+# the work of the bad-quintic-embedded kernel's run with its true series, all
+# 53 records tail-reduced: the run only top-reduces, so the final reduction
+# takes the tails up
+KERNEL_LEAST = 2757
+
+
+def test_kernel_work_is_pinned():
+    I = _recorded(gradient_pair(curve_by_name("bad-quintic-embedded").curve()).pair)
+    order = I.ring.elim_order_vars([I.ring.arity - 1])
+    assert _spent(I) == KERNEL_LEAST
+    with work_limit(KERNEL_LEAST):
+        buchberger(I, order)
+    with pytest.raises(WorkLimitExceeded), work_limit(KERNEL_LEAST - 1):
+        buchberger(I, order)
 
 
 @pytest.mark.parametrize("shift", [1, -1])

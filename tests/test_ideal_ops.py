@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import symrees
@@ -157,16 +157,28 @@ def _with_u(ring, gens_terms, us) -> list:
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(gens_terms=homogeneous_ideals,
-       us=st.lists(st.integers(0, 2), min_size=9, max_size=9))
+       us=st.lists(st.integers(0, 2), min_size=9, max_size=9),
+       shared=st.integers(0, 2))
+@example(gens_terms=[[(1, (1, 0, 0)), (-1, (0, 1, 0))], [(1, (0, 2, 0)), (-1, (0, 0, 2))]],
+         us=[1, 0, 2, 0, 0, 0, 0, 0, 0], shared=1)
 @pytest.mark.parametrize("ring", [RU, RU_LEX], ids=["grevlex", "lex"])
-def test_saturate_by_variable_through_the_homogenized_basis(ring, gens_terms, us):
-    # forms in x, y, z over k[u], mostly not homogeneous in u: their grevlex
-    # basis is homogenized by h; on the lex ring it is not the ring's own
-    I = Ideal(ring, _with_u(ring, gens_terms, us))
+def test_saturate_by_variable_through_the_homogenized_basis(ring, gens_terms, us, shared):
+    # forms in x, y, z over k[u], mostly not homogeneous in u, each times
+    # v^shared: their grevlex basis is homogenized by h, which the run's
+    # records drop as they divide v out; on the lex ring it is not the ring's
+    # own order, so the contraction's basis is not seeded
+    forms = _with_u(ring, gens_terms, us)
     for v in ("x", "y", "z"):
+        xv = ring.var(v)
+        I = Ideal(ring, [xv ** shared * g for g in forms])
         sat, contraction = saturate_by_variable(I, v)
-        want = saturate_principal(I, ring.var(v))
-        assert ideal_equal(sat, want)
+        sub = contraction.ring
+        seeded = {sub.order: buchberger(Ideal(sub, contraction.gens))}
+        assert contraction._gb_cache == (seeded if ring is RU else {})
+        want = saturate_principal(I, xv)
+        iv = ring.index(v)
+        first = tuple(i for i in range(3) if i != iv) + (iv,)
+        assert sat.gens == buchberger(want, ring.elim_order_vars(first)).elements
         assert contraction.gens == eliminate(want, "geom").gens
 
 
