@@ -48,6 +48,19 @@ CASES = {
     "aluffi_ar_number": ["aluffi", "ar-number", "four_points.txt", "--bound", "3"],
     "aluffi_standard_base": ["aluffi", "standard-base", "four_points.txt",
                              "--bound", "3"],
+    # monomial pairs and meets: coordinate points (I and J monomial) and
+    # equigenerated forms (I = J + m^2, whose reduced basis is m^2)
+    "aluffi_torsion_coordinate_points": ["aluffi", "torsion", "coordinate_points.txt",
+                                         "--bound", "3"],
+    "aluffi_ar_number_coordinate_points": ["aluffi", "ar-number",
+                                           "coordinate_points.txt", "--bound", "3"],
+    "aluffi_standard_base_coordinate_points": ["aluffi", "standard-base",
+                                               "coordinate_points.txt", "--bound", "3"],
+    "aluffi_torsion_forms": ["aluffi", "torsion", "forms.txt", "--bound", "3"],
+    "aluffi_ar_number_forms": ["aluffi", "ar-number", "forms.txt", "--bound", "3"],
+    "aluffi_standard_base_forms": ["aluffi", "standard-base", "forms.txt",
+                                   "--bound", "3"],
+    "ideal_intersect_lex_monomials": ["ideal", "intersect", "lex_monomials.txt"],
     "curve_cert": ["curve", "cert", "curve.txt"],
     "family_analyze": ["family", "analyze", "family.txt", "--seed", "2"],
     "family_member": ["family", "member", "family.txt", "--alpha", "1"],
