@@ -20,16 +20,20 @@ and every caller holding that object (the presentation, the linear-type test,
 the relation type, the analytic spread) shares one elimination.  A PairInput
 builds its `i_ideal` and `j_ideal` once, so each pair has one I object and one
 J object.  A fresh Ideal with equal generators pays for its own kernel.
-What depends on J as well stays in `pair._cache`: the powers I^t under
-("power", t), each built from I^(t-1) when first read, the meets J cap I^t
-under ("meet", t) (read by the torsion pieces, the Artin-Rees number and the
-standard-base check; J cap I is J), the products J * I^(t-1) for t >= 2 under
-("lower", t) (read by the torsion pieces as the lower filtration ideal, by the
-Artin-Rees number as (J cap I) * I^(t-1) for k = 1, since J <= I, and by the
-standard-base check when every I-order is 1), the relative Rees ideal under
-"relrees", the syzygy matrix under "syz" and its fiber forms under
-"symforms".  Since the ideals are shared, so are their Groebner caches: each
-basis is computed once per pair.
+`make_pair` solves the certificates on that I object, so the tracked run
+leaves I's reduced basis in its cache.
+What depends on J as well stays in `pair._cache`: the powers I^t for t >= 2
+under ("power", t), each built from I^(t-1) when first read (I^1 is I
+itself; when I's reduced basis is monomial, each power is its own reduced
+basis, from the products of basis words, with no Buchberger run), the meets
+J cap I^t under ("meet", t) (read by the torsion pieces, the Artin-Rees
+number and the standard-base check; J cap I is J), the products J * I^(t-1)
+for t >= 2 under ("lower", t) (read by the torsion pieces as the lower
+filtration ideal, by the Artin-Rees number as (J cap I) * I^(t-1) for k = 1,
+since J <= I, and by the standard-base check when every I-order is 1), the
+relative Rees ideal under "relrees", the syzygy matrix under "syz" and its
+fiber forms under "symforms".  Since the ideals are shared, so are their
+Groebner caches: each basis is computed once per pair.
 An ideal compared with J cap I^t (the lower filtration ideal, an Artin-Rees
 product, a standard-base right-hand side) lies in it and is recorded as
 within it, as the symmetric ideal is within the Rees ideal, so its Groebner
@@ -42,8 +46,11 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Sequence
 
+from .budget import _budget
 from .groebner import (
     GroebnerBasis,
+    _layout,
+    _monomial_basis,
     groebner,
     member_lifts,
     normal_form,
@@ -71,15 +78,17 @@ class CertificateError(ValueError):
     """A containment certificate does not reproduce its generator."""
 
 
-def solve_certificates(js: Sequence[Polynomial], i_gens: Sequence[Polynomial]) -> list:
+def solve_certificates(js: Sequence[Polynomial],
+                       i_gens: Sequence[Polynomial] | Ideal) -> list:
     """For each a in `js`, coefficients c with a = sum c_j * i_gens[j].
 
     One tracked basis of `i_gens` serves every element: each is reduced by it
-    inside the engine with its representation tracked (`member_lifts`).
+    inside the engine with its representation tracked (`member_lifts`).  An
+    Ideal's generators are read, and its cache gets the basis.
     """
     if not js:
         return []
-    rows = member_lifts(js, list(i_gens))
+    rows = member_lifts(js, i_gens)
     for a, row in zip(js, rows):
         if row is None:
             raise CertificateError(f"{a} is not in the ideal of the given generators")
@@ -101,11 +110,12 @@ class PairInput:
     fiber_ring: RingContext = field(compare=False)
     fiber_names: tuple = field(compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    i_ideal: Ideal = field(init=False, compare=False, repr=False)
+    i_ideal: Ideal | None = field(default=None, compare=False, repr=False)
     j_ideal: Ideal = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "i_ideal", Ideal(self.ring, self.i_gens))
+        if self.i_ideal is None:
+            object.__setattr__(self, "i_ideal", Ideal(self.ring, self.i_gens))
         object.__setattr__(self, "j_ideal", Ideal(self.ring, self.j_gens))
 
 
@@ -120,8 +130,10 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
     if any(g.is_zero for g in i_gens):
         # `i_ideal` drops zeros, and its Rees ideal must live on fiber_ring
         raise RingError("the generators of I must be nonzero")
+    i_ideal = Ideal(ring, i_gens)
     if certificates is None:
-        certificates = tuple(tuple(row) for row in solve_certificates(j_gens, i_gens))
+        # the tracked run leaves I's reduced basis in the pair's own I
+        certificates = tuple(tuple(row) for row in solve_certificates(j_gens, i_ideal))
     else:
         certificates = tuple(tuple(row) for row in certificates)
     if len(certificates) != len(j_gens):
@@ -132,7 +144,8 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
         if apply_row(i_gens, row) != a:
             raise CertificateError(f"certificate does not reproduce {a}")
     fiber_ring, fiber_names = _fiber(ring, len(i_gens))
-    return PairInput(ring, i_gens, j_gens, certificates, fiber_ring, fiber_names)
+    return PairInput(ring, i_gens, j_gens, certificates, fiber_ring, fiber_names,
+                     i_ideal=i_ideal)
 
 
 def _fiber(ring: RingContext, n: int) -> tuple:
@@ -306,16 +319,38 @@ class TorsionReport:
 
 
 def _pair_power(pair: PairInput, t: int) -> Ideal:
-    """I^t, built once per pair and degree under `("power", t)`.
+    """I^t, built once per pair and degree under `("power", t)`; I^1 is
+    `pair.i_ideal` itself, which has `ideal_power(I, 1)`'s generators.
 
-    Each level is formed from the one below it by `ideal_power_step`, so the
-    generators and their term order are those of `ideal_power(I, t)`.
+    When I's reduced basis is monomial, I^t is the monomial ideal of the
+    products of I^(t-1)'s basis with I's, each product spending one unit,
+    and its generators are its reduced basis (`groebner._monomial_basis`),
+    which its Groebner cache holds.  Otherwise each level is formed from the
+    one below it by `ideal_power_step`, so the generators and their term
+    order are those of `ideal_power(I, t)`.
     """
+    I = pair.i_ideal
+    if t == 1:
+        return I
     key = ("power", t)
     if key not in pair._cache:
-        I = pair.i_ideal
-        pair._cache[key] = (Ideal(I.ring, [I.ring.one]) if t == 0 else
-                            ideal_power_step(I, _pair_power(pair, t - 1), t))
+        if t == 0:
+            power = Ideal(I.ring, [I.ring.one])
+        else:
+            prev = _pair_power(pair, t - 1)
+            base = groebner(I)
+            if all(len(g.coeffs) == 1 for g in base):
+                order = I.ring.order
+                lay = _layout(order, I.ring.arity)
+                a = [rec.lm for rec in groebner(prev)._engine_records(lay)]
+                b = [rec.lm for rec in base._engine_records(lay)]
+                _budget().spend(len(a) * len(b))
+                gb = _monomial_basis(I.ring, order, [u + v for u in a for v in b])
+                power = Ideal(I.ring, gb.elements)
+                power._gb_cache[order] = gb
+            else:
+                power = ideal_power_step(I, prev, t)
+        pair._cache[key] = power
     return pair._cache[key]
 
 

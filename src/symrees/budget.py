@@ -7,7 +7,8 @@ spends one per S-pair and reduction step.  WorkLimitExceeded is raised when
 it runs out.  The budget lives in a ContextVar, so concurrent threads and
 contexts each see their own; outside any block each computation that asks
 for a budget gets a fresh one of DEFAULT_WORK_LIMIT units, whose message
-names `symrees.work_limit` rather than the CLI's `--work-limit`.
+names `symrees.work_limit`.  No message names a CLI flag: the CLI adds its
+`--work-limit` hint where it reports the exception.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class _Budget:
                     f"work limit exceeded: the default budget of"
                     f" {DEFAULT_WORK_LIMIT} units ran out; choose a limit with"
                     f" `with symrees.work_limit(n):`")
-            raise WorkLimitExceeded("work limit exceeded; raise --work-limit")
+            raise WorkLimitExceeded("work limit exceeded")
 
 
 _BUDGET: ContextVar[_Budget | None] = ContextVar("symrees_budget", default=None)

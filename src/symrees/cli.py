@@ -306,7 +306,7 @@ def _command(group, name: str, *params, file: bool = True, passed=None,
                 emit(click.get_current_context(), label, inputs, results, *seed,
                      elapsed=elapsed)
             except WorkLimitExceeded as exc:
-                click.echo(f"resource limit: {exc}", err=True)
+                click.echo(f"resource limit: {exc}; raise --work-limit", err=True)
                 sys.exit(3)
             except (ParseError, RingError, CertificateError, OSError) as exc:
                 click.echo(f"input error: {exc}", err=True)

@@ -79,6 +79,16 @@ Groebner basis of B and B = A (Cox-Little-O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2 sec. 5).  A wrong claim that the check can see, a reduced
 basis that is not A's, raises AssertionError.
 
+Monomial ideals need no run.  The reduced basis of an ideal generated by
+monomials is its minimal monomial generators, monic; sorted ascending, a
+divisor comes before its multiples, so one upward pass with the divisibility
+test above finds them (`_monomial_basis`), and a pair of monomials would only
+give a zero S-polynomial.  `buchberger` takes this route for single-term
+generators when no Hilbert series is recorded, keeping the check against a
+containing ideal; `ideal_ops.intersect` for the lcms of two such ideals; and
+`blowup` for the powers of an ideal whose reduced basis is monomial, as
+products of basis words.
+
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
 engine's only lift bookkeeping.  Tracking is a property of the records: a run
@@ -94,8 +104,10 @@ quotients are the representation of the input.
 
 Work budget.  Every reduction step and every S-pair taken spends one unit of
 the context's work budget (`budget.work_limit`; the CLI wraps each command in
-one), as every product of two polynomials outside the engine spends one per
-pair of terms; outside any block every engine call gets a fresh budget of
+one), as does every word `_monomial_basis` drops as non-minimal, the one
+reduction step of such a seed; every product of two polynomials outside the
+engine spends one per pair of terms, and every lcm or product of monomial
+basis words one; outside any block every engine call gets a fresh budget of
 DEFAULT_WORK_LIMIT units.
 """
 
@@ -118,6 +130,8 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
+    _make,
+    _ONE,
     int_content,
 )
 
@@ -594,6 +608,36 @@ def _reduce_records(recs, lay: _Layout, budget) -> list:
     return final
 
 
+def _monomial_basis(ring: RingContext, order: MonomialOrder, words) -> GroebnerBasis:
+    """The reduced basis under `order` of the monomial ideal of the packed
+    monomials `words`: its minimal generators, monic and descending.
+
+    Ascending, a divisor comes before its multiples, so one upward pass keeps
+    each word that no kept word divides.  Each word dropped as non-minimal
+    spends one unit, the engine's one reduction step for such a seed; no
+    S-pair is taken, as a pair of monomials never enters the engine's pair
+    set.
+    """
+    lay = _layout(order, ring.arity)
+    guard, eguard = lay.guard, lay.eguard
+    words = sorted(set(words))
+    if any(w & guard for w in words):
+        raise _overflow()
+    kept = []
+    for w in words:
+        for k in kept:
+            if not ((w - k) & eguard):
+                break
+        else:
+            kept.append(w)
+    _budget().spend(len(words) - len(kept))
+    kept.reverse()
+    unpack = lay.unpack
+    return GroebnerBasis(ring, order,
+                         tuple(_make(ring, {unpack(w): 1}, _ONE) for w in kept),
+                         _records=tuple(_Rec({w: 1}, guard) for w in kept))
+
+
 def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of an Ideal or a generator list.
 
@@ -601,7 +645,9 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     gets a Hilbert-driven run.  An Ideal B whose `_derived["within"]` holds
     an Ideal A containing it, with A's basis under `order` already cached,
     gets a run that stops once its lead ideal covers A's; its basis must
-    then be A's.
+    then be A's.  Single-term generators with no recorded series need no
+    run: their basis is the minimal generators of their monomial ideal
+    (`_monomial_basis`), held to the same check against A.
     """
     gens, ring = _as_gens(source)
     order = order or ring.order
@@ -611,9 +657,16 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     cover = None
     if outer is not None and outer.elements:
         cover = [rec.lm & lay.emask for rec in outer._engine_records(lay)]
-    recs, _ = _run_buchberger(gens, ring, order, track=False,
-                              hilbert=derived.get("hilbert"), cover=cover)
-    gb = _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
+    if "hilbert" not in derived and all(len(g.coeffs) <= 1 for g in gens):
+        pack = lay.pack
+        gb = _monomial_basis(ring, order, [pack(m) for g in gens for m in g.coeffs])
+        if cover:
+            for rec in gb._records:
+                _uncover(cover, rec.lm & lay.emask, lay.eguard)
+    else:
+        recs, _ = _run_buchberger(gens, ring, order, track=False,
+                                  hilbert=derived.get("hilbert"), cover=cover)
+        gb = _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
     if cover == [] and gb.elements != outer.elements:
         raise AssertionError("an ideal recorded as within another has the other's"
                              " lead ideal but not its basis")
@@ -818,13 +871,15 @@ def syzygy_lifts(gens: Sequence[Polynomial] | Ideal) -> list:
     return rows
 
 
-def member_lifts(targets: Sequence[Polynomial], gens: Sequence[Polynomial]) -> list:
+def member_lifts(targets: Sequence[Polynomial],
+                 gens: Sequence[Polynomial] | Ideal) -> list:
     """For each target a, a row c with a == sum_j c[j] * gens[j], or None when
     a is not in the ideal of `gens`.
 
     One tracked run serves every target: a is reduced by the basis with an
     empty representation, which ends as minus the quotients pulled back
-    along the basis's representation, times the reduction's multiplier.
+    along the basis's representation, times the reduction's multiplier.  An
+    Ideal's generators are read, and its cache gets the basis (`_tracked_run`).
     """
     ring, lay, budget, final, scales = _tracked_run(gens)
     lms = [rec.lm for rec in final]

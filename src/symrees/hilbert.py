@@ -45,31 +45,51 @@ def _shift_add(dst: dict, src: dict, c: int, k: int) -> None:
             del dst[e + k]
 
 
+def _degree(e: int, shifts, weights) -> int:
+    """The weighted degree of the exponent word `e`."""
+    return sum(w * ((e >> s) & _FIELD_MASK) for s, w in zip(shifts, weights))
+
+
 def _numerator(gens: list, shifts, weights, eguard: int) -> dict:
-    """The Hilbert numerator of the monomial ideal M of the exponent words.
+    """The Hilbert numerator of the monomial ideal M of the exponent words."""
+    return _pivot({g: _degree(g, shifts, weights) for g in _minimal(gens, eguard)},
+                  shifts, weights, eguard)
+
+
+def _pivot(gens: dict, shifts, weights, eguard: int) -> dict:
+    """The Hilbert numerator of the monomial ideal M of its minimal generators,
+    given as {exponent word: weighted degree}.
 
     Pivot recursion (Bigatti, J. Pure Appl. Algebra 119, 1997) on p = x_i^e,
     x_i the variable in most minimal generators and e its least exponent
     among them:  N(M) = N(M + p) + t^deg(p) N(M : p),  where M + p splits as
-    (p) plus the generators free of x_i.  Pairwise coprime generators end it.
+    (p) plus the generators free of x_i.  Those are minimal already; the
+    generators of M : p are minimalized, and each keeps its degree less
+    e * deg(x_i).  Pairwise coprime generators end it.
     """
-    gens = _minimal(gens, eguard)
-    if sum(gens) == _top(gens, eguard):      # no variable in two generators
+    words = list(gens)
+    if sum(words) == _top(words, eguard):    # no variable in two generators
         num = {0: 1}
-        for g in gens:
-            _shift_add(num, dict(num), -1,
-                       sum(w * ((g >> s) & _FIELD_MASK) for s, w in zip(shifts, weights)))
+        for d in gens.values():
+            _shift_add(num, dict(num), -1, d)
         return num
     most = 1
     for s, w in zip(shifts, weights):
-        exps = [(g >> s) & _FIELD_MASK for g in gens]
+        exps = [(g >> s) & _FIELD_MASK for g in words]
         k = len(exps) - exps.count(0)
         if k > most:
             most, shift, weight, pexps = k, s, w, exps
     e = min(x for x in pexps if x)
-    free = _numerator([g for g, x in zip(gens, pexps) if not x], shifts, weights, eguard)
-    num = _numerator([g - (e << shift) if x else g for g, x in zip(gens, pexps)],
-                     shifts, weights, eguard)
+    free = _pivot({g: gens[g] for g, x in zip(words, pexps) if not x},
+                  shifts, weights, eguard)
+    colon = {}
+    for g, x in zip(words, pexps):
+        if x:
+            colon[g - (e << shift)] = gens[g] - e * weight
+        else:
+            colon[g] = gens[g]
+    colon = {g: colon[g] for g in _minimal(colon, eguard)}
+    num = _pivot(colon, shifts, weights, eguard)
     _shift_add(num, free, -1, 0)
     _shift_add(free, num, 1, e * weight)
     return free
@@ -114,12 +134,13 @@ class _HilbertCount:
         self.eguard = lay.eguard
         self.target = series.numerator
         self.lead = _minimal(words, self.eguard)     # minimal generators of L
-        self.num = _numerator(self.lead, self.shifts, self.weights, self.eguard)
+        self.num = _pivot({g: self.degree(g) for g in self.lead},
+                          self.shifts, self.weights, self.eguard)
         self.degs = {}       # weighted degree by pair lcm
         self.left = 0        # the deficit of the degree under way
 
     def degree(self, e: int) -> int:
-        return sum(w * ((e >> s) & _FIELD_MASK) for s, w in zip(self.shifts, self.weights))
+        return _degree(e, self.shifts, self.weights)
 
     def add(self, e: int) -> bool:
         """L += (x^e): N(L + m) = N(L) - t^deg(m) N(L : m).  True when that

@@ -1,8 +1,8 @@
 """Ideal calculus: sum/product/power, intersection, quotient, saturation,
 elimination, equality, Krull dimension and graded minimal generators.
 
-One primitive, `_eliminate`, does every elimination but one: a Buchberger run
-under the block order with the eliminated variables first, keeping the basis
+One primitive, `_eliminate`, does the eliminations: a Buchberger run under
+the block order with the eliminated variables first, keeping the basis
 elements free of them.  The engine finishes only those (`groebner._eliminated`):
 they are an ascending prefix of the run's records, so only they are
 tail-reduced and unpacked into the target ring.  `eliminate` and
@@ -13,14 +13,23 @@ kept elements are the reduced basis of the result under the block order
 restricted to the kept variables, so when that restriction is the target
 ring's own order (grevlex targets; not lex ones), the result carries that
 basis in its Groebner cache (`_seeded`) and `groebner` on it runs no
-Buchberger.  The exception is `saturate_by_variable` on input homogeneous in
-the variable's block: its one run, Hilbert-driven from the input's grevlex
-basis (homogenized by a fresh last variable h when that is not homogeneous)
-under a block order that also eliminates that block, gives both the
-saturation and its contraction, read off the same prefix of the
-saturation's reduced basis (`groebner._free_elements`).  Its records leave the
-engine once (`groebner._saturated`): h is dropped and the variable divided out
-on their packed words, and they are tail-reduced and unpacked in one pass.
+Buchberger.
+
+Two operations skip that primitive.  A meet of two ideals given by single
+terms is the monomial ideal of the pairwise lcms, so `intersect` forms them
+on packed exponent words and keeps the minimal ones
+(`groebner._monomial_basis`): the elimination's result, under the same
+restricted order and seeded the same way, with no Buchberger run; `quotient`
+and `saturate` on such input inherit this route.  And `saturate_by_variable`
+on input homogeneous in the variable's block makes one run, Hilbert-driven
+from the input's grevlex basis (homogenized by a fresh last variable h when
+that is not homogeneous) under a block order that also eliminates that
+block, which gives both the saturation and its contraction, read off the
+same prefix of the saturation's reduced basis (`groebner._free_elements`).
+Its records leave the engine once (`groebner._saturated`): h is dropped and
+the variable divided out on their packed words, and they are tail-reduced
+and unpacked in one pass.
+
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
 read off one tracked run (`member_lifts`).  Dimension comes from maximal
@@ -33,10 +42,14 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
+from .budget import _budget
 from .groebner import (
     GroebnerBasis,
     _eliminated,
+    _fmax,
     _free_elements,
+    _layout,
+    _monomial_basis,
     _saturated,
     groebner,
     ideal_member,
@@ -123,11 +136,30 @@ def _seeded(ring: RingContext, gone: Sequence[int], out: Ideal) -> Ideal:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the tag-variable elimination  w*I + (1-w)*J."""
+    """I ∩ J via the tag-variable elimination  w*I + (1-w)*J.
+
+    When every generator of I and J is a single term, I ∩ J is the monomial
+    ideal of the pairwise lcms (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 4 sec. 3), and no Buchberger run is needed: its reduced
+    basis under the elimination's restricted order (`_monomial_basis`) is
+    the elimination's result, seeded as there.  Each lcm spends one unit, as
+    a product spends one per pair of terms.
+    """
     _same_ring(I, J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ring, [])
     ext, _ = I.ring.with_aux("_w")
+    if all(len(g.coeffs) == 1 for g in I.gens + J.gens):
+        ring = I.ring
+        order = ext.elim_order_vars([ext.arity - 1]).restrict(range(ring.arity))
+        lay = _layout(order, ring.arity)
+        pack, emask, eguard = lay.pack, lay.emask, lay.eguard
+        a = [pack(m) & emask for g in I.gens for m in g.coeffs]
+        b = [pack(m) & emask for g in J.gens for m in g.coeffs]
+        _budget().spend(len(a) * len(b))
+        lcms = {_fmax(u, v, eguard) for u in a for v in b}
+        gb = _monomial_basis(ring, order, map(lay.pack_exponents, lcms))
+        return _seeded(ext, [ext.arity - 1], Ideal(ring, gb.elements))
     # w is the last variable of ext, so w*g and (1-w)*g only append its
     # exponent: 1 for w*g; 0, and 1 with the negated coefficient, for (1-w)*g
     gens = [Polynomial.from_ints(ext, {m + (1,): c for m, c in g.coeffs.items()},

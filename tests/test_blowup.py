@@ -22,6 +22,7 @@ from symrees import (
 from symrees.blowup import (
     CertificateError,
     _pair_lower,
+    _pair_power,
     aluffi_dimension,
     aluffi_presentation,
     analytic_spread,
@@ -550,7 +551,10 @@ def test_standard_base_reads_only_the_powers_it_needs():
     # and no step reads I^(bound+1), so it is never built
     powers = {key[1]: ideal for key, ideal in pair._cache.items()
               if key[0] == "power"}
-    assert sorted(powers) == [0, 1, 2, 3, 4]
+    # I^1 is the pair's I, so the cache holds the levels above it, and the
+    # levels start at I^1: I^0 is never built
+    assert sorted(powers) == [2, 3, 4]
+    powers[1] = pair.i_ideal
     assert [t for t, power in sorted(powers.items()) if power._gb_cache] == [1, 2]
 
 
@@ -558,26 +562,40 @@ def test_standard_base_reads_only_the_powers_it_needs():
 def test_powers_built_level_by_level_once_per_pair(name, monkeypatch):
     from symrees import blowup
     from symrees.ideal_ops import ideal_power
-    real = blowup.ideal_power_step
     formed = []
 
-    def counting(I, prev, t):
-        formed.append(t)
-        return real(I, prev, t)
+    def counting(real, label):
+        def wrapper(*args):
+            formed.append(label(*args))
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(blowup, "ideal_power_step", counting)
+    monkeypatch.setattr(blowup, "ideal_power_step",
+                        counting(blowup.ideal_power_step, lambda I, prev, t: t))
+    monkeypatch.setattr(blowup, "_monomial_basis",
+                        counting(blowup._monomial_basis, lambda *args: "monomial"))
     pair = pair_by_name(name)
     vv_pieces(pair, 4)
     artin_rees_number(pair, 4)
     standard_base_check(pair, 4)
-    # each level once, from the one below; every I-order is 1, so the orders
-    # loop stops at I^2 and nothing reads I^5
-    assert sorted(formed) == [1, 2, 3, 4]
-    for t in range(5):
-        got = pair._cache[("power", t)].gens
-        want = ideal_power(pair.i_ideal, t).gens
-        assert got == want
-        assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
+    I = pair.i_ideal
+    monomial = all(len(g.coeffs) == 1 for g in groebner(I))
+    assert monomial == (name != "four-points")
+    # each level once, from the one below, starting at I^2: I^1 is I itself.
+    # Every I-order is 1, so the orders loop stops at I^2 and nothing reads I^5
+    assert formed == (["monomial"] * 3 if monomial else [2, 3, 4])
+    assert sorted(key[1] for key in pair._cache if key[0] == "power") == [2, 3, 4]
+    assert blowup._pair_power(pair, 1) is I
+    for t in range(1, 5):
+        got = blowup._pair_power(pair, t)
+        want = ideal_power(I, t)
+        if monomial and t > 1:
+            # a monomial I's powers are their reduced bases, held in their caches
+            assert got.gens == groebner(want).elements
+            assert got._gb_cache[I.ring.order].elements == got.gens
+        else:
+            assert got.gens == want.gens
+            assert [list(p.terms) for p in got.gens] == [list(p.terms) for p in want.gens]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +669,7 @@ def test_filtration_bases_computed_once_per_pair(monkeypatch):
     # the Artin-Rees test for k >= 2 builds (J cap I^k) * I^(t-k), a distinct
     # ideal whose basis is that of J cap I^t exactly when the test passes
     cache = pair._cache
-    checks = {tuple(ideal_product(cache[("meet", k)], cache[("power", t - k)]).gens)
+    checks = {tuple(ideal_product(cache[("meet", k)], _pair_power(pair, t - k)).gens)
               for k in range(2, bound + 1) for t in range(k + 1, bound + 1)}
     hits = [basis for gens, basis in runs
             if basis in filtration and gens not in checks]
@@ -728,7 +746,7 @@ def test_artin_rees_products_are_recorded():
     cache = pair._cache
     lowers = [ideal for key, ideal in cache.items() if key[0] == "lower"]
     products = [(B.gens, A) for B, A in seen if all(B is not L for L in lowers)]
-    assert products == [(ideal_product(cache[("meet", 2)], cache[("power", t - 2)]).gens,
+    assert products == [(ideal_product(cache[("meet", 2)], _pair_power(pair, t - 2)).gens,
                          cache[("meet", t)]) for t in (3, 4)]
     _assert_recorded_containments_hold(seen)
 
@@ -770,7 +788,9 @@ def test_coordinate_points_lower_filtration_takes_no_s_pair(monkeypatch, engine_
     monkeypatch.setattr(engine, "_spoly", counting)
     before = len(engine_inputs)
     gb = groebner(lower)
-    assert [run[4] for run in engine_inputs[before:]] == [True]
+    # J and I^3 are monomial, so is their product: its basis needs no run
+    assert all(len(g.coeffs) == 1 for g in lower.gens)
+    assert engine_inputs[before:] == []
     assert not taken
     assert gb.elements == groebner(meet).elements
 

@@ -292,8 +292,9 @@ def test_work_limit_exit_code(tmp_path):
 
 
 # torsion at bound 3 makes 19 engine calls: the largest spends 179 work units,
-# all of them together 261; its polynomial products spend 379 more, 358 in
-# ideal products and powers, 17 parsing the input and 4 checking certificates
+# all of them together 261; its polynomial products spend 371 more, 350 in
+# ideal products and powers (I^1 is I itself, so no product forms it), 17
+# parsing the input and 4 checking certificates
 TORSION_PAIR = """\
 ring: x,y,z
 ideal I: x^2 - x*z; y^2 - y*z; x*y - x*z - y*z + z^2
@@ -312,9 +313,17 @@ def test_work_limit_caps_the_whole_command(tmp_path):
     assert _torsion_exit(tmp_path, 200) == 3
 
 
+def test_an_exhausted_limit_names_the_flag(tmp_path):
+    # the library's message names no flag; the CLI adds the hint on stderr
+    path = write(tmp_path, "pair.txt", TORSION_PAIR)
+    res = CliRunner().invoke(main, ["--work-limit", "5", "aluffi", "torsion", path])
+    assert res.exit_code == 3 and not res.stdout
+    assert res.stderr == "resource limit: work limit exceeded; raise --work-limit\n"
+
+
 def test_command_work_is_pinned(tmp_path):
-    assert _torsion_exit(tmp_path, 640) == 0
-    assert _torsion_exit(tmp_path, 639) == 3
+    assert _torsion_exit(tmp_path, 632) == 0
+    assert _torsion_exit(tmp_path, 631) == 3
 
 
 def test_a_power_in_the_input_spends_the_work_limit(tmp_path):

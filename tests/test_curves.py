@@ -368,7 +368,10 @@ def test_pair_syzygies_leave_the_gradient_basis_in_the_cache(curve, engine_input
     # untracked copies of the tracked records, stripped to content 1
     terms = lambda gb: [(rec.lm, rec.lc, rec.tail, rec.rep) for rec in gb._records]
     assert terms(cached) == terms(untracked)
-    assert groebner(I) is cached and len(engine_inputs) == 2
+    # a monomial gradient's basis takes no second run
+    monomial = all(len(g.coeffs) == 1 for g in I.gens)
+    assert monomial == (curve.slug == "fermat-quartic")
+    assert groebner(I) is cached and len(engine_inputs) == (1 if monomial else 2)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda fam: fam.key)

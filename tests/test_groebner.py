@@ -383,9 +383,10 @@ def test_default_budget_names_the_library_limit():
     assert msg.startswith("work limit exceeded")
     assert "symrees.work_limit(n)" in msg and "1000000" in msg
     assert "--work-limit" not in msg
-    # a block's budget keeps the message the CLI reports
-    with pytest.raises(WorkLimitExceeded, match="raise --work-limit"), work_limit(5):
+    # a block's budget names no CLI flag either: the CLI adds its own hint
+    with pytest.raises(WorkLimitExceeded) as exc, work_limit(5):
         a * b
+    assert str(exc.value) == "work limit exceeded"
 
 
 def test_no_public_callable_takes_a_work_limit():
@@ -610,7 +611,10 @@ def test_tail_reduction_on_reduced_records_matches_reducing_by_all_others(gens_t
     def terms(recs):
         return [(rec.lm, rec.lc, sorted(rec.tail)) for rec in recs]
 
-    assert {recs[0].rep is None for recs, _ in calls if recs} == {True, False}
+    # the untracked basis of single-term generators takes no run
+    monomial = all(len(g.coeffs) <= 1 for g in gens)
+    assert ({recs[0].rep is None for recs, _ in calls if recs}
+            == ({False} if monomial else {True, False}))
     for recs, lay in calls:
         new = real(recs, lay, _Budget(10 ** 6))
         old = reference_reduce_records(recs, lay, _Budget(10 ** 6))

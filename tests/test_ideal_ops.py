@@ -544,11 +544,32 @@ def test_eliminating_no_variable_keeps_the_reduced_basis(ring):
     assert out.gens == buchberger(I, GREVLEX).elements and len(out.gens) == 6
 
 
+def _tag_meet(I: Ideal, J: Ideal) -> tuple:
+    """I ∩ J by the reference route: the full reduced basis of the tag ideal
+    w*I + (1-w)*J, filtered to its elements free of w."""
+    ext, w = I.ring.with_aux("_w")
+    tag = Ideal(ext, [w * g.transport(ext) for g in I.gens]
+                + [(ext.one - w) * g.transport(ext) for g in J.gens])
+    return _reference_elimination(tag, [ext.arity - 1], I.ring)
+
+
+def _is_monomial(I: Ideal) -> bool:
+    return all(len(g.coeffs) == 1 for g in I.gens)
+
+
 @pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
 def test_pair_fixture_meets_equal_the_reference_route(name, eliminations):
     pair = pair_by_name(name)
     I, J = pair.i_ideal, pair.j_ideal
-    intersect(I, J)
-    intersect(J, ideal_power(I, 2))
-    assert len(eliminations) == 2
-    _assert_reference(eliminations)
+    sides = [(I, J), (J, ideal_power(I, 2))]
+    for A, B in sides:
+        meet = intersect(A, B)
+        assert meet.gens == _tag_meet(A, B)
+        assert meet._gb_cache[A.ring.order].elements == meet.gens
+    # a meet of two monomial ideals takes the lcm route; every other meet is
+    # one elimination
+    lcm_route = [_is_monomial(A) and _is_monomial(B) for A, B in sides]
+    assert lcm_route == [name in ("coordinate-points", "product-partials")] * 2
+    assert len(eliminations) == lcm_route.count(False)
+    if eliminations:
+        _assert_reference(eliminations)
