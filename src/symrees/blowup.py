@@ -20,8 +20,8 @@ and every caller holding that object (the presentation, the linear-type test,
 the relation type, the analytic spread) shares one elimination.  A PairInput
 builds its `i_ideal` and `j_ideal` once, so each pair has one I object and one
 J object.  A fresh Ideal with equal generators pays for its own kernel.
-`make_pair` solves the certificates on that I object, so the tracked run
-leaves I's reduced basis in its cache.
+When `make_pair` solves the certificates, it hands that I object the reduced
+basis the tracked run found.
 What depends on J as well stays in `pair._cache`: the powers I^t for t >= 2
 under ("power", t), each built from I^(t-1) when first read (I^1 is I
 itself; when I's reduced basis is monomial, each power is its own reduced
@@ -110,12 +110,11 @@ class PairInput:
     fiber_ring: RingContext = field(compare=False)
     fiber_names: tuple = field(compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    i_ideal: Ideal | None = field(default=None, compare=False, repr=False)
+    i_ideal: Ideal = field(init=False, compare=False, repr=False)
     j_ideal: Ideal = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.i_ideal is None:
-            object.__setattr__(self, "i_ideal", Ideal(self.ring, self.i_gens))
+        object.__setattr__(self, "i_ideal", Ideal(self.ring, self.i_gens))
         object.__setattr__(self, "j_ideal", Ideal(self.ring, self.j_gens))
 
 
@@ -132,7 +131,7 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
         raise RingError("the generators of I must be nonzero")
     i_ideal = Ideal(ring, i_gens)
     if certificates is None:
-        # the tracked run leaves I's reduced basis in the pair's own I
+        # the tracked run leaves I's reduced basis in i_ideal's cache
         certificates = tuple(tuple(row) for row in solve_certificates(j_gens, i_ideal))
     else:
         certificates = tuple(tuple(row) for row in certificates)
@@ -144,8 +143,9 @@ def make_pair(ring: RingContext, i_gens: Sequence[Polynomial],
         if apply_row(i_gens, row) != a:
             raise CertificateError(f"certificate does not reproduce {a}")
     fiber_ring, fiber_names = _fiber(ring, len(i_gens))
-    return PairInput(ring, i_gens, j_gens, certificates, fiber_ring, fiber_names,
-                     i_ideal=i_ideal)
+    pair = PairInput(ring, i_gens, j_gens, certificates, fiber_ring, fiber_names)
+    pair.i_ideal._gb_cache.update(i_ideal._gb_cache)
+    return pair
 
 
 def _fiber(ring: RingContext, n: int) -> tuple:

@@ -82,8 +82,9 @@ basis that is not A's, raises AssertionError.
 Monomial ideals need no run.  The reduced basis of an ideal generated by
 monomials is its minimal monomial generators, monic; sorted ascending, a
 divisor comes before its multiples, so one upward pass with the divisibility
-test above finds them (`_monomial_basis`), and a pair of monomials would only
-give a zero S-polynomial.  `buchberger` takes this route for single-term
+test above finds them (`_minimal`, which `hilbert` shares; `_monomial_basis`
+builds the basis from them), and a pair of monomials would only give a zero
+S-polynomial.  `buchberger` takes this route for single-term
 generators when no Hilbert series is recorded, keeping the check against a
 containing ideal; `ideal_ops.intersect` for the lcms of two such ideals; and
 `blowup` for the powers of an ideal whose reduced basis is monomial, as
@@ -195,6 +196,21 @@ def _fmax(a: int, b: int, guard: int) -> int:
     s = ((a | guard) - b) & guard          # guard bit set where a's field >= b's
     s -= s >> (FIELD_BITS - 1)             # ... widened to that field's value bits
     return (a & s) | (b & ~s)
+
+
+def _minimal(words, eguard: int) -> list:
+    """The minimal generators of the monomial ideal of the exponent words.
+
+    a | b makes b - a a nonnegative word, so a <= b: ascending, a divisor
+    comes before its multiples."""
+    out = []
+    for w in sorted(set(words)):
+        for k in out:
+            if not ((w - k) & eguard):
+                break
+        else:
+            out.append(w)
+    return out
 
 
 def _top(words, guard: int) -> int:
@@ -610,26 +626,18 @@ def _reduce_records(recs, lay: _Layout, budget) -> list:
 
 def _monomial_basis(ring: RingContext, order: MonomialOrder, words) -> GroebnerBasis:
     """The reduced basis under `order` of the monomial ideal of the packed
-    monomials `words`: its minimal generators, monic and descending.
-
-    Ascending, a divisor comes before its multiples, so one upward pass keeps
-    each word that no kept word divides.  Each word dropped as non-minimal
+    monomials `words`: its minimal generators (`_minimal`), monic and
+    descending.  Each word dropped as non-minimal
     spends one unit, the engine's one reduction step for such a seed; no
     S-pair is taken, as a pair of monomials never enters the engine's pair
     set.
     """
     lay = _layout(order, ring.arity)
-    guard, eguard = lay.guard, lay.eguard
-    words = sorted(set(words))
+    guard = lay.guard
+    words = set(words)
     if any(w & guard for w in words):
         raise _overflow()
-    kept = []
-    for w in words:
-        for k in kept:
-            if not ((w - k) & eguard):
-                break
-        else:
-            kept.append(w)
+    kept = _minimal(words, lay.eguard)
     _budget().spend(len(words) - len(kept))
     kept.reverse()
     unpack = lay.unpack

@@ -16,23 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .groebner import _FIELD_MASK, _fmax, _Layout, _layout, _top
+from .groebner import _FIELD_MASK, _fmax, _Layout, _layout, _minimal, _top
 from .rings import GREVLEX
-
-
-def _minimal(words, eguard: int) -> list:
-    """The minimal generators of the monomial ideal of the exponent words.
-
-    a | b makes b - a a nonnegative word, so a <= b: ascending, a divisor
-    comes before its multiples."""
-    out = []
-    for w in sorted(set(words)):
-        for k in out:
-            if not ((w - k) & eguard):
-                break
-        else:
-            out.append(w)
-    return out
 
 
 def _shift_add(dst: dict, src: dict, c: int, k: int) -> None:

@@ -120,10 +120,12 @@ def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     return _seeded(I.ring, gone, Ideal(target, _eliminated(I, gone, target)))
 
 
-def _seeded(ring: RingContext, gone: Sequence[int], out: Ideal) -> Ideal:
+def _seeded(ring: RingContext, gone: Sequence[int], out: Ideal,
+            gb: GroebnerBasis | None = None) -> Ideal:
     """`out`, given by the elements free of `gone` of a reduced basis under
     an order of `ring` with `gone` first, with those elements in its Groebner
-    cache when that order restricted to the kept variables is `out`'s own.
+    cache when that order restricted to the kept variables is `out`'s own;
+    `gb`, when given, is that basis already built.
 
     By the elimination theorem they are the reduced basis of `out` under the
     restricted order, which does not depend on how `gone` is ordered.
@@ -131,7 +133,8 @@ def _seeded(ring: RingContext, gone: Sequence[int], out: Ideal) -> Ideal:
     keep = [i for i in range(ring.arity) if i not in gone]
     target = out.ring
     if ring.elim_order_vars(gone).restrict(keep) == target.order:
-        out._gb_cache[target.order] = GroebnerBasis(target, target.order, out.gens)
+        out._gb_cache[target.order] = (gb if gb is not None else
+                                        GroebnerBasis(target, target.order, out.gens))
     return out
 
 
@@ -159,7 +162,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         _budget().spend(len(a) * len(b))
         lcms = {_fmax(u, v, eguard) for u in a for v in b}
         gb = _monomial_basis(ring, order, map(lay.pack_exponents, lcms))
-        return _seeded(ext, [ext.arity - 1], Ideal(ring, gb.elements))
+        return _seeded(ext, [ext.arity - 1], Ideal(ring, gb.elements), gb)
     # w is the last variable of ext, so w*g and (1-w)*g only append its
     # exponent: 1 for w*g; 0, and 1 with the negated coefficient, for (1-w)*g
     gens = [Polynomial.from_ints(ext, {m + (1,): c for m, c in g.coeffs.items()},

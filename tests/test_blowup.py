@@ -77,6 +77,16 @@ def test_certificates_solved_and_verified():
     assert rebuilt == XX + 2 * YY
 
 
+def test_certificate_run_leaves_its_basis_in_the_pairs_i():
+    pair = make_pair(R2, [XX * YY, YY * YY], [XX * YY * YY])
+    cached = pair.i_ideal._gb_cache[R2.order]
+    assert cached == buchberger(Ideal(R2, pair.i_gens))
+    assert groebner(pair.i_ideal) is cached
+    # supplied certificates take no run, so nothing is cached
+    given_pair = make_pair(R2, [XX], [XX * YY], certificates=[[YY]])
+    assert not given_pair.i_ideal._gb_cache
+
+
 def test_certificate_failure():
     with pytest.raises(CertificateError):
         make_pair(R2, [XX], [YY])

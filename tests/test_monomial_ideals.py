@@ -55,6 +55,8 @@ def test_monomial_meet_equals_the_tag_elimination(a, b):
         assert meet.gens == ref.gens
         assert meet._gb_cache == ref._gb_cache
         assert list(meet._gb_cache) == ([GREVLEX] if ring is R3 else [])
+        # the seeded basis keeps the packed records the meet built
+        assert all(gb._records is not None for gb in meet._gb_cache.values())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
