@@ -223,11 +223,7 @@ def pair_syzygies(pair: PairInput) -> PolyMatrix:
 def sym_forms(pair: PairInput) -> list:
     """Linear fiber forms sum_i phi[i][c] * T_i from the syzygies of the b_i."""
     if "symforms" not in pair._cache:
-        ext = pair.fiber_ring
-        phi = pair_syzygies(pair)
-        tvars = [ext.var(t) for t in pair.fiber_names]
-        forms = [apply_row([c.transport(ext) for c in col], tvars)
-                 for col in phi.columns()]
+        forms = _fiber_forms(pair, pair_syzygies(pair).columns())
         pair._cache["symforms"] = [f for f in forms if not f.is_zero]
     return pair._cache["symforms"]
 
@@ -239,10 +235,14 @@ def sym_ideal(pair: PairInput) -> Ideal:
 
 def tilde_gens(pair: PairInput) -> list:
     """a~ = sum_j c_j T_j for each generator a of J."""
+    return _fiber_forms(pair, pair.certificates)
+
+
+def _fiber_forms(pair: PairInput, rows) -> list:
+    """sum_i row[i] * T_i on R[T] for each row of polynomials on R."""
     ext = pair.fiber_ring
     tvars = [ext.var(t) for t in pair.fiber_names]
-    return [apply_row([c.transport(ext) for c in row], tvars)
-            for row in pair.certificates]
+    return [apply_row([c.transport(ext) for c in row], tvars) for row in rows]
 
 
 @dataclass(frozen=True)

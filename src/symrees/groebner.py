@@ -961,14 +961,16 @@ def ideal_member(p: Polynomial, source) -> bool:
     return normal_form(p, gb).is_zero
 
 
+def rabinowitsch(I: Ideal, p: Polynomial) -> Ideal:
+    """(I, 1 - t*p) on I's ring plus a fresh auxiliary variable t, the last."""
+    ext, t = I.ring.with_aux("_t")
+    return Ideal(ext, [g.transport(ext) for g in I.gens] + [ext.one - t * p.transport(ext)])
+
+
 def radical_member(p: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: 1 in (I, 1 - t*p) over a fresh auxiliary variable."""
     if p.ring != I.ring:
         raise RingError("ring mismatch")
     if p.is_zero:
         return ideal_member(p, I)
-    ext, t = I.ring.with_aux("_rab")
-    gens = [g.transport(ext) for g in I.gens]
-    gens.append(ext.one - t * p.transport(ext))
-    gb = buchberger(Ideal(ext, gens), GREVLEX)
-    return gb.is_unit_ideal
+    return buchberger(rabinowitsch(I, p), GREVLEX).is_unit_ideal

@@ -7,13 +7,13 @@ elements free of them.  The engine finishes only those (`groebner._eliminated`):
 they are an ascending prefix of the run's records, so only they are
 tail-reduced and unpacked into the target ring.  `eliminate` and
 `eliminate_vars` call it directly; `intersect` (tag variable w in
-w*I + (1-w)*J) and `saturate_principal` (t in (I, 1 - t*g)) first add one
-fresh variable with `RingContext.with_aux`.  By the elimination theorem the
-kept elements are the reduced basis of the result under the block order
-restricted to the kept variables, so when that restriction is the target
-ring's own order (grevlex targets; not lex ones), the result carries that
-basis in its Groebner cache (`_seeded`) and `groebner` on it runs no
-Buchberger.
+w*I + (1-w)*J) and `saturate_principal` (t in (I, 1 - t*g), built by
+`groebner.rabinowitsch`) first add one fresh variable with
+`RingContext.with_aux`.  By the elimination theorem the kept elements are
+the reduced basis of the result under the block order restricted to the
+kept variables, so when that restriction is the target ring's own order
+(grevlex targets; not lex ones), the result carries that basis in its
+Groebner cache (`_seeded`) and `groebner` on it runs no Buchberger.
 
 Two operations skip that primitive.  A meet of two ideals given by single
 terms is the monomial ideal of the pairwise lcms, so `intersect` forms them
@@ -55,6 +55,7 @@ from .groebner import (
     ideal_member,
     member_lifts,
     normal_form,
+    rabinowitsch,
 )
 from .hilbert import HilbertSeries, hilbert_numerator
 from .rings import (
@@ -218,10 +219,8 @@ def saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     """I : g^infinity by eliminating t from (I, 1 - t*g)."""
     if g.is_zero:
         raise RingError("saturation by zero")
-    ext, t = I.ring.with_aux("_t")
-    gens = [h.transport(ext) for h in I.gens]
-    gens.append(ext.one - t * g.transport(ext))
-    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring)
+    aux = rabinowitsch(I, g)
+    return _eliminate(aux, [aux.ring.arity - 1], I.ring)
 
 
 def saturate_by_variable(I: Ideal, v: str) -> tuple:

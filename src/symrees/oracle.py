@@ -1,9 +1,8 @@
 """Independent brute-force oracles: monomial-ideal set operations by direct
 enumeration, and degree-bounded linear algebra over Q for graded membership,
-syzygy completeness and vector-space dimensions of graded pieces.  Ranks come
-from fraction-free elimination on sparse integer rows (`echelon`); kernel
-bases from a Gauss-Jordan elimination over Fractions (`_rref`), since their
-callers read the reduced rows.
+syzygy completeness and vector-space dimensions of graded pieces.  One
+fraction-free elimination on sparse integer rows, `echelon`, does every rank,
+kernel and span test.
 
 Everything here deliberately avoids the Groebner engine so the two routes can
 be compared against each other in tests.
@@ -11,12 +10,11 @@ be compared against each other in tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 from typing import Sequence
 
-from .rings import Ideal, Monom, Polynomial, RingContext, RingError
+from .rings import Monom, Polynomial, RingError
 
 
 # ---------------------------------------------------------------------------
@@ -29,17 +27,9 @@ def monomials_up_to(arity: int, degree: int) -> list:
 
 
 def monomials_of_degree(arity: int, degree: int) -> list:
-    if arity == 0:
-        return [()] if degree == 0 else []
-    out = []
-    def rec(prefix, left):
-        if len(prefix) == arity - 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for e in range(left + 1):
-            rec(prefix + [e], left - e)
-    rec([], degree)
-    return out
+    """The exponent tuples of total degree `degree`, in lexicographic order."""
+    return sorted(tuple(combo.count(i) for i in range(arity))
+                  for combo in combinations_with_replacement(range(arity), degree))
 
 
 def _mono_divides(a: Monom, b: Monom) -> bool:
@@ -81,7 +71,6 @@ def monomial_saturation(A: Sequence[Monom], B: Sequence[Monom], arity: int,
     and A : b^e = A : b^infinity.  The callers' B have at most 2 generators
     and their A exponents at most 4, so k = 12 is past that point.
     """
-    from itertools import combinations_with_replacement
     bk = []
     for combo in combinations_with_replacement(B, SATURATION_POWER):
         m = tuple(0 for _ in range(arity))
@@ -95,45 +84,16 @@ def monomial_saturation(A: Sequence[Monom], B: Sequence[Monom], arity: int,
 # exact linear algebra
 
 
-def _rref(rows: list) -> list:
-    """Reduced row echelon form over Q, in place; returns pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
-
-
 def echelon(rows) -> dict:
     """Fraction-free echelon form of sparse integer rows {column: value}.
 
-    Each row is reduced on its largest column by the pivot row kept there;
-    returns the pivot rows, each of content 1, by pivot column, so their
-    number is the rank.
+    Each row is copied, then reduced on its largest column by the pivot row
+    kept there; returns the pivot rows, each of content 1, by pivot column, so
+    their number is the rank.  Columns need only be mutually comparable.
     """
     pivots = {}
     for row in rows:
+        row = dict(row)
         while row:
             col = max(row)
             pivot = pivots.get(col)
@@ -155,28 +115,42 @@ def echelon(rows) -> dict:
     return pivots
 
 
-def rank(rows: list) -> int:
-    """Rank over Q of rows of ints or Fractions, by `echelon` on the sparse
-    integer rows left when each row's denominators are cleared."""
-    sparse = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row if v))
-        sparse.append({c: int(v * den) for c, v in enumerate(row) if v})
-    return len(echelon(sparse))
+def _integral(row: dict) -> dict:
+    """The sparse rational row times the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items() if v}
+
+
+def kernel(columns: Sequence[dict]) -> list:
+    """Basis of the kernel of the Q-linear map e_j -> columns[j], each column
+    a sparse {key: value}; vectors {j: int}.
+
+    Row j is column j at the columns (1, key) plus the identity entry (0, j),
+    which sorts below them, scaled to integers as a whole: a combination of
+    the rows has zero (1, key) part exactly when its identity part is in the
+    kernel.  So the pivot rows that end on a (0, j) column span the kernel.
+    """
+    rows = [_integral({**{(1, k): v for k, v in col.items()}, (0, j): 1})
+            for j, col in enumerate(columns)]
+    return [{j: v for (_, j), v in row.items()}
+            for (kind, _), row in echelon(rows).items() if kind == 0]
+
+
+def _shifted(m: Monom, terms: dict) -> dict:
+    """The terms {monomial: coefficient} times x^m."""
+    return {tuple(a + b for a, b in zip(m, mm)): c for mm, c in terms.items()}
 
 
 def graded_piece_dimension(gens: Sequence[Polynomial], degree: int) -> int:
     """dim_Q of the degree-d part of the ideal (gens), standard grading.
 
-    Spanning set: g * (monomials of degree d - deg g) for each homogeneous g.
+    Spanning set: g * (monomials of degree d - deg g) for each homogeneous g,
+    each taken as its integer part, since scales do not change the rank.
     Only valid when every generator is homogeneous.
     """
     if not gens:
         return 0
-    ring = gens[0].ring
-    arity = ring.arity
-    basis = monomials_of_degree(arity, degree)
-    index = {m: i for i, m in enumerate(basis)}
+    arity = gens[0].ring.arity
     rows = []
     for g in gens:
         rep = g.is_homogeneous()
@@ -187,69 +161,30 @@ def graded_piece_dimension(gens: Sequence[Polynomial], degree: int) -> int:
         d = degree - rep.degree
         if d < 0:
             continue
-        for m in monomials_of_degree(arity, d):
-            row = [Fraction(0)] * len(basis)
-            for mm, c in g.terms.items():
-                key = tuple(a + b for a, b in zip(m, mm))
-                row[index[key]] = c
-            rows.append(row)
-    return rank(rows)
+        rows.extend(_shifted(m, g.coeffs) for m in monomials_of_degree(arity, d))
+    return len(echelon(rows))
 
 
 def syzygies_up_to_degree(gens: Sequence[Polynomial], degree: int) -> list:
     """Basis of syzygy vectors (h_1..h_m), deg h_i + deg g_i <= degree.
 
-    Linear-algebra kernel over the monomial coefficient space; the generators
-    need not be homogeneous (total degree bounds are used).
+    The kernel of the map that sends the unknown (i, m) to x^m * g_i on the
+    monomial coefficient space; the generators need not be homogeneous (total
+    degree bounds are used).
     """
     if not gens:
         return []
     ring = gens[0].ring
-    arity = ring.arity
-    cols = []  # (gen index, monomial) unknowns
-    for i, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        room = degree - g.degree()
-        if room < 0:
-            continue
-        for m in monomials_up_to(arity, room):
-            cols.append((i, m))
-    target = sorted(monomials_up_to(arity, degree))
-    tindex = {m: k for k, m in enumerate(target)}
-    # matrix: rows = target monomials, columns = unknowns
-    matrix = [[Fraction(0)] * len(cols) for _ in target]
-    for cidx, (i, m) in enumerate(cols):
-        for mm, c in gens[i].terms.items():
-            key = tuple(a + b for a, b in zip(m, mm))
-            matrix[tindex[key]][cidx] = c
-    kern = kernel_basis(matrix)
+    unknowns = [(i, m) for i, g in enumerate(gens) if not g.is_zero
+                for m in monomials_up_to(ring.arity, degree - g.degree())]
+    columns = [_shifted(m, gens[i].terms) for i, m in unknowns]
     out = []
-    for vec in kern:
-        col = [ring.zero] * len(gens)
-        for cidx, (i, m) in enumerate(cols):
-            if vec[cidx]:
-                col[i] = col[i] + ring.monomial(m, vec[cidx])
-        out.append(col)
-    return out
-
-
-def kernel_basis(matrix: list) -> list:
-    """Basis of the right kernel of a Q-matrix given as list of rows."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    work = [list(map(Fraction, row)) for row in matrix]
-    pivots = _rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        out.append(vec)
+    for vec in kernel(columns):
+        terms = [{} for _ in gens]
+        for j, v in vec.items():
+            i, m = unknowns[j]
+            terms[i][m] = v
+        out.append([Polynomial(ring, t) for t in terms])
     return out
 
 
@@ -275,62 +210,31 @@ def column_in_span(col: Sequence[Polynomial], columns: Sequence[Sequence[Polynom
     """Graded module membership: col in sum R*columns over a standard-graded ring.
 
     Syzygy columns of generators with degrees d_i are graded with a single
-    column degree D (entry i has degree D - d_i), which turns membership into
-    one exact linear solve per candidate coefficient degree.
+    column degree D (entry i has degree D - d_i), so membership is a rank
+    test in column degree D: one row per unknown x^mono * columns[j] of that
+    degree, and col is in their span when adding it leaves the rank alone.
     """
     live = [p for p in col if not p.is_zero]
     if not live:
         return True
     if not columns:
         return False
-    ring = live[0].ring
-    arity = ring.arity
-    m = len(col)
+    arity = live[0].ring.arity
     if gen_degrees is None:
-        gen_degrees = [0] * m
+        gen_degrees = [0] * len(col)
     D_target = _column_degree(col, gen_degrees)
     if D_target is None:
         raise RingError("target column is not graded for the given degrees")
 
-    unknowns = []
-    for j, cj in enumerate(columns):
+    rows = []
+    for cj in columns:
         Dj = _column_degree(cj, gen_degrees)
-        if Dj is None:
+        if Dj is None or Dj > D_target:
             continue
-        dj = D_target - Dj
-        if dj < 0:
-            continue
-        for mono in monomials_of_degree(arity, dj):
-            unknowns.append((j, mono))
-    if not unknowns:
+        for mono in monomials_of_degree(arity, D_target - Dj):
+            rows.append(_integral({(i, key): c for i, p in enumerate(cj)
+                                   for key, c in _shifted(mono, p.terms).items()}))
+    if not rows:
         return False
-
-    keys: dict = {}
-
-    def keyof(i, mono):
-        k = (i, mono)
-        if k not in keys:
-            keys[k] = len(keys)
-        return keys[k]
-
-    cols_mat = []
-    for (j, mono) in unknowns:
-        colvec = {}
-        for i in range(m):
-            p = columns[j][i]
-            for mm, c in p.terms.items():
-                kk = keyof(i, tuple(a + b for a, b in zip(mono, mm)))
-                colvec[kk] = colvec.get(kk, 0) + c
-        cols_mat.append(colvec)
-    rhs = {}
-    for i, p in enumerate(col):
-        for mm, c in p.terms.items():
-            rhs[keyof(i, mm)] = c
-    matrix = [[Fraction(0)] * (len(unknowns) + 1) for _ in range(len(keys))]
-    for cidx, colvec in enumerate(cols_mat):
-        for r, v in colvec.items():
-            matrix[r][cidx] = v
-    for r, v in rhs.items():
-        matrix[r][len(unknowns)] = v
-    a_only = [row[:-1] for row in matrix]
-    return rank(a_only) == rank(matrix)
+    target = _integral({(i, mm): c for i, p in enumerate(col) for mm, c in p.terms.items()})
+    return len(echelon(rows + [target])) == len(echelon(rows))

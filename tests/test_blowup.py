@@ -48,7 +48,7 @@ from symrees.ideal_ops import (
     saturate_principal,
 )
 from symrees.fixtures import CURVES, PAIR_FIXTURES, four_points_pair, pair_by_name
-from symrees.oracle import echelon, monomials_of_degree, rank
+from symrees.oracle import echelon, kernel, monomials_of_degree
 from strategies import build, homogeneous_ideals, linear_forms
 
 R2 = make_ring(["x", "y"])
@@ -480,8 +480,7 @@ def test_rees_ideal_bigraded_pieces_are_kernels_of_the_monomial_map(build_pair):
     # there as the piece has dimension.  The a = 0 row is the special fiber;
     # the piece (d, 1) holds the Koszul syzygies, so it is never zero.
     pair = build_pair()
-    ring, gens = pair.ring, list(pair.i_gens)
-    (d,) = {g.degree() for g in gens}
+    (d,) = {g.degree() for g in pair.i_gens}
     lead = groebner(rees_ideal(pair)).leading_monomials()
     bidegrees = {(a, b) for a in range(4) for b in range(4 - a)}
     bidegrees |= {(a, 1) for a in range(d + 1)}
@@ -490,37 +489,17 @@ def test_rees_ideal_bigraded_pieces_are_kernels_of_the_monomial_map(build_pair):
         mons, images = _monomial_map(pair, a, b)
         in_lead = sum(any(all(map(le, m, alpha + beta)) for m in lead)
                       for alpha, beta in mons)
-        index = {m: i for i, m in enumerate(monomials_of_degree(ring.arity, a + b * d))}
-        rows = []
-        for image in images:
-            row = [0] * len(index)
-            for m, c in image.terms.items():
-                row[index[m]] = c
-            rows.append(row)
-        kernels[a, b] = len(mons) - rank(rows)
+        kernels[a, b] = len(mons) - len(echelon(image.coeffs for image in images))
         assert in_lead == kernels[a, b], (a, b)
     assert kernels[d, 1]
 
 
-def _integer_row(image):
-    """The coefficients of an integer polynomial, by monomial."""
-    assert image.scale.denominator == 1
-    return {m: image.scale.numerator * c for m, c in image.coeffs.items()}
-
-
 def _fiber_kernel(pair, a, b):
     """A basis of the Rees ideal's (a, b) piece, as vectors {(alpha, beta): c}
-    in the kernel of `_monomial_map`: the identity columns (0, j) sit below
-    the image columns (1, m), so the rows whose image part is eliminated
-    pivot on them."""
+    in the oracle's kernel of `_monomial_map`."""
     mons, images = _monomial_map(pair, a, b)
-    rows = []
-    for j, image in enumerate(images):
-        row = {(1, m): c for m, c in _integer_row(image).items()}
-        row[0, j] = 1
-        rows.append(row)
-    return [{mons[j]: v for (_, j), v in row.items()}
-            for (kind, _), row in echelon(rows).items() if kind == 0]
+    return [{mons[j]: v for j, v in vec.items()}
+            for vec in kernel([image.terms for image in images])]
 
 
 @pytest.mark.parametrize("build_pair", PAIRS_AND_CURVES)
@@ -535,18 +514,14 @@ def test_relation_type_is_the_last_fiber_degree_with_a_new_generator(build_pair)
     top = max(block_degree(g, "geom") for g, _ in
               minimal_homogeneous_generators(rees_ideal(pair), "fiber"))
     kernels = {(a, c): _fiber_kernel(pair, a, c)
-               for a in range(top + 1) for c in range(b - 1, b + 2)}
-    dims = {key: len(basis) for key, basis in kernels.items()}
-    for a in range(top + 1):    # of K_(a, b + 2) only the dimension is needed
-        mons, images = _monomial_map(pair, a, b + 2)
-        dims[a, b + 2] = len(mons) - len(echelon(map(_integer_row, images)))
+               for a in range(top + 1) for c in range(b - 1, b + 3)}
 
     def new_generators(a, c):
         # dim K_(a, c) - dim sum_i T_i * K_(a, c - 1)
         shifted = [{(alpha, tuple(e + (j == i) for j, e in enumerate(beta))): v
                     for (alpha, beta), v in vec.items()}
                    for vec in kernels[a, c - 1] for i in range(len(pair.i_gens))]
-        return dims[a, c] - len(echelon(shifted))
+        return len(kernels[a, c]) - len(echelon(shifted))
 
     assert any(new_generators(a, b) > 0 for a in range(top + 1))
     assert all(new_generators(a, c) == 0
