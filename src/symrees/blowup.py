@@ -14,6 +14,20 @@ form a~ = sum c_j T_j lets the three algebras live in one ring:
     rees  = kernel of T_i -> b_i u          -- Rees_R(I)
     aluffi = rees + (J, J~)                 -- the embedded Aluffi algebra
 
+The Aluffi series.  For J = (f) with f, the b_i and the certificate
+homogeneous, R[T]/aluffi is graded by the Rees weights (1 for each variable
+of R, deg b_i + 1 for T_i), and with d = deg f
+
+    HS(R[T]/aluffi) = (1 - t^(d+1)) HS(R[T]/rees) - t^d HS(R).
+
+Proof: in B = R[T]/rees = R[Iu] the ideal (f, f~) is (f*u)B + fR, whose two
+summands lie in u-degrees >= 1 and 0; R is a domain and f is in I, so
+multiplying by f*u (of degree d + 1) is injective on B, and by f on R.
+`aluffi_presentation` records this series on the Aluffi ideal, from the
+leading monomials of the Rees ideal's cached basis (`_aluffi_series`), so
+its basis is a Hilbert-driven run (see `groebner`); `aluffi_dimension`
+reads only its leading monomials.
+
 Caching.  The Rees ideal depends on I alone, so it lives on the Ideal object:
 `rees_ideal` stores it in `I._derived["rees"]`, next to I's Groebner cache,
 and every caller holding that object (the presentation, the linear-type test,
@@ -38,17 +52,22 @@ An ideal compared with J cap I^t (the lower filtration ideal, an Artin-Rees
 product, a standard-base right-hand side) lies in it and is recorded as
 within it, as the symmetric ideal is within the Rees ideal, so its Groebner
 run stops once its lead ideal covers the larger ideal's (see `groebner`).
+The products J * I^(t-1), (J cap I^k) * I^(t-k) and I^k * (w) of two ideals
+whose reduced bases are monomial come from products of basis words, as the
+powers do (`_word_product`), held to the same check against J cap I^t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Sequence
 
 from .budget import _budget
 from .groebner import (
     GroebnerBasis,
+    _check_within,
     _layout,
     _monomial_basis,
     groebner,
@@ -56,7 +75,7 @@ from .groebner import (
     normal_form,
     radical_member,
 )
-from .hilbert import HilbertSeries, hilbert_numerator
+from .hilbert import HilbertSeries, _shift_add, hilbert_numerator
 from .ideal_ops import (
     DimensionReport,
     dimension,
@@ -266,8 +285,46 @@ def aluffi_presentation(pair: PairInput) -> AluffiPresentation:
     jlift = [a.transport(ext) for a in pair.j_gens]
     sym = Ideal(ext, forms + jlift + tildes)
     aluffi = Ideal(ext, list(rees.gens) + jlift + tildes)
+    series = _aluffi_series(pair, rees, aluffi)
+    if series is not None:
+        aluffi._derived["hilbert"] = series
     return AluffiPresentation(pair, ext, pair.fiber_names, sym, rees, aluffi,
                               tuple(tildes))
+
+
+def _aluffi_series(pair: PairInput, rees: Ideal, aluffi: Ideal) -> HilbertSeries | None:
+    """The Hilbert series of R[T]/aluffi for J = (f), from the Rees ideal K.
+
+    Recorded only when J has one nonzero generator f, every b_i is
+    homogeneous, and every generator of `aluffi` is homogeneous for the Rees
+    weights (1 for each variable of R, deg b_i + 1 for T_i), and when K's
+    basis under R[T]'s order is cached, so no run is made here.  Then (see
+    the module docstring), with d = deg f,
+
+        N = (1 - t^(d+1)) * N(in K) - t^d * prod_i (1 - t^(deg b_i + 1)).
+    """
+    if len(pair.j_ideal.gens) != 1:
+        return None
+    degs = [b.is_homogeneous() for b in pair.i_gens]
+    if not all(d.homogeneous for d in degs):
+        return None
+    weights = (1,) * pair.ring.arity + tuple(d.degree + 1 for d in degs)
+    if not all(len({sum(map(mul, m, weights)) for m in g.coeffs}) == 1
+               for g in aluffi.gens):
+        return None
+    kernel = rees._gb_cache.get(pair.fiber_ring.order)
+    if kernel is None:
+        return None
+    d = pair.j_ideal.gens[0].degree()
+    rees_num = hilbert_numerator(kernel.leading_monomials(), weights)
+    num: dict = {}
+    _shift_add(num, rees_num, 1, 0)
+    _shift_add(num, rees_num, -1, d + 1)
+    fiber = {0: 1}
+    for w in weights[pair.ring.arity:]:
+        _shift_add(fiber, dict(fiber), -1, w)
+    _shift_add(num, fiber, -1, d)
+    return HilbertSeries(weights, num)
 
 
 def relative_rees_ideal(pair: PairInput) -> Ideal:
@@ -338,20 +395,61 @@ def _pair_power(pair: PairInput, t: int) -> Ideal:
             power = Ideal(I.ring, [I.ring.one])
         else:
             prev = _pair_power(pair, t - 1)
-            base = groebner(I)
-            if all(len(g.coeffs) == 1 for g in base):
-                order = I.ring.order
-                lay = _layout(order, I.ring.arity)
-                a = [rec.lm for rec in groebner(prev)._engine_records(lay)]
-                b = [rec.lm for rec in base._engine_records(lay)]
-                _budget().spend(len(a) * len(b))
-                gb = _monomial_basis(I.ring, order, [u + v for u in a for v in b])
-                power = Ideal(I.ring, gb.elements)
-                power._gb_cache[order] = gb
-            else:
+            groebner(I)          # I's reduced basis decides the route
+            power = _word_product(prev, I)
+            if power is None:
                 power = ideal_power_step(I, prev, t)
         pair._cache[key] = power
     return pair._cache[key]
+
+
+def _monomial_words(A: Ideal, lay) -> list | None:
+    """The packed leading monomials of A's reduced basis under its ring's
+    order when that basis is monomial and known without a run: cached, or
+    from single-term generators.  None otherwise."""
+    gb = A._gb_cache.get(A.ring.order)
+    if gb is None and all(len(g.coeffs) == 1 for g in A.gens):
+        gb = groebner(A)
+    if gb is None or not all(len(g.coeffs) == 1 for g in gb):
+        return None
+    return [rec.lm for rec in gb._engine_records(lay)]
+
+
+def _word_product(A: Ideal, B: Ideal, within: Ideal | None = None) -> Ideal | None:
+    """A * B when both reduced bases are monomial and known (`_monomial_words`):
+    the monomial ideal of the products of their basis words, each product
+    spending one unit, given by its reduced basis (`groebner._monomial_basis`),
+    which its Groebner cache holds.  None otherwise.
+
+    `within`, an ideal known to contain A * B, is recorded and held to the
+    check a run on A * B would make (`groebner._check_within`).
+    """
+    ring = A.ring
+    order = ring.order
+    lay = _layout(order, ring.arity)
+    a = _monomial_words(A, lay)
+    b = None if a is None else _monomial_words(B, lay)
+    if b is None:
+        return None
+    _budget().spend(len(a) * len(b))
+    gb = _monomial_basis(ring, order, [u + v for u in a for v in b])
+    if within is not None:
+        _check_within(gb, within._gb_cache.get(order), lay)
+    product = Ideal(ring, gb.elements)
+    product._gb_cache[order] = gb
+    return product
+
+
+def _product(A: Ideal, B: Ideal, within: Ideal | None = None) -> Ideal:
+    """A * B, recorded as within `within` when given: from basis words when
+    both bases are monomial (`_word_product`), else `ideal_product`'s
+    generators."""
+    product = _word_product(A, B, within)
+    if product is None:
+        product = ideal_product(A, B)
+    if within is not None:
+        product._derived["within"] = within
+    return product
 
 
 def _pair_meet(pair: PairInput, t: int) -> Ideal:
@@ -377,9 +475,8 @@ def _pair_lower(pair: PairInput, t: int) -> Ideal:
     if t == 1:
         return pair.j_ideal
     if ("lower", t) not in pair._cache:
-        lower = ideal_product(pair.j_ideal, _pair_power(pair, t - 1))
-        lower._derived["within"] = _pair_meet(pair, t)
-        pair._cache[("lower", t)] = lower
+        pair._cache[("lower", t)] = _product(pair.j_ideal, _pair_power(pair, t - 1),
+                                             _pair_meet(pair, t))
     return pair._cache[("lower", t)]
 
 
@@ -439,7 +536,7 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionRepo
         for w in witnesses:
             found = None
             for k in range(1, bound + 1):
-                wk = ideal_product(_pair_power(pair, k), Ideal(pair.ring, [w]))
+                wk = _product(_pair_power(pair, k), Ideal(pair.ring, [w]))
                 if ideal_contains(lower, wk):
                     found = k
                     break
@@ -472,8 +569,7 @@ def artin_rees_number(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> int
             elif k == 1:            # J <= I, so J cap I = J
                 rhs = _pair_lower(pair, t)
             else:
-                rhs = ideal_product(meets[k], _pair_power(pair, t - k))
-                rhs._derived["within"] = meets[t]
+                rhs = _product(meets[k], _pair_power(pair, t - k), meets[t])
             if not ideal_equal(meets[t], rhs):
                 ok = False
                 break

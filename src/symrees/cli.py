@@ -27,12 +27,14 @@ FILE, times the command body, emits the report and maps errors to exit
 codes, so these are uniform across commands: every human report ends with
 `elapsed:`, and the exit codes are 0 success, 1 failed mathematical verdict
 (`accept`, `fixtures run`), 2 input error, 3 resource limit exceeded,
-4 internal error.
+4 internal error, and 141 (128 + SIGPIPE, as a shell reports) when the
+reader of stdout closes it before the report is written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 import traceback
@@ -280,6 +282,9 @@ def main(ctx, fmt, limit):
     ctx.with_resource(work_limit(limit))
 
 
+PIPE_CLOSED = 141    # the exit status of a report whose reader closed stdout
+
+
 def _command(group, name: str, *params, file: bool = True, passed=None,
              label: str | None = None):
     """Register the decorated body as the leaf command `name` of `group`.
@@ -300,15 +305,24 @@ def _command(group, name: str, *params, file: bool = True, passed=None,
         def run(**options):
             try:
                 job = (load_job(options.pop("file")),) if file else ()
+            except (ParseError, RingError, OSError) as exc:
+                click.echo(f"input error: {exc}", err=True)
+                sys.exit(2)
+            try:
                 t0 = time.perf_counter()
                 inputs, results, *seed = body(*job, **options)
                 elapsed = time.perf_counter() - t0
                 emit(click.get_current_context(), label, inputs, results, *seed,
                      elapsed=elapsed)
+            except BrokenPipeError:
+                # the reader closed stdout; point it at devnull so the flush
+                # at exit does not raise again, and exit as SIGPIPE would
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                sys.exit(PIPE_CLOSED)
             except WorkLimitExceeded as exc:
                 click.echo(f"resource limit: {exc}; raise --work-limit", err=True)
                 sys.exit(3)
-            except (ParseError, RingError, CertificateError, OSError) as exc:
+            except (ParseError, RingError, CertificateError) as exc:
                 click.echo(f"input error: {exc}", err=True)
                 sys.exit(2)
             except Exception:

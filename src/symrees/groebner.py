@@ -46,13 +46,14 @@ Hilbert-driven runs (Traverso, J. Symb. Comp. 22, 1996).  An Ideal whose
 `_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states that
 it is homogeneous for those positive variable weights and that S/I has the
 Hilbert series N(t) / prod_i (1 - t^w_i).  The Rees kernels
-(`blowup._rees_kernel`) and the homogenized grevlex bases that saturations by
-a variable start from (`ideal_ops._homogenized`) record one; every other run,
-tracked runs included, keeps the selection above.  Such a run takes its pairs
-degree by degree, by (weighted degree, lcm), and keeps the numerator of its
-lead ideal L current as leading monomials arrive: N(L + (m)) = N(L) - t^deg(m)
-N(L : m), with N(L : m) by Bigatti's pivot recursion, starting from the
-numerator of the seeds' leading monomials.  At the start of degree D the
+(`blowup._rees_kernel`), the homogenized grevlex bases that saturations by
+a variable start from (`ideal_ops._homogenized`) and the embedded (Aluffi)
+algebra's ideal of a principal J (`blowup._aluffi_series`) record one; every
+other run, tracked runs included, keeps the selection above.  Such a run
+takes its pairs degree by degree, by (weighted degree, lcm), and keeps the
+numerator of its lead ideal L current as leading monomials arrive:
+N(L + (m)) = N(L) - t^deg(m) N(L : m), with N(L : m) by Bigatti's pivot
+recursion, starting from the numerator of the seeds' leading monomials.  At the start of degree D the
 deficit HF(S/L, D) - HF(S/I, D) counts the leading monomials that degree still
 lacks; each new element lowers it by one, and at 0 the degree's remaining
 pairs reduce to zero, so they are dropped.  Two checks keep a wrong series
@@ -63,6 +64,14 @@ monomials steer such a run, so it top-reduces its seeds and S-polynomials
 caller tail-reduces the records it keeps (`_reduce_records`), so its result
 is unchanged.  The records keep longer tails, but each step is cheaper, and a
 kernel that finishes a few of its records skips the rest's tails.
+
+Bases finished on first read.  A reader of leading monomials alone
+(`ideal_ops.dimension`, through `_lead_basis`) caches the basis of one run
+unfinished: the GroebnerBasis holds the run's records, reads its leading
+monomials and `is_unit_ideal` off their minimal leading monomials, and
+tail-reduces and unpacks them only when its elements or records are first
+read, by iteration, length, equality or a later `groebner` caller.  A basis
+nobody else reads is never finished, and a later read makes no second run.
 
 Runs inside a known ideal.  An Ideal B whose `_derived["within"]` holds an
 Ideal A states that B lies in A.  The torsion pieces, the Artin-Rees and
@@ -115,7 +124,6 @@ DEFAULT_WORK_LIMIT units.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -387,19 +395,51 @@ def _strip(terms: dict, rep):
     return terms, rep
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements, descending by leading monomial.
 
     `_records` holds the engine's packed form of the elements; a basis built
     by the engine carries the records of its run, and any other basis builds
     them on first use.
+
+    A basis made by `_basis` holds the records of its run unfinished (`_run`,
+    ascending, not yet reduced): its leading monomials and `is_unit_ideal`
+    are read off them, and the first read of its elements, records, iteration,
+    length or equality tail-reduces and unpacks them (`_reduce_records`) under
+    the reader's budget.  A finish sets the records before the elements and
+    drops the run after them, so threads that finish one basis at once only
+    replace missing values with equal ones.
     """
 
-    ring: RingContext
-    order: MonomialOrder
-    elements: tuple
-    _records: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("ring", "order", "_elements", "_recs", "_run")
+
+    def __init__(self, ring: RingContext, order: MonomialOrder, elements,
+                 _records: tuple | None = None, _run: list | None = None):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_recs", _records)
+        object.__setattr__(self, "_run", _run)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GroebnerBasis is immutable")
+
+    @property
+    def elements(self) -> tuple:
+        run = self._run          # read first: a finish drops it after the elements
+        if self._elements is None:
+            lay = _layout(self.order, self.ring.arity)
+            final = _reduce_records(run, lay, _budget())
+            object.__setattr__(self, "_recs", tuple(final))
+            object.__setattr__(self, "_elements", tuple(
+                _to_ring(self.ring, lay, final, range(self.ring.arity))))
+            object.__setattr__(self, "_run", None)
+        return self._elements
+
+    @property
+    def _records(self) -> tuple | None:
+        self.elements        # finishes an unfinished basis
+        return self._recs
 
     def __iter__(self):
         return iter(self.elements)
@@ -407,20 +447,41 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
+    def __eq__(self, other):
+        if other.__class__ is not GroebnerBasis:
+            return NotImplemented
+        return ((self.ring, self.order, self.elements)
+                == (other.ring, other.order, other.elements))
+
+    def __hash__(self):
+        return hash((self.ring, self.order, self.elements))
+
+    def __repr__(self):
+        return (f"GroebnerBasis(ring={self.ring!r}, order={self.order!r},"
+                f" elements={self.elements!r})")
+
     @property
     def is_unit_ideal(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0] == self.ring.one
+        run = self._run
+        if self._elements is None:
+            return bool(run) and run[0].lm == 0    # the monomial 1 packs to 0
+        return len(self._elements) == 1 and self._elements[0] == self.ring.one
 
     def leading_monomials(self) -> list:
+        run = self._run
+        if self._elements is None:
+            lay = _layout(self.order, self.ring.arity)
+            lms = _minimal([rec.lm for rec in run], lay.guard)
+            return [lay.unpack(w) for w in reversed(lms)]
         key = self.order.key_func(self.ring.arity)
-        return [max(g.coeffs, key=key) for g in self.elements]
+        return [max(g.coeffs, key=key) for g in self._elements]
 
     def _engine_records(self, lay: _Layout) -> tuple:
         recs = self._records
         if recs is None:
-            recs = tuple(_Rec(_to_engine(lay, g)[0], lay.guard) for g in self.elements)
+            recs = tuple(_Rec(_to_engine(lay, g)[0], lay.guard) for g in self._elements)
             # an equivalent value replaces a missing one, as for Ideal caches
-            object.__setattr__(self, "_records", recs)
+            object.__setattr__(self, "_recs", recs)
         return recs
 
 
@@ -657,27 +718,69 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     run: their basis is the minimal generators of their monomial ideal
     (`_monomial_basis`), held to the same check against A.
     """
+    gb = _basis(source, order)
+    gb.elements          # finishes the run's records
+    return gb
+
+
+def _basis(source, order: MonomialOrder | None = None) -> GroebnerBasis:
+    """`buchberger`'s basis, left unfinished (see GroebnerBasis) when a run
+    makes it and no check against a containing ideal reads it."""
     gens, ring = _as_gens(source)
     order = order or ring.order
     lay = _layout(order, ring.arity)
     derived = source._derived if isinstance(source, Ideal) else {}
     outer = derived["within"]._gb_cache.get(order) if "within" in derived else None
-    cover = None
-    if outer is not None and outer.elements:
-        cover = [rec.lm & lay.emask for rec in outer._engine_records(lay)]
     if "hilbert" not in derived and all(len(g.coeffs) <= 1 for g in gens):
         pack = lay.pack
         gb = _monomial_basis(ring, order, [pack(m) for g in gens for m in g.coeffs])
-        if cover:
-            for rec in gb._records:
-                _uncover(cover, rec.lm & lay.emask, lay.eguard)
-    else:
-        recs, _ = _run_buchberger(gens, ring, order, track=False,
-                                  hilbert=derived.get("hilbert"), cover=cover)
-        gb = _untracked_basis(ring, order, _reduce_records(recs, lay, _budget()))
+        _check_within(gb, outer, lay)
+        return gb
+    cover = _cover(outer, lay)
+    recs, _ = _run_buchberger(gens, ring, order, track=False,
+                              hilbert=derived.get("hilbert"), cover=cover)
+    gb = GroebnerBasis(ring, order, None, _run=recs)
     if cover == [] and gb.elements != outer.elements:
-        raise AssertionError("an ideal recorded as within another has the other's"
-                             " lead ideal but not its basis")
+        raise AssertionError(_NOT_WITHIN)
+    return gb
+
+
+_NOT_WITHIN = ("an ideal recorded as within another has the other's lead ideal but"
+               " not its basis")
+
+
+def _cover(outer: GroebnerBasis | None, lay: _Layout) -> list | None:
+    """The exponent words of the leading monomials of `outer`, the cached
+    basis of an ideal known to contain the one at hand; None when there is
+    none, or it is the zero ideal's."""
+    if outer is None or not outer.elements:
+        return None
+    return [rec.lm & lay.emask for rec in outer._engine_records(lay)]
+
+
+def _check_within(gb: GroebnerBasis, outer: GroebnerBasis | None, lay: _Layout) -> None:
+    """The check on a basis `gb` made with no run, of an ideal recorded as
+    within one whose basis under the same order is `outer` (None when it is
+    not cached): AssertionError when gb's leading monomials cover outer's
+    but gb is not outer."""
+    cover = _cover(outer, lay)
+    if cover is None:
+        return
+    for rec in gb._engine_records(lay):
+        _uncover(cover, rec.lm & lay.emask, lay.eguard)
+    if not cover and gb.elements != outer.elements:
+        raise AssertionError(_NOT_WITHIN)
+
+
+def _lead_basis(I: Ideal) -> GroebnerBasis:
+    """I's basis under its ring's order for a reader of its leading monomials
+    only: the cached one, or else `_basis`'s, cached unfinished, which a later
+    `groebner` returns and its first full read finishes."""
+    order = I.ring.order
+    gb = I._gb_cache.get(order)
+    if gb is None:
+        gb = _basis(I, order)
+        I._gb_cache[order] = gb
     return gb
 
 
@@ -823,16 +926,19 @@ def _tracked_run(source):
     """(ring, layout, budget, final records, scales) of one tracked run under
     the ring's order; the records are reduced and descending, as `division`
     sees them.  The run also gives an Ideal `source` its reduced basis under
-    the ring's order, when its Groebner cache lacks one: untracked copies of
-    the records, so `groebner` on it runs no Buchberger."""
+    the ring's order, when its Groebner cache lacks one or holds it
+    unfinished: untracked copies of the records, so `groebner` on it runs no
+    Buchberger and finishes nothing."""
     gens, ring = _as_gens(source)
     lay = _layout(ring.order, ring.arity)
     budget = _budget()
     recs, scales = _run_buchberger(gens, ring, ring.order, track=True)
     final = _reduce_records(recs, lay, budget)
-    if isinstance(source, Ideal) and ring.order not in source._gb_cache:
-        source._gb_cache[ring.order] = _untracked_basis(ring, ring.order,
-                                                        _untracked(final, lay))
+    if isinstance(source, Ideal):
+        cached = source._gb_cache.get(ring.order)
+        if cached is None or cached._elements is None:
+            source._gb_cache[ring.order] = _untracked_basis(ring, ring.order,
+                                                            _untracked(final, lay))
     return ring, lay, budget, final, scales
 
 

@@ -33,7 +33,8 @@ and unpacked in one pass.
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
 read off one tracked run (`member_lifts`).  Dimension comes from maximal
-independent variable sets modulo the initial ideal.
+independent variable sets modulo the initial ideal, and reads nothing else:
+a basis it makes is left unfinished (`groebner._lead_basis`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .groebner import (
     _fmax,
     _free_elements,
     _layout,
+    _lead_basis,
     _monomial_basis,
     _saturated,
     groebner,
@@ -337,12 +339,18 @@ class DimensionReport:
 
 
 def dimension(I: Ideal) -> DimensionReport:
-    """dim ring/I as the largest variable set independent modulo in(I)."""
+    """dim ring/I as the largest variable set independent modulo in(I).
+
+    Only in(I) is read: the leading monomials of I's basis under its ring's
+    order.  With no basis cached, one run gives them, and the basis is cached
+    unfinished (`groebner._lead_basis`): its records are tail-reduced and
+    unpacked only if something later reads its elements.
+    """
     ring = I.ring
     n = ring.arity
     if I.is_zero:
         return DimensionReport(n, 0, tuple(ring.names))
-    gb = groebner(I)
+    gb = _lead_basis(I)
     if gb.is_unit_ideal:
         return DimensionReport(-1, n + 1, (), empty=True)
     supports = []

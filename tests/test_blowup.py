@@ -555,15 +555,24 @@ def test_powers_built_level_by_level_once_per_pair(name, monkeypatch):
             return real(*args)
         return wrapper
 
+    pair = pair_by_name(name)
+    I = pair.i_ideal
+    real_word_product = blowup._word_product
+
+    def word_product(A, B, within=None):
+        # a power level is the word product of the level below with I; the
+        # products J * I^(t-1) and (J cap I^k) * I^(t-k) pass their meet
+        out = real_word_product(A, B, within)
+        if out is not None and B is I and within is None:
+            formed.append("monomial")
+        return out
+
     monkeypatch.setattr(blowup, "ideal_power_step",
                         counting(blowup.ideal_power_step, lambda I, prev, t: t))
-    monkeypatch.setattr(blowup, "_monomial_basis",
-                        counting(blowup._monomial_basis, lambda *args: "monomial"))
-    pair = pair_by_name(name)
+    monkeypatch.setattr(blowup, "_word_product", word_product)
     vv_pieces(pair, 4)
     artin_rees_number(pair, 4)
     standard_base_check(pair, 4)
-    I = pair.i_ideal
     monomial = all(len(g.coeffs) == 1 for g in groebner(I))
     assert monomial == (name != "four-points")
     # each level once, from the one below, starting at I^2: I^1 is I itself.
@@ -667,9 +676,11 @@ def test_filtration_bases_computed_once_per_pair(monkeypatch):
 
 @contextmanager
 def recorded_within():
-    """(B, A) for each Ideal B that reaches the engine recorded as within A."""
+    """(B, A) for each Ideal B that reaches the engine recorded as within A,
+    or that `blowup` forms from monomial basis words, checked against A."""
+    from symrees import blowup
     engine = sys.modules["symrees.groebner"]
-    real = engine.buchberger
+    real, real_word_product = engine.buchberger, blowup._word_product
     seen = []
 
     def recording(source, order=None):
@@ -677,11 +688,17 @@ def recorded_within():
             seen.append((source, source._derived["within"]))
         return real(source, order)
 
-    engine.buchberger = recording
+    def word_product(A, B, within=None):
+        out = real_word_product(A, B, within)
+        if out is not None and within is not None:
+            seen.append((out, within))
+        return out
+
+    engine.buchberger, blowup._word_product = recording, word_product
     try:
         yield seen
     finally:
-        engine.buchberger = real
+        engine.buchberger, blowup._word_product = real, real_word_product
 
 
 def _assert_recorded_containments_hold(seen):
@@ -720,6 +737,24 @@ def test_recorded_torsion_containments_hold(build_pair, engine_inputs):
     _assert_recorded_containments_hold(seen)
     # tracked runs never get a containment
     assert not [run for run in engine_inputs if run[2] and run[4]]
+
+
+def test_word_products_are_held_to_the_containing_ideals_basis():
+    from symrees.blowup import _word_product
+    A, B = Ideal(R3, [X]), Ideal(R3, [X, Y])
+    # (x) * (x) = (x^2) has the leading monomial of (x^2 + x*y), so a claim
+    # that it lies there must give that basis
+    wrong = Ideal(R3, [X ** 2 + X * Y])
+    groebner(wrong)
+    with pytest.raises(AssertionError):
+        _word_product(A, A, wrong)
+    right = Ideal(R3, [X ** 2, X * Y, Z])
+    groebner(right)
+    assert _word_product(A, B, right).gens == (X ** 2, X * Y)
+    # a side whose basis is not monomial, or not known without a run, takes
+    # no word route
+    assert _word_product(A, Ideal(R3, [X + Y])) is None
+    assert _word_product(Ideal(R3, [X + Y, Y]), A) is None
 
 
 def test_artin_rees_products_are_recorded():

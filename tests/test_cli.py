@@ -496,7 +496,8 @@ def test_exit_code_input_error_on_bad_rational(tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v"), ZeroDivisionError()])
+@pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v"), ZeroDivisionError(),
+                                 OSError("o")])
 def test_exit_code_internal_error(tmp_path, monkeypatch, exc):
     import symrees.cli as cli
 
@@ -506,3 +507,36 @@ def test_exit_code_internal_error(tmp_path, monkeypatch, exc):
     res = CliRunner().invoke(main, ["gb", write(tmp_path, "gb.txt", GB)])
     assert res.exit_code == 4
     assert "internal error" in res.output and type(exc).__name__ in res.output
+
+
+def test_exit_code_input_error_on_unreadable_file(tmp_path):
+    # an OSError from reading the input file is an input error
+    res = CliRunner().invoke(main, ["gb", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import symrees
+
+    # about 480 KB of report, far past a pipe's buffer, so the command is
+    # still writing when its reader closes the pipe after one byte
+    path = write(tmp_path, "lin.txt", "ring: x,y,z\n"
+                 "ideal I: x + y + z; x - y; y - z; x + 2*z; x - z; 3*x + y\n")
+    src = str(Path(symrees.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "symrees.cli", "ideal", "power",
+                             "-t", "8", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert os.read(proc.stdout.fileno(), 1) == b"c"     # "command: ..."
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # 128 + SIGPIPE, the status a shell reports; README lists it
+    assert (proc.wait(timeout=120), err) == (141, b"")

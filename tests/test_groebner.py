@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symrees import (
@@ -639,3 +639,109 @@ def test_monomial_ideal_spends_no_work_on_empty_pairs():
     assert gb.elements == tuple(R3.parse(g) for g in ("y^2*z", "z^3", "x^2", "x*y"))
     with pytest.raises(WorkLimitExceeded), work_limit(0):
         buchberger(I)
+
+
+# ---------------------------------------------------------------------------
+# a basis finished on first read: what `dimension` caches
+
+
+def _raising(name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return raising
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(ideals)
+# a run whose records include one whose leading monomial another's divides
+@example([[(-1, (1, 3, 1))], [(-3, (0, 2, 1)), (1, (2, 0, 0))]])
+def test_dimension_finishes_no_basis_and_a_later_read_runs_no_engine(gens_terms):
+    from symrees import dimension
+    gens = build(gens_terms)
+    I = Ideal(R3, gens)
+    engine = sys.modules["symrees.groebner"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_reduce_records", _raising("_reduce_records"))
+        rep = dimension(I)
+        gb = I._gb_cache.get(R3.order)
+    plain = buchberger(Ideal(R3, gens))
+    fresh = Ideal(R3, gens)
+    fresh._gb_cache[R3.order] = plain
+    assert rep == dimension(fresh)
+    if I.is_zero:
+        return
+    # the leading monomials and the unit test need no finish
+    if gb._run is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_reduce_records", _raising("_reduce_records"))
+            assert gb.leading_monomials() == plain.leading_monomials()
+            assert gb.is_unit_ideal == plain.is_unit_ideal
+    # a later groebner returns the cached basis and finishes it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_run_buchberger", _raising("_run_buchberger"))
+        got = groebner(I)
+        assert got is gb
+        assert got.elements == plain.elements
+        assert [(r.lm, r.lc, r.tail) for r in got._records] \
+            == [(r.lm, r.lc, r.tail) for r in plain._records]
+    assert got._run is None and got == plain and len(got) == len(plain)
+
+
+@pytest.mark.parametrize("read", ["elements", "_records", "iter", "len", "eq", "repr"])
+def test_each_full_read_finishes_a_basis(read):
+    from symrees.groebner import _basis
+    gens = [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z"), R3.parse("x*y - z^2")]
+    gb = _basis(Ideal(R3, gens))
+    assert gb._run is not None and gb._elements is None
+    plain = buchberger(gens)
+    {"elements": lambda: gb.elements, "_records": lambda: gb._records,
+     "iter": lambda: list(gb), "len": lambda: len(gb), "eq": lambda: gb == plain,
+     "repr": lambda: repr(gb)}[read]()
+    assert gb._run is None and gb._elements == plain.elements
+
+
+def test_a_tracked_run_replaces_an_unfinished_basis():
+    from symrees import dimension, syzygies
+    gens = [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z"), R3.parse("x*y - z^2")]
+    I = Ideal(R3, gens)
+    dimension(I)
+    assert I._gb_cache[R3.order]._run is not None
+    syzygies(I)
+    want = buchberger(gens).elements
+    engine = sys.modules["symrees.groebner"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_reduce_records", _raising("_reduce_records"))
+        mp.setattr(engine, "_run_buchberger", _raising("_run_buchberger"))
+        assert groebner(I).elements == want
+
+
+def test_threads_finishing_one_basis_get_equal_results():
+    from symrees.fixtures import curve_by_name
+    from symrees.curves import gradient_pair
+    from symrees.blowup import aluffi_presentation
+    from symrees.groebner import _basis
+    pair = gradient_pair(curve_by_name("bad-quintic-embedded").curve()).pair
+    gens = aluffi_presentation(pair).aluffi_ideal.gens
+    want = buchberger(gens)
+    for _ in range(3):
+        gb = _basis(aluffi_presentation(pair).aluffi_ideal)
+        assert gb._run is not None
+        barrier = threading.Barrier(4)
+
+        def read(k):
+            barrier.wait(timeout=60)
+            if k % 2:
+                return gb.elements, gb._records
+            return tuple(gb), gb._records
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(read, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        for elements, records in results:
+            assert elements == want.elements
+            assert [(r.lm, r.lc, r.tail) for r in records] \
+                == [(r.lm, r.lc, r.tail) for r in want._records]

@@ -3,6 +3,7 @@ Rees kernels, whose input records its known Hilbert series."""
 
 from __future__ import annotations
 
+import random
 import sys
 from itertools import product
 
@@ -10,8 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symrees import LEX, Ideal, buchberger, make_pair
-from symrees.blowup import _fiber, rees_ideal, relative_rees_ideal
+from symrees import LEX, Ideal, buchberger, dimension, groebner, make_pair
+from symrees.blowup import (
+    _fiber,
+    aluffi_dimension,
+    aluffi_presentation,
+    rees_ideal,
+    relative_rees_ideal,
+)
 from symrees.budget import _BUDGET, WorkLimitExceeded, work_limit
 from symrees.curves import gradient_pair, sample_parameters
 from symrees.fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, pair_by_name
@@ -242,3 +249,120 @@ def test_a_wrong_hilbert_series_raises(curve, shift):
     I = _recorded(gradient_pair(curve.curve()).pair, shift)
     with pytest.raises(AssertionError):
         buchberger(I, I.ring.elim_order_vars([I.ring.arity - 1]))
+
+
+# ---------------------------------------------------------------------------
+# the embedded (Aluffi) algebra's series, read off the Rees ideal
+
+
+def _aluffi_pairs():
+    """The gradient pairs of the curve fixtures, and seeded principal pairs:
+    homogeneous b_i of degrees 1-3 and J = (sum c_j b_j) with homogeneous
+    c_j, so that the certificate is homogeneous."""
+    for curve in CURVES:
+        yield curve.slug, gradient_pair(curve.curve()).pair
+    rng = random.Random(30)
+    mons = {d: [m for m in product(range(d + 1), repeat=3) if sum(m) == d]
+            for d in range(4)}
+
+    def form(d):
+        p = R3.zero
+        while p.is_zero:
+            for _ in range(rng.randint(1, 3)):
+                p = p + R3.monomial(rng.choice(mons[d]), rng.choice([-3, -2, -1, 1, 2, 4]))
+        return p
+
+    made = 0
+    while made < 12:
+        degs = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+        top = max(degs) + rng.randint(0, 1)
+        b = [form(d) for d in degs]
+        c = [form(top - d) for d in degs]
+        f = sum((ci * bi for ci, bi in zip(c, b)), R3.zero)
+        if f.is_zero:
+            continue
+        made += 1
+        yield f"principal-{made}", make_pair(R3, b, [f], [c])
+
+
+ALUFFI_PAIRS = list(_aluffi_pairs())
+
+
+@pytest.mark.parametrize("pair", [p for _, p in ALUFFI_PAIRS],
+                         ids=[name for name, _ in ALUFFI_PAIRS])
+def test_aluffi_series_is_the_finished_bases(pair):
+    pres = aluffi_presentation(pair)
+    series = pres.aluffi_ideal._derived["hilbert"]
+    plain = buchberger(Ideal(pres.ring, pres.aluffi_ideal.gens))
+    assert series.numerator == hilbert_numerator(plain.leading_monomials(), series.weights)
+    # the Hilbert-driven run gives the plain run's dimension and basis
+    fresh = Ideal(pres.ring, pres.aluffi_ideal.gens)
+    fresh._gb_cache[pres.ring.order] = plain
+    assert aluffi_dimension(pres) == dimension(fresh)
+    assert groebner(pres.aluffi_ideal) == plain
+
+
+def _parent_route_dimension(pres):
+    """The dimension from a plain, finished basis of the Aluffi ideal's
+    generators, as it was computed before the series was recorded."""
+    fresh = Ideal(pres.ring, pres.aluffi_ideal.gens)
+    groebner(fresh)
+    return dimension(fresh)
+
+
+X3, Y3, Z3 = R3.gens()
+
+
+@pytest.mark.parametrize("pair", [
+    make_pair(R3, [X3 ** 2, Y3 ** 2, X3 * Z3], [X3 ** 2, Y3 ** 2]),
+    make_pair(R3, [X3 * Y3 - Z3 ** 2, X3 ** 2 - Y3 * Z3],
+              [X3 * (X3 * Y3 - Z3 ** 2), Y3 * (X3 ** 2 - Y3 * Z3)]),
+    # x*y = (y - y^2)*x + x*y*y: a certificate that is not homogeneous
+    make_pair(R3, [X3, Y3], [X3 * Y3], [[Y3 - Y3 ** 2, X3 * Y3]]),
+    # b_i that are not homogeneous
+    make_pair(R3, [X3 + Z3 ** 2, Y3], [X3 * Y3 + Y3 * Z3 ** 2]),
+], ids=["two-j-generators", "two-j-forms", "inhomogeneous-certificate",
+        "inhomogeneous-b"])
+def test_no_series_without_one_j_generator_and_homogeneity(pair, hilbert_runs):
+    pres = aluffi_presentation(pair)
+    assert "hilbert" not in pres.aluffi_ideal._derived
+    hilbert_runs.clear()
+    assert aluffi_dimension(pres) == _parent_route_dimension(pres)
+    assert hilbert_runs[0] is None
+
+
+# the work of bad-quintic-embedded's Aluffi run under its series; dimension
+# reads its leading monomials, so none of its records is tail-reduced
+ALUFFI_LEAST = 332
+
+
+def _embedded_aluffi_ideal() -> Ideal:
+    pair = gradient_pair(curve_by_name("bad-quintic-embedded").curve()).pair
+    return aluffi_presentation(pair).aluffi_ideal
+
+
+def test_aluffi_run_work_is_pinned():
+    I = _embedded_aluffi_ideal()
+    limit = 10 ** 6
+    with work_limit(limit):
+        dimension(I)
+        assert limit - _BUDGET.get().left == ALUFFI_LEAST
+    I = _embedded_aluffi_ideal()
+    with work_limit(ALUFFI_LEAST):
+        dimension(I)
+    I = _embedded_aluffi_ideal()
+    with pytest.raises(WorkLimitExceeded), work_limit(ALUFFI_LEAST - 1):
+        dimension(I)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_wrong_aluffi_series_raises(shift):
+    # the engine's guards hold for the Aluffi ideal's series too
+    I = _embedded_aluffi_ideal()
+    series = I._derived["hilbert"]
+    num = dict(series.numerator)
+    num[0] = num.get(0, 0) + shift
+    I._derived["hilbert"] = HilbertSeries(series.weights,
+                                          {k: v for k, v in num.items() if v})
+    with pytest.raises(AssertionError):
+        dimension(I)
