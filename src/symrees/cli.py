@@ -139,8 +139,13 @@ def parse_input(text: str) -> JobSpec:
 
 
 def load_job(path: str) -> JobSpec:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        # an unreadable input file is an input error; any other OSError,
+        # such as a closed stdout, is not
+        raise RingError(str(exc)) from None
     try:
         return parse_input(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -305,10 +310,6 @@ def _command(group, name: str, *params, file: bool = True, passed=None,
         def run(**options):
             try:
                 job = (load_job(options.pop("file")),) if file else ()
-            except (ParseError, RingError, OSError) as exc:
-                click.echo(f"input error: {exc}", err=True)
-                sys.exit(2)
-            try:
                 t0 = time.perf_counter()
                 inputs, results, *seed = body(*job, **options)
                 elapsed = time.perf_counter() - t0

@@ -413,7 +413,7 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "_elements", "_recs", "_run")
 
-    def __init__(self, ring: RingContext, order: MonomialOrder, elements,
+    def __init__(self, ring: RingContext, order: MonomialOrder, elements: tuple | None,
                  _records: tuple | None = None, _run: list | None = None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)

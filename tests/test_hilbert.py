@@ -1,5 +1,6 @@
-"""Hilbert-driven Buchberger runs: the numerator of a monomial ideal, and the
-Rees kernels, whose input records its known Hilbert series."""
+"""Hilbert-driven Buchberger runs: the numerator of a monomial ideal, the
+Rees kernels, whose input records its known Hilbert series, and the embedded
+(Aluffi) algebra's ideal, whose series comes from the Rees ideal's."""
 
 from __future__ import annotations
 
