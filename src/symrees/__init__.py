@@ -9,12 +9,12 @@ curves (gradient ideals, linear-type certificates, family analysis),
 fixtures (built-in worked examples) and cli (the command-line front end).
 
 All values are immutable after construction and safe to share across
-threads; per-object caches only ever replace missing entries with
-equivalent computed values.  The work budget is context-scoped: `with
-work_limit(n):` gives the engine calls and polynomial products in its
-block one shared budget of n units, held in a ContextVar, so concurrent
-threads never see each other's budget (a new thread starts outside every
-block).
+threads; per-object caches only ever replace missing entries, or a basis
+left unfinished (see `groebner`), with equivalent computed values.  The
+work budget is context-scoped: `with work_limit(n):` gives the engine calls
+and polynomial products in its block one shared budget of n units, held in
+a ContextVar, so concurrent threads never see each other's budget (a new
+thread starts outside every block).
 """
 
 from .rings import (
