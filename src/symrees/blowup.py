@@ -54,7 +54,8 @@ within it, as the symmetric ideal is within the Rees ideal, so its Groebner
 run stops once its lead ideal covers the larger ideal's (see `groebner`).
 The products J * I^(t-1), (J cap I^k) * I^(t-k) and I^k * (w) of two ideals
 whose reduced bases are monomial come from products of basis words, as the
-powers do (`_word_product`), held to the same check against J cap I^t.
+powers do (`_word_product`, through `hilbert._combine_words`, which also
+serves the meets), held to the same check against J cap I^t.
 """
 
 from __future__ import annotations
@@ -64,18 +65,8 @@ from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence
 
-from .budget import _budget
-from .groebner import (
-    GroebnerBasis,
-    _check_within,
-    _layout,
-    _monomial_basis,
-    groebner,
-    member_lifts,
-    normal_form,
-    radical_member,
-)
-from .hilbert import HilbertSeries, _shift_add, hilbert_numerator
+from .groebner import GroebnerBasis, groebner, member_lifts, normal_form, radical_member
+from .hilbert import HilbertSeries, _combine_words, _shift_add, hilbert_numerator
 from .ideal_ops import (
     DimensionReport,
     dimension,
@@ -380,11 +371,11 @@ def _pair_power(pair: PairInput, t: int) -> Ideal:
     `pair.i_ideal` itself, which has `ideal_power(I, 1)`'s generators.
 
     When I's reduced basis is monomial, I^t is the monomial ideal of the
-    products of I^(t-1)'s basis with I's, each product spending one unit,
-    and its generators are its reduced basis (`groebner._monomial_basis`),
-    which its Groebner cache holds.  Otherwise each level is formed from the
-    one below it by `ideal_power_step`, so the generators and their term
-    order are those of `ideal_power(I, t)`.
+    products of I^(t-1)'s basis with I's (`_word_product`), and its
+    generators are its reduced basis, which its Groebner cache holds.
+    Otherwise each level is formed from the one below it by
+    `ideal_power_step`, so the generators and their term order are those of
+    `ideal_power(I, t)`.
     """
     I = pair.i_ideal
     if t == 1:
@@ -403,41 +394,11 @@ def _pair_power(pair: PairInput, t: int) -> Ideal:
     return pair._cache[key]
 
 
-def _monomial_words(A: Ideal, lay) -> list | None:
-    """The packed leading monomials of A's reduced basis under its ring's
-    order when that basis is monomial and known without a run: cached, or
-    from single-term generators.  None otherwise."""
-    gb = A._gb_cache.get(A.ring.order)
-    if gb is None and all(len(g.coeffs) == 1 for g in A.gens):
-        gb = groebner(A)
-    if gb is None or not all(len(g.coeffs) == 1 for g in gb):
-        return None
-    return [rec.lm for rec in gb._engine_records(lay)]
-
-
 def _word_product(A: Ideal, B: Ideal, within: Ideal | None = None) -> Ideal | None:
-    """A * B when both reduced bases are monomial and known (`_monomial_words`):
-    the monomial ideal of the products of their basis words, each product
-    spending one unit, given by its reduced basis (`groebner._monomial_basis`),
-    which its Groebner cache holds.  None otherwise.
-
-    `within`, an ideal known to contain A * B, is recorded and held to the
-    check a run on A * B would make (`groebner._check_within`).
-    """
-    ring = A.ring
-    order = ring.order
-    lay = _layout(order, ring.arity)
-    a = _monomial_words(A, lay)
-    b = None if a is None else _monomial_words(B, lay)
-    if b is None:
-        return None
-    _budget().spend(len(a) * len(b))
-    gb = _monomial_basis(ring, order, [u + v for u in a for v in b])
-    if within is not None:
-        _check_within(gb, within._gb_cache.get(order), lay)
-    product = Ideal(ring, gb.elements)
-    product._gb_cache[order] = gb
-    return product
+    """A * B from products of basis words (`hilbert._combine_words`) when
+    both reduced bases are monomial and known, else None; `within`, an ideal
+    known to contain A * B, is held to the check a run would make."""
+    return _combine_words(A, B, A.ring.order, meet=False, within=within)
 
 
 def _product(A: Ideal, B: Ideal, within: Ideal | None = None) -> Ideal:

@@ -73,7 +73,6 @@ from .ideal_ops import (
 )
 from .fixtures import CURVES, FAMILIES, PAIR_FIXTURES, pair_by_name
 from .rings import (
-    ORDERS,
     Ideal,
     ParseError,
     Polynomial,
@@ -350,11 +349,10 @@ def _seed():
 # Groebner bases, ideal calculus, syzygies
 
 
-@_command(main, "gb",
-          click.Option(["--order"], type=click.Choice(list(ORDERS)), default=None))
-def gb_cmd(job, order):
-    """Reduced Groebner basis of `ideal I` from FILE."""
-    basis = buchberger(job_ideal(job), ORDERS.get(order))
+@_command(main, "gb")
+def gb_cmd(job):
+    """Reduced Groebner basis of `ideal I` from FILE under its header's order."""
+    basis = buchberger(job_ideal(job))
     return ({"ideal": job.texts("ideal I")},
             {"basis": [poly_str(g) for g in basis.elements],
              "size": len(basis.elements)})

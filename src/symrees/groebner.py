@@ -93,11 +93,14 @@ monomials is its minimal monomial generators, monic; sorted ascending, a
 divisor comes before its multiples, so one upward pass with the divisibility
 test above finds them (`_minimal`, which `hilbert` shares; `_monomial_basis`
 builds the basis from them), and a pair of monomials would only give a zero
-S-polynomial.  `buchberger` takes this route for single-term
-generators when no Hilbert series is recorded, keeping the check against a
-containing ideal; `ideal_ops.intersect` for the lcms of two such ideals; and
-`blowup` for the powers of an ideal whose reduced basis is monomial, as
-products of basis words.
+S-polynomial.  `buchberger` takes this route for single-term generators when
+no Hilbert series is recorded, keeping the check against a containing ideal;
+`hilbert._combine_words` takes it for the meet or product of two ideals
+whose reduced bases are monomial, from the pairwise lcms or products of
+their basis words.  Outside the engine layer (this module and `hilbert`) no
+code reads packed words or writes a Groebner cache: an elimination hands
+back its result as an Ideal, seeded with its reduced basis when the order
+allows (`_eliminated`, `_free_elements`, `_seeded`).
 
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
@@ -469,12 +472,12 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> list:
         run = self._run
+        lay = _layout(self.order, self.ring.arity)
         if self._elements is None:
-            lay = _layout(self.order, self.ring.arity)
-            lms = _minimal([rec.lm for rec in run], lay.guard)
-            return [lay.unpack(w) for w in reversed(lms)]
-        key = self.order.key_func(self.ring.arity)
-        return [max(g.coeffs, key=key) for g in self._elements]
+            lms = _minimal([rec.lm for rec in run], lay.guard)[::-1]
+        else:
+            lms = [rec.lm for rec in self._engine_records(lay)]
+        return [lay.unpack(w) for w in lms]
 
     def _engine_records(self, lay: _Layout) -> tuple:
         recs = self._records
@@ -784,11 +787,11 @@ def _lead_basis(I: Ideal) -> GroebnerBasis:
     return gb
 
 
-def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> list:
-    """The reduced basis of I ∩ k[variables not in `gone`] under the order
-    `I.ring.elim_order_vars(gone)` restricts to them, descending, as monic
-    polynomials of `target`, which lists those variables in their order in
-    `I.ring`.
+def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
+    """I ∩ k[variables not in `gone`] in `target`, which lists those
+    variables in their order in `I.ring`, given by its reduced basis under
+    the order `I.ring.elim_order_vars(gone)` restricts to them, descending
+    and monic, and seeded with it (`_seeded`).
 
     One run under that order, Hilbert-driven when I records its series.  The
     kept records are the ascending prefix `_free_prefix` finds; only they are
@@ -803,7 +806,19 @@ def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> list:
                               hilbert=I._derived.get("hilbert"))
     final = _reduce_records(_free_prefix(recs, lay, gone), lay, _budget())
     keep = [i for i in range(ring.arity) if i not in gone]
-    return _to_ring(target, lay, final, keep)
+    return _seeded(Ideal(target, _to_ring(target, lay, final, keep)), order, keep)
+
+
+def _seeded(out: Ideal, order: MonomialOrder, keep: Sequence[int]) -> Ideal:
+    """`out`, given by the elements free of the variables outside `keep` of
+    a reduced basis under `order`, which puts those first.  By the
+    elimination theorem they are its reduced basis under `order` restricted
+    to `keep`, so they enter its Groebner cache when that is `out`'s own
+    order (grevlex targets; not lex ones)."""
+    target = out.ring
+    if order.restrict(keep) == target.order:
+        out._gb_cache[target.order] = GroebnerBasis(target, target.order, out.gens)
+    return out
 
 
 def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> GroebnerBasis:
@@ -841,14 +856,14 @@ def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> GroebnerBas
 
 
 def _free_elements(gb: GroebnerBasis, gone: Sequence[int],
-                   target: RingContext) -> list:
-    """The elements of the reduced basis `gb` free of `gone`, descending, in
-    `target` (as for `_eliminated`); `gb.order` must put `gone` first, as the
-    orders `elim_order_vars` builds for `gone` listed in any order do."""
+                   target: RingContext) -> Ideal:
+    """The ideal in `target` of the elements of the reduced basis `gb` free
+    of `gone`, seeded as `_eliminated`'s; `gb.order` must put `gone` first,
+    as the orders `elim_order_vars` builds for `gone` listed in any order do."""
     lay = _layout(gb.order, gb.ring.arity)
     kept = _free_prefix(gb._engine_records(lay)[::-1], lay, gone)
     keep = [i for i in range(gb.ring.arity) if i not in gone]
-    return _to_ring(target, lay, kept[::-1], keep)
+    return _seeded(Ideal(target, _to_ring(target, lay, kept[::-1], keep)), gb.order, keep)
 
 
 def _free_prefix(recs, lay: _Layout, gone: Sequence[int]) -> list:

@@ -1,4 +1,5 @@
-"""Hilbert series of monomial ideals, and the count of a Hilbert-driven run.
+"""Monomial ideals on the engine's packed words: Hilbert series, the count
+of a Hilbert-driven run, and meets and products.
 
 For positive variable weights w_i, S/M has the Hilbert series
 N(t) / prod_i (1 - t^w_i) with N a polynomial, the Hilbert numerator, here a
@@ -10,14 +11,30 @@ A `HilbertSeries` recorded on an Ideal as `_derived["hilbert"]` states that
 the ideal is homogeneous for its weights and that S/I has its numerator;
 the engine's runs on that ideal are then Hilbert-driven (Traverso, J. Symb.
 Comp. 22, 1996), each with the `_HilbertCount` it makes.
+
+Two ideals whose reduced bases are monomial meet in the monomial ideal of
+the pairwise lcms of their basis words (Cox-Little-O'Shea, ch. 4 sec. 3) and
+multiply to that of their pairwise products, with no Buchberger run
+(`_combine_words`, for `ideal_ops.intersect` and `blowup._word_product`).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .groebner import _FIELD_MASK, _fmax, _Layout, _layout, _minimal, _top
-from .rings import GREVLEX
+from .budget import _budget
+from .groebner import (
+    _FIELD_MASK,
+    _check_within,
+    _fmax,
+    _Layout,
+    _layout,
+    _minimal,
+    _monomial_basis,
+    _top,
+    groebner,
+)
+from .rings import GREVLEX, Ideal, MonomialOrder
 
 
 def _shift_add(dst: dict, src: dict, c: int, k: int) -> None:
@@ -173,3 +190,46 @@ class _HilbertCount:
         if self.num != self.target:
             raise AssertionError("the basis's lead ideal does not have the stated"
                                  " Hilbert series")
+
+
+def _monomial_words(A: Ideal, order: MonomialOrder, lay: _Layout) -> list | None:
+    """The packed leading monomials of A's reduced basis under `order` when
+    that basis is monomial and known without a run: cached, or from
+    single-term generators (`groebner`, which needs no run for them).  None
+    otherwise."""
+    gb = A._gb_cache.get(order)
+    if gb is None and all(len(g.coeffs) == 1 for g in A.gens):
+        gb = groebner(A, order)
+    if gb is None or not all(len(g.coeffs) == 1 for g in gb):
+        return None
+    return [rec.lm for rec in gb._engine_records(lay)]
+
+
+def _combine_words(A: Ideal, B: Ideal, order: MonomialOrder, meet: bool,
+                   within: Ideal | None = None) -> Ideal | None:
+    """A ∩ B (`meet`) or A * B when both reduced bases under `order` are
+    monomial and known (`_monomial_words`), else None: the monomial ideal of
+    the pairwise lcms or products of their basis words, one unit per pair,
+    given by its reduced basis under `order` (`groebner._monomial_basis`),
+    which its Groebner cache holds when `order` is its ring's.  `within`, an
+    ideal known to contain the result, is held to the check a run would make
+    (`groebner._check_within`)."""
+    ring = A.ring
+    lay = _layout(order, ring.arity)
+    a = _monomial_words(A, order, lay)
+    b = None if a is None else _monomial_words(B, order, lay)
+    if b is None:
+        return None
+    _budget().spend(len(a) * len(b))
+    if meet:
+        emask, eguard = lay.emask, lay.eguard
+        lcms = {_fmax(u & emask, v & emask, eguard) for u in a for v in b}
+        gb = _monomial_basis(ring, order, map(lay.pack_exponents, lcms))
+    else:
+        gb = _monomial_basis(ring, order, [u + v for u in a for v in b])
+    if within is not None:
+        _check_within(gb, within._gb_cache.get(order), lay)
+    out = Ideal(ring, gb.elements)
+    if order == ring.order:
+        out._gb_cache[order] = gb
+    return out

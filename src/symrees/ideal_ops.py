@@ -1,34 +1,33 @@
 """Ideal calculus: sum/product/power, intersection, quotient, saturation,
 elimination, equality, Krull dimension and graded minimal generators.
 
-One primitive, `_eliminate`, does the eliminations: a Buchberger run under
-the block order with the eliminated variables first, keeping the basis
-elements free of them.  The engine finishes only those (`groebner._eliminated`):
-they are an ascending prefix of the run's records, so only they are
-tail-reduced and unpacked into the target ring.  `eliminate` and
-`eliminate_vars` call it directly; `intersect` (tag variable w in
-w*I + (1-w)*J) and `saturate_principal` (t in (I, 1 - t*g), built by
+Every elimination is one engine call that hands back its result as an
+Ideal: a Buchberger run under the block order with the eliminated variables
+first, keeping the basis elements free of them (`groebner._eliminated`).
+`eliminate` and `eliminate_vars` call it directly; `intersect` (tag variable
+w in w*I + (1-w)*J) and `saturate_principal` (t in (I, 1 - t*g), built by
 `groebner.rabinowitsch`) first add one fresh variable with
 `RingContext.with_aux`.  By the elimination theorem the kept elements are
 the reduced basis of the result under the block order restricted to the
 kept variables, so when that restriction is the target ring's own order
-(grevlex targets; not lex ones), the result carries that basis in its
-Groebner cache (`_seeded`) and `groebner` on it runs no Buchberger.
+(grevlex targets; not lex ones), the engine leaves that basis in the
+result's Groebner cache (`groebner._seeded`) and `groebner` on it runs no
+Buchberger.
 
-Two operations skip that primitive.  A meet of two ideals given by single
-terms is the monomial ideal of the pairwise lcms, so `intersect` forms them
-on packed exponent words and keeps the minimal ones
-(`groebner._monomial_basis`): the elimination's result, under the same
-restricted order and seeded the same way, with no Buchberger run; `quotient`
-and `saturate` on such input inherit this route.  And `saturate_by_variable`
-on input homogeneous in the variable's block makes one run, Hilbert-driven
-from the input's grevlex basis (homogenized by a fresh last variable h when
-that is not homogeneous) under a block order that also eliminates that
-block, which gives both the saturation and its contraction, read off the
-same prefix of the saturation's reduced basis (`groebner._free_elements`).
-Its records leave the engine once (`groebner._saturated`): h is dropped and
-the variable divided out on their packed words, and they are tail-reduced
-and unpacked in one pass.
+Two operations skip that run.  A meet of two ideals whose reduced bases
+under the elimination's restricted order are monomial and known (given by
+single terms, or cached) is the monomial ideal of the pairwise lcms of their
+basis words (`hilbert._combine_words`): the elimination's result, seeded the
+same way, with no Buchberger run; `quotient` and `saturate` on such input
+inherit this route.  And `saturate_by_variable` on input homogeneous in the
+variable's block makes one run, Hilbert-driven from the input's grevlex
+basis (homogenized by a fresh last variable h when that is not homogeneous)
+under a block order that also eliminates that block, which gives both the
+saturation and its contraction, read off the same prefix of the
+saturation's reduced basis (`groebner._free_elements`).  Its records leave
+the engine once (`groebner._saturated`): h is dropped and the variable
+divided out on their packed words, and they are tail-reduced and unpacked
+in one pass.
 
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
@@ -43,15 +42,11 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .budget import _budget
 from .groebner import (
     GroebnerBasis,
     _eliminated,
-    _fmax,
     _free_elements,
-    _layout,
     _lead_basis,
-    _monomial_basis,
     _saturated,
     groebner,
     ideal_member,
@@ -59,7 +54,7 @@ from .groebner import (
     normal_form,
     rabinowitsch,
 )
-from .hilbert import HilbertSeries, hilbert_numerator
+from .hilbert import HilbertSeries, _combine_words, hilbert_numerator
 from .rings import (
     GREVLEX,
     Ideal,
@@ -112,60 +107,24 @@ def _same_ring(I: Ideal, J: Ideal):
         raise RingError("ideals live in different rings")
 
 
-def _eliminate(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
-    """I ∩ k[variables not in `gone`], returned in `target`.
-
-    The elimination the operations here rest on: one Buchberger run under
-    the block order with `gone` first, whose basis elements free of `gone`
-    are the only ones finished (`groebner._eliminated`).  `target` must list
-    the kept variables in their order in `I.ring`.
-    """
-    return _seeded(I.ring, gone, Ideal(target, _eliminated(I, gone, target)))
-
-
-def _seeded(ring: RingContext, gone: Sequence[int], out: Ideal,
-            gb: GroebnerBasis | None = None) -> Ideal:
-    """`out`, given by the elements free of `gone` of a reduced basis under
-    an order of `ring` with `gone` first, with those elements in its Groebner
-    cache when that order restricted to the kept variables is `out`'s own;
-    `gb`, when given, is that basis already built.
-
-    By the elimination theorem they are the reduced basis of `out` under the
-    restricted order, which does not depend on how `gone` is ordered.
-    """
-    keep = [i for i in range(ring.arity) if i not in gone]
-    target = out.ring
-    if ring.elim_order_vars(gone).restrict(keep) == target.order:
-        out._gb_cache[target.order] = (gb if gb is not None else
-                                        GroebnerBasis(target, target.order, out.gens))
-    return out
-
-
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via the tag-variable elimination  w*I + (1-w)*J.
 
-    When every generator of I and J is a single term, I ∩ J is the monomial
-    ideal of the pairwise lcms (Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, ch. 4 sec. 3), and no Buchberger run is needed: its reduced
-    basis under the elimination's restricted order (`_monomial_basis`) is
-    the elimination's result, seeded as there.  Each lcm spends one unit, as
-    a product spends one per pair of terms.
+    When the reduced bases of I and J under the elimination's restricted
+    order are monomial and known, I ∩ J is read off the pairwise lcms of
+    their basis words with no Buchberger run (`hilbert._combine_words`): its
+    reduced basis under that order is the elimination's result, and the
+    Groebner cache holds it when the elimination's would.
     """
     _same_ring(I, J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ring, [])
     ext, _ = I.ring.with_aux("_w")
-    if all(len(g.coeffs) == 1 for g in I.gens + J.gens):
-        ring = I.ring
-        order = ext.elim_order_vars([ext.arity - 1]).restrict(range(ring.arity))
-        lay = _layout(order, ring.arity)
-        pack, emask, eguard = lay.pack, lay.emask, lay.eguard
-        a = [pack(m) & emask for g in I.gens for m in g.coeffs]
-        b = [pack(m) & emask for g in J.gens for m in g.coeffs]
-        _budget().spend(len(a) * len(b))
-        lcms = {_fmax(u, v, eguard) for u in a for v in b}
-        gb = _monomial_basis(ring, order, map(lay.pack_exponents, lcms))
-        return _seeded(ext, [ext.arity - 1], Ideal(ring, gb.elements), gb)
+    gone = [ext.arity - 1]
+    meet = _combine_words(I, J, ext.elim_order_vars(gone).restrict(range(I.ring.arity)),
+                          meet=True)
+    if meet is not None:
+        return meet
     # w is the last variable of ext, so w*g and (1-w)*g only append its
     # exponent: 1 for w*g; 0, and 1 with the negated coefficient, for (1-w)*g
     gens = [Polynomial.from_ints(ext, {m + (1,): c for m, c in g.coeffs.items()},
@@ -175,7 +134,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
                                         **{m + (1,): -c for m, c in g.coeffs.items()}},
                                   g.scale)
              for g in J.gens]
-    return _eliminate(Ideal(ext, gens), [ext.arity - 1], I.ring)
+    return _eliminated(Ideal(ext, gens), gone, I.ring)
 
 
 def quotient(I: Ideal, J: Ideal) -> Ideal:
@@ -222,7 +181,7 @@ def saturate_principal(I: Ideal, g: Polynomial) -> Ideal:
     if g.is_zero:
         raise RingError("saturation by zero")
     aux = rabinowitsch(I, g)
-    return _eliminate(aux, [aux.ring.arity - 1], I.ring)
+    return _eliminated(aux, [aux.ring.arity - 1], I.ring)
 
 
 def saturate_by_variable(I: Ideal, v: str) -> tuple:
@@ -240,7 +199,7 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
     one of I : v^infinity.  `groebner._saturated` sets h = 1 and divides out
     v on the run's packed records, then minimalizes and tail-reduces them
     with no second Buchberger run and unpacks them once: the reduced basis
-    under that order.  As in `_eliminate`, the elements free of v's block
+    under that order.  As in an elimination, the elements free of v's block
     are the contraction.  Input not homogeneous in v's block takes
     `saturate_principal` and `eliminate`.
     """
@@ -256,9 +215,7 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
     keep = tuple(i for i in range(ring.arity) if i not in gone)
     first = tuple(i for i in gone if i != iv) + (iv,)
     sat = _saturated(_homogenized(I, gb), ring, first)
-    sub = ring.subring(keep)
-    return Ideal(ring, sat.elements), _seeded(ring, gone,
-                                              Ideal(sub, _free_elements(sat, gone, sub)))
+    return Ideal(ring, sat.elements), _free_elements(sat, gone, ring.subring(keep))
 
 
 def _homogenized(I: Ideal, gb: GroebnerBasis) -> Ideal:
@@ -294,14 +251,14 @@ def _homogenize(g: Polynomial, ext: RingContext) -> Polynomial:
 
 def eliminate(I: Ideal, block: str) -> Ideal:
     """I ∩ k[remaining variables], returned in the subring."""
-    return _eliminate(I, I.ring.block_indices(block), I.ring.drop_block(block))
+    return _eliminated(I, I.ring.block_indices(block), I.ring.drop_block(block))
 
 
 def eliminate_vars(I: Ideal, names: Sequence[str]) -> Ideal:
     """Like eliminate, for an explicit variable list (possibly across blocks)."""
     gone = [I.ring.index(n) for n in names]
     keep = [i for i in range(I.ring.arity) if i not in gone]
-    return _eliminate(I, gone, I.ring.subring(keep))
+    return _eliminated(I, gone, I.ring.subring(keep))
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:

@@ -498,7 +498,7 @@ def eliminations(monkeypatch):
 
     def recording(I, gone, target):
         out = real(I, gone, target)
-        calls.append((I, tuple(gone), target, tuple(out)))
+        calls.append((I, tuple(gone), target, out.gens))
         return out
 
     monkeypatch.setattr(ops, "_eliminated", recording)

@@ -3,6 +3,8 @@ that skip the Buchberger engine against the engine's own routes."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,14 @@ from hypothesis import strategies as st
 from symrees import GREVLEX, LEX, Ideal, buchberger, groebner, make_ring
 from symrees.blowup import _pair_power, make_pair
 from symrees.budget import WorkLimitExceeded, _Budget, work_limit
-from symrees.groebner import _layout, _reduce_records, _run_buchberger, _untracked_basis
-from symrees.ideal_ops import _eliminate, ideal_power, intersect
+from symrees.groebner import (
+    _eliminated,
+    _layout,
+    _reduce_records,
+    _run_buchberger,
+    _untracked_basis,
+)
+from symrees.ideal_ops import ideal_power, intersect
 
 R3 = make_ring(["x", "y", "z"])
 RL3 = make_ring(["x", "y", "z"], order="lex")
@@ -40,7 +48,7 @@ def _tag_elimination(I: Ideal, J: Ideal) -> Ideal:
     ext, w = I.ring.with_aux("_w")
     tag = Ideal(ext, [w * g.transport(ext) for g in I.gens]
                 + [(ext.one - w) * g.transport(ext) for g in J.gens])
-    return _eliminate(tag, [ext.arity - 1], I.ring)
+    return _eliminated(tag, [ext.arity - 1], I.ring)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -57,6 +65,28 @@ def test_monomial_meet_equals_the_tag_elimination(a, b):
         assert list(meet._gb_cache) == ([GREVLEX] if ring is R3 else [])
         # the seeded basis keeps the packed records the meet built
         assert all(gb._records is not None for gb in meet._gb_cache.values())
+
+
+def test_a_cached_monomial_basis_gives_the_meet_its_words(monkeypatch):
+    # (x + y, y) is not given by single terms, but its cached grevlex basis
+    # (x, y) is monomial, and grevlex is the elimination's restricted order
+    # on both rings: either meet of it with a monomial ideal takes the word
+    # route, with the tag elimination's generators and seeded cache
+    def no_run(*args, **kwargs):
+        raise AssertionError("the meet ran Buchberger")
+
+    for ring in (R3, RL3):
+        x, y, z = ring.gens()
+        I = Ideal(ring, [x + y, y])
+        J = Ideal(ring, [x ** 2 * z, y * z ** 2, z ** 3])
+        refs = [_tag_elimination(I, J), _tag_elimination(J, I)]
+        groebner(I, GREVLEX)
+        with monkeypatch.context() as m:
+            m.setattr(sys.modules["symrees.groebner"], "_run_buchberger", no_run)
+            meets = [intersect(I, J), intersect(J, I)]
+        for meet, ref in zip(meets, refs):
+            assert meet.gens == ref.gens
+            assert meet._gb_cache == ref._gb_cache
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
