@@ -590,8 +590,11 @@ def standard_base_check(pair: PairInput,
 def relation_type(source, bound: int = 10) -> int | None:
     """Largest fiber degree among minimal homogeneous Rees-ideal generators.
 
-    `source` is an Ideal or a PairInput, read as in `rees_ideal`.
+    `source` is an Ideal or a PairInput, read as in `rees_ideal`; None when
+    it exceeds `bound`, which must be at least 1.
     """
+    if bound < 1:
+        raise RingError("bound must be at least 1")
     rees = rees_ideal(source)
     if rees.is_zero:
         return 0

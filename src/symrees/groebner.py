@@ -37,10 +37,10 @@ is zero, so it would only be taken up and dropped.  A run
 (`_run_buchberger`) returns its basis records ascending and not yet reduced;
 each caller makes reduced the records it keeps, in one upward pass
 (`_reduce_records`): each element is tail-reduced by the already-reduced
-elements below it.  So an elimination (`_eliminated`) finishes only the
-elements free of the eliminated variables, an ascending prefix of the
-records, and unpacks only their kept exponent fields, straight into the
-target ring.
+elements below it.  So an elimination (`_eliminated`, through
+`_free_elements`) finishes only the elements free of the eliminated
+variables, an ascending prefix of the records, and unpacks only their kept
+exponent fields, straight into the target ring.
 
 Hilbert-driven runs (Traverso, J. Symb. Comp. 22, 1996).  An Ideal whose
 `_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states that
@@ -65,13 +65,14 @@ caller tail-reduces the records it keeps (`_reduce_records`), so its result
 is unchanged.  The records keep longer tails, but each step is cheaper, and a
 kernel that finishes a few of its records skips the rest's tails.
 
-Bases finished on first read.  A reader of leading monomials alone
-(`ideal_ops.dimension`, through `_lead_basis`) caches the basis of one run
-unfinished: the GroebnerBasis holds the run's records, reads its leading
-monomials and `is_unit_ideal` off their minimal leading monomials, and
-tail-reduces and unpacks them only when its elements or records are first
-read, by iteration, length, equality or a later `groebner` caller.  A basis
-nobody else reads is never finished, and a later read makes no second run.
+A basis is its records.  Every engine exit builds a GroebnerBasis that holds
+engine records, and its elements are unpacked from them on first read
+(`_from_engine`, the one unpacker).  A reader of leading monomials alone
+(`ideal_ops.dimension`, through `_lead_basis`) caches a run's records
+unfinished: its leading monomials and `is_unit_ideal` are read off their
+minimal leading monomials, and the first read of its records by anyone else
+finishes them under that reader's budget.  A basis nobody else reads is
+never finished, and a later read makes no second run.
 
 Runs inside a known ideal.  An Ideal B whose `_derived["within"]` holds an
 Ideal A states that B lies in A.  The torsion pieces, the Artin-Rees and
@@ -142,8 +143,6 @@ from .rings import (
     Polynomial,
     RingContext,
     RingError,
-    _make,
-    _ONE,
     int_content,
 )
 
@@ -244,9 +243,15 @@ def _to_engine(lay: _Layout, p: Polynomial) -> tuple:
     return {pack(m): c for m, c in p.coeffs.items()}, p.scale
 
 
-def _from_engine(ring: RingContext, lay: _Layout, items, scale: Fraction) -> Polynomial:
-    unpack = lay.unpack
-    return Polynomial.from_ints(ring, {unpack(m): v for m, v in items if v}, scale)
+def _from_engine(target: RingContext, lay: _Layout, items, scale: Fraction,
+                 keep: Sequence[int] | None = None) -> Polynomial:
+    """scale * the packed terms `items` as a polynomial of `target`, whose
+    variables are those at `keep` (all by default); the terms' other exponent
+    fields are all 0.  Every record and remainder leaves the engine here."""
+    shifts = lay.shifts if keep is None else [lay.shifts[i] for i in keep]
+    return Polynomial.from_ints(
+        target, {tuple((m >> s) & _FIELD_MASK for s in shifts): v for m, v in items if v},
+        scale)
 
 
 class _Rec:
@@ -401,17 +406,13 @@ def _strip(terms: dict, rep):
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements, descending by leading monomial.
 
-    `_records` holds the engine's packed form of the elements; a basis built
-    by the engine carries the records of its run, and any other basis builds
-    them on first use.
-
-    A basis made by `_basis` holds the records of its run unfinished (`_run`,
-    ascending, not yet reduced): its leading monomials and `is_unit_ideal`
-    are read off them, and the first read of its elements, records, iteration,
-    length or equality tail-reduces and unpacks them (`_reduce_records`) under
-    the reader's budget.  A finish sets the records before the elements and
-    drops the run after them, so threads that finish one basis at once only
-    replace missing values with equal ones.
+    Stored as engine records, read through `_records`: reduced and
+    descending (`_recs`), or a run's, ascending and not yet reduced (`_run`),
+    which the first read tail-reduces (`_reduce_records`) under the reader's
+    budget.  A basis built from elements packs its records on first read, and
+    elements are unpacked from the records on first read.  A finish sets the
+    records before it drops the run, so threads that read one basis at once
+    only replace missing values with equal ones.
     """
 
     __slots__ = ("ring", "order", "_elements", "_recs", "_run")
@@ -428,21 +429,28 @@ class GroebnerBasis:
         raise AttributeError("GroebnerBasis is immutable")
 
     @property
-    def elements(self) -> tuple:
-        run = self._run          # read first: a finish drops it after the elements
-        if self._elements is None:
+    def _records(self) -> tuple:
+        run = self._run          # read first: a finish drops it after the records
+        recs = self._recs
+        if recs is None:
             lay = _layout(self.order, self.ring.arity)
-            final = _reduce_records(run, lay, _budget())
-            object.__setattr__(self, "_recs", tuple(final))
-            object.__setattr__(self, "_elements", tuple(
-                _to_ring(self.ring, lay, final, range(self.ring.arity))))
+            if run is None:
+                recs = tuple(_Rec(_to_engine(lay, g)[0], lay.guard) for g in self._elements)
+            else:
+                recs = tuple(_reduce_records(run, lay, _budget()))
+            object.__setattr__(self, "_recs", recs)
             object.__setattr__(self, "_run", None)
-        return self._elements
+        return recs
 
     @property
-    def _records(self) -> tuple | None:
-        self.elements        # finishes an unfinished basis
-        return self._recs
+    def elements(self) -> tuple:
+        elements = self._elements
+        if elements is None:
+            lay = _layout(self.order, self.ring.arity)
+            elements = tuple(_from_engine(self.ring, lay, rec.items(), Fraction(1, rec.lc))
+                             for rec in self._records)
+            object.__setattr__(self, "_elements", elements)
+        return elements
 
     def __iter__(self):
         return iter(self.elements)
@@ -463,29 +471,22 @@ class GroebnerBasis:
         return (f"GroebnerBasis(ring={self.ring!r}, order={self.order!r},"
                 f" elements={self.elements!r})")
 
+    def _lead_words(self) -> list:
+        """The packed leading monomials, descending; an unfinished basis gives
+        its run's minimal ones, with no finish."""
+        run = self._run
+        if run is None:
+            return [rec.lm for rec in self._records]
+        guard = _layout(self.order, self.ring.arity).guard
+        return _minimal([rec.lm for rec in run], guard)[::-1]
+
     @property
     def is_unit_ideal(self) -> bool:
-        run = self._run
-        if self._elements is None:
-            return bool(run) and run[0].lm == 0    # the monomial 1 packs to 0
-        return len(self._elements) == 1 and self._elements[0] == self.ring.one
+        return self._lead_words() == [0]      # the monomial 1 packs to 0
 
     def leading_monomials(self) -> list:
-        run = self._run
-        lay = _layout(self.order, self.ring.arity)
-        if self._elements is None:
-            lms = _minimal([rec.lm for rec in run], lay.guard)[::-1]
-        else:
-            lms = [rec.lm for rec in self._engine_records(lay)]
-        return [lay.unpack(w) for w in lms]
-
-    def _engine_records(self, lay: _Layout) -> tuple:
-        recs = self._records
-        if recs is None:
-            recs = tuple(_Rec(_to_engine(lay, g)[0], lay.guard) for g in self._elements)
-            # an equivalent value replaces a missing one, as for Ideal caches
-            object.__setattr__(self, "_recs", recs)
-        return recs
+        unpack = _layout(self.order, self.ring.arity).unpack
+        return [unpack(w) for w in self._lead_words()]
 
 
 def _update(G: set, B: set, ih: int, ex: list, mono: list, lay: _Layout) -> tuple:
@@ -703,11 +704,8 @@ def _monomial_basis(ring: RingContext, order: MonomialOrder, words) -> GroebnerB
         raise _overflow()
     kept = _minimal(words, lay.eguard)
     _budget().spend(len(words) - len(kept))
-    kept.reverse()
-    unpack = lay.unpack
-    return GroebnerBasis(ring, order,
-                         tuple(_make(ring, {unpack(w): 1}, _ONE) for w in kept),
-                         _records=tuple(_Rec({w: 1}, guard) for w in kept))
+    return GroebnerBasis(ring, order, None,
+                         _records=tuple(_Rec({w: 1}, guard) for w in reversed(kept)))
 
 
 def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -722,7 +720,7 @@ def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     (`_monomial_basis`), held to the same check against A.
     """
     gb = _basis(source, order)
-    gb.elements          # finishes the run's records
+    gb._records          # finishes a run's records
     return gb
 
 
@@ -756,9 +754,9 @@ def _cover(outer: GroebnerBasis | None, lay: _Layout) -> list | None:
     """The exponent words of the leading monomials of `outer`, the cached
     basis of an ideal known to contain the one at hand; None when there is
     none, or it is the zero ideal's."""
-    if outer is None or not outer.elements:
+    if outer is None or not outer._records:
         return None
-    return [rec.lm & lay.emask for rec in outer._engine_records(lay)]
+    return [rec.lm & lay.emask for rec in outer._records]
 
 
 def _check_within(gb: GroebnerBasis, outer: GroebnerBasis | None, lay: _Layout) -> None:
@@ -769,7 +767,7 @@ def _check_within(gb: GroebnerBasis, outer: GroebnerBasis | None, lay: _Layout) 
     cover = _cover(outer, lay)
     if cover is None:
         return
-    for rec in gb._engine_records(lay):
+    for rec in gb._records:
         _uncover(cover, rec.lm & lay.emask, lay.eguard)
     if not cover and gb.elements != outer.elements:
         raise AssertionError(_NOT_WITHIN)
@@ -793,20 +791,15 @@ def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     the order `I.ring.elim_order_vars(gone)` restricts to them, descending
     and monic, and seeded with it (`_seeded`).
 
-    One run under that order, Hilbert-driven when I records its series.  The
-    kept records are the ascending prefix `_free_prefix` finds; only they are
-    tail-reduced, which needs no other record (their tails are free of `gone`
-    as well, and so below every other leading monomial), and only their kept
-    exponent fields are unpacked.
+    One run under that order, Hilbert-driven when I records its series,
+    handed to `_free_elements` as an unfinished basis: only the kept records
+    are tail-reduced and unpacked.
     """
     ring = I.ring
     order = ring.elim_order_vars(gone)
-    lay = _layout(order, ring.arity)
     recs, _ = _run_buchberger(I.gens, ring, order, track=False,
                               hilbert=I._derived.get("hilbert"))
-    final = _reduce_records(_free_prefix(recs, lay, gone), lay, _budget())
-    keep = [i for i in range(ring.arity) if i not in gone]
-    return _seeded(Ideal(target, _to_ring(target, lay, final, keep)), order, keep)
+    return _free_elements(GroebnerBasis(ring, order, None, _run=recs), gone, target)
 
 
 def _seeded(out: Ideal, order: MonomialOrder, keep: Sequence[int]) -> Ideal:
@@ -832,7 +825,8 @@ def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> GroebnerBas
     which drops h's field (the top one), and the record's v-content is
     subtracted.  The records are homogeneous, so no two terms meet at h = 1
     and each keeps its leading monomial (see `ideal_ops.saturate_by_variable`);
-    sorted, they are tail-reduced by `_reduce_records` and unpacked once.
+    sorted, they are tail-reduced by `_reduce_records` at once, since
+    `ideal_ops.saturate_by_variable` reads the whole basis and its free prefix.
     """
     recs, _ = _run_buchberger(H.gens, H.ring, H.ring.elim_order_vars(first),
                               track=False, hilbert=H._derived.get("hilbert"))
@@ -852,18 +846,28 @@ def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> GroebnerBas
             raise _overflow()
         out.append(_Rec(terms, guard))
     out.sort(key=attrgetter("lm"))
-    return _untracked_basis(ring, order, _reduce_records(out, lay, _budget()))
+    return GroebnerBasis(ring, order, None,
+                         _records=tuple(_reduce_records(out, lay, _budget())))
 
 
 def _free_elements(gb: GroebnerBasis, gone: Sequence[int],
                    target: RingContext) -> Ideal:
     """The ideal in `target` of the elements of the reduced basis `gb` free
     of `gone`, seeded as `_eliminated`'s; `gb.order` must put `gone` first,
-    as the orders `elim_order_vars` builds for `gone` listed in any order do."""
+    as the orders `elim_order_vars` builds for `gone` listed in any order do.
+    Those are a prefix of the ascending records (`_free_prefix`), and an
+    unfinished `gb` tail-reduces only them: their tails are free of `gone`
+    too, so no other record acts on them."""
     lay = _layout(gb.order, gb.ring.arity)
-    kept = _free_prefix(gb._engine_records(lay)[::-1], lay, gone)
+    run = gb._run
+    if run is None:
+        kept = _free_prefix(gb._records[::-1], lay, gone)[::-1]
+    else:
+        kept = _reduce_records(_free_prefix(run, lay, gone), lay, _budget())
     keep = [i for i in range(gb.ring.arity) if i not in gone]
-    return _seeded(Ideal(target, _to_ring(target, lay, kept[::-1], keep)), gb.order, keep)
+    elements = [_from_engine(target, lay, rec.items(), Fraction(1, rec.lc), keep)
+                for rec in kept]
+    return _seeded(Ideal(target, elements), gb.order, keep)
 
 
 def _free_prefix(recs, lay: _Layout, gone: Sequence[int]) -> list:
@@ -883,24 +887,11 @@ def _free_prefix(recs, lay: _Layout, gone: Sequence[int]) -> list:
     return recs[:bisect_left(recs, top, key=attrgetter("lm"))]
 
 
-def _to_ring(target: RingContext, lay: _Layout, recs, keep: Sequence[int]) -> list:
-    """The records as monic polynomials of `target`, whose variables are those
-    at `keep`; the records' other exponent fields are all 0."""
-    shifts = [lay.shifts[i] for i in keep]
-    return [Polynomial.from_ints(
-                target, {tuple((m >> s) & _FIELD_MASK for s in shifts): c
-                         for m, c in rec.items()}, Fraction(1, rec.lc))
-            for rec in recs]
-
-
-def _untracked_basis(ring, order, final) -> GroebnerBasis:
-    elems = _to_ring(ring, _layout(order, ring.arity), final, range(ring.arity))
-    return GroebnerBasis(ring, order, tuple(elems), _records=tuple(final))
-
-
-def _untracked(final, lay: _Layout) -> list:
-    """Untracked copies of tracked records, each stripped to content 1."""
-    return [_Rec(_strip(dict(rec.items()), None)[0], lay.guard) for rec in final]
+def _untracked(ring: RingContext, lay: _Layout, final) -> GroebnerBasis:
+    """The basis under the ring's order whose records are untracked copies of
+    the tracked records `final`, each stripped to content 1."""
+    return GroebnerBasis(ring, ring.order, None, _records=tuple(
+        _Rec(_strip(dict(rec.items()), None)[0], lay.guard) for rec in final))
 
 
 def buchberger_tracked(source):
@@ -911,7 +902,7 @@ def buchberger_tracked(source):
     """
     ring, lay, _, final, scales = _tracked_run(source)
     A = [_rep_row(ring, lay, rec.rep, scales, Fraction(1, rec.lc)) for rec in final]
-    return _untracked_basis(ring, ring.order, _untracked(final, lay)), A
+    return _untracked(ring, lay, final), A
 
 
 def _rep_row(ring, lay: _Layout, rep: dict, scales, c) -> list:
@@ -951,9 +942,8 @@ def _tracked_run(source):
     final = _reduce_records(recs, lay, budget)
     if isinstance(source, Ideal):
         cached = source._gb_cache.get(ring.order)
-        if cached is None or cached._elements is None:
-            source._gb_cache[ring.order] = _untracked_basis(ring, ring.order,
-                                                            _untracked(final, lay))
+        if cached is None or cached._run is not None:
+            source._gb_cache[ring.order] = _untracked(ring, lay, final)
     return ring, lay, budget, final, scales
 
 
@@ -1048,7 +1038,7 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
         raise RingError("ring mismatch")
     lay = _layout(G.order, G.ring.arity)
     ints, scale = _to_engine(lay, p)
-    recs = G._engine_records(lay)
+    recs = G._records
     r, mult = _reduce_full(ints, recs, [rec.lm for rec in recs], lay.guard, _budget())
     return _from_engine(G.ring, lay, r.items(), scale / mult)
 
@@ -1062,7 +1052,7 @@ def division(p: Polynomial, G: GroebnerBasis):
     # record i represents itself, so p's representation ends as minus the
     # quotients; g_i == scales[i] * (record i as an integer polynomial)
     recs = [_Rec(dict(rec.items()), lay.guard, {i: {0: 1}})
-            for i, rec in enumerate(G._engine_records(lay))]
+            for i, rec in enumerate(G._records)]
     scales = [g.scale * g.coeffs[lay.unpack(rec.lm)] / rec.lc
               for g, rec in zip(G.elements, recs)]
     rep: dict = {}

@@ -192,17 +192,17 @@ class _HilbertCount:
                                  " Hilbert series")
 
 
-def _monomial_words(A: Ideal, order: MonomialOrder, lay: _Layout) -> list | None:
+def _monomial_words(A: Ideal, order: MonomialOrder) -> list | None:
     """The packed leading monomials of A's reduced basis under `order` when
     that basis is monomial and known without a run: cached, or from
     single-term generators (`groebner`, which needs no run for them).  None
-    otherwise."""
+    otherwise.  Read off the basis's records; no element is unpacked."""
     gb = A._gb_cache.get(order)
     if gb is None and all(len(g.coeffs) == 1 for g in A.gens):
         gb = groebner(A, order)
-    if gb is None or not all(len(g.coeffs) == 1 for g in gb):
+    if gb is None or any(rec.tail for rec in gb._records):
         return None
-    return [rec.lm for rec in gb._engine_records(lay)]
+    return [rec.lm for rec in gb._records]
 
 
 def _combine_words(A: Ideal, B: Ideal, order: MonomialOrder, meet: bool,
@@ -216,8 +216,8 @@ def _combine_words(A: Ideal, B: Ideal, order: MonomialOrder, meet: bool,
     (`groebner._check_within`)."""
     ring = A.ring
     lay = _layout(order, ring.arity)
-    a = _monomial_words(A, order, lay)
-    b = None if a is None else _monomial_words(B, order, lay)
+    a = _monomial_words(A, order)
+    b = None if a is None else _monomial_words(B, order)
     if b is None:
         return None
     _budget().spend(len(a) * len(b))

@@ -300,8 +300,8 @@ def dimension(I: Ideal) -> DimensionReport:
 
     Only in(I) is read: the leading monomials of I's basis under its ring's
     order.  With no basis cached, one run gives them, and the basis is cached
-    unfinished (`groebner._lead_basis`): its records are tail-reduced and
-    unpacked only if something later reads its elements.
+    unfinished (`groebner._lead_basis`): its records are tail-reduced only if
+    something later reads the basis in full.
     """
     ring = I.ring
     n = ring.arity

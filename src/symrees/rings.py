@@ -886,6 +886,7 @@ def parse_ring_header(line: str) -> RingContext:
     geom: list = []
     params: list = []
     order = "grevlex"
+    seen = set()
     for piece in line.split("|"):
         piece = piece.strip()
         if not piece:
@@ -894,6 +895,9 @@ def parse_ring_header(line: str) -> RingContext:
             raise RingError(f"malformed ring header clause {piece!r}")
         key, _, rest = piece.partition(":")
         key = key.strip().lower()
+        if key in seen:
+            raise RingError(f"ring header declares `{key}:` more than once")
+        seen.add(key)
         vals = [v.strip() for v in rest.split(",") if v.strip()]
         if key == "ring":
             geom = vals

@@ -335,6 +335,18 @@ def test_relation_type_examples():
     assert rt is not None and rt >= 2
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_relation_type_rejects_a_bound_below_one(monkeypatch, bound):
+    # (x^2, y^2) has relation type 1; a bound below 1 is refused before any
+    # Rees ideal is built, not answered "exceeds bound"
+    def no_rees(*args, **kwargs):
+        raise AssertionError("a Rees ideal was built")
+
+    monkeypatch.setattr(sys.modules["symrees.blowup"], "rees_ideal", no_rees)
+    with pytest.raises(RingError, match="bound must be at least 1"):
+        relation_type(Ideal(R2, [XX * XX, YY * YY]), bound)
+
+
 def test_analytic_spread_examples():
     assert analytic_spread(Ideal(R2, [XX, YY])) == 2
     assert analytic_spread(Ideal(R2, [XX * XX, XX * YY])) == 2

@@ -141,6 +141,30 @@ def test_malformed_input_is_an_input_error_not_a_crash(tmp_path, line, message):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("header, clause", [
+    ("ring: x,y | ring: z", "ring"),
+    ("ring: x,y | order: lex | order: grevlex", "order"),
+    ("ring: x,y | params: u | params: v", "params"),
+    ("RING: x,y | params: u | Ring: x,y", "ring"),
+], ids=["ring", "order", "params", "ring-case"])
+def test_a_repeated_ring_header_clause_is_an_input_error(tmp_path, header, clause):
+    # each clause used to replace the earlier one: k[z], grevlex, or a lost u
+    path = write(tmp_path, "bad.txt", f"{header}\nfamily: x^2 + u*y^2\n")
+    res = CliRunner().invoke(main, ["family", "analyze", path])
+    assert res.exit_code == 2
+    assert f"input error: ring header declares `{clause}:` more than once" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_reltype_bound_below_one_is_an_input_error(tmp_path, bound):
+    path = write(tmp_path, "pair.txt", "ring: x,y\nideal I: x^2; y^2\n")
+    res = CliRunner().invoke(main, ["aluffi", "reltype", path, "--bound", bound])
+    assert res.exit_code == 2
+    assert "input error: bound must be at least 1" in res.output
+    assert "exceeds bound" not in res.output
+
+
 def test_non_utf8_input_is_an_input_error_not_a_crash(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ring: x,y\nideal I: x\xff + y\n")

@@ -503,6 +503,33 @@ def test_threads_share_layouts_and_lazy_records():
     assert not bad
 
 
+def test_engine_bases_hold_records_until_their_elements_are_read():
+    from symrees import syzygies
+    gens = [R3.parse("x^2 - x*z"), R3.parse("y^2 - y*z"), R3.parse("x*y - z^2")]
+    I = Ideal(R3, gens)
+    syzygies(I)
+    tracked, _ = buchberger_tracked(gens)
+    # single terms take no run; (x^2*y, y*z, x*y^3) are minimal already
+    mono = buchberger([X ** 2 * Y, -2 * Y * Z, 3 * X * Y ** 3])
+    bases = [I._gb_cache[R3.order], tracked, mono]
+    for gb in bases:
+        assert gb._recs is not None and gb._elements is None
+    want = buchberger(gens).elements
+    assert [gb.elements for gb in bases] \
+        == [want, want, (X * Y ** 3, X ** 2 * Y, Y * Z)]
+    assert all(gb._elements is not None for gb in bases)
+
+
+def test_a_monomial_meet_unpacks_neither_side():
+    I = Ideal(R3, [X ** 2, Y * Z])
+    J = Ideal(R3, [X * Y, 2 * Z ** 2])
+    meet = intersect(I, J)
+    assert set(meet.gens) == {X ** 2 * Y, X * Y * Z, Y * Z ** 2, X ** 2 * Z ** 2}
+    for side in (I, J):
+        gb = side._gb_cache[GREVLEX]
+        assert gb._recs is not None and gb._elements is None
+
+
 # ---------------------------------------------------------------------------
 # pair bookkeeping and tail reduction against the routes they replaced
 
@@ -697,7 +724,7 @@ def test_each_full_read_finishes_a_basis(read):
     {"elements": lambda: gb.elements, "_records": lambda: gb._records,
      "iter": lambda: list(gb), "len": lambda: len(gb), "eq": lambda: gb == plain,
      "repr": lambda: repr(gb)}[read]()
-    assert gb._run is None and gb._elements == plain.elements
+    assert gb._run is None and gb.elements == plain.elements
 
 
 def test_a_tracked_run_replaces_an_unfinished_basis():
@@ -723,25 +750,33 @@ def test_threads_finishing_one_basis_get_equal_results():
     pair = gradient_pair(curve_by_name("bad-quintic-embedded").curve()).pair
     gens = aluffi_presentation(pair).aluffi_ideal.gens
     want = buchberger(gens)
+    want_leads = (want.leading_monomials(), want.is_unit_ideal)
     for _ in range(3):
         gb = _basis(aluffi_presentation(pair).aluffi_ideal)
         assert gb._run is not None
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(6)
 
         def read(k):
             barrier.wait(timeout=60)
-            if k % 2:
+            if k % 3 == 2:
+                # leading monomials race with the finishers, before and after
+                return [(gb.leading_monomials(), gb.is_unit_ideal) for _ in range(20)]
+            if k % 3:
                 return gb.elements, gb._records
             return tuple(gb), gb._records
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(4) as pool:
-                results = list(pool.map(read, range(4), timeout=60))
+            with ThreadPoolExecutor(6) as pool:
+                results = list(pool.map(read, range(6), timeout=60))
         finally:
             sys.setswitchinterval(old)
-        for elements, records in results:
+        for k, result in enumerate(results):
+            if k % 3 == 2:
+                assert result == [want_leads] * 20
+                continue
+            elements, records = result
             assert elements == want.elements
             assert [(r.lm, r.lc, r.tail) for r in records] \
                 == [(r.lm, r.lc, r.tail) for r in want._records]

@@ -1,11 +1,13 @@
-"""The package's layers: packed monomials and seeded Groebner caches stay in
-the engine.
+"""The package's layers: packed monomials, a basis's stored form and seeded
+Groebner caches stay in the engine.
 
 The engine's packed-word layout, its budget and its monomial-ideal helpers
 are private to `groebner` and `hilbert` (with `rings` and `budget`, which
 define or spend the budget), and only those two modules put a basis into an
-Ideal's Groebner cache.  Ideal calculus (`ideal_ops`) and the invariants
-(`blowup`) call the engine for meets, products and eliminations instead.
+Ideal's Groebner cache.  A GroebnerBasis's slots are `groebner`'s alone,
+and only `hilbert` besides reads its engine records.  Ideal calculus
+(`ideal_ops`) and the invariants (`blowup`) call the engine for meets,
+products and eliminations instead.
 These tests read the package's source, so a helper that reaches past the
 engine fails here even where its outputs stay right.
 """
@@ -23,6 +25,9 @@ ENGINE_MODULES = {"groebner", "hilbert", "rings", "budget"}
 CACHE_WRITERS = {"groebner", "hilbert"}
 # the certificate run's basis is handed to the pair's own I object
 CACHE_WRITE_EXCEPTIONS = {("blowup", "make_pair")}
+# a GroebnerBasis's stored form, and the modules that may read each part
+BASIS_READERS = {"_elements": {"groebner"}, "_recs": {"groebner"}, "_run": {"groebner"},
+                 "_records": {"groebner", "hilbert"}}
 
 
 def _modules():
@@ -56,6 +61,21 @@ def test_only_the_engine_reads_its_private_names():
                 continue
             found += [f"{module}:{node.lineno} {n}" for n in names if n in ENGINE_NAMES]
     assert not found
+
+
+def _basis_reads(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in BASIS_READERS]
+
+
+def test_only_the_engine_reads_a_basis_store():
+    modules = dict(_modules())
+    found = [f"{module}:{node.lineno} {node.attr}"
+             for module, tree in modules.items() for node in _basis_reads(tree)
+             if module not in BASIS_READERS[node.attr]]
+    assert not found
+    # the rule sees the reads it allows: hilbert reads records, and only them
+    assert {node.attr for node in _basis_reads(modules["hilbert"])} == {"_records"}
 
 
 def test_only_the_engine_writes_groebner_caches():

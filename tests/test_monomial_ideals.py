@@ -13,11 +13,11 @@ from symrees import GREVLEX, LEX, Ideal, buchberger, groebner, make_ring
 from symrees.blowup import _pair_power, make_pair
 from symrees.budget import WorkLimitExceeded, _Budget, work_limit
 from symrees.groebner import (
+    GroebnerBasis,
     _eliminated,
     _layout,
     _reduce_records,
     _run_buchberger,
-    _untracked_basis,
 )
 from symrees.ideal_ops import ideal_power, intersect
 
@@ -40,7 +40,8 @@ def _engine_basis(gens, order):
     ring = gens[0].ring
     recs, _ = _run_buchberger(gens, ring, order, track=False)
     lay = _layout(order, ring.arity)
-    return _untracked_basis(ring, order, _reduce_records(recs, lay, _Budget(10 ** 6)))
+    final = _reduce_records(recs, lay, _Budget(10 ** 6))
+    return GroebnerBasis(ring, order, None, _records=tuple(final))
 
 
 def _tag_elimination(I: Ideal, J: Ideal) -> Ideal:
