@@ -38,8 +38,8 @@ When `make_pair` solves the certificates, it hands that I object the reduced
 basis the tracked run found.
 What depends on J as well stays in `pair._cache`: the powers I^t for t >= 2
 under ("power", t), each built from I^(t-1) when first read (I^1 is I
-itself; when I's reduced basis is monomial, each power is its own reduced
-basis, from the products of basis words, with no Buchberger run), the meets
+itself; see `_pair_power` for the powers of the maximal ideal m and of a
+monomial I, which take no Buchberger run), the meets
 J cap I^t under ("meet", t) (read by the torsion pieces, the Artin-Rees
 number and the standard-base check; J cap I is J), the products J * I^(t-1)
 for t >= 2 under ("lower", t) (read by the torsion pieces as the lower
@@ -55,7 +55,10 @@ run stops once its lead ideal covers the larger ideal's (see `groebner`).
 The products J * I^(t-1), (J cap I^k) * I^(t-k) and I^k * (w) of two ideals
 whose reduced bases are monomial come from products of basis words, as the
 powers do (`_word_product`, through `hilbert._combine_words`, which also
-serves the meets), held to the same check against J cap I^t.
+serves the meets), held to the same check against J cap I^t.  A meet
+J cap I^t with I^t = m^d and J homogeneous is J's part in degrees >= d,
+read off J's basis with no tag variable (`intersect`, through
+`hilbert._meet_max_power`).
 """
 
 from __future__ import annotations
@@ -66,7 +69,14 @@ from operator import mul
 from typing import Sequence
 
 from .groebner import GroebnerBasis, groebner, member_lifts, normal_form, radical_member
-from .hilbert import HilbertSeries, _combine_words, _shift_add, hilbert_numerator
+from .hilbert import (
+    HilbertSeries,
+    _combine_words,
+    _filled_power,
+    _may_fill,
+    _shift_add,
+    hilbert_numerator,
+)
 from .ideal_ops import (
     DimensionReport,
     dimension,
@@ -370,12 +380,17 @@ def _pair_power(pair: PairInput, t: int) -> Ideal:
     """I^t, built once per pair and degree under `("power", t)`; I^1 is
     `pair.i_ideal` itself, which has `ideal_power(I, 1)`'s generators.
 
-    When I's reduced basis is monomial, I^t is the monomial ideal of the
-    products of I^(t-1)'s basis with I's (`_word_product`), and its
-    generators are its reduced basis, which its Groebner cache holds.
+    When I is generated in one degree e and I^(t-1) is known to be
+    m^((t-1)e), m the ideal of all variables, I^t is m^(te)
+    (`hilbert._filled_power`).  Else, when I's reduced basis is monomial, I^t
+    is the monomial ideal of the products of I^(t-1)'s basis with I's
+    (`_word_product`).  Either way its generators are its reduced basis,
+    which its Groebner cache holds, and no Buchberger run is made.
     Otherwise each level is formed from the one below it by
     `ideal_power_step`, so the generators and their term order are those of
-    `ideal_power(I, t)`.
+    `ideal_power(I, t)`; when I is m-primary and the level has as many
+    generators as the monomials of its degree (`hilbert._may_fill`), its
+    basis is taken, so the next level can tell whether it is a power of m.
     """
     I = pair.i_ideal
     if t == 1:
@@ -387,9 +402,13 @@ def _pair_power(pair: PairInput, t: int) -> Ideal:
         else:
             prev = _pair_power(pair, t - 1)
             groebner(I)          # I's reduced basis decides the route
-            power = _word_product(prev, I)
+            power = _filled_power(I, prev)
+            if power is None:
+                power = _word_product(prev, I)
             if power is None:
                 power = ideal_power_step(I, prev, t)
+                if _may_fill(I, power):
+                    groebner(power)     # the next level reads it
         pair._cache[key] = power
     return pair._cache[key]
 
@@ -471,8 +490,10 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionRepo
     """The pieces (J cap I^t)/(J * I^(t-1)) for 2 <= t <= bound.
 
     When I and J are homogeneous, `internal_dims` lists the nonzero
-    dim (J cap I^t)_d - dim (J * I^(t-1))_d for 0 <= d <= 2 * (largest degree
-    of a generator of I), each read off the leading monomials of the two
+    dim (J cap I^t)_d - dim (J * I^(t-1))_d for 0 <= d <= the piece's cap,
+    the larger of 2 * (largest degree of a generator of I) and the largest
+    degree of the piece's witnesses, so a nonzero piece lists the degrees
+    of its witnesses.  Each is read off the leading monomials of the two
     reduced bases.
     """
     if bound < 2:
@@ -489,10 +510,10 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionRepo
                           if not normal_form(g, gb_lower).is_zero)
         dims = ()
         if homog:
-            gb_meet = groebner(meet)
+            cap = max([internal_cap] + [w.degree() for w in witnesses])
             dims = tuple((d, a - b) for d, (a, b) in enumerate(zip(
-                _graded_dims(gb_meet, internal_cap),
-                _graded_dims(gb_lower, internal_cap))) if a != b)
+                _graded_dims(groebner(meet), cap),
+                _graded_dims(gb_lower, cap))) if a != b)
         annos = []
         for w in witnesses:
             found = None

@@ -1,5 +1,6 @@
 """Monomial ideals on the engine's packed words: Hilbert series, the count
-of a Hilbert-driven run, and meets and products.
+of a Hilbert-driven run, meets and products, and powers of the maximal
+ideal.
 
 For positive variable weights w_i, S/M has the Hilbert series
 N(t) / prod_i (1 - t^w_i) with N a polynomial, the Hilbert numerator, here a
@@ -16,21 +17,42 @@ Two ideals whose reduced bases are monomial meet in the monomial ideal of
 the pairwise lcms of their basis words (Cox-Little-O'Shea, ch. 4 sec. 3) and
 multiply to that of their pairwise products, with no Buchberger run
 (`_combine_words`, for `ideal_ops.intersect` and `blowup._word_product`).
+
+Powers of the maximal ideal m = (all variables) need no run either.  The
+reduced basis of m^d is every monomial of degree d, under every order
+(`_max_power_degree` recognizes it).  For B
+homogeneous and an order whose first row is the total degree, in(B ∩ m^d) is
+in(B)_{>=d}, which the leading monomials of B's reduced basis times the
+monomials that lift them to degree d generate; so B ∩ m^d is read off B's
+basis with no tag variable and no S-pair (`_meet_max_power`, for
+`ideal_ops.intersect`; it spends one unit per product it forms, and the
+tail reduction's steps).  And for I generated in one degree e, once a power
+I^(t-1) is m^((t-1)e), I^t is m^(te): m^(te) = m^e I^(t-1) =
+(m^e I^(t-2)) I <= m^((t-1)e) I = I^t <= m^(te) (`_filled_power`, for
+`blowup._pair_power`, which asks `_may_fill` whether a power built from
+products is worth a basis that would tell).
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from math import comb
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .budget import _budget
 from .groebner import (
     _FIELD_MASK,
+    GroebnerBasis,
     _check_within,
     _fmax,
     _Layout,
     _layout,
     _minimal,
     _monomial_basis,
+    _overflow,
+    _Rec,
+    _reduce_records,
     _top,
     groebner,
 )
@@ -229,7 +251,118 @@ def _combine_words(A: Ideal, B: Ideal, order: MonomialOrder, meet: bool,
         gb = _monomial_basis(ring, order, [u + v for u in a for v in b])
     if within is not None:
         _check_within(gb, within._gb_cache.get(order), lay)
-    out = Ideal(ring, gb.elements)
-    if order == ring.order:
-        out._gb_cache[order] = gb
+    return _given_by(gb)
+
+
+def _given_by(gb: GroebnerBasis) -> Ideal:
+    """The ideal given by the elements of its reduced basis `gb`, which its
+    Groebner cache holds when `gb`'s order is its ring's."""
+    out = Ideal(gb.ring, gb.elements)
+    if gb.order == gb.ring.order:
+        out._gb_cache[gb.order] = gb
     return out
+
+
+def _degree_words(lay: _Layout, d: int) -> list:
+    """The packed monomials of degree d."""
+    return [sum(vs) for vs in combinations_with_replacement(lay.var, d)]
+
+
+def _one_degree(monomials) -> int | None:
+    """d when every exponent tuple of `monomials` has degree d, else None."""
+    degs = set(map(sum, monomials))
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _max_power_degree(A: Ideal, order: MonomialOrder) -> int | None:
+    """d when A is m^d: when its reduced basis under `order`, or else under
+    its ring's order, is known (cached, or from single-term generators, as
+    in `_monomial_words`) and is every monomial of degree d, which is m^d's
+    basis under every order.  None otherwise.  The leading words are read
+    first, so a basis left unfinished is finished only when they pass."""
+    n = A.ring.arity
+    gb = A._gb_cache.get(order)
+    if gb is None:
+        gb = A._gb_cache.get(A.ring.order)
+    if gb is None and all(len(g.coeffs) == 1 for g in A.gens):
+        gb = groebner(A, order)
+    if gb is None:
+        return None
+    words = gb._lead_words()
+    d = _one_degree(map(_layout(gb.order, n).unpack, words))
+    if (d is None or len(words) != comb(n + d - 1, d)
+            or any(rec.tail for rec in gb._records)):
+        return None
+    return d
+
+
+def _meet_max_power(A: Ideal, B: Ideal, order: MonomialOrder) -> Ideal | None:
+    """A ∩ B when one side is m^d (`_max_power_degree`), the other
+    homogeneous, and the first row of `order` the total degree; else None.
+
+    The meet is H's part in degrees >= d, H the homogeneous side.  Each
+    element of H's reduced basis under `order` of degree e < d is multiplied
+    by every monomial of degree d - e, one unit per product; the elements of
+    degree >= d are kept as they are.  Their leading monomials generate
+    in(H)_{>=d} = in(H ∩ m^d), so `_reduce_records` makes the reduced basis
+    of the meet from them, with no S-pair.  It is given by that basis, which
+    its Groebner cache holds when `order` is its ring's.
+    """
+    ring = A.ring
+    lay = _layout(order, ring.arity)
+    if not all(lay.rows[0]):
+        return None
+    for M, H in ((A, B), (B, A)):
+        d = _max_power_degree(M, order)
+        if d is not None and all(g.is_homogeneous().homogeneous for g in H.gens):
+            break
+    else:
+        return None
+    budget, guard = _budget(), lay.guard
+    recs = []
+    for rec in groebner(H, order)._records:
+        e = sum(lay.unpack(rec.lm))
+        if e >= d:
+            recs.append(rec)
+            continue
+        for q in _degree_words(lay, d - e):
+            budget.spend()
+            if (q + rec.top) & guard:
+                raise _overflow()
+            recs.append(_Rec({q + m: c for m, c in rec.items()}, guard))
+    recs.sort(key=attrgetter("lm"))
+    return _given_by(GroebnerBasis(ring, order, None,
+                                   _records=tuple(_reduce_records(recs, lay, budget))))
+
+
+def _filled_power(I: Ideal, prev: Ideal) -> Ideal | None:
+    """I^t as m^(te), given prev = I^(t-1) for some t >= 2, when I's
+    generators are all homogeneous of one degree e and prev is m^((t-1)e)
+    (`_max_power_degree`, under its ring's order); else None.  m^(te) is
+    given by its reduced basis, every monomial of degree te, which its
+    Groebner cache holds: no product is formed, no run made and no unit
+    spent (see the module docstring)."""
+    ring = I.ring
+    e = _one_degree(m for g in I.gens for m in g.coeffs)
+    d = None if e is None else _max_power_degree(prev, ring.order)
+    if d is None:
+        return None
+    lay = _layout(ring.order, ring.arity)
+    return _given_by(_monomial_basis(ring, ring.order, _degree_words(lay, d + e)))
+
+
+def _may_fill(I: Ideal, power: Ideal) -> bool:
+    """Whether `power`, a power of I formed from products, can be m^d, so
+    that its basis is worth taking for `_filled_power`: I's cached basis
+    under its ring's order holds a pure power of every variable among its
+    leading words (I is m-primary; read off the engine words), and the
+    generators of `power` all have one degree d and number at least
+    C(n + d - 1, d), as many as the monomials of degree d."""
+    ring = I.ring
+    gb = I._gb_cache.get(ring.order)
+    d = _one_degree(m for g in power.gens for m in g.coeffs)
+    if gb is None or d is None or len(power.gens) < comb(ring.arity + d - 1, d):
+        return False
+    exps = map(_layout(ring.order, ring.arity).unpack, gb._lead_words())
+    pure = {e.index(max(e)) for e in exps if sum(e) == max(e) > 0}
+    return len(pure) == ring.arity

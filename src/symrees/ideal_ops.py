@@ -19,12 +19,15 @@ under the elimination's restricted order are monomial and known (given by
 single terms, or cached) is the monomial ideal of the pairwise lcms of their
 basis words (`hilbert._combine_words`): the elimination's result, seeded the
 same way, with no Buchberger run; `quotient` and `saturate` on such input
-inherit this route.  And `saturate_by_variable` on input homogeneous in the
-variable's block makes one run, Hilbert-driven from the input's grevlex
-basis (homogenized by a fresh last variable h when that is not homogeneous)
-under a block order that also eliminates that block, which gives both the
-saturation and its contraction, read off the same prefix of the
-saturation's reduced basis (`groebner._free_elements`).  Its records leave
+inherit this route.  A meet of m^d, the d-th power of the ideal of all
+variables with its basis known, and a homogeneous ideal B skips it too: it
+is B's part in degrees >= d, read off B's reduced basis under that order
+(`hilbert._meet_max_power`).  And `saturate_by_variable` on input
+homogeneous in the variable's block makes one run, Hilbert-driven from the
+input's grevlex basis (homogenized by a fresh last variable h when that is
+not homogeneous) under a block order that also eliminates that block, which
+gives both the saturation and its contraction, read off the same prefix of
+the saturation's reduced basis (`groebner._free_elements`).  Its records leave
 the engine once (`groebner._saturated`): h is dropped and the variable
 divided out on their packed words, and they are tail-reduced and unpacked
 in one pass.
@@ -54,7 +57,7 @@ from .groebner import (
     normal_form,
     rabinowitsch,
 )
-from .hilbert import HilbertSeries, _combine_words, hilbert_numerator
+from .hilbert import HilbertSeries, _combine_words, _meet_max_power, hilbert_numerator
 from .rings import (
     GREVLEX,
     Ideal,
@@ -112,8 +115,12 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
     When the reduced bases of I and J under the elimination's restricted
     order are monomial and known, I ∩ J is read off the pairwise lcms of
-    their basis words with no Buchberger run (`hilbert._combine_words`): its
-    reduced basis under that order is the elimination's result, and the
+    their basis words with no Buchberger run (`hilbert._combine_words`).
+    When one side is m^d, its known basis every monomial of degree d, and
+    the other is homogeneous, I ∩ J is the other's part in degrees >= d,
+    read off its reduced basis with no tag variable and no S-pair
+    (`hilbert._meet_max_power`).  Either way the result is given by its
+    reduced basis under that order, the elimination's result, and the
     Groebner cache holds it when the elimination's would.
     """
     _same_ring(I, J)
@@ -121,8 +128,10 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(I.ring, [])
     ext, _ = I.ring.with_aux("_w")
     gone = [ext.arity - 1]
-    meet = _combine_words(I, J, ext.elim_order_vars(gone).restrict(range(I.ring.arity)),
-                          meet=True)
+    order = ext.elim_order_vars(gone).restrict(range(I.ring.arity))
+    meet = _combine_words(I, J, order, meet=True)
+    if meet is None:
+        meet = _meet_max_power(I, J, order)
     if meet is not None:
         return meet
     # w is the last variable of ext, so w*g and (1-w)*g only append its

@@ -544,15 +544,18 @@ def test_standard_base_reads_only_the_powers_it_needs():
     pair = four_points_pair()
     report = standard_base_check(pair, 4)
     assert report.orders == (1, 1)
-    # the orders loop stops at I^(nu+1); the meets never need a power's basis,
-    # and no step reads I^(bound+1), so it is never built
+    # the orders loop stops at I^(nu+1), and no step reads I^(bound+1), so it
+    # is never built
     powers = {key[1]: ideal for key, ideal in pair._cache.items()
               if key[0] == "power"}
     # I^1 is the pair's I, so the cache holds the levels above it, and the
     # levels start at I^1: I^0 is never built
     assert sorted(powers) == [2, 3, 4]
     powers[1] = pair.i_ideal
-    assert [t for t, power in sorted(powers.items()) if power._gb_cache] == [1, 2]
+    # I is m-primary and I^2 has 15 generators, as many as the quartics, so
+    # its basis is taken: it is m^4, and I^3 and I^4 are m^6 and m^8, built as
+    # their bases
+    assert [t for t, power in sorted(powers.items()) if power._gb_cache] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
@@ -570,6 +573,7 @@ def test_powers_built_level_by_level_once_per_pair(name, monkeypatch):
     pair = pair_by_name(name)
     I = pair.i_ideal
     real_word_product = blowup._word_product
+    real_filled_power = blowup._filled_power
 
     def word_product(A, B, within=None):
         # a power level is the word product of the level below with I; the
@@ -579,29 +583,108 @@ def test_powers_built_level_by_level_once_per_pair(name, monkeypatch):
             formed.append("monomial")
         return out
 
+    def filled_power(I, prev):
+        out = real_filled_power(I, prev)
+        if out is not None:
+            formed.append("filled")
+        return out
+
     monkeypatch.setattr(blowup, "ideal_power_step",
                         counting(blowup.ideal_power_step, lambda I, prev, t: t))
     monkeypatch.setattr(blowup, "_word_product", word_product)
+    monkeypatch.setattr(blowup, "_filled_power", filled_power)
     vv_pieces(pair, 4)
     artin_rees_number(pair, 4)
     standard_base_check(pair, 4)
     monomial = all(len(g.coeffs) == 1 for g in groebner(I))
     assert monomial == (name != "four-points")
     # each level once, from the one below, starting at I^2: I^1 is I itself.
-    # Every I-order is 1, so the orders loop stops at I^2 and nothing reads I^5
-    assert formed == (["monomial"] * 3 if monomial else [2, 3, 4])
+    # Every I-order is 1, so the orders loop stops at I^2 and nothing reads I^5.
+    # Every I is generated in degree 2; a monomial I is m^2, and four-points'
+    # I^2, built from products, is m^4, so every level above is a power of m
+    assert formed == (["filled"] * 3 if monomial else [2, "filled", "filled"])
     assert sorted(key[1] for key in pair._cache if key[0] == "power") == [2, 3, 4]
     assert blowup._pair_power(pair, 1) is I
     for t in range(1, 5):
         got = blowup._pair_power(pair, t)
         want = ideal_power(I, t)
-        if monomial and t > 1:
-            # a monomial I's powers are their reduced bases, held in their caches
+        if t > 1 and formed[t - 2] == "filled":
+            # a power of m is given by its reduced basis, held in its cache
             assert got.gens == groebner(want).elements
             assert got._gb_cache[I.ring.order].elements == got.gens
         else:
             assert got.gens == want.gens
             assert [list(p.terms) for p in got.gens] == [list(p.terms) for p in want.gens]
+
+
+def _lex_four_points():
+    pair = four_points_pair()
+    RL = make_ring(list(pair.ring.names), order="lex")
+    return make_pair(RL, [g.transport(RL) for g in pair.i_gens],
+                     [g.transport(RL) for g in pair.j_gens])
+
+
+# m-primary and not monomial: I^t has at most C(t + 2, 2) generators, fewer
+# than the C(2t + 2, 2) monomials of degree 2t, so no power of I is a power
+# of m = (x, y, z)
+NEVER_FILLING = ("x^2 + y*z", "y^2 + x*z", "z^2 + x*y")
+
+
+def _never_filling_pair():
+    i_gens = [R3.parse(g) for g in NEVER_FILLING]
+    return make_pair(R3, i_gens, i_gens[:2])
+
+
+def test_the_never_filling_ideal_is_m_primary():
+    assert dimension(_never_filling_pair().i_ideal).dim == 0
+
+
+@pytest.mark.parametrize("build_pair, filled", [
+    (four_points_pair, [3, 4]),
+    (lambda: pair_by_name("equigenerated-forms"), [2, 3, 4]),
+    (_lex_four_points, [3, 4]),
+    (_never_filling_pair, []),
+], ids=["four-points", "equigenerated-forms", "four-points-lex", "never-filling"])
+def test_pair_powers_have_the_reduced_bases_of_the_powers(build_pair, filled):
+    from symrees.ideal_ops import ideal_power
+    pair = build_pair()
+    I = pair.i_ideal
+    powers = [_pair_power(pair, t) for t in range(1, 5)]
+    if not filled:
+        # no power can fill its degree, so none has its basis taken
+        assert not any(power._gb_cache for power in powers[1:])
+    for t, got in enumerate(powers, start=1):
+        want = ideal_power(I, t)
+        assert groebner(got) == groebner(want)
+        if t in filled:
+            # a power of m, given by its reduced basis
+            assert got.gens == groebner(want).elements
+        else:
+            assert got.gens == want.gens
+
+
+def _torsion_pair():
+    from test_cli import TORSION_PAIR
+    from symrees.cli import parse_input
+    job = parse_input(TORSION_PAIR)
+    return make_pair(job.ring, [job.ring.parse(g) for g in job.texts("ideal I")],
+                     [job.ring.parse(g) for g in job.texts("ideal J")])
+
+
+@pytest.mark.parametrize("build_pair", [_torsion_pair, _never_filling_pair],
+                         ids=["torsion-pair", "never-filling"])
+def test_pairs_whose_powers_are_not_powers_of_m_make_no_extra_run(build_pair,
+                                                                   engine_inputs):
+    # the torsion-pair's I is not m-primary, and the never-filling I's powers
+    # cannot fill their degrees: the torsion invariants make the same runs as
+    # before powers of m were recognized
+    pair = build_pair()
+    runs = []
+    for invariant in (vv_pieces, artin_rees_number, standard_base_check):
+        engine_inputs.clear()
+        invariant(pair, 4)
+        runs.append(len(engine_inputs))
+    assert runs == [6, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +707,11 @@ def _oracle_dims(pair, t, cap):
 
 
 def _assert_dims_match_oracle(pair, bound):
-    cap = 2 * max(g.degree() for g in pair.i_gens)
     report = vv_pieces(pair, bound)
     for piece in report.pieces:
+        # twice I's largest generator degree, or a higher witness degree
+        cap = max([2 * max(g.degree() for g in pair.i_gens)]
+                  + [w.degree() for w in piece.witnesses])
         assert piece.internal_dims == _oracle_dims(pair, piece.degree, cap)
     return report
 
@@ -634,6 +719,14 @@ def _assert_dims_match_oracle(pair, bound):
 @pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
 def test_internal_dims_match_oracle_on_pair_fixtures(name):
     _assert_dims_match_oracle(pair_by_name(name), 4)
+
+
+def test_internal_dims_reach_the_witnesses_degrees():
+    # the only witness has degree 5, above 2 * 2, the cap I's generators set
+    pair = make_pair(R3, [X * Y, Y * Y], [X * Y * Y + Y * Y * Z])
+    piece = _assert_dims_match_oracle(pair, 2).piece(2)
+    assert piece.witnesses == (R3.parse("x^3*y^2 + x^2*y^2*z"),)
+    assert piece.internal_dims == ((5, 1),)
 
 
 def test_internal_dims_do_not_depend_on_the_order():

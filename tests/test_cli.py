@@ -239,6 +239,18 @@ def test_machine_reports_are_deterministic(tmp_path):
     assert piece["internal_dims"] == [[4, 2]]
 
 
+def test_torsion_dims_reach_a_witness_above_the_cap(tmp_path):
+    # the witness has degree 5, above twice I's generator degree
+    text = "ring: x,y,z\nideal I: x*y; y^2\nideal J: x*y^2 + y^2*z\n"
+    path = write(tmp_path, "pair.txt", text)
+    args = ["--format", "machine", "aluffi", "torsion", path, "--bound", "2"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0
+    (piece,) = json.loads(res.output)["results"]["pieces"]
+    assert piece["witnesses"] == ["x^3*y^2 + x^2*y^2*z"]
+    assert piece["internal_dims"] == [[5, 1]]
+
+
 def test_family_analyze_command(tmp_path):
     runner = CliRunner()
     path = write(tmp_path, "fam.txt", FAMILY)

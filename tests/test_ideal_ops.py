@@ -35,6 +35,7 @@ from symrees.ideal_ops import (
 from symrees.hilbert import HilbertSeries
 from symrees.oracle import (
     monomial_members,
+    monomials_of_degree,
     monomial_quotient,
     monomial_saturation,
 )
@@ -566,10 +567,54 @@ def test_pair_fixture_meets_equal_the_reference_route(name, eliminations):
         meet = intersect(A, B)
         assert meet.gens == _tag_meet(A, B)
         assert meet._gb_cache[A.ring.order].elements == meet.gens
-    # a meet of two monomial ideals takes the lcm route; every other meet is
-    # one elimination
+    # a meet of two monomial ideals takes the lcm route; equigenerated-forms'
+    # I is m^2, with its basis cached, so I ∩ J is read off J's basis; every
+    # other meet is one elimination
     lcm_route = [_is_monomial(A) and _is_monomial(B) for A, B in sides]
     assert lcm_route == [name in ("coordinate-points", "product-partials")] * 2
-    assert len(eliminations) == lcm_route.count(False)
+    max_power_route = [name == "equigenerated-forms", False]
+    assert len(eliminations) == lcm_route.count(False) - max_power_route.count(True)
     if eliminations:
         _assert_reference(eliminations)
+
+
+def _max_power(d: int) -> Ideal:
+    """m^d for m = (x, y, z), given by single terms."""
+    return Ideal(R3, [R3.monomial(m) for m in monomials_of_degree(3, d)])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gens_terms=homogeneous_ideals)
+def test_meets_with_a_power_of_m_equal_the_reference_route(gens_terms, monkeypatch):
+    B = Ideal(R3, build(gens_terms))
+    assume(not B.is_zero)
+    groebner(B)
+    for d in range(1, 6):
+        want = _tag_meet(B, _max_power(d))
+        with monkeypatch.context() as m:
+            # B's basis is cached and m^d's needs no run: neither meet runs
+            m.setattr(sys.modules["symrees.groebner"], "_run_buchberger", None)
+            meets = [intersect(B, _max_power(d)), intersect(_max_power(d), B)]
+        for meet in meets:
+            assert meet.gens == want
+            assert meet._gb_cache[R3.order].elements == meet.gens
+
+
+# J = (x^2 - x*z, y^2 - y*z) ∩ m^4: each quadric times each of the 6
+# quadric monomials, one unit each, and 7 tail-reduction steps; J's basis
+# takes no step, since its two leading monomials are coprime
+MAX_POWER_MEET_LEAST = 12 + 7
+
+
+def test_a_meet_with_a_power_of_m_spends_the_work_limit():
+    def meet(limit):
+        J = Ideal(R3, [X * X - X * Z, Y * Y - Y * Z])
+        M = _max_power(4)
+        with work_limit(limit):
+            return intersect(J, M)
+
+    with pytest.raises(WorkLimitExceeded):
+        meet(MAX_POWER_MEET_LEAST - 1)
+    got = meet(MAX_POWER_MEET_LEAST)
+    assert got.gens == _tag_meet(Ideal(R3, [X * X - X * Z, Y * Y - Y * Z]), _max_power(4))
