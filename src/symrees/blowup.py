@@ -58,7 +58,15 @@ powers do (`_word_product`, through `hilbert._combine_words`, which also
 serves the meets), held to the same check against J cap I^t.  A meet
 J cap I^t with I^t = m^d and J homogeneous is J's part in degrees >= d,
 read off J's basis with no tag variable (`intersect`, through
-`hilbert._meet_max_power`).
+`hilbert._meet_max_power`).  A product compared with a meet, J * I^(t-1)
+or (J cap I^k) * I^(t-k), with I^(t-1) or I^(t-k) = m^d and the other
+side generated in one degree s, is that side's part in degrees >= s + d,
+read off its basis the same way and held to the same check (`_product`,
+through `hilbert._max_power_product`).  A part is kept on the ideal it is
+cut from (`hilbert._part`), so when J * I^(t-1) and J cap I^t are the same
+part of J, ("lower", t) and ("meet", t) hold one Ideal, which records no
+containment.  A degree whose meet and lower ideal have equal reduced bases
+has a zero torsion piece, and `vv_pieces` looks for no witness there.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ from .hilbert import (
     HilbertSeries,
     _combine_words,
     _filled_power,
+    _max_power_product,
     _may_fill,
     _shift_add,
     hilbert_numerator,
@@ -423,8 +432,17 @@ def _word_product(A: Ideal, B: Ideal, within: Ideal | None = None) -> Ideal | No
 def _product(A: Ideal, B: Ideal, within: Ideal | None = None) -> Ideal:
     """A * B, recorded as within `within` when given: from basis words when
     both bases are monomial (`_word_product`), else `ideal_product`'s
-    generators."""
+    generators.  A product compared with a meet (`within` given) whose one
+    side is m^d and other side H is generated in one degree s is H's part in
+    degrees >= s + d instead (`hilbert._max_power_product`), read off H's
+    basis and held to the same check; that part may be shared with a meet,
+    and holds its basis already, so it gets no record.
+    """
     product = _word_product(A, B, within)
+    if product is None and within is not None:
+        product = _max_power_product(A, B, within)
+        if product is not None:
+            return product
     if product is None:
         product = ideal_product(A, B)
     if within is not None:
@@ -449,8 +467,11 @@ def _pair_lower(pair: PairInput, t: int) -> Ideal:
     """J * I^(t-1), built once per pair and degree under `("lower", t)`.
 
     Since J <= I it lies in J cap I^t, and is recorded as within that meet
-    (`groebner.buchberger`), which is built first if it is not yet.  J * I^0
-    is J itself, so it shares J's Groebner cache and needs no record.
+    (`groebner.buchberger`), which is built first if it is not yet.  When
+    I^(t-1) is m^d and J is generated in one degree s, it is J's part in
+    degrees >= s + d (`_product`), the same Ideal as the meet when that is
+    J's part in the same degrees.  J * I^0 is J itself, so it shares J's
+    Groebner cache and needs no record.
     """
     if t == 1:
         return pair.j_ideal
@@ -494,7 +515,9 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionRepo
     the larger of 2 * (largest degree of a generator of I) and the largest
     degree of the piece's witnesses, so a nonzero piece lists the degrees
     of its witnesses.  Each is read off the leading monomials of the two
-    reduced bases.
+    reduced bases.  When those bases are equal (read only for homogeneous
+    I and J, which read them anyway), the two ideals are equal and the
+    piece is 0: no witness, dimension or annihilator is computed.
     """
     if bound < 2:
         raise RingError("torsion bound must be at least 2")
@@ -505,6 +528,10 @@ def vv_pieces(pair: PairInput, bound: int = DEFAULT_DEGREE_BOUND) -> TorsionRepo
     for t in range(2, bound + 1):
         meet = _pair_meet(pair, t)
         lower = _pair_lower(pair, t)
+        if homog and ideal_equal(meet, lower):
+            # no witness, and every dimension difference is 0
+            pieces.append(TorsionPiece(t, False, (), (), ()))
+            continue
         gb_lower = groebner(lower)
         witnesses = tuple(g for g in meet.gens
                           if not normal_form(g, gb_lower).is_zero)

@@ -26,8 +26,14 @@ in(B)_{>=d}, which the leading monomials of B's reduced basis times the
 monomials that lift them to degree d generate; so B ∩ m^d is read off B's
 basis with no tag variable and no S-pair (`_meet_max_power`, for
 `ideal_ops.intersect`; it spends one unit per product it forms, and the
-tail reduction's steps).  And for I generated in one degree e, once a power
-I^(t-1) is m^((t-1)e), I^t is m^(te): m^(te) = m^e I^(t-1) =
+tail reduction's steps).  The product of m^d with an ideal H generated by
+forms of one degree s is H's part in degrees >= s + d the same way
+(`_max_power_product`, for `blowup._product`): a form of H of degree
+e >= s + d is a sum of H's generators times forms of degree e - s >= d.
+Both read the part through `_part`, which builds it once per ideal, degree
+and order and keeps it in the ideal's derived cache, so a meet and a product
+that are one part are one Ideal.  And for I generated in one degree e,
+once a power I^(t-1) is m^((t-1)e), I^t is m^(te): m^(te) = m^e I^(t-1) =
 (m^e I^(t-2)) I <= m^((t-1)e) I = I^t <= m^(te) (`_filled_power`, for
 `blowup._pair_power`, which asks `_may_fill` whether a power built from
 products is worth a basis that would tell).
@@ -297,27 +303,62 @@ def _max_power_degree(A: Ideal, order: MonomialOrder) -> int | None:
 
 
 def _meet_max_power(A: Ideal, B: Ideal, order: MonomialOrder) -> Ideal | None:
-    """A ∩ B when one side is m^d (`_max_power_degree`), the other
-    homogeneous, and the first row of `order` the total degree; else None.
+    """A ∩ B when one side is m^d (`_max_power_degree`), the other H
+    homogeneous, and the first row of `order` the total degree: H's part in
+    degrees >= d (`_part`).  Else None."""
+    if not all(_layout(order, A.ring.arity).rows[0]):
+        return None
+    for M, H in ((A, B), (B, A)):
+        d = _max_power_degree(M, order)
+        if d is not None and all(g.is_homogeneous().homogeneous for g in H.gens):
+            return _part(H, d, order)
+    return None
 
-    The meet is H's part in degrees >= d, H the homogeneous side.  Each
-    element of H's reduced basis under `order` of degree e < d is multiplied
-    by every monomial of degree d - e, one unit per product; the elements of
-    degree >= d are kept as they are.  Their leading monomials generate
-    in(H)_{>=d} = in(H ∩ m^d), so `_reduce_records` makes the reduced basis
-    of the meet from them, with no S-pair.  It is given by that basis, which
-    its Groebner cache holds when `order` is its ring's.
+
+def _max_power_product(A: Ideal, B: Ideal, within: Ideal) -> Ideal | None:
+    """A * B when one side is m^d (`_max_power_degree`), the other H is
+    generated by forms of one degree s, and the first row of its ring's order
+    is the total degree: H's part in degrees >= s + d (`_part`).  Else None.
+
+    Exact: A * B lies in H ∩ m^(s+d), and a form f of H of degree e >= s + d
+    is a sum of a_i h_i over H's generators with each a_i of degree
+    e - s >= d, so in m^d.  `within`, an ideal known to contain A * B, is
+    held to the check a run would make (`groebner._check_within`).  The part
+    belongs to H's derived cache and may be a meet as well, so nothing is
+    recorded on it.
     """
     ring = A.ring
+    order = ring.order
     lay = _layout(order, ring.arity)
     if not all(lay.rows[0]):
         return None
     for M, H in ((A, B), (B, A)):
         d = _max_power_degree(M, order)
-        if d is not None and all(g.is_homogeneous().homogeneous for g in H.gens):
-            break
-    else:
-        return None
+        s = None if d is None else _one_degree(m for g in H.gens for m in g.coeffs)
+        if s is not None:
+            part = _part(H, s + d, order)
+            _check_within(part._gb_cache[order], within._gb_cache.get(order), lay)
+            return part
+    return None
+
+
+def _part(H: Ideal, d: int, order: MonomialOrder) -> Ideal:
+    """H's part in degrees >= d, H homogeneous and the first row of `order`
+    the total degree; built once per H, d and order, under
+    `H._derived[("part", order, d)]`, so a meet and a product that are this
+    ideal are one object.
+
+    Each element of H's reduced basis under `order` of degree e < d is
+    multiplied by every monomial of degree d - e, one unit per product; the
+    elements of degree >= d are kept as they are.  Their leading monomials
+    generate in(H)_{>=d} = in(H ∩ m^d), so `_reduce_records` makes the
+    reduced basis of the part from them, with no S-pair.  It is given by
+    that basis, which its Groebner cache holds when `order` is its ring's.
+    """
+    key = ("part", order, d)
+    if key in H._derived:
+        return H._derived[key]
+    lay = _layout(order, H.ring.arity)
     budget, guard = _budget(), lay.guard
     recs = []
     for rec in groebner(H, order)._records:
@@ -331,8 +372,10 @@ def _meet_max_power(A: Ideal, B: Ideal, order: MonomialOrder) -> Ideal | None:
                 raise _overflow()
             recs.append(_Rec({q + m: c for m, c in rec.items()}, guard))
     recs.sort(key=attrgetter("lm"))
-    return _given_by(GroebnerBasis(ring, order, None,
+    part = _given_by(GroebnerBasis(H.ring, order, None,
                                    _records=tuple(_reduce_records(recs, lay, budget))))
+    H._derived[key] = part
+    return part
 
 
 def _filled_power(I: Ideal, prev: Ideal) -> Ideal | None:

@@ -695,7 +695,8 @@ class Ideal:
     Each object carries two caches that are filled on first use and never
     invalidated (an Ideal is immutable): `_gb_cache` maps a monomial order to
     the reduced Groebner basis, and `_derived` maps a name to an ideal derived
-    from this one alone, such as the Rees ideal under "rees", or to a fact
+    from this one alone, such as the Rees ideal under "rees" or its part in
+    degrees >= d under ("part", order, d) (see `hilbert._part`), or to a fact
     known about it, such as its weighted Hilbert series under "hilbert"
     (see `hilbert`) or an Ideal known to contain it under "within" (see
     `groebner.buchberger`).  A fact is recorded by the code that builds the

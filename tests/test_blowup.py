@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from operator import le
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from symrees import (
@@ -277,8 +277,9 @@ def test_vv_reads_lead_monomials_once_per_basis(monkeypatch):
     monkeypatch.setattr(GroebnerBasis, "leading_monomials", counting)
     report = vv_pieces(four_points_pair(), 4)
     monkeypatch.undo()
-    # the meet's and the lower ideal's basis, once each for t = 2, 3, 4
-    assert len(read) == 2 * 3
+    # the meet's and the lower ideal's basis, once each for t = 2; at t = 3, 4
+    # they are one ideal, so the piece is 0 and no dimension is read
+    assert len(read) == 2
     assert report == vv_pieces(four_points_pair(), 4)
 
 
@@ -782,10 +783,12 @@ def test_filtration_bases_computed_once_per_pair(monkeypatch):
 @contextmanager
 def recorded_within():
     """(B, A) for each Ideal B that reaches the engine recorded as within A,
-    or that `blowup` forms from monomial basis words, checked against A."""
+    or that `blowup` forms from monomial basis words or reads off a part of
+    one side (a product with m^d), checked against A."""
     from symrees import blowup
     engine = sys.modules["symrees.groebner"]
     real, real_word_product = engine.buchberger, blowup._word_product
+    real_max_power_product = blowup._max_power_product
     seen = []
 
     def recording(source, order=None):
@@ -799,11 +802,19 @@ def recorded_within():
             seen.append((out, within))
         return out
 
+    def max_power_product(A, B, within):
+        out = real_max_power_product(A, B, within)
+        if out is not None:
+            seen.append((out, within))
+        return out
+
     engine.buchberger, blowup._word_product = recording, word_product
+    blowup._max_power_product = max_power_product
     try:
         yield seen
     finally:
         engine.buchberger, blowup._word_product = real, real_word_product
+        blowup._max_power_product = real_max_power_product
 
 
 def _assert_recorded_containments_hold(seen):
@@ -864,15 +875,18 @@ def test_word_products_are_held_to_the_containing_ideals_basis():
 
 def test_artin_rees_products_are_recorded():
     # four-points has torsion in degree 2, so k = 1 fails at t = 2 and k = 2
-    # compares J cap I^t with (J cap I^2) * I^(t-2) for t = 3, 4
+    # compares J cap I^t with (J cap I^2) * I^(t-2) for t = 3, 4; I^2 is m^4,
+    # so the product at t = 4 is read off the basis of J cap I^2, generated
+    # in degree 4, and given by its reduced basis
     pair = four_points_pair()
     with recorded_within() as seen:
         assert artin_rees_number(pair, 4) == 2
     cache = pair._cache
     lowers = [ideal for key, ideal in cache.items() if key[0] == "lower"]
     products = [(B.gens, A) for B, A in seen if all(B is not L for L in lowers)]
-    assert products == [(ideal_product(cache[("meet", 2)], _pair_power(pair, t - 2)).gens,
-                         cache[("meet", t)]) for t in (3, 4)]
+    want = [ideal_product(cache[("meet", 2)], _pair_power(pair, t - 2)) for t in (3, 4)]
+    assert products == [(want[0].gens, cache[("meet", 3)]),
+                        (groebner(want[1]).elements, cache[("meet", 4)])]
     _assert_recorded_containments_hold(seen)
 
 
@@ -943,3 +957,159 @@ def test_recorded_containments_hold_on_homogeneous_pairs(ij):
         artin_rees_number(pair, 3)
         standard_base_check(pair, 3)
     _assert_recorded_containments_hold(seen)
+
+
+# ---------------------------------------------------------------------------
+# products with a power of m read off one side's basis, and skipped pieces
+
+
+def _max_power(d: int, ring=R3) -> Ideal:
+    """m^d for m = (all variables of `ring`), given by single terms."""
+    return Ideal(ring, [ring.monomial(m) for m in monomials_of_degree(ring.arity, d)])
+
+
+def _in_one_degree(A: Ideal) -> bool:
+    return len({sum(m) for g in A.gens for m in g.coeffs}) == 1
+
+
+# of the 40 draws, 18 have a basis that is not monomial and take the part route
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gens_terms=homogeneous_ideals)
+def test_products_with_a_power_of_m_equal_the_reference_route(gens_terms, monkeypatch):
+    from symrees.blowup import _product
+    A = Ideal(R3, build(gens_terms))
+    assume(not A.is_zero and _in_one_degree(A))
+    # a monomial A takes the route of basis words, which forms a new ideal
+    part_route = any(len(g.coeffs) > 1 for g in groebner(A).elements)
+    for d in range(1, 5):
+        want = buchberger(ideal_product(A, _max_power(d))).elements
+        # a containing ideal with the product's own basis: the check must pass
+        within = Ideal(R3, want)
+        groebner(within)
+        with monkeypatch.context() as m:
+            # A's basis is cached and m^d's needs no run: neither product runs
+            m.setattr(sys.modules["symrees.groebner"], "_run_buchberger", None)
+            products = [_product(A, _max_power(d), within),
+                        _product(_max_power(d), A, A)]
+        for product in products:
+            assert product.gens == want
+            assert product._gb_cache[R3.order].elements == product.gens
+        if part_route:
+            # one part of A, held by A and recorded as within nothing
+            assert products[0] is products[1]
+            assert "within" not in products[0]._derived
+
+
+def test_products_with_a_power_of_m_outside_the_route_keep_their_generators():
+    from symrees.blowup import _product
+    RL = make_ring(["x", "y", "z"], order="lex")
+    cases = [
+        # generators of two degrees
+        (Ideal(R3, [X + Y, Y * Z - Z * Z]), _max_power(2), True),
+        # a lex ring: its first row is not the total degree
+        (Ideal(RL, [RL.parse("x^2 - y*z")]), _max_power(2, RL), True),
+        # no containing ideal to hold the product to
+        (Ideal(R3, [X * X - Y * Z]), _max_power(2), False),
+    ]
+    for A, M, compared in cases:
+        groebner(A)
+        groebner(M)
+        within = A if compared else None
+        for left, right in ((A, M), (M, A)):
+            product = _product(left, right, within)
+            assert product.gens == ideal_product(left, right).gens
+            assert product._derived.get("within") is within
+
+
+def test_products_with_a_power_of_m_are_held_to_the_containing_ideals_basis():
+    from symrees.blowup import _product
+    A = Ideal(R3, [X * X + Y * Z])
+    groebner(A)
+    # (x^2 + yz) * m has leading monomials x^3, x^2*y, x^2*z: a claim that it
+    # lies in the monomial ideal of those three must give that basis
+    wrong = Ideal(R3, [X ** 3, X * X * Y, X * X * Z])
+    groebner(wrong)
+    for left, right in ((A, _max_power(1)), (_max_power(1), A)):
+        with pytest.raises(AssertionError):
+            _product(left, right, wrong)
+
+
+# J = (x^2 - x*z, y^2 - y*z) times m^4 is J's part in degrees >= 6: each
+# quadric times each of the 15 quartic monomials, one unit each, and 20
+# tail-reduction steps; J's basis takes no step, since its two leading
+# monomials are coprime
+MAX_POWER_PRODUCT_LEAST = 30 + 20
+
+
+def test_a_product_with_a_power_of_m_spends_the_work_limit():
+    from symrees.blowup import _product
+    from symrees.budget import WorkLimitExceeded, work_limit
+
+    def product(limit):
+        J = Ideal(R3, [X * X - X * Z, Y * Y - Y * Z])
+        with work_limit(limit):
+            return _product(J, _max_power(4), J)
+
+    with pytest.raises(WorkLimitExceeded):
+        product(MAX_POWER_PRODUCT_LEAST - 1)
+    got = product(MAX_POWER_PRODUCT_LEAST)
+    J = Ideal(R3, [X * X - X * Z, Y * Y - Y * Z])
+    assert got.gens == buchberger(ideal_product(J, _max_power(4))).elements
+
+
+@pytest.mark.parametrize("name", ["four-points", "equigenerated-forms"])
+def test_lower_filtration_ideals_that_are_meets_are_one_ideal(name):
+    # I^(t-1) is m^(2t-2) and J is generated in degree 2, so J * I^(t-1) and
+    # J cap I^t are both J's part in degrees >= 2t
+    pair = pair_by_name(name)
+    vv_pieces(pair, 4)
+    for t in (3, 4):
+        assert pair._cache[("lower", t)] is pair._cache[("meet", t)]
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("four-points", [3, 1, 0]),
+    ("equigenerated-forms", [1, 0, 0]),
+    ("coordinate-points", [0, 0, 0]),
+    ("product-partials", [0, 0, 0]),
+])
+def test_pair_fixture_torsion_runs_are_pinned(name, runs, engine_inputs):
+    # the runs of vv_pieces, artin_rees_number and standard_base_check at
+    # bound 4; four-points' J * I and (J cap I^2) * I still run, as I is not
+    # a power of m
+    pair = pair_by_name(name)
+    got = []
+    for invariant in (vv_pieces, artin_rees_number, standard_base_check):
+        engine_inputs.clear()
+        invariant(pair, 4)
+        got.append(len(engine_inputs))
+    assert got == runs
+
+
+def _reference_vv(pair, bound):
+    """The torsion pieces from fresh ideals, with witnesses, dimensions and
+    annihilator exponents computed at every degree."""
+    from symrees.blowup import TorsionPiece, TorsionReport, _graded_dims
+    from symrees.ideal_ops import ideal_power, intersect
+    I, J = pair.i_ideal, pair.j_ideal
+    pieces = []
+    for t in range(2, bound + 1):
+        meet = intersect(J, ideal_power(I, t))
+        lower = ideal_product(J, ideal_power(I, t - 1))
+        gb_lower = groebner(lower)
+        witnesses = tuple(g for g in meet.gens if not normal_form(g, gb_lower).is_zero)
+        cap = max([2 * max(g.degree() for g in I.gens)] + [w.degree() for w in witnesses])
+        dims = tuple((d, a - b) for d, (a, b) in enumerate(zip(
+            _graded_dims(groebner(meet), cap), _graded_dims(gb_lower, cap))) if a != b)
+        annos = tuple(next((k for k in range(1, bound + 1) if ideal_contains(
+            lower, ideal_product(ideal_power(I, k), Ideal(pair.ring, [w])))), None)
+            for w in witnesses)
+        pieces.append(TorsionPiece(t, bool(witnesses), witnesses, dims, annos))
+    return TorsionReport(bound, tuple(pieces))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(homogeneous_pairs())
+def test_vv_pieces_equal_the_reference_on_homogeneous_pairs(ij):
+    assert vv_pieces(make_pair(R3, *ij), 3) == _reference_vv(make_pair(R3, *ij), 3)

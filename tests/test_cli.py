@@ -327,10 +327,10 @@ def test_work_limit_exit_code(tmp_path):
     assert res.exit_code == 3
 
 
-# torsion at bound 3 makes 19 engine calls: the largest spends 179 work units,
-# all of them together 261; its polynomial products spend 371 more, 350 in
-# ideal products and powers (I^1 is I itself, so no product forms it), 17
-# parsing the input and 4 checking certificates
+# torsion at bound 3 spends 247 work units on S-pairs and reduction steps;
+# its polynomial products spend 371 more, 350 in ideal products and powers
+# (I^1 is I itself, so no product forms it), 17 parsing the input and 4
+# checking certificates
 TORSION_PAIR = """\
 ring: x,y,z
 ideal I: x^2 - x*z; y^2 - y*z; x*y - x*z - y*z + z^2
@@ -358,8 +358,8 @@ def test_an_exhausted_limit_names_the_flag(tmp_path):
 
 
 def test_command_work_is_pinned(tmp_path):
-    assert _torsion_exit(tmp_path, 632) == 0
-    assert _torsion_exit(tmp_path, 631) == 3
+    assert _torsion_exit(tmp_path, 618) == 0
+    assert _torsion_exit(tmp_path, 617) == 3
 
 
 def test_a_power_in_the_input_spends_the_work_limit(tmp_path):
