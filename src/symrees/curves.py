@@ -11,14 +11,17 @@ cross-checks three equivalent degeneration criteria, the third being the
 certificate of one sampled member (`evaluate_member`).
 
 The saturation is the intersection of the saturations I : v^inf for v in
-x, y, z.  The entry ideal is homogeneous in x, y, z, so `saturate_by_variable`
-gives each I : v^inf and its contraction to k[u] from one Hilbert-driven
-Buchberger run, which starts from the entry ideal's grevlex basis, already
-in its cache from `dimension`.
-Since (A ∩ B) ∩ k[u] = (A ∩ k[u]) ∩ (B ∩ k[u]), the contraction is reached
-without the saturation: the three contractions are intersected in k[u].
-`FamilyReport.saturation` itself is only intersected, in the full ring, when
-it is first read.
+x, y, z.  The entry ideal is homogeneous in x, y, z, so
+`ideal_ops._saturation_parts` gives each I : v^inf and its contraction to
+k[u] from one Hilbert-driven Buchberger run, which starts from the entry
+ideal's grevlex basis, already in its cache from `dimension`.  Only the
+contraction is finished then; the rest of each I : v^inf waits for its
+first read.  Since (A ∩ B) ∩ k[u] = (A ∩ k[u]) ∩ (B ∩ k[u]), the
+contraction is reached without the saturation: the three contractions are
+intersected in k[u], where two with equal generators, each given by its
+reduced basis under one order, are one ideal and take no meet.
+`FamilyReport.saturation` itself is only finished and intersected, in the
+full ring, when it is first read.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .blowup import PairInput, make_pair, pair_syzygies
 from .groebner import groebner
 from .ideal_ops import (
     DimensionReport,
+    _saturation_parts,
     dimension,
     intersect,
-    saturate_by_variable,
 )
 from .rings import Ideal, Polynomial, RingContext, RingError
 from .syzygy import PolyMatrix, entry_ideal
@@ -156,18 +159,23 @@ class FamilyReport:
     legs: tuple                  # the three equivalent criteria, as booleans
     consistent: bool
     warnings: tuple
-    _saturations: tuple = field(compare=False, repr=False)  # (I : v^inf) per v
+    # per v, a zero-argument callable that returns I : v^inf
+    _saturations: tuple = field(compare=False, repr=False)
 
     @cached_property
     def saturation(self) -> Ideal:
-        """The entry ideal saturated by (x, y, z); intersected on first read.
+        """The entry ideal saturated by (x, y, z); built on first read.
 
-        Each piece enters the meets by its reduced basis under the ring's
-        order: the tag-variable elimination on the block-order bases that
-        `saturate_by_variable` returns can run for minutes (family a).
+        That read finishes each I : v^inf, whose records `analyze_family`
+        left as the run made them, beyond those of its contraction
+        (`ideal_ops._saturation_parts`), and intersects them, all under the
+        reader's budget.  Each piece enters the meets by its reduced basis
+        under the ring's order: the tag-variable elimination on the
+        block-order bases that `saturate_by_variable` returns can run for
+        minutes (family a).
         """
-        sat, *rest = (Ideal(satv.ring, groebner(satv).elements)
-                      for satv in self._saturations)
+        pieces = [part() for part in self._saturations]
+        sat, *rest = (Ideal(satv.ring, groebner(satv).elements) for satv in pieces)
         for satv in rest:
             sat = intersect(sat, satv)
         return sat
@@ -248,11 +256,14 @@ def analyze_family(F: Polynomial, *, seed: int = 0,
     srep = dimension(script)
 
     # saturation by the irrelevant ideal, one variable at a time; contracting
-    # commutes with intersecting, so each piece is contracted to k[u] first
-    sats, contractions = zip(*(saturate_by_variable(script, v) for v in geom))
+    # commutes with intersecting, so each piece is contracted to k[u] first.
+    # Each contraction is given by its reduced basis under one order, so
+    # equal generators are equal ideals and their meet is either one
+    sats, contractions = zip(*(_saturation_parts(script, v) for v in geom))
     contraction, *rest = contractions
     for cv in rest:
-        contraction = intersect(contraction, cv)
+        if cv.gens != contraction.gens:
+            contraction = intersect(contraction, cv)
     crep = dimension(contraction)
 
     alpha = sample_parameters(ring, avoid, seed)

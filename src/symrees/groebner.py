@@ -37,10 +37,14 @@ is zero, so it would only be taken up and dropped.  A run
 (`_run_buchberger`) returns its basis records ascending and not yet reduced;
 each caller makes reduced the records it keeps, in one upward pass
 (`_reduce_records`): each element is tail-reduced by the already-reduced
-elements below it.  So an elimination (`_eliminated`, through
-`_free_elements`) finishes only the elements free of the eliminated
-variables, an ascending prefix of the records, and unpacks only their kept
-exponent fields, straight into the target ring.
+elements below it.  So an elimination (`_eliminated`) finishes only the
+elements free of the eliminated variables, an ascending prefix of the
+records (`_free_prefix`), and unpacks only their kept exponent fields,
+straight into the target ring (`_free_ideal`).  A saturation by a variable
+(`_saturated`) finishes at once only the records free of the variable's
+block once it is divided out, which give the contraction; its records move
+to the saturation's layout by a few masks and shifts per word
+(`_move_plan`), and the rest move when the saturation is first read.
 
 Hilbert-driven runs (Traverso, J. Symb. Comp. 22, 1996).  An Ideal whose
 `_derived["hilbert"]` holds a `hilbert.HilbertSeries` (weights, N) states that
@@ -101,7 +105,7 @@ whose reduced bases are monomial, from the pairwise lcms or products of
 their basis words.  Outside the engine layer (this module and `hilbert`) no
 code reads packed words or writes a Groebner cache: an elimination hands
 back its result as an Ideal, seeded with its reduced basis when the order
-allows (`_eliminated`, `_free_elements`, `_seeded`).
+allows (`_eliminated`, `_saturated`, `_free_ideal`).
 
 Optionally every basis element tracks its representation in terms of the input
 generators (as their content-1 integer parts); this representation is the
@@ -662,7 +666,7 @@ def _uncover(cover: list, e: int, eguard: int) -> list:
     return cover
 
 
-def _reduce_records(recs, lay: _Layout, budget) -> list:
+def _reduce_records(recs, lay: _Layout, budget, below=()) -> list:
     """The reduced basis from the records of a Groebner basis, descending.
 
     `recs` must be ascending by leading monomial; no S-pair is formed.  Walking
@@ -670,11 +674,13 @@ def _reduce_records(recs, lay: _Layout, budget) -> list:
     and every other record is tail-reduced by the reduced records built before
     it.  A term of its tail is below its leading monomial, so only a record
     with a smaller leading monomial can act on it; those are already reduced,
-    so no reduction cascades.
+    so no reduction cascades.  `below`, the result of this walk on records
+    that all lie below `recs`, is where the walk resumes: it is not reduced
+    again, and it ends the result.
     """
     guard = lay.guard
-    final = []
-    lms = []
+    final = list(reversed(below))
+    lms = [rec.lm for rec in final]
     for rec in recs:
         for lm in lms:
             if not ((rec.lm - lm) & guard):
@@ -788,86 +794,121 @@ def _lead_basis(I: Ideal) -> GroebnerBasis:
 def _eliminated(I: Ideal, gone: Sequence[int], target: RingContext) -> Ideal:
     """I ∩ k[variables not in `gone`] in `target`, which lists those
     variables in their order in `I.ring`, given by its reduced basis under
-    the order `I.ring.elim_order_vars(gone)` restricts to them, descending
-    and monic, and seeded with it (`_seeded`).
+    the order `I.ring.elim_order_vars(gone)` restricts to them (`_free_ideal`).
 
-    One run under that order, Hilbert-driven when I records its series,
-    handed to `_free_elements` as an unfinished basis: only the kept records
-    are tail-reduced and unpacked.
+    One run under that order, Hilbert-driven when I records its series; only
+    the kept records, an ascending prefix (`_free_prefix`), are tail-reduced
+    and unpacked: their tails are free of `gone` too, so no other record
+    acts on them.
     """
     ring = I.ring
     order = ring.elim_order_vars(gone)
+    lay = _layout(order, ring.arity)
     recs, _ = _run_buchberger(I.gens, ring, order, track=False,
                               hilbert=I._derived.get("hilbert"))
-    return _free_elements(GroebnerBasis(ring, order, None, _run=recs), gone, target)
+    kept = _reduce_records(_free_prefix(recs, lay, gone), lay, _budget())
+    return _free_ideal(kept, lay, order, [i for i in range(ring.arity) if i not in gone],
+                       target)
 
 
-def _seeded(out: Ideal, order: MonomialOrder, keep: Sequence[int]) -> Ideal:
-    """`out`, given by the elements free of the variables outside `keep` of
-    a reduced basis under `order`, which puts those first.  By the
+def _free_ideal(kept, lay: _Layout, order: MonomialOrder, keep: Sequence[int],
+                target: RingContext) -> Ideal:
+    """The ideal in `target`, whose variables are those at `keep`, given by
+    `kept`: the reduced records, descending, of a basis under `order` that are
+    free of the other variables, which `order` puts first.  By the
     elimination theorem they are its reduced basis under `order` restricted
-    to `keep`, so they enter its Groebner cache when that is `out`'s own
+    to `keep`, so they enter its Groebner cache when that is `target`'s own
     order (grevlex targets; not lex ones)."""
-    target = out.ring
+    out = Ideal(target, [_from_engine(target, lay, rec.items(), Fraction(1, rec.lc), keep)
+                         for rec in kept])
     if order.restrict(keep) == target.order:
         out._gb_cache[target.order] = GroebnerBasis(target, target.order, out.gens)
     return out
 
 
-def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> GroebnerBasis:
-    """The reduced basis of I : v^infinity under `ring.elim_order_vars(first)`,
-    v the variable at first[-1], where H is homogeneous and is I, or I
-    homogenized by a last variable h (`ring` is H's without h).
+@lru_cache(maxsize=16)
+def _move_plan(src: _Layout, dst: _Layout) -> tuple:
+    """((mask, shift), ...) such that a monomial packed under `src` packs
+    under `dst` as the sum of (word & mask) >> shift, when `dst`'s
+    variables are the first of `src`'s, every row of `dst`'s order is one of
+    `src`'s with a zero column at each other variable, and the monomial has
+    no other variable (or has it set to 1).  Each exponent field stays
+    where it is, and each row field moves down to its row's place in `dst`;
+    the fields that move by one distance share one mask."""
+    n, ns = len(dst.shifts), len(src.shifts)
+    top, stop = n + len(dst.rows) - 1, ns + len(src.rows) - 1
+    pad = (0,) * (ns - n)
+    down = dict.fromkeys(range(n), 0)     # dst field -> fields it moves down
+    for r, row in enumerate(dst.rows):
+        down[top - r] = stop - src.rows.index(row + pad) - (top - r)
+    masks: dict = {}
+    for f, d in down.items():
+        masks[d] = masks.get(d, 0) | _FIELD_MASK << FIELD_BITS * (f + d)
+    return tuple((mask, FIELD_BITS * d) for d, mask in masks.items())
 
-    One run under `H.ring.elim_order_vars(first)`, Hilbert-driven when H
-    records its series.  Each record is moved on its packed words: the
-    exponent fields of `ring`'s variables are repacked under its layout,
-    which drops h's field (the top one), and the record's v-content is
-    subtracted.  The records are homogeneous, so no two terms meet at h = 1
-    and each keeps its leading monomial (see `ideal_ops.saturate_by_variable`);
-    sorted, they are tail-reduced by `_reduce_records` at once, since
-    `ideal_ops.saturate_by_variable` reads the whole basis and its free prefix.
-    """
-    recs, _ = _run_buchberger(H.gens, H.ring, H.ring.elim_order_vars(first),
-                              track=False, hilbert=H._derived.get("hilbert"))
-    order = ring.elim_order_vars(first)
-    lay = _layout(order, ring.arity)
-    pack, guard = lay.pack_exponents, lay.guard
-    sv, xv = lay.shifts[first[-1]], lay.var[first[-1]]
+
+def _moved(recs, plan: tuple, lay: _Layout, iv: int) -> list:
+    """The records `recs` moved to `lay` by `plan` (`_move_plan`), each
+    divided by its content in the variable at `iv`, ascending by leading
+    monomial.  That content is the exponent of the leading monomial, as the
+    records are homogeneous in that variable's block, in grevlex with it
+    last (see `_saturated`).  Every moved term is checked against the guard
+    bits."""
+    sv, xv, guard = lay.shifts[iv], lay.var[iv], lay.guard
     out = []
     for rec in recs:
-        terms = {pack(m): c for m, c in rec.items()}
-        k = min((m >> sv) & _FIELD_MASK for m in terms)
-        if k:
-            terms = {m - k * xv: c for m, c in terms.items()}
-        # every row of `order` is a row of H's order, so this bound holds
+        kx = ((rec.lm >> sv) & _FIELD_MASK) * xv
+        terms = {sum((m & mask) >> s for mask, s in plan) - kx: c for m, c in rec.items()}
+        # every row of `lay` is a row of the source order, so this bound holds
         # already; it is checked as at every other entry into a layout
         if any(m & guard for m in terms):
             raise _overflow()
         out.append(_Rec(terms, guard))
     out.sort(key=attrgetter("lm"))
-    return GroebnerBasis(ring, order, None,
-                         _records=tuple(_reduce_records(out, lay, _budget())))
+    return out
 
 
-def _free_elements(gb: GroebnerBasis, gone: Sequence[int],
-                   target: RingContext) -> Ideal:
-    """The ideal in `target` of the elements of the reduced basis `gb` free
-    of `gone`, seeded as `_eliminated`'s; `gb.order` must put `gone` first,
-    as the orders `elim_order_vars` builds for `gone` listed in any order do.
-    Those are a prefix of the ascending records (`_free_prefix`), and an
-    unfinished `gb` tail-reduces only them: their tails are free of `gone`
-    too, so no other record acts on them."""
-    lay = _layout(gb.order, gb.ring.arity)
-    run = gb._run
-    if run is None:
-        kept = _free_prefix(gb._records[::-1], lay, gone)[::-1]
-    else:
-        kept = _reduce_records(_free_prefix(run, lay, gone), lay, _budget())
-    keep = [i for i in range(gb.ring.arity) if i not in gone]
-    elements = [_from_engine(target, lay, rec.items(), Fraction(1, rec.lc), keep)
-                for rec in kept]
-    return _seeded(Ideal(target, elements), gb.order, keep)
+def _saturated(H: Ideal, ring: RingContext, first: Sequence[int]) -> tuple:
+    """(finish, contraction) for I : v^infinity, v the variable at first[-1]
+    and `first` its block, where H is homogeneous and is I, or I homogenized
+    by a last variable h (`ring` is H's without h): `finish()` returns the
+    reduced basis of I : v^infinity under `ring.elim_order_vars(first)`, and
+    the contraction is the ideal of its elements free of the block
+    (`_free_ideal`).
+
+    One run under `H.ring.elim_order_vars(first)`, Hilbert-driven when H
+    records its series.  Its records move to `ring`'s layout on their packed
+    words (`_move_plan`, `_moved`), which drops h's field and sets h = 1,
+    and lose their v-content; they are homogeneous, so no two terms meet at
+    h = 1 and each keeps its leading monomial (see
+    `ideal_ops.saturate_by_variable`).  They are also homogeneous in v's
+    block, in grevlex with v last, so v^d is the least monomial of block
+    degree d: a record is free of the block once divided by its v-content
+    exactly when the block part of its leading monomial is a power of v.
+    Moved, those records lie below the others and only they act on one
+    another, so they are moved and tail-reduced (`_reduce_records`) at once
+    and give the contraction.  The other records stay as the run left them
+    until `finish` moves them and tail-reduces them on top of the free ones,
+    under its caller's budget; each call does so anew.
+    """
+    order_h = H.ring.elim_order_vars(first)
+    recs, _ = _run_buchberger(H.gens, H.ring, order_h, track=False,
+                              hilbert=H._derived.get("hilbert"))
+    order = ring.elim_order_vars(first)
+    lay = _layout(order, ring.arity)
+    plan = _move_plan(_layout(order_h, H.ring.arity), lay)
+    others = sum(_FIELD_MASK << lay.shifts[i] for i in first[:-1])
+    free = _reduce_records(_moved([rec for rec in recs if not rec.lm & others],
+                                  plan, lay, first[-1]), lay, _budget())
+    rest = [rec for rec in recs if rec.lm & others]
+
+    def finish() -> GroebnerBasis:
+        moved = _moved(rest, plan, lay, first[-1])
+        return GroebnerBasis(ring, order, None,
+                             _records=tuple(_reduce_records(moved, lay, _budget(), free)))
+
+    keep = [i for i in range(ring.arity) if i not in first]
+    return finish, _free_ideal(free, lay, order, keep, ring.subring(keep))
 
 
 def _free_prefix(recs, lay: _Layout, gone: Sequence[int]) -> list:

@@ -32,7 +32,8 @@ forms of one degree s is H's part in degrees >= s + d the same way
 e >= s + d is a sum of H's generators times forms of degree e - s >= d.
 Both read the part through `_part`, which builds it once per ideal, degree
 and order and keeps it in the ideal's derived cache, so a meet and a product
-that are one part are one Ideal.  And for I generated in one degree e,
+that are one part are one Ideal; a part of a part is cut from the ideal the
+first part came from.  And for I generated in one degree e,
 once a power I^(t-1) is m^((t-1)e), I^t is m^(te): m^(te) = m^e I^(t-1) =
 (m^e I^(t-2)) I <= m^((t-1)e) I = I^t <= m^(te) (`_filled_power`, for
 `blowup._pair_power`, which asks `_may_fill` whether a power built from
@@ -45,6 +46,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from operator import attrgetter
 from typing import NamedTuple, Sequence
+from weakref import ref
 
 from .budget import _budget
 from .groebner import (
@@ -346,7 +348,10 @@ def _part(H: Ideal, d: int, order: MonomialOrder) -> Ideal:
     """H's part in degrees >= d, H homogeneous and the first row of `order`
     the total degree; built once per H, d and order, under
     `H._derived[("part", order, d)]`, so a meet and a product that are this
-    ideal are one object.
+    ideal are one object.  A part records under "part of" the ideal it was
+    cut from, by a weak reference so that the two form no cycle, and the
+    degree, (G, a); a part of it in degrees d >= a is G's,
+    (G_{>=a})_{>=d} = G_{>=d}, found or built there while G lives.
 
     Each element of H's reduced basis under `order` of degree e < d is
     multiplied by every monomial of degree d - e, one unit per product; the
@@ -355,6 +360,10 @@ def _part(H: Ideal, d: int, order: MonomialOrder) -> Ideal:
     reduced basis of the part from them, with no S-pair.  It is given by
     that basis, which its Groebner cache holds when `order` is its ring's.
     """
+    cut = H._derived.get("part of")
+    origin = None if cut is None or d < cut[1] else cut[0]()
+    if origin is not None:
+        return _part(origin, d, order)
     key = ("part", order, d)
     if key in H._derived:
         return H._derived[key]
@@ -374,6 +383,7 @@ def _part(H: Ideal, d: int, order: MonomialOrder) -> Ideal:
     recs.sort(key=attrgetter("lm"))
     part = _given_by(GroebnerBasis(H.ring, order, None,
                                    _records=tuple(_reduce_records(recs, lay, budget))))
+    part._derived["part of"] = (ref(H), d)
     H._derived[key] = part
     return part
 

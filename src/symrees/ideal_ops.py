@@ -26,11 +26,12 @@ is B's part in degrees >= d, read off B's reduced basis under that order
 homogeneous in the variable's block makes one run, Hilbert-driven from the
 input's grevlex basis (homogenized by a fresh last variable h when that is
 not homogeneous) under a block order that also eliminates that block, which
-gives both the saturation and its contraction, read off the same prefix of
-the saturation's reduced basis (`groebner._free_elements`).  Its records leave
-the engine once (`groebner._saturated`): h is dropped and the variable
-divided out on their packed words, and they are tail-reduced and unpacked
-in one pass.
+gives both the saturation and its contraction, the prefix of the
+saturation's reduced basis free of that block.  Its records leave the
+engine once (`groebner._saturated`): h is dropped and the variable divided
+out on their packed words.  The contraction's records are tail-reduced and
+unpacked at once; `_saturation_parts` leaves the others to the first read
+of the saturation, which `saturate_by_variable` makes at once.
 
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
@@ -48,7 +49,6 @@ from typing import Sequence
 from .groebner import (
     GroebnerBasis,
     _eliminated,
-    _free_elements,
     _lead_basis,
     _saturated,
     groebner,
@@ -207,24 +207,41 @@ def saturate_by_variable(I: Ideal, v: str) -> tuple:
     it divides the polynomial, so its elements divided by their v-content are
     one of I : v^infinity.  `groebner._saturated` sets h = 1 and divides out
     v on the run's packed records, then minimalizes and tail-reduces them
-    with no second Buchberger run and unpacks them once: the reduced basis
-    under that order.  As in an elimination, the elements free of v's block
-    are the contraction.  Input not homogeneous in v's block takes
-    `saturate_principal` and `eliminate`.
+    with no second Buchberger run: the reduced basis under that order.  As
+    in an elimination, its elements free of v's block are the contraction;
+    they are finished first, and the rest here at once, since this returns
+    both.  Input not homogeneous in v's block takes `saturate_principal`
+    and `eliminate`.
+    """
+    sat, contraction = _saturation_parts(I, v)
+    return sat(), contraction
+
+
+def _saturation_parts(I: Ideal, v: str) -> tuple:
+    """`saturate_by_variable`'s pair with I : v^infinity left to be read:
+    (a zero-argument callable that returns I : v^infinity, the
+    contraction).  On the one-run route only the contraction's records are
+    finished here; a call finishes the rest (`groebner._saturated`), anew
+    each time, under the caller's budget.
+
+    Whether I is homogeneous in v's block is read off I's grevlex basis once
+    per block, and kept in `I._derived` beside `_homogenized`'s ideal.
     """
     ring = I.ring
     iv = ring.index(v)
     block = next(b for b, idxs in ring.blocks if iv in idxs)
     gb = groebner(I, GREVLEX)
     # the reduced basis of a block-homogeneous ideal is block-homogeneous
-    if not all(g.is_homogeneous(block).homogeneous for g in gb):
+    key = ("homogeneous", block)
+    if key not in I._derived:
+        I._derived[key] = all(g.is_homogeneous(block).homogeneous for g in gb)
+    if not I._derived[key]:
         sat = saturate_principal(I, ring.var(v))
-        return sat, eliminate(sat, block)
+        return (lambda: sat), eliminate(sat, block)
     gone = ring.block_indices(block)
-    keep = tuple(i for i in range(ring.arity) if i not in gone)
     first = tuple(i for i in gone if i != iv) + (iv,)
-    sat = _saturated(_homogenized(I, gb), ring, first)
-    return Ideal(ring, sat.elements), _free_elements(sat, gone, ring.subring(keep))
+    finish, contraction = _saturated(_homogenized(I, gb), ring, first)
+    return (lambda: Ideal(ring, finish().elements)), contraction
 
 
 def _homogenized(I: Ideal, gb: GroebnerBasis) -> Ideal:

@@ -703,7 +703,8 @@ class Ideal:
     Ideal, before anything reads it.
     """
 
-    __slots__ = ("ring", "gens", "_gb_cache", "_derived")
+    # a part cut from an ideal refers back to it weakly (`hilbert._part`)
+    __slots__ = ("ring", "gens", "_gb_cache", "_derived", "__weakref__")
 
     def __init__(self, ring: RingContext, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if g and not g.is_zero)

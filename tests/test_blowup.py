@@ -1068,6 +1068,23 @@ def test_lower_filtration_ideals_that_are_meets_are_one_ideal(name):
         assert pair._cache[("lower", t)] is pair._cache[("meet", t)]
 
 
+def test_a_part_of_a_part_is_the_part_of_its_ideal():
+    # on four-points J cap I^t is J's part in degrees >= 2t, so the
+    # Artin-Rees right-hand side (J cap I^2) * I^2, the part of J_{>=4} in
+    # degrees >= 8, is J_{>=8}: one Ideal with J cap I^4
+    from symrees.blowup import _pair_meet, _pair_power, _product
+    from symrees.hilbert import _part
+    from symrees.ideal_ops import ideal_power, intersect
+    pair = pair_by_name("four-points")
+    meet4 = _pair_meet(pair, 4)
+    assert _product(_pair_meet(pair, 2), _pair_power(pair, 2), meet4) is meet4
+    assert meet4.gens == intersect(pair.j_ideal, ideal_power(pair.i_ideal, 4)).gens
+    # cut first, the part of the part is cached on J, where the meet finds it
+    pair = pair_by_name("four-points")
+    part = _part(_pair_meet(pair, 2), 8, pair.ring.order)
+    assert _pair_meet(pair, 4) is part
+
+
 @pytest.mark.parametrize("name, runs", [
     ("four-points", [3, 1, 0]),
     ("equigenerated-forms", [1, 0, 0]),

@@ -362,6 +362,26 @@ def test_command_work_is_pinned(tmp_path):
     assert _torsion_exit(tmp_path, 617) == 3
 
 
+def _family_a_exit(tmp_path, limit: int) -> int:
+    from symrees.fixtures import family_by_name
+    fam = family_by_name("a")
+    text = (f"ring: x,y,z | params: {','.join(fam.params)}\nfamily: {fam.poly}\n"
+            f"constraints: {'; '.join(fam.constraints)}\n")
+    path = write(tmp_path, "family.txt", text)
+    args = ["--work-limit", str(limit), "family", "analyze", path]
+    return CliRunner().invoke(main, args).exit_code
+
+
+# the parse, analyze_family and the first read of the saturation, which the
+# report prints (test_curves.test_family_work_is_pinned)
+FAMILY_COMMAND_LEAST = 65447
+
+
+def test_family_command_work_is_pinned(tmp_path):
+    assert _family_a_exit(tmp_path, FAMILY_COMMAND_LEAST) == 0
+    assert _family_a_exit(tmp_path, FAMILY_COMMAND_LEAST - 1) == 3
+
+
 def test_a_power_in_the_input_spends_the_work_limit(tmp_path):
     # the power is expanded while the file is parsed, before any engine run
     path = write(tmp_path, "power.txt", "ring: x,y,z\nideal I: (x+y+1)^400\n")

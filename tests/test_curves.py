@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from symrees import Ideal, RingError, buchberger, groebner, ideal_member, make_ring
 from symrees.blowup import aluffi_presentation, is_linear_type, pair_syzygies
+from symrees.budget import _BUDGET, WorkLimitExceeded, work_limit
 from symrees.curves import (
     Verdict,
     _content_one_certified,
@@ -24,10 +28,12 @@ from symrees.fixtures import (
     family_by_name,
 )
 from symrees.ideal_ops import (
+    _saturation_parts,
     dimension,
     eliminate,
     ideal_contains,
     ideal_equal,
+    intersect,
     saturate_principal,
 )
 from symrees.syzygy import apply_row
@@ -252,7 +258,7 @@ def test_contraction_is_contracted_saturation(key):
     report = analyze_family(fam.family(), seed=1, avoid=fam.constraint_polys())
     base = Ideal(report.entry_ideal.ring, groebner(report.entry_ideal).elements)
     for v, satv in zip(("x", "y", "z"), report._saturations):
-        assert ideal_equal(satv, saturate_principal(base, base.ring.var(v)))
+        assert ideal_equal(satv(), saturate_principal(base, base.ring.var(v)))
     assert report.contraction.gens == eliminate(report.saturation, "geom").gens
 
 
@@ -267,7 +273,7 @@ def test_family_saturation_is_one_engine_run_per_variable(monkeypatch,
     for mod in (curves_mod, ops_mod):
         monkeypatch.setattr(mod, "saturate_principal", forbidden, raising=False)
         monkeypatch.setattr(mod, "eliminate", forbidden, raising=False)
-    real = curves_mod.saturate_by_variable
+    real = curves_mod._saturation_parts
     runs = {}
 
     def spy(I, v):
@@ -277,7 +283,7 @@ def test_family_saturation_is_one_engine_run_per_variable(monkeypatch,
         runs[v] = [series for _, _, _, series, _ in engine_inputs[before:]]
         return out
 
-    monkeypatch.setattr(curves_mod, "saturate_by_variable", spy)
+    monkeypatch.setattr(curves_mod, "_saturation_parts", spy)
     analyze_family(quintic_family(), seed=2)
     # one Hilbert-driven run each, from the entry ideal's cached grevlex basis
     assert runs == {"x": [True], "y": [True], "z": [True]}
@@ -298,6 +304,109 @@ def test_lazy_saturation_is_two_meets_built_once(monkeypatch):
     assert len(seen) == 2                # three saturations, two meets
     assert report.saturation is sat      # built once
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("key", [fam.key for fam in FAMILIES])
+def test_family_saturations_match_the_aux_variable_route(key):
+    # per variable, the contraction and then I : v^inf, read on first call,
+    # are the reduced bases that saturate_principal and eliminate give
+    fam = family_by_name(key)
+    report = analyze_family(fam.family(), seed=1, avoid=fam.constraint_polys())
+    I = report.entry_ideal
+    for v in ("x", "y", "z"):
+        sat, contraction = _saturation_parts(I, v)
+        want = saturate_principal(I, I.ring.var(v))
+        assert contraction.gens == eliminate(want, "geom").gens
+        iv = I.ring.index(v)
+        order = I.ring.elim_order_vars(tuple(i for i in range(3) if i != iv) + (iv,))
+        assert sat().gens == buchberger(want, order).elements
+
+
+def test_family_analysis_moves_no_record_beyond_the_contraction(monkeypatch):
+    # only the records free of x, y, z once v is divided out are moved and
+    # tail-reduced while the family is analyzed; the first read of the
+    # saturation moves the rest, each once
+    engine = sys.modules["symrees.groebner"]
+    real = engine._moved
+    moved = []
+
+    def spy(recs, plan, lay, iv):
+        out = real(recs, plan, lay, iv)
+        moved.extend(any(lay.unpack(rec.lm)[:3]) for rec in out)
+        return out
+
+    monkeypatch.setattr(engine, "_moved", spy)
+    report = analyze_family(quintic_family(), seed=2)
+    free = len(moved)
+    assert free and not any(moved)
+    report.saturation
+    assert len(moved) > free and all(moved[free:])
+    n = len(moved)
+    report.saturation
+    assert len(moved) == n
+
+
+def test_threads_first_reading_one_saturation_get_equal_results():
+    report = analyze_family(quintic_family(), seed=2)
+    want = analyze_family(quintic_family(), seed=2).saturation
+    barrier = threading.Barrier(4)
+
+    def read(_):
+        barrier.wait(timeout=60)
+        return report.saturation
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(read, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(sat == want for sat in results)
+
+
+def test_equal_contractions_take_no_meet(monkeypatch):
+    # family k's three contractions have one reduced basis, so its
+    # contraction is that ideal, with no intersect
+    import symrees.curves as curves_mod
+    fam = family_by_name("k")
+    F, avoid = fam.family(), fam.constraint_polys()
+    want = analyze_family(F, avoid=avoid)
+    parts = [_saturation_parts(want.entry_ideal, v)[1] for v in ("x", "y", "z")]
+    assert parts[0].gens == parts[1].gens == parts[2].gens
+    assert intersect(parts[0], parts[1]).gens == parts[0].gens
+    seen = []
+    real = curves_mod.intersect
+
+    def spy(I, J):
+        seen.append((I, J))
+        return real(I, J)
+
+    monkeypatch.setattr(curves_mod, "intersect", spy)
+    report = analyze_family(F, avoid=avoid)
+    assert not seen and report.contraction.gens == parts[0].gens
+    assert report == want
+
+
+# analyze_family on catalog family a, and the first read of its saturation:
+# the runs' tail reduction beyond the contraction moved from the one to the
+# other, and their sum, the family command's least --work-limit less its
+# parse, did not change (test_cli.test_family_command_work_is_pinned)
+FAMILY_A_LEAST = 1243
+FAMILY_A_SATURATION_UNITS = 64165
+
+
+def test_family_work_is_pinned():
+    fam = family_by_name("a")
+    F, avoid = fam.family(), fam.constraint_polys()
+    with work_limit(FAMILY_A_LEAST):
+        report = analyze_family(F, avoid=avoid)
+    with pytest.raises(WorkLimitExceeded), work_limit(FAMILY_A_LEAST - 1):
+        analyze_family(F, avoid=avoid)
+    limit = 10 ** 6
+    with work_limit(limit):
+        report.saturation
+        assert limit - _BUDGET.get().left == FAMILY_A_SATURATION_UNITS
 
 
 def test_pair_syzygies_computed_once_per_pair(monkeypatch):

@@ -780,3 +780,31 @@ def test_threads_finishing_one_basis_get_equal_results():
             assert elements == want.elements
             assert [(r.lm, r.lc, r.tail) for r in records] \
                 == [(r.lm, r.lc, r.tail) for r in want._records]
+
+
+# ---------------------------------------------------------------------------
+# moving packed words between layouts: what a saturation's records go through
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), with_h=st.booleans(), block=st.booleans(), data=st.data())
+def test_a_word_move_equals_repacking_the_exponents(n, with_h, block, data):
+    # the target ring is the source's without its last variable h, when there
+    # is one; under a block order both put the same variables first
+    from symrees.groebner import _move_plan
+    from symrees.rings import block_order
+    ns = n + with_h
+    if block:
+        first = tuple(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))])
+        src = block_order(first, tuple(i for i in range(ns) if i not in first))
+        dst = block_order(first, tuple(i for i in range(n) if i not in first))
+    else:
+        src = dst = GREVLEX
+    src_lay, dst_lay = _layout(src, ns), _layout(dst, n)
+    plan = _move_plan(src_lay, dst_lay)
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 60)] * ns), min_size=1,
+                              max_size=8))
+    for e in exps:
+        word = src_lay.pack(e)
+        moved = sum((word & mask) >> shift for mask, shift in plan)
+        assert moved == dst_lay.pack_exponents(word) == dst_lay.pack(e[:n])

@@ -31,6 +31,7 @@ from symrees.ideal_ops import (
     saturate_by_variable,
     saturate_principal,
     _homogenized,
+    _saturation_parts,
 )
 from symrees.hilbert import HilbertSeries
 from symrees.oracle import (
@@ -193,6 +194,31 @@ def test_a_wrong_series_on_the_homogenized_basis_raises(delta):
     H._derived["hilbert"] = HilbertSeries(weights, {k: c for k, c in wrong.items() if c})
     with pytest.raises(AssertionError):
         saturate_by_variable(I, "x")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gens_terms=homogeneous_ideals,
+       us=st.lists(st.integers(0, 2), min_size=9, max_size=9),
+       homogeneous=st.booleans())
+@pytest.mark.parametrize("ring", [RU, RU_LEX], ids=["grevlex", "lex"])
+def test_a_saturation_left_to_its_first_read_matches_the_aux_variable_route(
+        ring, gens_terms, us, homogeneous):
+    # with `homogeneous` the terms of each form share one power of u, so the
+    # grevlex basis is homogeneous and takes no h; else it mostly does.  The
+    # contraction comes before the rest of I : v^inf is finished, and both
+    # are the reduced bases that the aux-variable route gives
+    if homogeneous:
+        us = [k for terms, k in zip(gens_terms, us) for _ in terms]
+    I = Ideal(ring, _with_u(ring, gens_terms, us))
+    for v in ("x", "y", "z"):
+        sat, contraction = _saturation_parts(I, v)
+        want = saturate_principal(I, ring.var(v))
+        assert contraction.gens == eliminate(want, "geom").gens
+        iv = ring.index(v)
+        first = tuple(i for i in range(3) if i != iv) + (iv,)
+        assert sat().gens == buchberger(want, ring.elim_order_vars(first)).elements
+    if homogeneous:
+        assert I._derived["homogenized"].ring == ring
 
 
 def test_eliminate_parabola():
