@@ -25,8 +25,8 @@ summands lie in u-degrees >= 1 and 0; R is a domain and f is in I, so
 multiplying by f*u (of degree d + 1) is injective on B, and by f on R.
 `aluffi_presentation` records this series on the Aluffi ideal, from the
 leading monomials of the Rees ideal's cached basis (`_aluffi_series`), so
-its basis is a Hilbert-driven run (see `groebner`); `aluffi_dimension`
-reads only its leading monomials.
+its basis is a Hilbert-driven run (see `groebner`), and `aluffi_dimension`
+reads the algebra's dimension off the series with no run (`dimension`).
 
 Caching.  The Rees ideal depends on I alone, so it lives on the Ideal object:
 `rees_ideal` stores it in `I._derived["rees"]`, next to I's Groebner cache,

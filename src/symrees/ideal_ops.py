@@ -35,14 +35,14 @@ of the saturation, which `saturate_by_variable` makes at once.
 
 Quotients and saturations by ideals reduce to intersections plus one lift:
 I : (g) is I ∩ (g) with each generator divided by g, all those quotients
-read off one tracked run (`member_lifts`).  Dimension comes from maximal
-independent variable sets modulo the initial ideal, and reads nothing else:
-a basis it makes is left unfinished (`groebner._lead_basis`).
+read off one tracked run (`member_lifts`).  Dimension is read off the
+ideal's Hilbert series when it records one, with no run; else it comes from
+maximal independent variable sets modulo the initial ideal, and reads
+nothing else: a basis it makes is left unfinished (`groebner._lead_basis`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -308,31 +308,78 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 # dimension
 
 
-@dataclass(frozen=True)
 class DimensionReport:
-    """Krull dimension data for ring/I; empty marks the unit ideal distinctly."""
+    """Krull dimension data for ring/I; empty marks the unit ideal distinctly.
 
-    dim: int
-    codim: int
-    witness: tuple
-    empty: bool = False
+    `witness` is the first largest variable set independent modulo in(I),
+    from `combinations` order.  A report read off a recorded Hilbert series
+    is given a zero-argument callable in its place, which the first read of
+    `witness` calls, under that reader's budget, and replaces by its value.
+    Equality, hash and repr read `witness`, as a dataclass's would.
+    """
+
+    __slots__ = ("dim", "codim", "_witness", "empty")
+
+    def __init__(self, dim: int, codim: int, witness, empty: bool = False):
+        self.dim, self.codim, self._witness, self.empty = dim, codim, witness, empty
+
+    @property
+    def witness(self) -> tuple:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    def _fields(self) -> tuple:
+        return self.dim, self.codim, self.witness, self.empty
+
+    def __eq__(self, other):
+        if not isinstance(other, DimensionReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "DimensionReport(dim={!r}, codim={!r}, witness={!r}, empty={!r})".format(
+            *self._fields())
 
     def codim_at_least(self, c: int) -> bool:
         return True if self.empty else self.codim >= c
 
 
 def dimension(I: Ideal) -> DimensionReport:
-    """dim ring/I as the largest variable set independent modulo in(I).
+    """dim ring/I, with a largest variable set independent modulo in(I).
 
-    Only in(I) is read: the leading monomials of I's basis under its ring's
-    order.  With no basis cached, one run gives them, and the basis is cached
-    unfinished (`groebner._lead_basis`): its records are tail-reduced only if
-    something later reads the basis in full.
+    When I records its Hilbert series (`I._derived["hilbert"]`), dim and
+    codim are read off it with no run (`hilbert.HilbertSeries.dimension`,
+    which raises AssertionError for a series no nonzero ideal has), and the
+    witness is left to its first read, which takes the route below and
+    checks that it gives the same dim.  Else only in(I) is read: the leading
+    monomials of I's basis under its ring's order.  With no basis cached, one
+    run gives them, and the basis is cached unfinished
+    (`groebner._lead_basis`): its records are tail-reduced only if something
+    later reads the basis in full.
     """
     ring = I.ring
     n = ring.arity
     if I.is_zero:
         return DimensionReport(n, 0, tuple(ring.names))
+    series = I._derived.get("hilbert")
+    if series is None:
+        return _lead_dimension(I)
+    d = series.dimension(nonzero=True)
+    if d is None:
+        return DimensionReport(-1, n + 1, (), empty=True)
+    return DimensionReport(d, n - d, lambda: _lead_dimension(I, d).witness)
+
+
+def _lead_dimension(I: Ideal, dim: int | None = None) -> DimensionReport:
+    """`dimension`'s report for a nonzero I, from the leading monomials of
+    `groebner._lead_basis(I)`; AssertionError when `dim` is given and is not
+    the dimension found."""
+    ring = I.ring
+    n = ring.arity
     gb = _lead_basis(I)
     if gb.is_unit_ideal:
         return DimensionReport(-1, n + 1, (), empty=True)
@@ -345,6 +392,9 @@ def dimension(I: Ideal) -> DimensionReport:
         for combo in combinations(range(n), size):
             S = set(combo)
             if not any(sup <= S for sup in supports):
+                if dim not in (None, size):
+                    raise AssertionError(f"in(I) gives dimension {size}, the recorded"
+                                         f" Hilbert series {dim}")
                 witness = tuple(ring.names[i] for i in combo)
                 return DimensionReport(size, n - size, witness)
     raise AssertionError("unreachable: empty set is always independent")

@@ -23,7 +23,7 @@ from symrees.blowup import (
 from symrees.budget import _BUDGET, WorkLimitExceeded, work_limit
 from symrees.curves import gradient_pair, sample_parameters
 from symrees.fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, pair_by_name
-from symrees.groebner import _layout
+from symrees.groebner import _layout, _lead_basis
 from symrees.hilbert import HilbertSeries, _HilbertCount, hilbert_numerator
 from symrees.ideal_ops import eliminate_vars
 from symrees.rings import GREVLEX, RingContext
@@ -257,11 +257,17 @@ def test_a_wrong_hilbert_series_raises(curve, shift):
 
 
 def _aluffi_pairs():
-    """The gradient pairs of the curve fixtures, and seeded principal pairs:
-    homogeneous b_i of degrees 1-3 and J = (sum c_j b_j) with homogeneous
-    c_j, so that the certificate is homogeneous."""
+    """The gradient pairs of the curves of the `curves` benchmark workload at
+    seed 0 (the curve fixtures and one member of each catalog family), and
+    seeded principal pairs: homogeneous b_i of degrees 1-3 and
+    J = (sum c_j b_j) with homogeneous c_j, so that the certificate is
+    homogeneous."""
     for curve in CURVES:
         yield curve.slug, gradient_pair(curve.curve()).pair
+    for fam in FAMILIES:
+        alpha = sample_parameters(fam.ring(), fam.constraint_polys(), seed=0)
+        f = fam.family().evaluate_block("param", alpha)
+        yield f"family-{fam.key}-member", gradient_pair(f).pair
     rng = random.Random(30)
     mons = {d: [m for m in product(range(d + 1), repeat=3) if sum(m) == d]
             for d in range(4)}
@@ -291,16 +297,23 @@ ALUFFI_PAIRS = list(_aluffi_pairs())
 
 @pytest.mark.parametrize("pair", [p for _, p in ALUFFI_PAIRS],
                          ids=[name for name, _ in ALUFFI_PAIRS])
-def test_aluffi_series_is_the_finished_bases(pair):
+def test_aluffi_series_is_the_finished_bases(pair, engine_inputs):
     pres = aluffi_presentation(pair)
     series = pres.aluffi_ideal._derived["hilbert"]
+    engine_inputs.clear()
+    rep = aluffi_dimension(pres)
+    assert not engine_inputs
     plain = buchberger(Ideal(pres.ring, pres.aluffi_ideal.gens))
     assert series.numerator == hilbert_numerator(plain.leading_monomials(), series.weights)
-    # the Hilbert-driven run gives the plain run's dimension and basis
+    # the Hilbert-driven run passes its finish check and gives the plain
+    # run's basis; the report read off the series, witness included, is the
+    # one the plain basis gives
+    engine_inputs.clear()
+    assert groebner(pres.aluffi_ideal) == plain
+    assert [hilbert for _, _, _, hilbert, _ in engine_inputs] == [True]
     fresh = Ideal(pres.ring, pres.aluffi_ideal.gens)
     fresh._gb_cache[pres.ring.order] = plain
-    assert aluffi_dimension(pres) == dimension(fresh)
-    assert groebner(pres.aluffi_ideal) == plain
+    assert rep == dimension(fresh)
 
 
 def _parent_route_dimension(pres):
@@ -332,8 +345,9 @@ def test_no_series_without_one_j_generator_and_homogeneity(pair, hilbert_runs):
     assert hilbert_runs[0] is None
 
 
-# the work of bad-quintic-embedded's Aluffi run under its series; dimension
-# reads its leading monomials, so none of its records is tail-reduced
+# the work of bad-quintic-embedded's Aluffi run under its series, for a
+# reader of its leading monomials only, so none of its records is
+# tail-reduced
 ALUFFI_LEAST = 332
 
 
@@ -346,24 +360,93 @@ def test_aluffi_run_work_is_pinned():
     I = _embedded_aluffi_ideal()
     limit = 10 ** 6
     with work_limit(limit):
-        dimension(I)
+        _lead_basis(I)
         assert limit - _BUDGET.get().left == ALUFFI_LEAST
     I = _embedded_aluffi_ideal()
     with work_limit(ALUFFI_LEAST):
-        dimension(I)
+        _lead_basis(I)
     I = _embedded_aluffi_ideal()
     with pytest.raises(WorkLimitExceeded), work_limit(ALUFFI_LEAST - 1):
-        dimension(I)
+        _lead_basis(I)
+
+
+def test_aluffi_dimension_spends_nothing_and_its_witness_the_run(engine_inputs):
+    I = _embedded_aluffi_ideal()
+    engine_inputs.clear()
+    limit = 10 ** 6
+    with work_limit(limit):
+        rep = dimension(I)
+        assert (rep.dim, rep.codim, rep.empty) == (3, 3, False)
+        assert limit - _BUDGET.get().left == 0
+    assert not engine_inputs
+    with work_limit(limit):
+        witness = rep.witness
+        assert limit - _BUDGET.get().left == ALUFFI_LEAST
+    assert len(engine_inputs) == 1 and rep.witness is witness
+    rep = dimension(_embedded_aluffi_ideal())
+    with pytest.raises(WorkLimitExceeded), work_limit(ALUFFI_LEAST - 1):
+        rep.witness
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-def test_a_wrong_aluffi_series_raises(shift):
-    # the engine's guards hold for the Aluffi ideal's series too
+def test_a_wrong_aluffi_series_raises(shift, engine_inputs):
+    # the numerator of a nonzero ideal's series vanishes at t = 1; this one
+    # does not, which the reader sees before any run
     I = _embedded_aluffi_ideal()
     series = I._derived["hilbert"]
     num = dict(series.numerator)
     num[0] = num.get(0, 0) + shift
     I._derived["hilbert"] = HilbertSeries(series.weights,
                                           {k: v for k, v in num.items() if v})
+    engine_inputs.clear()
     with pytest.raises(AssertionError):
         dimension(I)
+    assert not engine_inputs
+
+
+# ---------------------------------------------------------------------------
+# the dimension read off a series: the order of its pole at t = 1
+
+
+def _known_series():
+    """(ideal, series of S/I, dim S/I) for series known in closed form."""
+    x, y, z = R3.gens()
+    ones = (1, 1, 1)
+    yield Ideal(R3, []), HilbertSeries(ones, {0: 1}), 3
+    yield Ideal(R3, [R3.one]), HilbertSeries(ones, {}), None
+    # a (2, 3) complete intersection: N = (1 - t^2)(1 - t^3)
+    yield (Ideal(R3, [x ** 2 - y * z, y ** 3 - x * z ** 2]),
+           HilbertSeries(ones, {0: 1, 2: -1, 3: -1, 5: 1}), 1)
+    # N = 1 - 3t^2 + 2t^3 = (1 - t)^2 (1 + 2t)
+    yield (Ideal(R3, [x ** 2, x * y, y ** 2]),
+           HilbertSeries(ones, {0: 1, 2: -3, 3: 2}), 1)
+    # the Rees ideal of (x^2, y^2), (y^2 T_1 - x^2 T_2) under deg T_i = 3
+    rees = rees_ideal(Ideal(R3, [x ** 2, y ** 2]))
+    yield (Ideal(rees.ring, rees.gens), HilbertSeries((1, 1, 1, 3, 3), {0: 1, 5: -1}), 4)
+
+
+@pytest.mark.parametrize("I, series, dim", list(_known_series()),
+                         ids=["S", "unit", "complete-intersection", "monomial",
+                              "rees-weights"])
+def test_dimension_of_known_series(I, series, dim, engine_inputs):
+    if I.gens:
+        lead = buchberger(Ideal(I.ring, I.gens)).leading_monomials()
+        assert hilbert_numerator(lead, series.weights) == series.numerator
+    assert series.dimension(nonzero=not I.is_zero) == dim
+    fresh = Ideal(I.ring, I.gens)
+    I._derived["hilbert"] = series
+    engine_inputs.clear()
+    rep = dimension(I)
+    assert not engine_inputs
+    plain = dimension(fresh)
+    assert rep == plain and hash(rep) == hash(plain) and repr(rep) == repr(plain)
+
+
+@pytest.mark.parametrize("num, nonzero", [
+    ({0: 1}, True),                                 # no factor 1 - t
+    ({0: 1, 1: -4, 2: 6, 3: -4, 4: 1}, False),      # (1 - t)^4 in 3 variables
+    ({0: -1, 1: 1}, True),                          # Q(1) = -1
+], ids=["unit-numerator", "pole-of-negative-order", "negative-leading-coefficient"])
+def test_a_series_no_ideal_has_raises(num, nonzero):
+    with pytest.raises(AssertionError):
+        HilbertSeries((1, 1, 1), num).dimension(nonzero)
