@@ -18,7 +18,8 @@ order of the pole at t = 1 (Hilbert-Serre; Bruns-Herzog, Cohen-Macaulay
 Rings, ch. 4).  Each 1 - t^w_i is (1 - t)(1 + t + ... + t^(w_i - 1)), so for
 N = (1 - t)^k Q with Q(1) != 0 the pole has order n - k, and Q(1) / prod_i w_i
 is the coefficient of its leading term, positive.  S is a domain, so a
-nonzero proper I has height >= 1, and k >= 1.
+nonzero proper I has height >= 1, and k >= 1 (`ideal_ops.dimension`
+checks it).
 
 Two ideals whose reduced bases are monomial meet in the monomial ideal of
 the pairwise lcms of their basis words (Cox-Little-O'Shea, ch. 4 sec. 3) and
@@ -152,14 +153,13 @@ class HilbertSeries(NamedTuple):
         """The count of a run whose first leading monomials are `words`."""
         return _HilbertCount(lay, self, words)
 
-    def dimension(self, nonzero: bool) -> int | None:
+    def dimension(self) -> int | None:
         """dim S/I for the ideal I of this series, the order of its pole at
         t = 1, or None when N = 0 (I is the unit ideal).  N is divided by
         1 - t while N(1) = 0, k times, leaving Q; the pole has order n - k
         (see the module docstring).
 
-        A series no ideal has raises AssertionError: k = 0 while I has a
-        nonzero generator (`nonzero`), k > n, or Q(1) < 0.
+        A series no ideal has raises AssertionError: k > n, or Q(1) < 0.
         """
         if not self.numerator:
             return None
@@ -170,9 +170,6 @@ class HilbertSeries(NamedTuple):
             q = list(accumulate(q))[:-1]
             k += 1
         n = len(self.weights)
-        if nonzero and not k:
-            raise AssertionError("the stated Hilbert numerator of a nonzero ideal"
-                                 " does not vanish at t = 1")
         if k > n or sum(q) < 0:
             raise AssertionError("the stated Hilbert series has no pole at t = 1"
                                  " with a positive leading coefficient")

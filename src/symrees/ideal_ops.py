@@ -325,9 +325,10 @@ class DimensionReport:
 
     @property
     def witness(self) -> tuple:
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
+        w = self._witness  # one read: another thread may store the value meanwhile
+        if callable(w):
+            w = self._witness = w()
+        return w
 
     def _fields(self) -> tuple:
         return self.dim, self.codim, self.witness, self.empty
@@ -352,10 +353,12 @@ def dimension(I: Ideal) -> DimensionReport:
     """dim ring/I, with a largest variable set independent modulo in(I).
 
     When I records its Hilbert series (`I._derived["hilbert"]`), dim and
-    codim are read off it with no run (`hilbert.HilbertSeries.dimension`,
-    which raises AssertionError for a series no nonzero ideal has), and the
-    witness is left to its first read, which takes the route below and
-    checks that it gives the same dim.  Else only in(I) is read: the leading
+    codim are read off it with no run (`hilbert.HilbertSeries.dimension`),
+    and the witness is left to its first read, which takes the route below
+    and checks that it gives the same dim.  A series no nonzero ideal has
+    raises AssertionError before any run: one with no pole at t = 1 of order
+    at most n and positive leading coefficient, or one of order n (S is a
+    domain, so I has height >= 1).  Else only in(I) is read: the leading
     monomials of I's basis under its ring's order.  With no basis cached, one
     run gives them, and the basis is cached unfinished
     (`groebner._lead_basis`): its records are tail-reduced only if something
@@ -368,9 +371,12 @@ def dimension(I: Ideal) -> DimensionReport:
     series = I._derived.get("hilbert")
     if series is None:
         return _lead_dimension(I)
-    d = series.dimension(nonzero=True)
+    d = series.dimension()
     if d is None:
         return DimensionReport(-1, n + 1, (), empty=True)
+    if d == n:
+        raise AssertionError("the stated Hilbert numerator of a nonzero ideal"
+                             " does not vanish at t = 1")
     return DimensionReport(d, n - d, lambda: _lead_dimension(I, d).witness)
 
 
@@ -382,6 +388,9 @@ def _lead_dimension(I: Ideal, dim: int | None = None) -> DimensionReport:
     n = ring.arity
     gb = _lead_basis(I)
     if gb.is_unit_ideal:
+        if dim is not None:
+            raise AssertionError(f"in(I) is the unit ideal, the recorded Hilbert"
+                                 f" series gives dimension {dim}")
         return DimensionReport(-1, n + 1, (), empty=True)
     supports = []
     for m in gb.leading_monomials():

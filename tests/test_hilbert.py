@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -25,7 +27,7 @@ from symrees.curves import gradient_pair, sample_parameters
 from symrees.fixtures import CURVES, FAMILIES, PAIR_FIXTURES, curve_by_name, pair_by_name
 from symrees.groebner import _layout, _lead_basis
 from symrees.hilbert import HilbertSeries, _HilbertCount, hilbert_numerator
-from symrees.ideal_ops import eliminate_vars
+from symrees.ideal_ops import _lead_dimension, eliminate_vars
 from symrees.rings import GREVLEX, RingContext
 
 from strategies import R3, build, homogeneous_ideals, linear_forms
@@ -388,10 +390,34 @@ def test_aluffi_dimension_spends_nothing_and_its_witness_the_run(engine_inputs):
         rep.witness
 
 
+def test_threads_first_reading_one_witness_get_equal_results():
+    # four threads make the first read of each of many reports' witness: the
+    # first read runs the engine, and the rest read I's cached basis, quick
+    # enough for the threads to meet on one report
+    I = _embedded_aluffi_ideal()
+    reps = [dimension(I) for _ in range(3000)]
+    want = dimension(_embedded_aluffi_ideal()).witness
+    barrier = threading.Barrier(4)
+
+    def read(_):
+        barrier.wait(timeout=60)
+        return [rep.witness for rep in reps]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(read, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(w == want for ws in results for w in ws)
+
+
 @pytest.mark.parametrize("shift", [1, -1])
 def test_a_wrong_aluffi_series_raises(shift, engine_inputs):
     # the numerator of a nonzero ideal's series vanishes at t = 1; this one
-    # does not, which the reader sees before any run
+    # does not, which the reader sees before any run, and the engine's guards
+    # in the Hilbert-driven run on the Aluffi ideal see too
     I = _embedded_aluffi_ideal()
     series = I._derived["hilbert"]
     num = dict(series.numerator)
@@ -402,6 +428,9 @@ def test_a_wrong_aluffi_series_raises(shift, engine_inputs):
     with pytest.raises(AssertionError):
         dimension(I)
     assert not engine_inputs
+    with pytest.raises(AssertionError):
+        _lead_basis(I)
+    assert [hilbert for _, _, _, hilbert, _ in engine_inputs] == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +461,7 @@ def test_dimension_of_known_series(I, series, dim, engine_inputs):
     if I.gens:
         lead = buchberger(Ideal(I.ring, I.gens)).leading_monomials()
         assert hilbert_numerator(lead, series.weights) == series.numerator
-    assert series.dimension(nonzero=not I.is_zero) == dim
+    assert series.dimension() == dim
     fresh = Ideal(I.ring, I.gens)
     I._derived["hilbert"] = series
     engine_inputs.clear()
@@ -442,11 +471,30 @@ def test_dimension_of_known_series(I, series, dim, engine_inputs):
     assert rep == plain and hash(rep) == hash(plain) and repr(rep) == repr(plain)
 
 
-@pytest.mark.parametrize("num, nonzero", [
-    ({0: 1}, True),                                 # no factor 1 - t
-    ({0: 1, 1: -4, 2: 6, 3: -4, 4: 1}, False),      # (1 - t)^4 in 3 variables
-    ({0: -1, 1: 1}, True),                          # Q(1) = -1
-], ids=["unit-numerator", "pole-of-negative-order", "negative-leading-coefficient"])
-def test_a_series_no_ideal_has_raises(num, nonzero):
+@pytest.mark.parametrize("num", [
+    {0: 1, 1: -4, 2: 6, 3: -4, 4: 1},       # (1 - t)^4 in 3 variables
+    {0: -1, 1: 1},                          # Q(1) = -1
+], ids=["pole-of-negative-order", "negative-leading-coefficient"])
+def test_a_series_no_ideal_has_raises(num):
     with pytest.raises(AssertionError):
-        HilbertSeries((1, 1, 1), num).dimension(nonzero)
+        HilbertSeries((1, 1, 1), num).dimension()
+
+
+def test_a_nonzero_ideal_with_s_own_series_raises(engine_inputs):
+    # S's series, N = 1, has no factor 1 - t: no nonzero ideal of the domain
+    # S has it
+    I = Ideal(R3, [R3.gens()[0]])
+    I._derived["hilbert"] = HilbertSeries((1, 1, 1), {0: 1})
+    engine_inputs.clear()
+    with pytest.raises(AssertionError):
+        dimension(I)
+    assert not engine_inputs
+
+
+def test_a_witness_checks_the_dimension_it_was_given():
+    x = R3.gens()[0]
+    assert _lead_dimension(Ideal(R3, [x]), 2).witness == ("y", "z")
+    with pytest.raises(AssertionError):
+        _lead_dimension(Ideal(R3, [x]), 1)
+    with pytest.raises(AssertionError):
+        _lead_dimension(Ideal(R3, [R3.one]), 0)
