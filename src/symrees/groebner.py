@@ -76,7 +76,14 @@ engine records, and its elements are unpacked from them on first read
 unfinished: its leading monomials and `is_unit_ideal` are read off their
 minimal leading monomials, and the first read of its records by anyone else
 finishes them under that reader's budget.  A basis nobody else reads is
-never finished, and a later read makes no second run.
+never finished, and a later read makes no second run.  Two bases are equal
+when their ring, order and records are, record by record up to sign
+(`_Rec.same_element`): each record is the content-1 integer multiple of its
+monic element, with a positive leading coefficient when the engine made it
+and Polynomial's sign (positive at the lex-largest exponent) when it was
+packed from an element, so that y^2 - x packs to a leading coefficient of -1
+under grevlex.  So `ideal_ops.ideal_equal` and the checks against a
+containing ideal unpack no element.
 
 Runs inside a known ideal.  An Ideal B whose `_derived["within"]` holds an
 Ideal A states that B lies in A.  The torsion pieces, the Artin-Rees and
@@ -279,8 +286,33 @@ class _Rec:
         self.rep = rep
         self.rtop = _top((m for d in rep.values() for m in d), guard) if rep else 0
 
+    @classmethod
+    def word(cls, w: int) -> "_Rec":
+        """The untracked record of the monomial packed as `w`."""
+        rec = cls.__new__(cls)
+        rec.lm = rec.top = w
+        rec.lc = 1
+        rec.tail = []
+        rec.rep = None
+        rec.rtop = 0
+        return rec
+
     def items(self) -> list:
         return [(self.lm, self.lc)] + self.tail
+
+    def same_element(self, other: "_Rec") -> bool:
+        """Whether the two records, of one layout, are multiples of one monic
+        element.  Each is a content-1 integer multiple of it, so the two
+        agree up to sign: the engine's records have a positive `lc`, those
+        packed from elements (`_to_engine`) Polynomial's sign."""
+        tail = self.tail
+        if self.lm != other.lm or len(tail) != len(other.tail):
+            return False
+        if self.lc == other.lc:
+            return tail == other.tail or dict(tail) == dict(other.tail)
+        if self.lc == -other.lc:
+            return {m: -c for m, c in tail} == dict(other.tail)
+        return False
 
 
 def _scale_rep(rep, c):
@@ -414,9 +446,11 @@ class GroebnerBasis:
     descending (`_recs`), or a run's, ascending and not yet reduced (`_run`),
     which the first read tail-reduces (`_reduce_records`) under the reader's
     budget.  A basis built from elements packs its records on first read, and
-    elements are unpacked from the records on first read.  A finish sets the
-    records before it drops the run, so threads that read one basis at once
-    only replace missing values with equal ones.
+    elements are unpacked from the records on first read.  Equality reads
+    the records (see the module docstring), and the hash their leading
+    monomials, so neither unpacks an element.  A finish sets the records
+    before it drops the run, so threads that read one basis at once only
+    replace missing values with equal ones.
     """
 
     __slots__ = ("ring", "order", "_elements", "_recs", "_run")
@@ -460,16 +494,21 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        elements = self._elements
+        return len(self._records if elements is None else elements)
 
     def __eq__(self, other):
         if other.__class__ is not GroebnerBasis:
             return NotImplemented
-        return ((self.ring, self.order, self.elements)
-                == (other.ring, other.order, other.elements))
+        if self is other:
+            return True
+        if self.ring != other.ring or self.order != other.order:
+            return False
+        mine, theirs = self._records, other._records
+        return len(mine) == len(theirs) and all(map(_Rec.same_element, mine, theirs))
 
     def __hash__(self):
-        return hash((self.ring, self.order, self.elements))
+        return hash((self.ring, self.order, tuple(rec.lm for rec in self._records)))
 
     def __repr__(self):
         return (f"GroebnerBasis(ring={self.ring!r}, order={self.order!r},"
@@ -711,7 +750,7 @@ def _monomial_basis(ring: RingContext, order: MonomialOrder, words) -> GroebnerB
     kept = _minimal(words, lay.eguard)
     _budget().spend(len(words) - len(kept))
     return GroebnerBasis(ring, order, None,
-                         _records=tuple(_Rec({w: 1}, guard) for w in reversed(kept)))
+                         _records=tuple(map(_Rec.word, reversed(kept))))
 
 
 def buchberger(source, order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -747,7 +786,7 @@ def _basis(source, order: MonomialOrder | None = None) -> GroebnerBasis:
     recs, _ = _run_buchberger(gens, ring, order, track=False,
                               hilbert=derived.get("hilbert"), cover=cover)
     gb = GroebnerBasis(ring, order, None, _run=recs)
-    if cover == [] and gb.elements != outer.elements:
+    if cover == [] and gb != outer:
         raise AssertionError(_NOT_WITHIN)
     return gb
 
@@ -775,7 +814,7 @@ def _check_within(gb: GroebnerBasis, outer: GroebnerBasis | None, lay: _Layout) 
         return
     for rec in gb._records:
         _uncover(cover, rec.lm & lay.emask, lay.eguard)
-    if not cover and gb.elements != outer.elements:
+    if not cover and gb != outer:
         raise AssertionError(_NOT_WITHIN)
 
 

@@ -46,6 +46,13 @@ once a power I^(t-1) is m^((t-1)e), I^t is m^(te): m^(te) = m^e I^(t-1) =
 (m^e I^(t-2)) I <= m^((t-1)e) I = I^t <= m^(te) (`_filled_power`, for
 `blowup._pair_power`, which asks `_may_fill` whether a power built from
 products is worth a basis that would tell).
+
+Each of these results is an Ideal given by its reduced basis (`_given_by`),
+whose records are final: its generators are that basis's elements,
+unpacked from the records only when something reads them
+(`rings.Ideal`), with no run and no unit spent.  The torsion comparisons
+(`ideal_ops.ideal_equal`) read the bases' records alone, so most of these
+ideals are never unpacked.
 """
 
 from __future__ import annotations
@@ -293,9 +300,13 @@ def _combine_words(A: Ideal, B: Ideal, order: MonomialOrder, meet: bool,
 
 
 def _given_by(gb: GroebnerBasis) -> Ideal:
-    """The ideal given by the elements of its reduced basis `gb`, which its
-    Groebner cache holds when `gb`'s order is its ring's."""
-    out = Ideal(gb.ring, gb.elements)
+    """The ideal given by the elements of its reduced basis `gb`, whose
+    records are final (every caller builds them; none leaves a run), which
+    its Groebner cache holds when `gb`'s order is its ring's.  The ideal
+    keeps `gb` and unpacks its generators on their first read
+    (`Ideal._of_basis`), which spends nothing and makes no run: a meet or
+    product that is only compared by its basis is never unpacked."""
+    out = Ideal._of_basis(gb)
     if gb.order == gb.ring.order:
         out._gb_cache[gb.order] = gb
     return out

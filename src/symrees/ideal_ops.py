@@ -295,13 +295,15 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """I = J, by equal reduced Groebner bases under the ring's order.
+    """I = J: one object, or equal reduced Groebner bases under the ring's
+    order.
 
     Exact: an ideal has one reduced basis per monomial order.  Both bases come
-    from (and stay in) the ideals' Groebner caches.
+    from (and stay in) the ideals' Groebner caches, and are compared on their
+    engine records (see `groebner.GroebnerBasis`), so no element is unpacked.
     """
     _same_ring(I, J)
-    return groebner(I).elements == groebner(J).elements
+    return I is J or groebner(I) == groebner(J)
 
 
 # ---------------------------------------------------------------------------

@@ -701,10 +701,20 @@ class Ideal:
     (see `hilbert`) or an Ideal known to contain it under "within" (see
     `groebner.buchberger`).  A fact is recorded by the code that builds the
     Ideal, before anything reads it.
+
+    An Ideal that the engine hands back by its reduced basis (`_of_basis`,
+    for `hilbert._given_by`) holds that basis, with its final engine records,
+    under `_basis`, and its `gens` are the basis's elements, unpacked on the
+    first read of `gens` (or of anything that reads them: iteration, len,
+    equality, hash, repr, transport); `is_zero` is read off the records
+    (`len` of the basis).
+    Such a first read spends no work units and makes no engine run.  Threads
+    that make the first read at once each store an equal tuple.  An Ideal
+    built from generators has `_basis` None and holds `gens` from the start.
     """
 
     # a part cut from an ideal refers back to it weakly (`hilbert._part`)
-    __slots__ = ("ring", "gens", "_gb_cache", "_derived", "__weakref__")
+    __slots__ = ("ring", "gens", "_gb_cache", "_derived", "_basis", "__weakref__")
 
     def __init__(self, ring: RingContext, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if g and not g.is_zero)
@@ -715,6 +725,28 @@ class Ideal:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "_gb_cache", {})
         object.__setattr__(self, "_derived", {})
+        object.__setattr__(self, "_basis", None)
+
+    @classmethod
+    def _of_basis(cls, basis) -> "Ideal":
+        """The ideal given by the elements of `basis`, a reduced Groebner
+        basis whose records are final, with `gens` left to its first read."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "ring", basis.ring)
+        object.__setattr__(out, "_gb_cache", {})
+        object.__setattr__(out, "_derived", {})
+        object.__setattr__(out, "_basis", basis)
+        return out
+
+    def __getattr__(self, name):
+        # reached when lookup fails, as for the unset `gens` slot of an ideal
+        # given by its basis, which this fills
+        basis = self._basis if name == "gens" else None
+        if basis is None:
+            raise AttributeError(f"'Ideal' object has no attribute {name!r}")
+        gens = basis.elements
+        object.__setattr__(self, "gens", gens)
+        return gens
 
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
@@ -734,7 +766,8 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        basis = self._basis
+        return not (self.gens if basis is None else len(basis))
 
     def transport(self, target: RingContext) -> "Ideal":
         if target == self.ring:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from operator import le
 
@@ -678,14 +680,15 @@ def test_pairs_whose_powers_are_not_powers_of_m_make_no_extra_run(build_pair,
                                                                    engine_inputs):
     # the torsion-pair's I is not m-primary, and the never-filling I's powers
     # cannot fill their degrees: the torsion invariants make the same runs as
-    # before powers of m were recognized
+    # before powers of m were recognized, but for J's own basis, which
+    # artin_rees_number's t = k = 1 comparison of J with itself no longer reads
     pair = build_pair()
     runs = []
     for invariant in (vv_pieces, artin_rees_number, standard_base_check):
         engine_inputs.clear()
         invariant(pair, 4)
         runs.append(len(engine_inputs))
-    assert runs == [6, 1, 1]
+    assert runs == [6, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1105,97 @@ def test_pair_fixture_torsion_runs_are_pinned(name, runs, engine_inputs):
         invariant(pair, 4)
         got.append(len(engine_inputs))
     assert got == runs
+
+
+# ---------------------------------------------------------------------------
+# ideals given by their reduced basis, with generators unpacked on first read
+
+
+def _unread(ideal) -> bool:
+    """Whether `ideal`'s generators are not unpacked yet."""
+    try:
+        Ideal.gens.__get__(ideal)
+    except AttributeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FIXTURES))
+def test_word_route_ideals_read_as_their_eager_ones(name, engine_inputs):
+    from symrees.budget import work_limit
+    pair = pair_by_name(name)
+    for invariant in (vv_pieces, artin_rees_number, standard_base_check):
+        invariant(pair, 4)
+    built = {key: I for key, I in pair._cache.items() if key[0] in ("power", "meet", "lower")}
+    lazy = {key for key, I in built.items() if I._basis is not None}
+    # every level above 1 is read off basis words or a part of a basis, but
+    # for four-points' I^2, formed from products, and J * I, which a run gives
+    assert lazy == {key for key in built if key[1] > 1} - (
+        {("power", 2), ("lower", 2)} if name == "four-points" else set())
+    assert any(_unread(built[key]) for key in lazy)
+    engine_inputs.clear()
+    RL = make_ring(list(pair.ring.names), order="lex")
+    for key in sorted(lazy):
+        I = built[key]
+        unread = _unread(I)
+        with work_limit(0):
+            zero = I.is_zero
+            assert _unread(I) == unread
+            got = (I.gens, list(I), len(I), I, hash(I), repr(I))
+        assert I._basis is groebner(I)
+        eager = Ideal(I.ring, groebner(I).elements)
+        assert got == (eager.gens, list(eager), len(eager), eager, hash(eager),
+                       repr(eager))
+        assert zero == eager.is_zero
+        assert I.transport(pair.ring) is I
+        assert I.transport(RL) == eager.transport(RL)
+    assert not engine_inputs
+
+
+def test_threads_first_reading_one_word_route_ideal_get_equal_results():
+    # four threads make the first read of the generators of each of many
+    # meets given by their basis, which unpacks them
+    from symrees.ideal_ops import intersect
+    A, B = Ideal(R3, [X ** 2, Y * Z]), Ideal(R3, [X * Y, Z ** 3])
+    meets = [intersect(A, B) for _ in range(3000)]
+    assert all(_unread(meet) for meet in meets)
+    want = Ideal(R3, groebner(intersect(A, B)).elements).gens
+    barrier = threading.Barrier(4)
+
+    def read(_):
+        barrier.wait(timeout=60)
+        return [meet.gens for meet in meets]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(read, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(gens == want for got in results for gens in got)
+    assert all(meet.gens == want and not meet.is_zero for meet in meets)
+
+
+# `_from_engine` calls, the engine's one unpacker, over the four-points
+# torsion item: the three invariants at bound 4 on a built pair.  With every
+# word-route ideal unpacked when built and compared as Polynomials, 256.
+FOUR_POINTS_UNPACKS = 81
+
+
+def test_four_points_torsion_unpacks_are_pinned(monkeypatch):
+    engine = sys.modules["symrees.groebner"]
+    pair = pair_by_name("four-points")
+    real, calls = engine._from_engine, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_from_engine", counting)
+    for invariant in (vv_pieces, artin_rees_number, standard_base_check):
+        invariant(pair, 4)
+    assert len(calls) == FOUR_POINTS_UNPACKS
 
 
 def _reference_vv(pair, bound):

@@ -468,6 +468,39 @@ def test_basis_without_records_divides_like_the_engine_basis():
         assert sum((q * g for q, g in zip(quots, scaled.elements)), nf) == p
 
 
+# y^2 - x is positive at x, its lex-largest term, so packed from the element
+# under grevlex its record's leading coefficient (at y^2) is -1
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ideals, ideals)
+@example([[(1, (0, 2, 0)), (-1, (1, 0, 0))]], [[(-3, (0, 2, 0)), (3, (1, 0, 0))]])
+@example([[(1, (0, 2, 0)), (-1, (1, 0, 0))]], [[(1, (0, 2, 0)), (1, (1, 0, 0))]])
+def test_record_equality_is_element_equality(a, b):
+    for order in (GREVLEX, LEX, R3.elim_order_vars([0])):
+        ga, gb = buchberger(build(a), order), buchberger(build(b), order)
+        # packed from elements: records that follow Polynomial's sign rule
+        packed = GroebnerBasis(R3, order, gb.elements)
+        assert packed == gb and gb == packed and hash(packed) == hash(gb)
+        # records are content-1: multiples of the elements pack to the same
+        scaled = GroebnerBasis(R3, order, tuple(-3 * g for g in gb.elements))
+        assert scaled == gb and hash(scaled) == hash(gb)
+        assert (ga == packed) == (packed == ga) == (ga.elements == gb.elements)
+        assert (ga == gb) == (ga.elements == gb.elements)
+
+
+def test_records_that_differ_in_one_sign_are_unequal():
+    x_minus, x_plus = R3.parse("y^2 - x + z"), R3.parse("y^2 + x + z")
+    for g, h in ((x_minus, x_plus), (x_plus, x_minus)):
+        engine = buchberger([g])
+        packed = GroebnerBasis(R3, GREVLEX, (h,))
+        # one engine record and one packed record, whose leading coefficients
+        # differ in sign when h is y^2 - x + z
+        assert [rec.lc for rec in engine._records] == [1]
+        assert [rec.lc for rec in packed._records] == [-1 if h is x_minus else 1]
+        assert engine != packed and packed != engine
+        assert engine == GroebnerBasis(R3, GREVLEX, (g,))
+    assert GroebnerBasis(R3, GREVLEX, (x_minus,)) != GroebnerBasis(R3, GREVLEX, (x_plus,))
+
+
 def test_threads_share_layouts_and_lazy_records():
     import sys
     import threading
